@@ -15,12 +15,10 @@ from .geometry import (
 from .model import (
     DatasetError,
     DecompositionTree,
-    Partition,
+    Frontier,
     UncertainObject,
-    UnsplittableNode,
     build_object,
     generate_synthetic,
-    leaves_at_depth,
     load_dataset,
     save_dataset_jsonl,
     split,

@@ -1,10 +1,10 @@
 """Candidate classification and decomposition-based domination probability bounds.
 
-Bounds are always computed against one fixed (target-partition,
-reference-partition) pair: decomposing the target or reference jointly with
-several candidates couples their domination events, so the API takes
-``Partition`` (never a whole object) for those two roles.  Only the candidate
-side is enumerated over its decomposition frontier.
+Bounds are always computed against one fixed (target-node, reference-node)
+pair: decomposing the target or reference jointly with several candidates
+couples their domination events, so the API takes node rectangles (never a
+whole object) for those two roles.  Only the candidate side is enumerated over
+its decomposition frontier.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import check_norm_order, dominance_grid, dominates_optimal
-from .model import Partition, UncertainObject
+from .geometry import Rect, check_norm_order, dominance_grid, dominates_optimal
+from .model import Frontier, UncertainObject
 
 __all__ = [
     "ProbBounds",
@@ -104,56 +104,52 @@ def classify(
 
 def pdom_bounds(
     a: UncertainObject,
-    b_part: Partition,
-    r_part: Partition,
+    b_rect: Rect,
+    r_rect: Rect,
     p: float = 2.0,
     depth: int = 1,
 ) -> ProbBounds:
-    """Bounds on P(a dominates the fixed pair (b_part, r_part)).
+    """Bounds on P(a dominates the fixed node pair (b_rect, r_rect)).
 
-    The lower bound accumulates the mass of a's frontier partitions that
-    dominate; the upper bound is one minus the mass of partitions that are
+    The lower bound accumulates the mass of a's frontier nodes that
+    dominate; the upper bound is one minus the mass of nodes that are
     themselves dominated.  Deepening a's frontier only tightens both sides.
     """
     p = check_norm_order(p)
-    leaves = a.leaves_at_depth(depth)
+    f = a.leaves_at_depth(depth)
     lb = 0.0
     dominated_mass = 0.0
-    for leaf in leaves:
-        if dominates_optimal(leaf.rect, b_part.rect, r_part.rect, p):
-            lb += leaf.mass
-        elif dominates_optimal(b_part.rect, leaf.rect, r_part.rect, p):
-            dominated_mass += leaf.mass
+    for lo, hi, mass in zip(f.lo, f.hi, f.mass.tolist()):
+        node = Rect.from_bounds(lo, hi)
+        if dominates_optimal(node, b_rect, r_rect, p):
+            lb += mass
+        elif dominates_optimal(b_rect, node, r_rect, p):
+            dominated_mass += mass
     lb = min(lb, 1.0)
     ub = min(1.0 - dominated_mass, 1.0)
     return ProbBounds(lb, max(ub, lb))
 
 
 def pdom_bounds_grid(
-    a_leaves: Sequence[Partition],
-    b_leaves: Sequence[Partition],
-    r_leaves: Sequence[Partition],
+    a: Frontier,
+    b: Frontier,
+    r: Frontier,
     p: float = 2.0,
     criterion: str = "optimal",
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised pdom bounds of one candidate against every (b, r) leaf pair.
+    """Vectorised pdom bounds of one candidate frontier against every
+    (b-node, r-node) pair.
 
-    Returns (lb, ub) arrays of shape (len(b_leaves), len(r_leaves)); one
-    r-leaf is processed at a time to bound peak memory.
+    Returns (lb, ub) arrays of shape (len(b), len(r)); one r-node is
+    processed at a time to bound peak memory.
     """
-    a_lo = np.stack([q.rect.lo for q in a_leaves])
-    a_hi = np.stack([q.rect.hi for q in a_leaves])
-    masses = np.array([q.mass for q in a_leaves])
-    b_lo = np.stack([q.rect.lo for q in b_leaves])
-    b_hi = np.stack([q.rect.hi for q in b_leaves])
-    nb, nr = len(b_leaves), len(r_leaves)
-    lb = np.zeros((nb, nr))
-    ub = np.ones((nb, nr))
-    for z, r_leaf in enumerate(r_leaves):
-        dom = dominance_grid(a_lo, a_hi, b_lo, b_hi, r_leaf.rect.lo, r_leaf.rect.hi, p, criterion)
-        rev = dominance_grid(b_lo, b_hi, a_lo, a_hi, r_leaf.rect.lo, r_leaf.rect.hi, p, criterion)
-        lb[:, z] = masses @ dom.astype(float)
-        ub[:, z] = 1.0 - rev.astype(float) @ masses
+    lb = np.zeros((len(b), len(r)))
+    ub = np.ones((len(b), len(r)))
+    for z, (r_lo, r_hi) in enumerate(zip(r.lo, r.hi)):
+        dom = dominance_grid(a.lo, a.hi, b.lo, b.hi, r_lo, r_hi, p, criterion)
+        rev = dominance_grid(b.lo, b.hi, a.lo, a.hi, r_lo, r_hi, p, criterion)
+        lb[:, z] = a.mass @ dom.astype(float)
+        ub[:, z] = 1.0 - rev.astype(float) @ a.mass
     np.minimum(lb, 1.0, out=lb)
     np.maximum(ub, lb, out=ub)
     return lb, ub

@@ -250,7 +250,7 @@ def shift_right(dist: DomCountDistribution, offset: int) -> DomCountDistribution
 
 # ---------------------------------------------------------------------------
 # Dense batch kernels used by the refinement engine.  Each batch row is one
-# (target-partition, reference-partition) pair; tests pin them to the sparse
+# (target-node, reference-node) pair; tests pin them to the sparse
 # single-instance implementations above.
 # ---------------------------------------------------------------------------
 

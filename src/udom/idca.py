@@ -161,24 +161,19 @@ def _evaluate_depth(
         ub[shift] = 1.0
         return DomCountDistribution(lb, ub)
 
-    b_leaves = b.leaves_at_depth(depth)
-    r_leaves = r.leaves_at_depth(depth)
-    nb, nr = len(b_leaves), len(r_leaves)
-    n_pairs = nb * nr
+    b_front = b.leaves_at_depth(depth)
+    r_front = r.leaves_at_depth(depth)
+    n_pairs = len(b_front) * len(r_front)
     n_cands = len(cands)
 
     plb = np.empty((n_cands, n_pairs))
     pub = np.empty((n_cands, n_pairs))
     for idx, cand in enumerate(cands):
-        g_lb, g_ub = pdom_bounds_grid(
-            cand.leaves_at_depth(depth), b_leaves, r_leaves, p, criterion
-        )
+        g_lb, g_ub = pdom_bounds_grid(cand.leaves_at_depth(depth), b_front, r_front, p, criterion)
         plb[idx] = g_lb.ravel()
         pub[idx] = g_ub.ravel()
 
-    b_mass = np.array([q.mass for q in b_leaves])
-    r_mass = np.array([q.mass for q in r_leaves])
-    pair_w = np.outer(b_mass, r_mass).ravel()
+    pair_w = np.outer(b_front.mass, r_front.mass).ravel()
 
     mixed_lb = np.zeros(n_cands + 1)
     mixed_ub = np.zeros(n_cands + 1)
@@ -209,8 +204,9 @@ def idca(
 
     The returned arrays have one slot per database object, plus one when the
     target is external (counts that are provably impossible keep zero
-    bounds).  `b`, and `r` when it is a database object, are excluded from
-    the candidate set.  `on_iteration(depth, dist)` is invoked after each
+    bounds).  Objects are identified by id, so db ids must be unique; `b`,
+    and `r` when it is a database object, are excluded from the candidate
+    set.  `on_iteration(depth, dist)` is invoked after each
     evaluation (progress/timing observation only).
     """
     p = check_norm_order(p)
@@ -218,8 +214,10 @@ def idca(
     if pair_budget < 1:
         raise ValueError("pair_budget must be >= 1")
 
-    cls = classify(db, b, r, p=p, criterion=criterion)
     by_id = {o.id: o for o in db}
+    if len(by_id) != len(db):
+        raise ValueError("database object ids must be unique")
+    cls = classify(db, b, r, p=p, criterion=criterion)
     cands = [by_id[i] for i in cls.influence_objects]
     shift = cls.complete_domination_count
     n_total = result_length(db, b)

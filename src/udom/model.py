@@ -2,10 +2,12 @@
 
 An object is a finite set of weighted alternative positions whose weights sum
 to one, bounded by its tight MBR.  Continuous densities enter by sampling at
-ingestion time.  The decomposition tree bisects a node's samples at the
-weighted median of the widest MBR axis; child masses are always the exact
-weight sums (which reduces to the 0.5^(level-1) rule for even splits), and
-child rectangles are tight MBRs of their samples.
+ingestion time.  The decomposition bisects a node's samples at the weighted
+median of the widest MBR axis; child masses are always the exact weight sums
+(which reduces to the 0.5^(level-1) rule for even splits), and child
+rectangles are tight MBRs of their samples.  Each level is one `Frontier`:
+per-node ``lo``/``hi``/``mass`` arrays plus a sample permutation whose
+segments list every node's samples.
 """
 
 from __future__ import annotations
@@ -21,137 +23,116 @@ import numpy as np
 from .geometry import Rect
 
 __all__ = [
-    "Partition",
+    "Frontier",
     "DecompositionTree",
     "UncertainObject",
-    "UnsplittableNode",
     "DatasetError",
     "build_object",
     "split",
-    "leaves_at_depth",
     "generate_synthetic",
     "load_dataset",
     "save_dataset_jsonl",
 ]
-
-class UnsplittableNode(Exception):
-    """Raised when a partition has fewer than two distinct sample points."""
 
 
 class DatasetError(ValueError):
     """Malformed dataset file; message carries the offending line number."""
 
 
-@dataclass(frozen=True)
-class Partition:
-    """One decomposition-tree node: samples, their tight MBR, mass and level."""
+@dataclass(frozen=True, eq=False)
+class Frontier:
+    """One decomposition level as read-only arrays over its k nodes.
 
-    points: np.ndarray
-    weights: np.ndarray
-    rect: Rect
-    mass: float
-    level: int
-    sample_indices: np.ndarray
+    Node i has the tight MBR ``[lo[i], hi[i]]``, the weight sum ``mass[i]``
+    and the samples ``order[start[i]:start[i + 1]]``.  Compared by identity:
+    the tree builds each level once.
+    """
+
+    lo: np.ndarray
+    hi: np.ndarray
+    mass: np.ndarray
+    order: np.ndarray
+    start: np.ndarray
+
+    def __len__(self) -> int:
+        return self.mass.size
 
     @property
-    def is_atomic(self) -> bool:
-        """True when all contained samples coincide (nothing left to split)."""
-        return self.rect.is_degenerate
-
-    def __repr__(self):
-        return f"Partition(n={len(self.weights)}, mass={self.mass:.4g}, level={self.level})"
+    def atomic(self) -> np.ndarray:
+        """Per node: True when all its samples coincide (nothing to split)."""
+        return (self.lo == self.hi).all(axis=1)
 
 
-def _tight_rect(points: np.ndarray) -> Rect:
-    return Rect.from_bounds(points.min(axis=0), points.max(axis=0))
+def _frontier(points, weights, order, start) -> Frontier:
+    pts = points[order]
+    w = weights[order]
+    heads = start[:-1]
+    # One .sum() per segment keeps numpy's pairwise summation over the node's
+    # samples in node order; np.add.reduceat adds sequentially and would move
+    # masses (and so every bound) in the last bits.
+    mass = np.array([w[s:e].sum() for s, e in zip(heads, start[1:])])
+    arrays = (np.minimum.reduceat(pts, heads), np.maximum.reduceat(pts, heads), mass, order, start)
+    for a in arrays:
+        a.setflags(write=False)
+    return Frontier(*arrays)
 
 
-def _make_partition(points, weights, indices, level) -> Partition:
-    return Partition(
-        points=points,
-        weights=weights,
-        rect=_tight_rect(points),
-        mass=float(weights.sum()),
-        level=level,
-        sample_indices=indices,
-    )
+def split(points: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, int]:
+    """Cut one node at the weighted median of its widest MBR axis.
 
-
-def split(node: Partition) -> tuple[Partition, Partition]:
-    """Bisect a partition at the weighted median of its widest MBR axis.
-
-    Samples are ordered along the axis (stable); the shortest prefix whose
-    cumulative weight reaches half the node mass goes left, clipped so both
-    children stay non-empty.  Raises UnsplittableNode when every sample
-    coincides.
+    Returns ``(order, n_left)``: samples ordered along the axis (stable), of
+    which the shortest prefix whose cumulative weight reaches half the node
+    mass goes left, clipped so both sides stay non-empty.  The node needs
+    two distinct sample points.
     """
-    if node.is_atomic:
-        raise UnsplittableNode(f"cannot split {node!r}: all samples coincide")
-    side = node.rect.hi - node.rect.lo
-    axis = int(np.argmax(side))
-    order = np.argsort(node.points[:, axis], kind="stable")
-    cum = np.cumsum(node.weights[order])
-    half = node.mass / 2.0
-    n_left = int(np.searchsorted(cum, half)) + 1
-    n_left = min(max(n_left, 1), len(order) - 1)
-    left_idx, right_idx = order[:n_left], order[n_left:]
-    left = _make_partition(
-        node.points[left_idx], node.weights[left_idx], node.sample_indices[left_idx], node.level + 1
-    )
-    right = _make_partition(
-        node.points[right_idx], node.weights[right_idx], node.sample_indices[right_idx], node.level + 1
-    )
-    return left, right
-
-
-class _TreeNode:
-    __slots__ = ("partition", "children")
-
-    def __init__(self, partition: Partition):
-        self.partition = partition
-        self.children: Optional[tuple["_TreeNode", "_TreeNode"]] = None
+    axis = int(np.argmax(points.max(axis=0) - points.min(axis=0)))
+    order = np.argsort(points[:, axis], kind="stable")
+    cum = np.cumsum(weights[order])
+    n_left = int(np.searchsorted(cum, weights.sum() / 2.0)) + 1
+    return order, min(max(n_left, 1), len(order) - 1)
 
 
 class DecompositionTree:
-    """Binary kd-decomposition, deepened lazily and guarded by a lock so that
-    concurrent readers always observe a consistent frontier."""
+    """Binary kd-decomposition stored as one `Frontier` per level, deepened
+    lazily and guarded by a lock so that concurrent readers always observe a
+    consistent frontier."""
 
-    def __init__(self, root: Partition):
-        self._root = _TreeNode(root)
+    def __init__(self, points: np.ndarray, weights: np.ndarray):
+        self._points = points
+        self._weights = weights
+        n = weights.size
+        self._levels = [_frontier(points, weights, np.arange(n), np.array([0, n]))]
         self._lock = threading.Lock()
 
-    @property
-    def root(self) -> Partition:
-        return self._root.partition
-
-    def leaves(self, depth: int) -> list[Partition]:
+    def leaves(self, depth: int) -> Frontier:
         """Frontier of the tree at most `depth` levels deep (root is level 1).
 
-        Atomic partitions appear as-is at lower levels; the frontier masses
-        always sum to the root mass.  Deepening past full separation is a
-        no-op.
+        Atomic nodes are carried down unchanged; the frontier masses always
+        sum to the root mass.  Deepening past full separation is a no-op.
         """
         if depth < 1:
             raise ValueError("depth must be >= 1")
         with self._lock:
-            out: list[Partition] = []
-            self._collect(self._root, depth, out)
-            return out
+            levels = self._levels
+            while len(levels) < depth and not levels[-1].atomic.all():
+                levels.append(self._deepen(levels[-1]))
+            return levels[min(depth, len(levels)) - 1]
 
-    def _collect(self, node: _TreeNode, depth: int, out: list[Partition]):
-        part = node.partition
-        if part.level >= depth or part.is_atomic:
-            out.append(part)
-            return
-        if node.children is None:
-            left, right = split(part)
-            node.children = (_TreeNode(left), _TreeNode(right))
-        for child in node.children:
-            self._collect(child, depth, out)
+    def _deepen(self, f: Frontier) -> Frontier:
+        order = f.order.copy()
+        start = [0]
+        for atomic, s, e in zip(f.atomic, f.start[:-1], f.start[1:]):
+            if not atomic:
+                seg = order[s:e]
+                perm, n_left = split(self._points[seg], self._weights[seg])
+                order[s:e] = seg[perm]
+                start.append(s + n_left)
+            start.append(e)
+        return _frontier(self._points, self._weights, order, np.array(start))
 
     def fully_separated(self, depth: int) -> bool:
         """True when every frontier node at `depth` is atomic."""
-        return all(p.is_atomic for p in self.leaves(depth))
+        return bool(self.leaves(depth).atomic.all())
 
 
 class UncertainObject:
@@ -177,7 +158,7 @@ class UncertainObject:
         self.id = obj_id
         self.points = points
         self.weights = weights
-        self.mbr = _tight_rect(points)
+        self.mbr = Rect.from_bounds(points.min(axis=0), points.max(axis=0))
         self._tree: Optional[DecompositionTree] = None
 
     @property
@@ -195,13 +176,10 @@ class UncertainObject:
     @property
     def decomposition(self) -> DecompositionTree:
         if self._tree is None:
-            root = _make_partition(
-                self.points, self.weights, np.arange(self.n_samples), level=1
-            )
-            self._tree = DecompositionTree(root)
+            self._tree = DecompositionTree(self.points, self.weights)
         return self._tree
 
-    def leaves_at_depth(self, depth: int) -> list[Partition]:
+    def leaves_at_depth(self, depth: int) -> Frontier:
         return self.decomposition.leaves(depth)
 
     def __repr__(self):
@@ -219,10 +197,6 @@ def build_object(obj_id, samples: Iterable) -> UncertainObject:
     if not pts:
         raise ValueError("object needs at least one sample")
     return UncertainObject(obj_id, np.stack(pts), np.array(wts))
-
-
-def leaves_at_depth(obj: UncertainObject, depth: int) -> list[Partition]:
-    return obj.leaves_at_depth(depth)
 
 
 def generate_synthetic(
@@ -290,15 +264,23 @@ def load_dataset(path, fmt: Optional[str] = None, seed: int = 0) -> list[Uncerta
     raise ValueError(f"unknown dataset format {fmt!r}")
 
 
-def _check_consistent_dims(objects: list[UncertainObject], d: int, lineno: int):
+def _append_checked(objects: list, lines: dict, obj: UncertainObject, lineno: int):
+    """Append `obj` read from `lineno`, rejecting a new dimensionality or a
+    repeated id (`lines` maps each id to the line that defined it)."""
+    d = obj.ndim
     if objects and objects[-1].ndim != d:
         raise DatasetError(
             f"line {lineno}: dimensionality {d} differs from previous objects ({objects[-1].ndim})"
         )
+    first = lines.setdefault(obj.id, lineno)
+    if first != lineno:
+        raise DatasetError(f"line {lineno}: id {obj.id!r} repeats the id of line {first}")
+    objects.append(obj)
 
 
 def _load_jsonl(path) -> list[UncertainObject]:
     objects: list[UncertainObject] = []
+    lines: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -310,14 +292,13 @@ def _load_jsonl(path) -> list[UncertainObject]:
                 raise DatasetError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
             try:
                 obj_id = row["id"]
+                hash(obj_id)  # ids key dicts downstream; a list or object id is malformed
                 raw = row["samples"]
                 samples = [(entry[:-1], entry[-1]) for entry in raw]
                 obj = build_object(obj_id, samples)
             except (KeyError, IndexError, TypeError, ValueError) as exc:
                 raise DatasetError(f"line {lineno}: {exc}") from exc
-            obj_d = obj.ndim
-            _check_consistent_dims(objects, obj_d, lineno)
-            objects.append(obj)
+            _append_checked(objects, lines, obj, lineno)
     if not objects:
         raise DatasetError("dataset is empty")
     return objects
@@ -326,6 +307,7 @@ def _load_jsonl(path) -> list[UncertainObject]:
 def _load_gaussian_csv(path, seed: int) -> list[UncertainObject]:
     rng = np.random.default_rng(seed)
     objects: list[UncertainObject] = []
+    lines: dict = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             row = [cell.strip() for cell in row if cell.strip() != ""]
@@ -349,9 +331,7 @@ def _load_gaussian_csv(path, seed: int) -> list[UncertainObject]:
                 raise DatasetError(f"line {lineno}: nsamples must be >= 1")
             pts = _gaussian_cloud(rng, mean, sigma, nsamples)
             wts = np.full(nsamples, 1.0 / nsamples)
-            obj = UncertainObject(obj_id, pts, wts)
-            _check_consistent_dims(objects, obj.ndim, lineno)
-            objects.append(obj)
+            _append_checked(objects, lines, UncertainObject(obj_id, pts, wts), lineno)
     if not objects:
         raise DatasetError("dataset is empty")
     return objects

@@ -44,6 +44,13 @@ class ExactPdf:
         return self.pdf.size
 
 
+def _require_unique_ids(db: Sequence[UncertainObject]):
+    # Objects are identified by id: a repeated id would drop both objects
+    # when one of them is the target or the reference.
+    if len({o.id for o in db}) != len(db):
+        raise ValueError("database object ids must be unique")
+
+
 def _dist_pow(points: np.ndarray, ref: np.ndarray, p: float) -> np.ndarray:
     return (np.abs(points - ref[None, :]) ** p).sum(axis=1)
 
@@ -62,6 +69,7 @@ def enumerate_exact(
     strictly closer to r's sample than b's sample.
     """
     p = check_norm_order(p)
+    _require_unique_ids(db)
     cands = [o for o in db if not same_object(o, b) and not same_object(o, r)]
     n_worlds = b.n_samples * r.n_samples
     for cand in cands:
@@ -107,6 +115,7 @@ def mc_baseline(
     p = check_norm_order(p)
     if samples is not None and samples < 1:
         raise ValueError("samples must be >= 1")
+    _require_unique_ids(db)
     cands = [o for o in db if not same_object(o, b) and not same_object(o, q)]
     size = result_length(db, b)
     if samples is None:

@@ -6,6 +6,7 @@ from udom.domination import (
     pdom_bounds,
     pdom_bounds_grid,
 )
+from udom.geometry import Rect
 from udom.model import build_object
 
 from conftest import random_instance, random_object
@@ -102,17 +103,13 @@ def test_classify_multisample_is_conservative(rng):
                         assert ((b_pt - r_pt) ** 2).sum() < ((a_pt - r_pt) ** 2).sum()
 
 
-def root_partition(obj):
-    return obj.leaves_at_depth(1)[0]
-
-
 def test_pdom_bounds_depth_one_complete():
     a = point_obj("a", (0.1, 0.0))
     b = point_obj("b", (5.0, 0.0))
     r = point_obj("r", (0.0, 0.0))
-    bounds = pdom_bounds(a, root_partition(b), root_partition(r), depth=1)
+    bounds = pdom_bounds(a, b.mbr, r.mbr, depth=1)
     assert bounds == ProbBounds(1.0, 1.0)
-    rev = pdom_bounds(b, root_partition(a), root_partition(r), depth=1)
+    rev = pdom_bounds(b, a.mbr, r.mbr, depth=1)
     assert rev == ProbBounds(0.0, 0.0)
 
 
@@ -120,12 +117,12 @@ def test_pdom_bounds_depth_one_undecided(rng):
     a = random_object(rng, "a", spread=2.0)
     b = random_object(rng, "b", center=a.points[0], spread=2.0)
     r = random_object(rng, "r", center=a.points[0], spread=2.0)
-    bounds = pdom_bounds(a, root_partition(b), root_partition(r), depth=1)
+    bounds = pdom_bounds(a, b.mbr, r.mbr, depth=1)
     assert 0.0 <= bounds.lb and bounds.ub <= 1.0
 
 
 def test_pdom_bounds_exact_at_full_depth(rng):
-    """Against singleton target/reference partitions, full decomposition of
+    """Against singleton target/reference nodes, full decomposition of
     the candidate recovers the exact per-sample domination probability."""
     for _ in range(50):
         k = int(rng.integers(1, 5))
@@ -137,7 +134,7 @@ def test_pdom_bounds_exact_at_full_depth(rng):
         # Unequal weights can chain off one sample per level, so full
         # separation is only guaranteed at depth k (not ceil(log2 k) + 1).
         depth = k + 1
-        bounds = pdom_bounds(a, root_partition(b), root_partition(r), depth=depth)
+        bounds = pdom_bounds(a, b.mbr, r.mbr, depth=depth)
         d_b = ((b.points[0] - r.points[0]) ** 2).sum()
         exact = sum(
             w for pt, w in zip(a.points, a.weights) if ((pt - r.points[0]) ** 2).sum() < d_b
@@ -153,7 +150,7 @@ def test_pdom_bounds_monotone_in_depth(rng):
         r = random_object(rng, "r", max_samples=3, spread=1.0)
         prev = None
         for depth in (1, 2, 3, 4, 5):
-            cur = pdom_bounds(a, root_partition(b), root_partition(r), depth=depth)
+            cur = pdom_bounds(a, b.mbr, r.mbr, depth=depth)
             if prev is not None:
                 assert cur.lb >= prev.lb - 1e-12
                 assert cur.ub <= prev.ub + 1e-12
@@ -165,23 +162,23 @@ def test_pdom_complement_consistency(rng):
         a = random_object(rng, "a", spread=1.2)
         b = random_object(rng, "b", spread=1.2)
         r = random_object(rng, "r", spread=1.2)
-        fwd = pdom_bounds(a, root_partition(b), root_partition(r), depth=3)
-        rev = pdom_bounds(b, root_partition(a), root_partition(r), depth=3)
+        fwd = pdom_bounds(a, b.mbr, r.mbr, depth=3)
+        rev = pdom_bounds(b, a.mbr, r.mbr, depth=3)
         assert fwd.lb + rev.lb <= 1.0 + 1e-9
 
 
 def test_classification_consistent_with_depth_one_bounds(rng):
-    """Certain dominators carry bounds (1, 1) against the root partitions,
+    """Certain dominators carry bounds (1, 1) against the root nodes (the MBRs),
     certainly-dominated objects (0, 0)."""
     for _ in range(30):
         db, b, r = random_instance(rng, n_objects=6)
         cls = classify(db, b, r)
         by_id = {o.id: o for o in db}
         for label in cls.complete_dominators:
-            bounds = pdom_bounds(by_id[label], root_partition(b), root_partition(r), depth=1)
+            bounds = pdom_bounds(by_id[label], b.mbr, r.mbr, depth=1)
             assert bounds == ProbBounds(1.0, 1.0)
         for label in cls.irrelevant:
-            bounds = pdom_bounds(by_id[label], root_partition(b), root_partition(r), depth=1)
+            bounds = pdom_bounds(by_id[label], b.mbr, r.mbr, depth=1)
             assert bounds == ProbBounds(0.0, 0.0)
 
 
@@ -191,11 +188,14 @@ def test_pdom_bounds_grid_matches_scalar(rng):
         b = random_object(rng, "b", max_samples=4, spread=1.0)
         r = random_object(rng, "r", max_samples=4, spread=1.0)
         depth = 3
-        b_leaves = b.leaves_at_depth(depth)
-        r_leaves = r.leaves_at_depth(depth)
-        lb, ub = pdom_bounds_grid(a.leaves_at_depth(depth), b_leaves, r_leaves)
-        for i, bp in enumerate(b_leaves):
-            for j, rp in enumerate(r_leaves):
-                scalar = pdom_bounds(a, bp, rp, depth=depth)
+        bf = b.leaves_at_depth(depth)
+        rf = r.leaves_at_depth(depth)
+        lb, ub = pdom_bounds_grid(a.leaves_at_depth(depth), bf, rf)
+        assert lb.shape == ub.shape == (len(bf), len(rf))
+        for i in range(len(bf)):
+            for j in range(len(rf)):
+                b_rect = Rect.from_bounds(bf.lo[i], bf.hi[i])
+                r_rect = Rect.from_bounds(rf.lo[j], rf.hi[j])
+                scalar = pdom_bounds(a, b_rect, r_rect, depth=depth)
                 assert lb[i, j] == pytest.approx(scalar.lb, abs=1e-12)
                 assert ub[i, j] == pytest.approx(scalar.ub, abs=1e-12)

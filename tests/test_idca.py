@@ -10,6 +10,7 @@ from udom.genfunc import (
     ugf_expand,
     weighted_mix,
 )
+from udom.geometry import Rect
 from udom.idca import (
     AllOf,
     AnyOf,
@@ -98,15 +99,18 @@ def test_engine_matches_public_operations(rng):
         if not cands:
             continue
         parts = []
-        for b_leaf in b.leaves_at_depth(depth):
-            for r_leaf in r.leaves_at_depth(depth):
-                bounds = [pdom_bounds(a, b_leaf, r_leaf, depth=depth) for a in cands]
+        bf, rf = b.leaves_at_depth(depth), r.leaves_at_depth(depth)
+        for i in range(len(bf)):
+            for j in range(len(rf)):
+                b_rect = Rect.from_bounds(bf.lo[i], bf.hi[i])
+                r_rect = Rect.from_bounds(rf.lo[j], rf.hi[j])
+                bounds = [pdom_bounds(a, b_rect, r_rect, depth=depth) for a in cands]
                 dist = extract_bounds(ugf_expand([(pb.lb, pb.ub) for pb in bounds]))
                 lb = np.zeros(len(db))
                 ub = np.zeros(len(db))
                 lb[: len(cands) + 1] = dist.lb
                 ub[: len(cands) + 1] = dist.ub
-                parts.append((DomCountDistribution(lb, ub), b_leaf.mass * r_leaf.mass))
+                parts.append((DomCountDistribution(lb, ub), bf.mass[i] * rf.mass[j]))
         manual = shift_right(weighted_mix(parts), cls.complete_domination_count)
         np.testing.assert_allclose(res.distribution.lb, manual.lb, atol=1e-9)
         np.testing.assert_allclose(res.distribution.ub, manual.ub, atol=1e-9)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from udom.idca import idca
 from udom.model import build_object
 from udom.oracle import WorldBudgetError, enumerate_exact, mc_baseline
 
@@ -90,3 +91,23 @@ def test_mc_validates():
     )
     with pytest.raises(ValueError):
         mc_baseline(db, b, r, samples=0)
+
+
+def test_repeated_ids_are_rejected():
+    """Identity is by id: with two objects named "a", excluding the target
+    a@2 also dropped a@1, and both engines answered P(0)=P(1)=0.5."""
+    a1 = build_object("a", [((1.0, 0.0), 1.0)])
+    a2 = build_object("a", [((2.0, 0.0), 1.0)])
+    c = build_object("c", [((0.5, 0.0), 0.5), ((3.0, 0.0), 0.5)])
+    r = build_object("r", [((0.0, 0.0), 1.0)])
+    for engine in (idca, enumerate_exact, mc_baseline):
+        with pytest.raises(ValueError, match="unique"):
+            engine([a1, a2, c], a2, r)
+    # With distinct ids the truth is P(1) = P(2) = 0.5: a@1 always dominates.
+    renamed = build_object("a1", [((1.0, 0.0), 1.0)])
+    db = [renamed, a2, c]
+    np.testing.assert_allclose(enumerate_exact(db, a2, r).pdf, [0.0, 0.5, 0.5], atol=1e-12)
+    np.testing.assert_allclose(mc_baseline(db, a2, r).pdf, [0.0, 0.5, 0.5], atol=1e-12)
+    dist = idca(db, a2, r, stop=None).distribution
+    np.testing.assert_allclose(dist.lb, [0.0, 0.5, 0.5], atol=1e-12)
+    np.testing.assert_allclose(dist.ub, [0.0, 0.5, 0.5], atol=1e-12)
