@@ -13,6 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .domination import others
 from .geometry import rect_min_dist
 from .idca import (
     AnyOf,
@@ -74,9 +75,9 @@ class BenchConfig:
 def select_query_pair(db: Sequence[UncertainObject], rng, m: int):
     """Reference = random object; target = object with the m-th smallest MinDist."""
     ref = db[int(rng.integers(0, len(db)))]
-    others = [o for o in db if o is not ref]
-    others.sort(key=lambda o: (rect_min_dist(o.mbr, ref.mbr), str(o.id)))
-    target = others[min(m - 1, len(others) - 1)]
+    rest = others(db, ref)
+    rest.sort(key=lambda o: (rect_min_dist(o.mbr, ref.mbr), str(o.id)))
+    target = rest[min(m - 1, len(rest) - 1)]
     return target, ref
 
 

@@ -99,7 +99,8 @@ def build_parser(cfg: dict) -> argparse.ArgumentParser:
         qq.add_argument("--k", type=int, default=cfg.get("k", 1))
         qq.add_argument("--tau", type=float, default=cfg.get("tau", 0.5))
         qq.add_argument("--q", required="q" not in cfg, default=cfg.get("q"),
-                        help="query object: id, comma-separated point, or jsonl file")
+                        help="query object: a dataset id, or an external comma-separated point "
+                             "or jsonl file (external even when its id matches a dataset id)")
         qq.add_argument("--out")
     qi = qsub.add_parser("irank")
     _add_dataset_flags(qi, cfg)

@@ -48,7 +48,8 @@ class DominationClassification:
     ``complete_dominators`` are closer than b to r in every possible world,
     ``irrelevant`` objects in none, ``influence_objects`` are undecided at the
     MBR level and are the only source of count uncertainty.  The target (and
-    the reference, when it is a database object) is excluded from all groups.
+    the reference, when it is a database object) is excluded from all groups;
+    see `others`.
     """
 
     complete_dominators: tuple
@@ -60,15 +61,19 @@ class DominationClassification:
         return len(self.complete_dominators)
 
 
-def same_object(a, b) -> bool:
-    return a is b or (a is not None and b is not None and a.id == b.id)
+def others(db: Sequence[UncertainObject], *exclude: UncertainObject) -> list[UncertainObject]:
+    """The database objects other than `exclude`, in database order.
 
-
-def result_length(db: Sequence[UncertainObject], b: UncertainObject) -> int:
-    """Count-array size: |db| when the target is a database object, else
-    |db| + 1 (an external target can be dominated by every object)."""
-    in_db = any(same_object(o, b) for o in db)
-    return len(db) + (0 if in_db else 1)
+    Identity is the Python object, so an external object whose id equals a
+    database id excludes nothing.  Ids still label answers, so repeated
+    database ids raise ValueError, as do objects of differing dimensionality.
+    """
+    if len({o.id for o in db}) != len(db):
+        raise ValueError("database object ids must be unique")
+    if len({o.points.shape[1] for o in (*db, *exclude)}) > 1:
+        raise ValueError("dimension mismatch between database, target and reference")
+    skip = {id(o) for o in exclude}
+    return [o for o in db if id(o) not in skip]
 
 
 def classify(
@@ -86,13 +91,11 @@ def classify(
     p = check_norm_order(p)
     if criterion not in ("optimal", "minmax"):
         raise ValueError(f"unknown criterion {criterion!r}")
-    cands = [o for o in db if not same_object(o, b) and not same_object(o, r)]
+    cands = others(db, b, r)
     if not cands:
         return DominationClassification((), (), ())
     a_lo = np.stack([o.mbr.lo for o in cands])
     a_hi = np.stack([o.mbr.hi for o in cands])
-    if a_lo.shape[1] != b.ndim or b.ndim != r.ndim:
-        raise ValueError("dimension mismatch between database, target and reference")
     b_lo, b_hi = b.mbr.lo[None, :], b.mbr.hi[None, :]
     dominates_b = dominance_grid(a_lo, a_hi, b_lo, b_hi, r.mbr.lo, r.mbr.hi, p, criterion)[:, 0]
     dominated = dominance_grid(b_lo, b_hi, a_lo, a_hi, r.mbr.lo, r.mbr.hi, p, criterion)[0, :]

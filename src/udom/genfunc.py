@@ -107,17 +107,10 @@ def gf_exact(probs: Sequence[float]) -> np.ndarray:
     probs = np.asarray(list(probs), dtype=float)
     if probs.size and ((probs < 0.0) | (probs > 1.0)).any():
         raise ValueError("probabilities must lie in [0, 1]")
-    n = probs.size
     ones = int((probs == 1.0).sum())
     fracs = probs[(probs > 0.0) & (probs < 1.0)]
-    c = np.array([1.0])
-    for p in fracs:
-        nxt = np.zeros(c.size + 1)
-        nxt[:-1] += c * (1.0 - p)
-        nxt[1:] += c * p
-        c = nxt
-    out = np.zeros(n + 1)
-    out[ones : ones + c.size] = c
+    out = np.zeros(probs.size + 1)
+    out[ones : ones + fracs.size + 1] = _gf_affine(fracs, 1.0 - fracs)
     return out
 
 

@@ -20,12 +20,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .domination import (
-    DominationClassification,
-    classify,
-    pdom_bounds_grid,
-    result_length,
-)
+from .domination import DominationClassification, classify, others, pdom_bounds_grid
 from .genfunc import DomCountDistribution, _extract_batch, _ugf_expand_batch
 from .geometry import check_norm_order
 from .model import UncertainObject
@@ -202,25 +197,25 @@ def idca(
 ) -> IdcaResult:
     """Approximate the PDF of b's domination count w.r.t. r over db.
 
-    The returned arrays have one slot per database object, plus one when the
-    target is external (counts that are provably impossible keep zero
-    bounds).  Objects are identified by id, so db ids must be unique; `b`,
+    The returned arrays have one slot per database object other than `b`,
+    plus one (counts that are provably impossible keep zero bounds).  `b`,
     and `r` when it is a database object, are excluded from the candidate
-    set.  `on_iteration(depth, dist)` is invoked after each
-    evaluation (progress/timing observation only).
+    set by object identity (`others`), so db ids must be unique and an
+    external object never excludes a database object that shares its id.
+    `on_iteration(depth, dist)` is invoked after each evaluation
+    (progress/timing observation only).
     """
     p = check_norm_order(p)
     stop = stop if stop is not None else MaxDepth(DEFAULT_MAX_DEPTH)
     if pair_budget < 1:
         raise ValueError("pair_budget must be >= 1")
 
-    by_id = {o.id: o for o in db}
-    if len(by_id) != len(db):
-        raise ValueError("database object ids must be unique")
+    rest = others(db, b)
+    by_id = {o.id: o for o in rest}
     cls = classify(db, b, r, p=p, criterion=criterion)
     cands = [by_id[i] for i in cls.influence_objects]
     shift = cls.complete_domination_count
-    n_total = result_length(db, b)
+    n_total = len(rest) + 1
 
     history: list[DomCountDistribution] = []
     trace: list[float] = []

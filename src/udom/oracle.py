@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .domination import result_length, same_object
+from .domination import others
 from .genfunc import gf_exact
 from .geometry import check_norm_order
 from .model import UncertainObject
@@ -44,13 +44,6 @@ class ExactPdf:
         return self.pdf.size
 
 
-def _require_unique_ids(db: Sequence[UncertainObject]):
-    # Objects are identified by id: a repeated id would drop both objects
-    # when one of them is the target or the reference.
-    if len({o.id for o in db}) != len(db):
-        raise ValueError("database object ids must be unique")
-
-
 def _dist_pow(points: np.ndarray, ref: np.ndarray, p: float) -> np.ndarray:
     return (np.abs(points - ref[None, :]) ** p).sum(axis=1)
 
@@ -69,8 +62,7 @@ def enumerate_exact(
     strictly closer to r's sample than b's sample.
     """
     p = check_norm_order(p)
-    _require_unique_ids(db)
-    cands = [o for o in db if not same_object(o, b) and not same_object(o, r)]
+    cands = others(db, b, r)
     n_worlds = b.n_samples * r.n_samples
     for cand in cands:
         n_worlds *= cand.n_samples
@@ -78,7 +70,7 @@ def enumerate_exact(
             raise WorldBudgetError(
                 f"instance has more than {world_budget} possible worlds"
             )
-    size = result_length(db, b)
+    size = len(others(db, b)) + 1
     pdf = np.zeros(size)
     for r_pt, r_w in zip(r.points, r.weights):
         d_b = _dist_pow(b.points, r_pt, p)
@@ -115,9 +107,8 @@ def mc_baseline(
     p = check_norm_order(p)
     if samples is not None and samples < 1:
         raise ValueError("samples must be >= 1")
-    _require_unique_ids(db)
-    cands = [o for o in db if not same_object(o, b) and not same_object(o, q)]
-    size = result_length(db, b)
+    cands = others(db, b, q)
+    size = len(others(db, b)) + 1
     if samples is None:
         q_points, q_weights = q.points, q.weights
         drawn = q.n_samples

@@ -9,11 +9,11 @@ reached under early stopping always equals the full-depth decision.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .domination import ProbBounds, same_object
+from .domination import ProbBounds, others
 from .genfunc import DomCountDistribution
 from .idca import AnyOf, IdcaResult, MaxDepth, PredicateDecided, StopCriterion, idca
 from .model import UncertainObject
@@ -95,14 +95,34 @@ def knn_probability_bounds(dist: DomCountDistribution, k: int) -> ProbBounds:
     return ProbBounds(min(lb, 1.0), max(min(lb, 1.0), ub))
 
 
-def _threshold_run(db, target, reference, k, tau, stop, kind, engine_kwargs):
+def _per_target(
+    db: Sequence[UncertainObject],
+    q: UncertainObject,
+    roles: str,
+    stop: Optional[StopCriterion],
+    engine_kwargs: dict,
+) -> Iterator[tuple[UncertainObject, IdcaResult]]:
+    """Run the engine once per database object other than q, in str(id) order.
+
+    ``roles`` "knn" bounds the count of each target w.r.t. q; "rknn" swaps
+    them and bounds the count of q w.r.t. each target.
+    """
+    for target in sorted(others(db, q), key=lambda o: str(o.id)):
+        b, r = (target, q) if roles == "knn" else (q, target)
+        yield target, idca(db, b, r, stop=stop, **engine_kwargs)
+
+
+def _threshold_query(kind, db, q, k, tau, stop, engine_kwargs) -> QueryAnswer:
     predicate = QueryPredicate(kind, k, tau)
-    fallback = stop if stop is not None else MaxDepth()
-    stop_all = AnyOf([PredicateDecided(predicate.decide), fallback])
-    result = idca(db, target, reference, stop=stop_all, **engine_kwargs)
-    bounds = knn_probability_bounds(result.distribution, k)
-    verdict = predicate.decide(result.distribution) or "undecided"
-    return result, bounds, verdict
+    stop_all = AnyOf([PredicateDecided(predicate.decide), stop if stop is not None else MaxDepth()])
+    answer = QueryAnswer(kind=kind, k=k, tau=tau)
+    for target, result in _per_target(db, q, kind, stop_all, engine_kwargs):
+        bounds = knn_probability_bounds(result.distribution, k)
+        verdict = predicate.decide(result.distribution) or "undecided"
+        answer.decisions.append(
+            ObjectDecision(target.id, verdict, bounds.lb, bounds.ub, result.iterations_run, result.stop_reason)
+        )
+    return answer
 
 
 def pknn_query(
@@ -119,14 +139,7 @@ def pknn_query(
     threshold predicate is decided (or the supplied stop criterion fires).
     Objects still undecided at termination are reported with their bounds.
     """
-    answer = QueryAnswer(kind="knn", k=k, tau=tau)
-    targets = sorted((o for o in db if not same_object(o, q)), key=lambda o: str(o.id))
-    for target in targets:
-        result, bounds, verdict = _threshold_run(db, target, q, k, tau, stop, "knn", engine_kwargs)
-        answer.decisions.append(
-            ObjectDecision(target.id, verdict, bounds.lb, bounds.ub, result.iterations_run, result.stop_reason)
-        )
-    return answer
+    return _threshold_query("knn", db, q, k, tau, stop, engine_kwargs)
 
 
 def prknn_query(
@@ -142,14 +155,7 @@ def prknn_query(
     The roles swap: for target object B the engine bounds the count of objects
     dominating q w.r.t. reference B (candidates exclude both B and q).
     """
-    answer = QueryAnswer(kind="rknn", k=k, tau=tau)
-    targets = sorted((o for o in db if not same_object(o, q)), key=lambda o: str(o.id))
-    for target in targets:
-        result, bounds, verdict = _threshold_run(db, q, target, k, tau, stop, "rknn", engine_kwargs)
-        answer.decisions.append(
-            ObjectDecision(target.id, verdict, bounds.lb, bounds.ub, result.iterations_run, result.stop_reason)
-        )
-    return answer
+    return _threshold_query("rknn", db, q, k, tau, stop, engine_kwargs)
 
 
 @dataclass
@@ -219,10 +225,7 @@ def expected_rank(
     **engine_kwargs,
 ) -> list[tuple[object, float, float]]:
     """Per-object expected-rank intervals w.r.t. query q, in object-id order."""
-    out = []
-    targets = sorted((o for o in db if not same_object(o, q)), key=lambda o: str(o.id))
-    for target in targets:
-        result = idca(db, target, q, stop=stop, **engine_kwargs)
-        lo, hi = expected_rank_interval(result.distribution)
-        out.append((target.id, lo, hi))
-    return out
+    return [
+        (target.id, *expected_rank_interval(result.distribution))
+        for target, result in _per_target(db, q, "knn", stop, engine_kwargs)
+    ]

@@ -325,11 +325,13 @@ def _mc_knn_probability_and_se(db, target, query, k, samples, seed):
     """MC estimate of P(count < k) plus its exact standard error."""
     est = mc_baseline(db, target, query, samples=samples, seed=seed)
     p_hat = float(est.pdf[:k].sum())
+    # A copy of the query is always external, so a database query object
+    # is dropped from the database explicitly.
+    rest = [o for o in db if o is not query]
     comps = []
     for pt in query.points:
-        # Keep the query's identity so a database query object stays excluded.
         certain = build_object(query.id, [(pt, 1.0)])
-        comp = mc_baseline(db, target, certain, samples=None)
+        comp = mc_baseline(rest, target, certain, samples=None)
         comps.append(float(comp.pdf[:k].sum()))
     comps = np.array(comps)
     var_q = float(query.weights @ comps**2 - (query.weights @ comps) ** 2)

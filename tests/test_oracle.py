@@ -4,6 +4,7 @@ import pytest
 from udom.idca import idca
 from udom.model import build_object
 from udom.oracle import WorldBudgetError, enumerate_exact, mc_baseline
+from udom.queries import pknn_query
 
 from conftest import random_instance
 
@@ -94,8 +95,9 @@ def test_mc_validates():
 
 
 def test_repeated_ids_are_rejected():
-    """Identity is by id: with two objects named "a", excluding the target
-    a@2 also dropped a@1, and both engines answered P(0)=P(1)=0.5."""
+    """Ids label answers, so they must be unique.  When identity was by id,
+    excluding the target a@2 also dropped a@1, and both engines answered
+    P(0)=P(1)=0.5."""
     a1 = build_object("a", [((1.0, 0.0), 1.0)])
     a2 = build_object("a", [((2.0, 0.0), 1.0)])
     c = build_object("c", [((0.5, 0.0), 0.5), ((3.0, 0.0), 0.5)])
@@ -111,3 +113,17 @@ def test_repeated_ids_are_rejected():
     dist = idca(db, a2, r, stop=None).distribution
     np.testing.assert_allclose(dist.lb, [0.0, 0.5, 0.5], atol=1e-12)
     np.testing.assert_allclose(dist.ub, [0.0, 0.5, 0.5], atol=1e-12)
+
+
+def test_mixed_dimensionality_is_rejected():
+    """A 2-d database with a 1-d reference used to be answered silently:
+    broadcasting gave [0, 1] from both oracles, idca gave [1.] and a
+    one-object kNN query answered "in"."""
+    b = build_object("b", [((1.0, 0.0), 1.0)])
+    c = build_object("c", [((2.0, 0.0), 1.0)])
+    r1 = build_object("r", [((0.0,), 1.0)])
+    for engine, db in ((enumerate_exact, [b, c]), (mc_baseline, [b, c]), (idca, [b])):
+        with pytest.raises(ValueError, match="dimension"):
+            engine(db, b, r1)
+    with pytest.raises(ValueError, match="dimension"):
+        pknn_query([c], r1, 1, 0.5)

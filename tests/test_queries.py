@@ -4,7 +4,7 @@ import pytest
 from udom.genfunc import DomCountDistribution, extract_bounds, gf_exact, ugf_expand
 from udom.idca import AnyOf, MaxDepth, UncertaintyBelow, idca
 from udom.model import build_object
-from udom.oracle import enumerate_exact
+from udom.oracle import enumerate_exact, mc_baseline
 from udom.queries import (
     QueryPredicate,
     expected_rank,
@@ -148,6 +148,23 @@ def test_prknn_role_swap_consistency(rng):
         swapped = knn_probability_bounds(res.distribution, k)
         assert decision.lb == pytest.approx(swapped.lb, abs=1e-9)
         assert decision.ub == pytest.approx(swapped.ub, abs=1e-9)
+
+
+def test_external_query_sharing_a_db_id_excludes_nothing():
+    """Identity is the object, not its id: an external query named 0 used to
+    drop database object 0, so every engine answered P(count=0)=1 for target
+    1 and the threshold queries returned one decision instead of two."""
+    db = [build_object(0, [((1.0, 0.0), 1.0)]), build_object(1, [((3.0, 0.0), 1.0)])]
+    q = build_object(0, [((0.0, 0.0), 1.0)])
+    dist = idca(db, db[1], q).distribution
+    np.testing.assert_allclose(dist.lb, [0.0, 1.0], atol=1e-12)
+    np.testing.assert_allclose(dist.ub, [0.0, 1.0], atol=1e-12)
+    for engine in (enumerate_exact, mc_baseline):
+        np.testing.assert_allclose(engine(db, db[1], q).pdf, [0.0, 1.0], atol=1e-12)
+    for query in (pknn_query, prknn_query):
+        answer = query(db, q, k=1, tau=0.5)
+        assert [(d.object_id, d.decision) for d in answer.decisions] == [(0, "in"), (1, "out")]
+    assert expected_rank(db, q) == [(0, 1.0, 1.0), (1, 2.0, 2.0)]
 
 
 def test_inverse_ranking_all_dominators():
