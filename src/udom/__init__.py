@@ -7,8 +7,6 @@ from .geometry import (
     Rect,
     dominates_minmax,
     dominates_optimal,
-    max_dist_1d,
-    min_dist_1d,
     rect_max_dist,
     rect_min_dist,
 )

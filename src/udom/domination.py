@@ -14,8 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Rect, check_norm_order, dominance_grid, dominates_optimal
-from .model import Frontier, UncertainObject
+from .geometry import Rect, check_norm_order, dominance_grid
+from .model import Frontier, FrontierStack, UncertainObject
 
 __all__ = [
     "ProbBounds",
@@ -117,42 +117,39 @@ def pdom_bounds(
     The lower bound accumulates the mass of a's frontier nodes that
     dominate; the upper bound is one minus the mass of nodes that are
     themselves dominated.  Deepening a's frontier only tightens both sides.
+    This is `pdom_bounds_grid` for one candidate, one b-node and one r-node.
     """
-    p = check_norm_order(p)
-    f = a.leaves_at_depth(depth)
-    lb = 0.0
-    dominated_mass = 0.0
-    for lo, hi, mass in zip(f.lo, f.hi, f.mass.tolist()):
-        node = Rect.from_bounds(lo, hi)
-        if dominates_optimal(node, b_rect, r_rect, p):
-            lb += mass
-        elif dominates_optimal(b_rect, node, r_rect, p):
-            dominated_mass += mass
-    lb = min(lb, 1.0)
-    ub = min(1.0 - dominated_mass, 1.0)
-    return ProbBounds(lb, max(ub, lb))
+    b, r = (FrontierStack(x.lo[None], x.hi[None], np.ones(1), np.arange(2)) for x in (b_rect, r_rect))
+    lb, ub = pdom_bounds_grid(FrontierStack.of([a.leaves_at_depth(depth)]), b, r, check_norm_order(p))
+    return ProbBounds(float(lb[0, 0, 0]), float(ub[0, 0, 0]))
 
 
 def pdom_bounds_grid(
-    a: Frontier,
-    b: Frontier,
-    r: Frontier,
+    a: FrontierStack,
+    b: Frontier | FrontierStack,
+    r: Frontier | FrontierStack,
     p: float = 2.0,
     criterion: str = "optimal",
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised pdom bounds of one candidate frontier against every
-    (b-node, r-node) pair.
+    """Vectorised pdom bounds of every stacked candidate frontier against
+    every (b-node, r-node) pair.
 
-    Returns (lb, ub) arrays of shape (len(b), len(r)); one r-node is
-    processed at a time to bound peak memory.
+    `a` holds one segment per candidate; only the ``lo``/``hi`` node arrays
+    of `b` and `r` are read.  Returns (lb, ub) arrays of shape
+    (n_cands, len(b), len(r)).  Each r-node costs one forward and one reverse
+    `dominance_grid` call over all candidate nodes at once, so the peak
+    temporary is O(len(a) * len(b)) per r-node.  Each candidate's masses are
+    summed over its own segment, in the order a lone frontier would use.
     """
-    lb = np.zeros((len(b), len(r)))
-    ub = np.ones((len(b), len(r)))
+    segs = list(zip(a.seg[:-1], a.seg[1:]))
+    lb = np.zeros((len(segs), len(b), len(r)))
+    ub = np.ones((len(segs), len(b), len(r)))
     for z, (r_lo, r_hi) in enumerate(zip(r.lo, r.hi)):
-        dom = dominance_grid(a.lo, a.hi, b.lo, b.hi, r_lo, r_hi, p, criterion)
-        rev = dominance_grid(b.lo, b.hi, a.lo, a.hi, r_lo, r_hi, p, criterion)
-        lb[:, z] = a.mass @ dom.astype(float)
-        ub[:, z] = 1.0 - rev.astype(float) @ a.mass
+        dom = dominance_grid(a.lo, a.hi, b.lo, b.hi, r_lo, r_hi, p, criterion).astype(float)
+        rev = dominance_grid(b.lo, b.hi, a.lo, a.hi, r_lo, r_hi, p, criterion).astype(float)
+        for c, (s, e) in enumerate(segs):
+            lb[c, :, z] = a.mass[s:e] @ dom[s:e]
+            ub[c, :, z] = 1.0 - rev[:, s:e] @ a.mass[s:e]
     np.minimum(lb, 1.0, out=lb)
     np.maximum(ub, lb, out=ub)
     return lb, ub

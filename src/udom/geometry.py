@@ -16,8 +16,6 @@ __all__ = [
     "Interval",
     "Rect",
     "check_norm_order",
-    "min_dist_1d",
-    "max_dist_1d",
     "dominates_optimal",
     "dominates_minmax",
     "rect_min_dist",
@@ -135,16 +133,6 @@ def check_norm_order(p: float) -> float:
     return p
 
 
-def min_dist_1d(a: Interval, r: float) -> float:
-    """Distance from point r to the nearest point of interval a (0 if inside)."""
-    return max(a.lo - r, r - a.hi, 0.0)
-
-
-def max_dist_1d(a: Interval, r: float) -> float:
-    """Distance from point r to the farthest point of interval a."""
-    return max(r - a.lo, a.hi - r)
-
-
 def _check_dims(*rects: Rect):
     d = rects[0].ndim
     for rect in rects[1:]:
@@ -162,17 +150,7 @@ def dominates_optimal(a: Rect, b: Rect, r: Rect, p: float = 2.0) -> bool:
     rectangles, unlike the min/max baseline, because both distances are
     evaluated at the same position of r.
     """
-    _check_dims(a, b, r)
-    p = check_norm_order(p)
-    total = 0.0
-    for i in range(a.ndim):
-        best = -np.inf
-        for t in (r.lo[i], r.hi[i]):
-            max_a = max(t - a.lo[i], a.hi[i] - t)
-            min_b = max(b.lo[i] - t, t - b.hi[i], 0.0)
-            best = max(best, max_a**p - min_b**p)
-        total += best
-    return total < 0.0
+    return _dominates(a, b, r, p, "optimal")
 
 
 def dominates_minmax(a: Rect, b: Rect, r: Rect, p: float = 2.0) -> bool:
@@ -181,14 +159,13 @@ def dominates_minmax(a: Rect, b: Rect, r: Rect, p: float = 2.0) -> bool:
     Ignores that both distances depend on the same realisation of r, so it is
     implied by (never tighter than) ``dominates_optimal``.
     """
+    return _dominates(a, b, r, p, "minmax")
+
+
+def _dominates(a: Rect, b: Rect, r: Rect, p: float, criterion: str) -> bool:
     _check_dims(a, b, r)
     p = check_norm_order(p)
-    maxd = 0.0
-    mind = 0.0
-    for i in range(a.ndim):
-        maxd += max(r.hi[i] - a.lo[i], a.hi[i] - r.lo[i]) ** p
-        mind += max(b.lo[i] - r.hi[i], r.lo[i] - b.hi[i], 0.0) ** p
-    return maxd < mind
+    return bool(dominance_grid(a.lo[None], a.hi[None], b.lo[None], b.hi[None], r.lo, r.hi, p, criterion)[0, 0])
 
 
 def rect_min_dist(a: Rect, b: Rect, p: float = 2.0) -> float:
@@ -208,8 +185,9 @@ def rect_max_dist(a: Rect, b: Rect, p: float = 2.0) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Vectorised kernels.  These reproduce dominates_optimal / dominates_minmax
-# over arrays of boxes; tests assert agreement with the scalar functions.
+# Vectorised kernels: m a-boxes against n b-boxes under one r-box, computed
+# on (m,) and (n,) per-dimension columns, with (m, n) results and (m, n)
+# temporaries only.  The scalar criteria above are 1x1 calls of these.
 # ---------------------------------------------------------------------------
 
 
@@ -217,13 +195,20 @@ def _optimal_values_grid(a_lo, a_hi, b_lo, b_hi, r_lo, r_hi, p):
     """Criterion values for every (a-box, b-box) pair under one r-box.
 
     a_lo/a_hi: (m, d); b_lo/b_hi: (n, d); r_lo/r_hi: (d,).
-    Returns (m, n); a value < 0 means the a-box dominates the b-box.
+    Returns (m, n); a value < 0 means the a-box dominates the b-box.  Per
+    dimension the larger of the two r-corner (m, n) differences is added
+    into the total in dimension order; peak temporary: three (m, n) arrays.
     """
-    rc = np.stack([r_lo, r_hi], axis=-1)  # (d, 2)
-    max_a = np.maximum(rc[None] - a_lo[:, :, None], a_hi[:, :, None] - rc[None]) ** p  # (m, d, 2)
-    min_b = np.maximum(np.maximum(b_lo[:, :, None] - rc[None], rc[None] - b_hi[:, :, None]), 0.0) ** p  # (n, d, 2)
-    diff = max_a[:, None] - min_b[None]  # (m, n, d, 2)
-    return diff.max(axis=3).sum(axis=2)
+    rc = np.stack([r_lo, r_hi])[:, :, None]  # (2, d, 1): lower and upper r-corner
+    max_a = np.maximum(rc - a_lo.T, a_hi.T - rc) ** p  # (2, d, m)
+    min_b = np.maximum(np.maximum(b_lo.T - rc, rc - b_hi.T), 0.0) ** p  # (2, d, n)
+    total = np.zeros((a_lo.shape[0], b_lo.shape[0]))
+    at_lo, at_hi = np.empty_like(total), np.empty_like(total)
+    for i in range(rc.shape[1]):
+        np.subtract(max_a[0, i, :, None], min_b[0, i], out=at_lo)
+        np.subtract(max_a[1, i, :, None], min_b[1, i], out=at_hi)
+        total += np.maximum(at_lo, at_hi, out=at_lo)
+    return total
 
 
 def _minmax_values_grid(a_lo, a_hi, b_lo, b_hi, r_lo, r_hi, p):

@@ -23,7 +23,7 @@ import numpy as np
 from .domination import DominationClassification, classify, others, pdom_bounds_grid
 from .genfunc import DomCountDistribution, _extract_batch, _ugf_expand_batch
 from .geometry import check_norm_order
-from .model import UncertainObject
+from .model import FrontierStack, UncertainObject
 
 __all__ = [
     "StopCriterion",
@@ -161,12 +161,8 @@ def _evaluate_depth(
     n_pairs = len(b_front) * len(r_front)
     n_cands = len(cands)
 
-    plb = np.empty((n_cands, n_pairs))
-    pub = np.empty((n_cands, n_pairs))
-    for idx, cand in enumerate(cands):
-        g_lb, g_ub = pdom_bounds_grid(cand.leaves_at_depth(depth), b_front, r_front, p, criterion)
-        plb[idx] = g_lb.ravel()
-        pub[idx] = g_ub.ravel()
+    stack = FrontierStack.of([cand.leaves_at_depth(depth) for cand in cands])
+    plb, pub = (g.reshape(n_cands, n_pairs) for g in pdom_bounds_grid(stack, b_front, r_front, p, criterion))
 
     pair_w = np.outer(b_front.mass, r_front.mass).ravel()
 

@@ -24,6 +24,7 @@ from .geometry import Rect
 
 __all__ = [
     "Frontier",
+    "FrontierStack",
     "DecompositionTree",
     "UncertainObject",
     "DatasetError",
@@ -61,6 +62,28 @@ class Frontier:
     def atomic(self) -> np.ndarray:
         """Per node: True when all its samples coincide (nothing to split)."""
         return (self.lo == self.hi).all(axis=1)
+
+
+@dataclass(frozen=True, eq=False)
+class FrontierStack:
+    """Several frontiers' nodes concatenated into one set of node arrays.
+
+    Frontier i owns rows ``seg[i]:seg[i + 1]`` of ``lo``, ``hi`` and
+    ``mass``; len() is the total node count.
+    """
+
+    lo: np.ndarray
+    hi: np.ndarray
+    mass: np.ndarray
+    seg: np.ndarray
+
+    @classmethod
+    def of(cls, frontiers: Sequence[Frontier]) -> "FrontierStack":
+        seg = np.cumsum([0] + [len(f) for f in frontiers])
+        return cls(*(np.concatenate([getattr(f, k) for f in frontiers]) for k in ("lo", "hi", "mass")), seg)
+
+    def __len__(self) -> int:
+        return self.mass.size
 
 
 def _frontier(points, weights, order, start) -> Frontier:

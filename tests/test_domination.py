@@ -7,9 +7,10 @@ from udom.domination import (
     pdom_bounds_grid,
 )
 from udom.geometry import Rect
-from udom.model import build_object
+from udom.model import FrontierStack, build_object
 
 from conftest import random_instance, random_object
+from reference import pdom_bounds_loop, pdom_bounds_stacked
 
 
 def point_obj(obj_id, xy):
@@ -190,12 +191,46 @@ def test_pdom_bounds_grid_matches_scalar(rng):
         depth = 3
         bf = b.leaves_at_depth(depth)
         rf = r.leaves_at_depth(depth)
-        lb, ub = pdom_bounds_grid(a.leaves_at_depth(depth), bf, rf)
-        assert lb.shape == ub.shape == (len(bf), len(rf))
+        lb, ub = pdom_bounds_grid(FrontierStack.of([a.leaves_at_depth(depth)]), bf, rf)
+        assert lb.shape == ub.shape == (1, len(bf), len(rf))
         for i in range(len(bf)):
             for j in range(len(rf)):
                 b_rect = Rect.from_bounds(bf.lo[i], bf.hi[i])
                 r_rect = Rect.from_bounds(rf.lo[j], rf.hi[j])
                 scalar = pdom_bounds(a, b_rect, r_rect, depth=depth)
-                assert lb[i, j] == pytest.approx(scalar.lb, abs=1e-12)
-                assert ub[i, j] == pytest.approx(scalar.ub, abs=1e-12)
+                assert lb[0, i, j] == pytest.approx(scalar.lb, abs=1e-12)
+                assert ub[0, i, j] == pytest.approx(scalar.ub, abs=1e-12)
+                loop_lb, loop_ub = pdom_bounds_loop(a, b_rect, r_rect, depth=depth)
+                assert lb[0, i, j] == pytest.approx(loop_lb, abs=1e-12)
+                assert ub[0, i, j] == pytest.approx(loop_ub, abs=1e-12)
+
+
+@pytest.mark.parametrize("criterion", ["optimal", "minmax"])
+def test_pdom_bounds_grid_stack_matches_per_candidate(rng, criterion):
+    """A stack of candidates gives, bit for bit, the bounds of each candidate
+    evaluated alone on its own arrays.  Candidates differ in node count; some
+    are one sample (a single atomic node) or coincident samples (atomic)."""
+    for trial in range(40):
+        d = int(rng.integers(1, 5))
+        p = (1.0, 2.0, 3.0)[trial % 3]
+        cands = []
+        for c in range(int(rng.integers(1, 7))):
+            kind = c % 3
+            if kind == 0:
+                cands.append(build_object(c, [(rng.uniform(0, 1, d), 1.0)]))
+            elif kind == 1:
+                pt = rng.uniform(0, 1, d)
+                cands.append(build_object(c, [(pt, w) for w in rng.uniform(0.1, 1, 3)]))
+            else:
+                cands.append(random_object(rng, c, d, max_samples=12, spread=1.0))
+        b = random_object(rng, "b", d, max_samples=6, spread=1.0)
+        r = random_object(rng, "r", d, max_samples=6, spread=1.0)
+        depth = int(rng.integers(1, 5))
+        stack = FrontierStack.of([c.leaves_at_depth(depth) for c in cands])
+        bf, rf = b.leaves_at_depth(depth), r.leaves_at_depth(depth)
+        assert len(stack) == sum(len(c.leaves_at_depth(depth)) for c in cands)
+        lb, ub = pdom_bounds_grid(stack, bf, rf, p, criterion)
+        want_lb, want_ub = pdom_bounds_stacked(stack, bf, rf, p, criterion)
+        assert lb.shape == (len(cands), len(bf), len(rf))
+        assert lb.tobytes() == want_lb.tobytes()
+        assert ub.tobytes() == want_ub.tobytes()

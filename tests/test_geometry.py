@@ -4,16 +4,22 @@ import pytest
 from udom.geometry import (
     Interval,
     Rect,
+    _optimal_values_grid,
     dominance_grid,
     dominates_minmax,
     dominates_optimal,
-    max_dist_1d,
-    min_dist_1d,
     rect_max_dist,
     rect_min_dist,
 )
 
 from conftest import make_rect, shrink_rect
+from reference import (
+    dominates_minmax_loop,
+    dominates_optimal_loop,
+    max_dist_1d,
+    min_dist_1d,
+    optimal_values_4d,
+)
 
 
 def grid_points(rect, res=10):
@@ -196,7 +202,11 @@ def test_rect_distances():
 
 
 def test_dominance_grid_matches_scalars(rng):
-    for criterion, scalar in (("optimal", dominates_optimal), ("minmax", dominates_minmax)):
+    cases = (
+        ("optimal", dominates_optimal, dominates_optimal_loop),
+        ("minmax", dominates_minmax, dominates_minmax_loop),
+    )
+    for criterion, scalar, loop in cases:
         for _ in range(50):
             m, n = rng.integers(1, 6, size=2)
             a = [make_rect(rng) for _ in range(m)]
@@ -214,4 +224,45 @@ def test_dominance_grid_matches_scalars(rng):
             )
             for i in range(m):
                 for j in range(n):
-                    assert grid[i, j] == scalar(a[i], b[j], r, 2.0)
+                    assert grid[i, j] == scalar(a[i], b[j], r, 2.0) == loop(a[i], b[j], r, 2.0)
+
+
+def _kernel_boxes(rng, k, d):
+    """k boxes in the unit cube on a coarse grid (so corners coincide), about
+    a third of their sides of zero extent."""
+    lo = np.round(rng.uniform(0.0, 1.0, size=(k, d)) * 8) / 8
+    side = np.round(rng.uniform(0.0, 0.5, size=(k, d)) * 8) / 8
+    side[rng.uniform(size=(k, d)) < 0.3] = 0.0
+    return lo, lo + side
+
+
+@pytest.mark.parametrize("d", range(1, 11))
+def test_optimal_kernel_matches_4d_reference(rng, d):
+    """The per-dimension kernel against the (m, n, d, 2) broadcast it replaced.
+
+    While numpy's sum over d stays sequential (d <= 7) the values are the same
+    bits.  From d = 8 numpy sums pairwise and the last bits may move, so the
+    decisions must agree wherever the value is clear of zero by 1e-12."""
+    drift = 0.0
+    for trial in range(200):
+        p = (1.0, 1.5, 2.0, 3.0, 4.0)[trial % 5]
+        m, n = (int(k) for k in rng.integers(1, 12, size=2))
+        a_lo, a_hi = _kernel_boxes(rng, m, d)
+        b_lo, b_hi = _kernel_boxes(rng, n, d)
+        if trial % 3 == 0:  # a point reference
+            r_lo = r_hi = np.round(rng.uniform(0.0, 1.0, size=d) * 8) / 8
+        elif trial % 3 == 1:  # a reference sharing corners with the boxes
+            r_lo, r_hi = a_lo[0], b_hi[0]
+            r_lo, r_hi = np.minimum(r_lo, r_hi), np.maximum(r_lo, r_hi)
+        else:
+            (r_lo,), (r_hi,) = _kernel_boxes(rng, 1, d)
+        got = _optimal_values_grid(a_lo, a_hi, b_lo, b_hi, r_lo, r_hi, p)
+        want = optimal_values_4d(a_lo, a_hi, b_lo, b_hi, r_lo, r_hi, p)
+        assert got.shape == want.shape == (m, n)
+        if d <= 7:
+            assert got.tobytes() == want.tobytes()
+        else:
+            clear = np.abs(want) > 1e-12
+            assert ((got < 0.0) == (want < 0.0))[clear].all()
+            drift = max(drift, float(np.abs(got - want).max()))
+    assert drift <= 1e-13

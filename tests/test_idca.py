@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from udom.model import build_object
 from udom.oracle import enumerate_exact
 
 from conftest import random_instance
+from reference import pdom_bounds_stacked
 
 FULL = AnyOf([MaxDepth(12), UncertaintyBelow(0.0)])
 
@@ -114,6 +117,36 @@ def test_engine_matches_public_operations(rng):
         manual = shift_right(weighted_mix(parts), cls.complete_domination_count)
         np.testing.assert_allclose(res.distribution.lb, manual.lb, atol=1e-9)
         np.testing.assert_allclose(res.distribution.ub, manual.ub, atol=1e-9)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_history_matches_per_candidate_reference(rng, monkeypatch, d):
+    """Every depth's bounds equal, bit for bit, those from evaluating each
+    candidate alone with the (m, n, d, 2) dominance formula.  Some objects sit
+    on a coarse grid, so samples coincide and distances tie."""
+    engine = importlib.import_module("udom.idca")
+    stacked = engine.pdom_bounds_grid
+    for trial in range(12):
+        p = (1.0, 2.0, 3.0)[trial % 3]
+        db = []
+        for i in range(int(rng.integers(3, 8))):
+            k = int(rng.integers(1, 7))
+            pts = rng.uniform(0.0, 1.0, size=d) + rng.uniform(-0.3, 0.3, size=(k, d))
+            if i % 2:
+                pts = np.round(pts * 4) / 4
+            db.append(build_object(i, list(zip(pts, rng.uniform(0.1, 1.0, size=k)))))
+        b, r = db[0], db[1]
+        criterion = "minmax" if trial % 4 == 3 else "optimal"
+        runs = []
+        for pdom in (stacked, pdom_bounds_stacked):
+            monkeypatch.setattr(engine, "pdom_bounds_grid", pdom)
+            runs.append(idca(db, b, r, p=p, stop=MaxDepth(6), criterion=criterion))
+        got, want = runs
+        assert got.stop_reason == want.stop_reason
+        assert len(got.history) == len(want.history)
+        for g, w in zip(got.history, want.history):
+            assert g.lb.tobytes() == w.lb.tobytes()
+            assert g.ub.tobytes() == w.ub.tobytes()
 
 
 def test_uncertainty_values():
