@@ -13,6 +13,11 @@ up to j more unresolved, which yields count bounds:
 
     P(count = k)  >=  c[k, 0]
     P(count = k)  <=  sum of c[i, j] over i <= k <= i + j
+
+The engine's batch expansion keeps only the degrees that can hold mass: the
+x-degree never exceeds the number of factors with p_lb > 0, nor the y-degree
+the number with p_lb < p_ub, so the coefficients beyond them are exact zeros
+and leaving them out changes no bound in its last bit.
 """
 
 from __future__ import annotations
@@ -244,43 +249,58 @@ def shift_right(dist: DomCountDistribution, offset: int) -> DomCountDistribution
 # ---------------------------------------------------------------------------
 # Dense batch kernels used by the refinement engine.  Each batch row is one
 # (target-node, reference-node) pair; tests pin them to the sparse
-# single-instance implementations above.
+# single-instance implementations above and, byte for byte, to the full
+# (rows, n+1, n+1) grid kept in tests/reference.py.
 # ---------------------------------------------------------------------------
 
 
 def _ugf_expand_batch(plb: np.ndarray, pub: np.ndarray) -> np.ndarray:
     """Expand UGFs for many bound vectors at once.
 
-    plb/pub: (rows, n) arrays.  Returns (rows, n+1, n+1) dense coefficient
-    grids indexed [row, x-degree, y-degree].
+    plb/pub: (rows, n) arrays.  Returns dense coefficient grids indexed
+    [row, x-degree, y-degree] of shape (rows, 1 + a, 1 + u), where a is the
+    most factors with plb > 0 in any row and u the most with plb < pub.
+
+    A factor adds x-degree only through plb and y-degree only through
+    pub - plb, so a row's mass never leaves degrees (a, u); the full
+    (n+1, n+1) grid holds exact zeros beyond them.  Every kept cell gets the
+    same products and sums, in the same order, as on the full grid; the
+    dropped terms are exact zeros, and adding +0.0 changes nothing.  A factor
+    with pub == 0 in every row multiplies by exactly 1 and is skipped.
     """
-    rows, n = plb.shape
-    f = np.zeros((rows, n + 1, n + 1))
+    rows = plb.shape[0]
+    y = pub - plb
+    z = 1.0 - pub
+    a = int((plb > 0.0).sum(axis=1).max(initial=0))
+    u = int((y > 0.0).sum(axis=1).max(initial=0))
+    f = np.zeros((rows, a + 1, u + 1))
     f[:, 0, 0] = 1.0
-    for l in range(n):
-        x = plb[:, l, None, None]
-        y = (pub[:, l] - plb[:, l])[:, None, None]
-        z = (1.0 - pub[:, l])[:, None, None]
-        nxt = z * f
-        nxt[:, 1:, :] += x * f[:, :-1, :]
-        nxt[:, :, 1:] += y * f[:, :, :-1]
+    for l in np.flatnonzero((pub > 0.0).any(axis=0)).tolist():
+        nxt = z[:, l, None, None] * f
+        nxt[:, 1:, :] += plb[:, l, None, None] * f[:, :-1, :]
+        nxt[:, :, 1:] += y[:, l, None, None] * f[:, :, :-1]
         f = nxt
     return f
 
 
-def _extract_batch(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batch form of extract_bounds over dense grids from _ugf_expand_batch."""
-    rows, size, _ = f.shape
-    lb = f[:, :, 0].copy()
+def _extract_batch(f: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Batch form of extract_bounds over grids from _ugf_expand_batch.
+
+    Returns (rows, n+1) lower and upper bounds for counts 0..n.  The upper
+    bound of count k sums, for each x-degree i <= k, the mass with y-degree
+    at least k - i: ``total[i] - csum[i, k-i-1]``.  One vectorised step per
+    x-degree i does this for every k > i at once, in the order the per-count
+    loop would; a y-index past the grid reads the last cumulative column,
+    which is the saturated sum.  Counts above a + u hold exact zeros.
+    """
+    rows, size, width = f.shape
+    top = min(n + 1, size + width - 1)
     csum = f.cumsum(axis=2)
     total = csum[:, :, -1]
-    ub = np.zeros((rows, size))
-    for k in range(size):
-        acc = np.zeros(rows)
-        for i in range(k + 1):
-            jmin = k - i
-            acc += total[:, i]
-            if jmin >= 1:
-                acc -= csum[:, i, jmin - 1]
-        ub[:, k] = acc
-    return lb, np.minimum(ub, 1.0)
+    lb = np.zeros((rows, n + 1))
+    lb[:, :size] = f[:, :, 0]
+    ub = np.zeros((rows, n + 1))
+    for i in range(size):
+        ub[:, i:top] += total[:, i, None]
+        ub[:, i + 1 : top] -= csum[:, i, np.minimum(np.arange(top - i - 1), width - 1)]
+    return lb, np.minimum(ub, 1.0, out=ub)

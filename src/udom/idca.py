@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .domination import DominationClassification, classify, others, pdom_bounds_grid
+from .domination import DominationClassification, classify, pdom_bounds_grid
 from .genfunc import DomCountDistribution, _extract_batch, _ugf_expand_batch
 from .geometry import check_norm_order
 from .model import FrontierStack, UncertainObject
@@ -42,7 +42,9 @@ __all__ = [
 DEFAULT_MAX_DEPTH = 10
 DEFAULT_PAIR_BUDGET = 1 << 16
 
-# Cap on floats held by one batched expansion chunk (~128 MB of float64).
+# Cap on floats held by one batched expansion chunk (~128 MB of float64),
+# sized for the worst case of a full (n+1)^2 grid per pair row; the grids
+# actually built are usually much smaller (`genfunc._ugf_expand_batch`).
 _BATCH_FLOAT_BUDGET = 1 << 24
 
 
@@ -172,7 +174,7 @@ def _evaluate_depth(
     for start in range(0, n_pairs, chunk):
         sl = slice(start, start + chunk)
         grids = _ugf_expand_batch(plb[:, sl].T, pub[:, sl].T)
-        pair_lb, pair_ub = _extract_batch(grids)
+        pair_lb, pair_ub = _extract_batch(grids, n_cands)
         mixed_lb += pair_w[sl] @ pair_lb
         mixed_ub += pair_w[sl] @ pair_ub
 
@@ -206,12 +208,13 @@ def idca(
     if pair_budget < 1:
         raise ValueError("pair_budget must be >= 1")
 
-    rest = others(db, b)
-    by_id = {o.id: o for o in rest}
+    # classify is the one pass that validates db, b and r (`others`); db ids
+    # are unique after it, so the influence ids name the candidate objects.
     cls = classify(db, b, r, p=p, criterion=criterion)
-    cands = [by_id[i] for i in cls.influence_objects]
+    influence = set(cls.influence_objects)
+    cands = [o for o in db if o.id in influence]
     shift = cls.complete_domination_count
-    n_total = len(rest) + 1
+    n_total = len(db) + 1 - any(o is b for o in db)
 
     history: list[DomCountDistribution] = []
     trace: list[float] = []

@@ -2,12 +2,17 @@
 
 Each function here is a slower or more literal form of an engine kernel, kept
 as an oracle: scalar loops over dimensions, the dominance criterion as one
-(m, n, d, 2) broadcast, and pdom bounds of one candidate frontier at a time.
+(m, n, d, 2) broadcast, pdom bounds of one candidate frontier at a time, the
+UGF expanded on the full (rows, n+1, n+1) grid, extraction as a double loop
+over counts and x-degrees, and one IDCA depth evaluated on those two.
 """
 
 import numpy as np
 
+from udom.domination import pdom_bounds_grid
+from udom.genfunc import DomCountDistribution
 from udom.geometry import Interval, Rect, _minmax_values_grid
+from udom.model import FrontierStack
 
 
 def min_dist_1d(a: Interval, r: float) -> float:
@@ -94,3 +99,77 @@ def pdom_bounds_loop(a, b_rect: Rect, r_rect: Rect, p: float = 2.0, depth: int =
             dominated_mass += mass
     lb = min(lb, 1.0)
     return lb, max(min(1.0 - dominated_mass, 1.0), lb)
+
+
+def ugf_expand_batch_dense(plb: np.ndarray, pub: np.ndarray) -> np.ndarray:
+    """Expand UGFs for many bound vectors at once.
+
+    plb/pub: (rows, n) arrays.  Returns (rows, n+1, n+1) dense coefficient
+    grids indexed [row, x-degree, y-degree].
+    """
+    rows, n = plb.shape
+    f = np.zeros((rows, n + 1, n + 1))
+    f[:, 0, 0] = 1.0
+    for l in range(n):
+        x = plb[:, l, None, None]
+        y = (pub[:, l] - plb[:, l])[:, None, None]
+        z = (1.0 - pub[:, l])[:, None, None]
+        nxt = z * f
+        nxt[:, 1:, :] += x * f[:, :-1, :]
+        nxt[:, :, 1:] += y * f[:, :, :-1]
+        f = nxt
+    return f
+
+
+def extract_batch_loop(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Batch form of extract_bounds over dense grids from ugf_expand_batch_dense."""
+    rows, size, _ = f.shape
+    lb = f[:, :, 0].copy()
+    csum = f.cumsum(axis=2)
+    total = csum[:, :, -1]
+    ub = np.zeros((rows, size))
+    for k in range(size):
+        acc = np.zeros(rows)
+        for i in range(k + 1):
+            jmin = k - i
+            acc += total[:, i]
+            if jmin >= 1:
+                acc -= csum[:, i, jmin - 1]
+        ub[:, k] = acc
+    return lb, np.minimum(ub, 1.0)
+
+
+def evaluate_depth_dense(cands, b, r, depth, shift, n_total, p, criterion, budget):
+    """`idca._evaluate_depth` on the dense kernels above: pairs in chunks of
+    ``max(1, budget // (n+1)^2)`` rows, each chunk's weighted bounds added to
+    the running mix in chunk order."""
+    lb = np.zeros(n_total)
+    ub = np.zeros(n_total)
+    if not cands:
+        lb[shift] = 1.0
+        ub[shift] = 1.0
+        return DomCountDistribution(lb, ub)
+
+    b_front = b.leaves_at_depth(depth)
+    r_front = r.leaves_at_depth(depth)
+    n_pairs = len(b_front) * len(r_front)
+    n_cands = len(cands)
+
+    stack = FrontierStack.of([cand.leaves_at_depth(depth) for cand in cands])
+    plb, pub = (g.reshape(n_cands, n_pairs) for g in pdom_bounds_grid(stack, b_front, r_front, p, criterion))
+
+    pair_w = np.outer(b_front.mass, r_front.mass).ravel()
+
+    mixed_lb = np.zeros(n_cands + 1)
+    mixed_ub = np.zeros(n_cands + 1)
+    chunk = max(1, budget // ((n_cands + 1) * (n_cands + 1)))
+    for start in range(0, n_pairs, chunk):
+        sl = slice(start, start + chunk)
+        grids = ugf_expand_batch_dense(plb[:, sl].T, pub[:, sl].T)
+        pair_lb, pair_ub = extract_batch_loop(grids)
+        mixed_lb += pair_w[sl] @ pair_lb
+        mixed_ub += pair_w[sl] @ pair_ub
+
+    lb[shift : shift + n_cands + 1] = mixed_lb
+    ub[shift : shift + n_cands + 1] = np.minimum(mixed_ub, 1.0)
+    return DomCountDistribution(lb, np.maximum(ub, lb))

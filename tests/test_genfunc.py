@@ -18,6 +18,8 @@ from udom.genfunc import (
     weighted_mix,
 )
 
+from reference import extract_batch_loop, ugf_expand_batch_dense
+
 WORKED_PROBS = [0.2, 0.1, 0.3]
 WORKED_BOUNDS = [(0.2, 0.7), (0.6, 0.8)]
 
@@ -369,7 +371,7 @@ def test_batch_expansion_matches_sparse(rng):
     lo = rng.uniform(0, 1, size=(rows, n))
     hi = lo + rng.uniform(0, 1, size=(rows, n)) * (1 - lo)
     grids = _ugf_expand_batch(lo, hi)
-    batch_lb, batch_ub = _extract_batch(grids)
+    batch_lb, batch_ub = _extract_batch(grids, n)
     for row in range(rows):
         poly = ugf_expand(list(zip(lo[row], hi[row])))
         dist = extract_bounds(poly)
@@ -377,6 +379,48 @@ def test_batch_expansion_matches_sparse(rng):
             assert abs(grids[row, i, j] - val) < 1e-12
         np.testing.assert_allclose(batch_lb[row], dist.lb, atol=1e-12)
         np.testing.assert_allclose(batch_ub[row], dist.ub, atol=1e-12)
+
+
+def random_batch(rng, rows, n, zero_columns):
+    """Bound rows mixing the four kinds of factor: (0, 0), (1, 1), exact
+    fractional (lb = ub) and unresolved (lb < ub).  The first row has no
+    unresolved factor.  With `zero_columns` some columns are (0, 0) in every
+    row; otherwise every factor of the last row is unresolved."""
+    lo = rng.uniform(0.0, 1.0, size=(rows, n))
+    hi = lo + rng.uniform(0.0, 1.0, size=(rows, n)) * (1.0 - lo)
+    kind = rng.choice(4, size=(rows, n), p=rng.dirichlet(np.ones(4)))
+    lo = np.select([kind == 0, kind == 1], [0.0, 1.0], lo)
+    hi = np.select([kind == 0, kind == 1, kind == 2], [0.0, 1.0, lo], hi)
+    hi[0] = lo[0]
+    if zero_columns:
+        zero = rng.random(n) < 0.3
+        lo[:, zero] = hi[:, zero] = 0.0
+    else:
+        hi[-1] = 0.5 + 0.5 * rng.uniform(0.0, 1.0, size=n)
+        lo[-1] = 0.5 * hi[-1] * rng.uniform(0.0, 1.0, size=n)
+    return lo, hi
+
+
+def test_batch_kernels_match_dense_reference(rng):
+    """The kernels equal, byte for byte, the full (rows, n+1, n+1) expansion
+    and the per-count extraction loop; their grid is sized by the factors
+    that can add mass."""
+    for trial in range(120):
+        n = trial % 41
+        rows = int(rng.integers(1, 301)) if trial % 4 == 0 else int(rng.integers(1, 25))
+        lo, hi = random_batch(rng, rows, n, zero_columns=trial % 2 == 0)
+        grids = _ugf_expand_batch(lo, hi)
+        dense = ugf_expand_batch_dense(lo, hi)
+        a = int((lo > 0).sum(axis=1).max())
+        u = int((lo < hi).sum(axis=1).max())
+        assert grids.shape == (rows, a + 1, u + 1)
+        assert grids.tobytes() == np.ascontiguousarray(dense[:, : a + 1, : u + 1]).tobytes()
+        assert not dense[:, a + 1 :].any() and not dense[:, :, u + 1 :].any()
+        got = _extract_batch(grids, n)
+        want = extract_batch_loop(dense)
+        for g, w in zip(got, want):
+            assert g.shape == (rows, n + 1)
+            assert g.tobytes() == w.tobytes()
 
 
 def test_bernoulli_bounds_tuple_interface():

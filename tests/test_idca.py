@@ -1,3 +1,4 @@
+import functools
 import importlib
 
 import numpy as np
@@ -26,7 +27,7 @@ from udom.model import build_object
 from udom.oracle import enumerate_exact
 
 from conftest import random_instance
-from reference import pdom_bounds_stacked
+from reference import evaluate_depth_dense, pdom_bounds_stacked
 
 FULL = AnyOf([MaxDepth(12), UncertaintyBelow(0.0)])
 
@@ -119,6 +120,42 @@ def test_engine_matches_public_operations(rng):
         np.testing.assert_allclose(res.distribution.ub, manual.ub, atol=1e-9)
 
 
+def test_database_is_validated_once_per_call(rng, monkeypatch):
+    """One `others` pass (inside classify) per idca call, for a target in the
+    database and for an external one; the arrays still have a slot per
+    database object other than the target, plus one.  `others` is counted
+    under both names the engine could call it by."""
+    validate = importlib.import_module("udom.domination").others
+    calls = []
+
+    def counted(db, *exclude):
+        calls.append(len(db))
+        return validate(db, *exclude)
+
+    for module in ("udom.domination", "udom.idca"):
+        monkeypatch.setattr(importlib.import_module(module), "others", counted, raising=False)
+    db, b, r = random_instance(rng, n_objects=6)
+    for target, size in ((b, len(db)), (point_obj("x", (0.5, 0.5)), len(db) + 1)):
+        calls.clear()
+        res = idca(db, target, r, stop=MaxDepth(3))
+        assert calls == [len(db)]
+        assert len(res.distribution) == size
+
+
+def tied_db(rng, d, n_objects, min_samples, spread):
+    """Objects of min_samples..6 weighted samples around random centres;
+    every second one sits on a 0.25 grid, so samples coincide and distances
+    tie."""
+    db = []
+    for i in range(n_objects):
+        k = int(rng.integers(min_samples, 7))
+        pts = rng.uniform(0.0, 1.0, size=d) + rng.uniform(-spread, spread, size=(k, d))
+        if i % 2:
+            pts = np.round(pts * 4) / 4
+        db.append(build_object(i, list(zip(pts, rng.uniform(0.1, 1.0, size=k)))))
+    return db
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_history_matches_per_candidate_reference(rng, monkeypatch, d):
     """Every depth's bounds equal, bit for bit, those from evaluating each
@@ -128,13 +165,7 @@ def test_history_matches_per_candidate_reference(rng, monkeypatch, d):
     stacked = engine.pdom_bounds_grid
     for trial in range(12):
         p = (1.0, 2.0, 3.0)[trial % 3]
-        db = []
-        for i in range(int(rng.integers(3, 8))):
-            k = int(rng.integers(1, 7))
-            pts = rng.uniform(0.0, 1.0, size=d) + rng.uniform(-0.3, 0.3, size=(k, d))
-            if i % 2:
-                pts = np.round(pts * 4) / 4
-            db.append(build_object(i, list(zip(pts, rng.uniform(0.1, 1.0, size=k)))))
+        db = tied_db(rng, d, int(rng.integers(3, 8)), min_samples=1, spread=0.3)
         b, r = db[0], db[1]
         criterion = "minmax" if trial % 4 == 3 else "optimal"
         runs = []
@@ -147,6 +178,46 @@ def test_history_matches_per_candidate_reference(rng, monkeypatch, d):
         for g, w in zip(got.history, want.history):
             assert g.lb.tobytes() == w.lb.tobytes()
             assert g.ub.tobytes() == w.ub.tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_multi_chunk_history_matches_dense_reference(rng, monkeypatch, d):
+    """With a float budget small enough to split the pairs of a depth into
+    several chunks, every depth's bounds equal, bit for bit, those of the
+    same chunks expanded on full (n+1, n+1) grids, extracted by the per-count
+    loop and mixed in chunk order."""
+    engine = importlib.import_module("udom.idca")
+    expand = engine._ugf_expand_batch
+    calls = []
+
+    def counted(plb, pub):
+        calls.append(plb.shape)
+        return expand(plb, pub)
+
+    monkeypatch.setattr(engine, "_ugf_expand_batch", counted)
+    split_runs = 0
+    for trial in range(16):
+        p = (1.0, 2.0, 3.0)[trial % 3]
+        criterion = "minmax" if trial % 2 else "optimal"
+        db = tied_db(rng, d, int(rng.integers(4, 9)), min_samples=2, spread=0.4)
+        b, r = db[0], db[1]
+        # A chunk holds budget // (n+1)^2 pair rows for n candidates.
+        n = len(classify(db, b, r, p=p, criterion=criterion).influence_objects)
+        budget = (n + 1) ** 2 * (1, 2, 4, 8)[trial % 4]
+        monkeypatch.setattr(engine, "_BATCH_FLOAT_BUDGET", budget)
+        calls.clear()
+        got = idca(db, b, r, p=p, stop=MaxDepth(6), criterion=criterion)
+        # More expansion calls than depths: some depth was split into chunks.
+        split_runs += len(calls) > len(got.history)
+        with monkeypatch.context() as m:
+            m.setattr(engine, "_evaluate_depth", functools.partial(evaluate_depth_dense, budget=budget))
+            want = idca(db, b, r, p=p, stop=MaxDepth(6), criterion=criterion)
+        assert got.stop_reason == want.stop_reason
+        assert len(got.history) == len(want.history)
+        for g, w in zip(got.history, want.history):
+            assert g.lb.tobytes() == w.lb.tobytes()
+            assert g.ub.tobytes() == w.ub.tobytes()
+    assert split_runs >= 12
 
 
 def test_uncertainty_values():
