@@ -2,14 +2,7 @@
 queries (threshold kNN / reverse-kNN, inverse ranking, expected rank) over
 uncertain rectangular objects, with an exact possible-worlds oracle."""
 
-from .geometry import (
-    Interval,
-    Rect,
-    dominates_minmax,
-    dominates_optimal,
-    rect_max_dist,
-    rect_min_dist,
-)
+from .geometry import Rect, rect_min_dist
 from .model import (
     DatasetError,
     DecompositionTree,
@@ -21,20 +14,9 @@ from .model import (
     save_dataset_jsonl,
     split,
 )
-from .domination import DominationClassification, ProbBounds, classify, pdom_bounds
-from .genfunc import (
-    BernoulliBounds,
-    DomCountDistribution,
-    UGFPoly,
-    extract_bounds,
-    gf_bounds_plain,
-    gf_exact,
-    shift_right,
-    ugf_expand,
-    weighted_mix,
-)
+from .domination import DominationClassification, ProbBounds, classify
+from .genfunc import DomCountDistribution, gf_exact
 from .idca import (
-    AllOf,
     AnyOf,
     IdcaResult,
     MaxDepth,

@@ -22,6 +22,7 @@ from .idca import (
     UncertaintyBelow,
     idca,
     uncertainty,
+    DEFAULT_MAX_DEPTH,
     DEFAULT_PAIR_BUDGET,
 )
 from .model import UncertainObject, generate_synthetic, load_dataset
@@ -50,7 +51,7 @@ class BenchConfig:
     target_rank: int = 10  # pick the target with the m-th smallest MinDist
 
     p: float = 2.0
-    max_depth: int = 10
+    max_depth: int = DEFAULT_MAX_DEPTH
     pair_budget: int = DEFAULT_PAIR_BUDGET
 
     mc_samples: tuple = (4, 16, 64)

@@ -14,7 +14,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import bench as bench_mod
-from .idca import AnyOf, MaxDepth, UncertaintyBelow
+from .idca import DEFAULT_MAX_DEPTH, DEFAULT_PAIR_BUDGET, AnyOf, MaxDepth, UncertaintyBelow
 from .model import (
     UncertainObject,
     build_object,
@@ -22,7 +22,7 @@ from .model import (
     load_dataset,
     save_dataset_jsonl,
 )
-from .oracle import enumerate_exact, mc_baseline
+from .oracle import DEFAULT_WORLD_BUDGET, enumerate_exact, mc_baseline
 from .queries import expected_rank, inverse_ranking, pknn_query, prknn_query
 
 __all__ = ["main"]
@@ -57,9 +57,9 @@ def load_config(path) -> dict:
 
 
 def _add_engine_flags(parser, cfg):
-    parser.add_argument("--max-depth", type=int, default=cfg.get("max_depth", 10))
+    parser.add_argument("--max-depth", type=int, default=cfg.get("max_depth", DEFAULT_MAX_DEPTH))
     parser.add_argument("--epsilon", type=float, default=cfg.get("epsilon"))
-    parser.add_argument("--pair-budget", type=int, default=cfg.get("pair_budget", 1 << 16))
+    parser.add_argument("--pair-budget", type=int, default=cfg.get("pair_budget", DEFAULT_PAIR_BUDGET))
     parser.add_argument(
         "--criterion", choices=("optimal", "minmax"), default=cfg.get("criterion", "optimal")
     )
@@ -122,7 +122,7 @@ def build_parser(cfg: dict) -> argparse.ArgumentParser:
     oe.add_argument("--b", required="b" not in cfg, default=cfg.get("b"))
     oe.add_argument("--r", required="r" not in cfg, default=cfg.get("r"))
     oe.add_argument("--p", type=float, default=cfg.get("p", 2.0))
-    oe.add_argument("--world-budget", type=int, default=cfg.get("world_budget", 10_000_000))
+    oe.add_argument("--world-budget", type=int, default=cfg.get("world_budget", DEFAULT_WORLD_BUDGET))
     oe.add_argument("--out")
     om = osub.add_parser("mc")
     _add_dataset_flags(om, cfg)
@@ -145,8 +145,8 @@ def build_parser(cfg: dict) -> argparse.ArgumentParser:
         bb.add_argument("--seed", type=int, default=cfg.get("seed", 0))
         bb.add_argument("--queries", type=int, default=cfg.get("queries", 20))
         bb.add_argument("--target-rank", type=int, default=cfg.get("target_rank", 10))
-        bb.add_argument("--max-depth", type=int, default=cfg.get("max_depth", 10))
-        bb.add_argument("--pair-budget", type=int, default=cfg.get("pair_budget", 1 << 16))
+        bb.add_argument("--max-depth", type=int, default=cfg.get("max_depth", DEFAULT_MAX_DEPTH))
+        bb.add_argument("--pair-budget", type=int, default=cfg.get("pair_budget", DEFAULT_PAIR_BUDGET))
         bb.add_argument("--p", type=float, default=cfg.get("p", 2.0))
         bb.add_argument("--out", required="out" not in cfg, default=cfg.get("out"))
         if kind == "runtime":

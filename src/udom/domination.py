@@ -14,14 +14,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Rect, check_norm_order, dominance_grid
+from .geometry import check_norm_order, dominance_grid
 from .model import Frontier, FrontierStack, UncertainObject
 
 __all__ = [
     "ProbBounds",
     "DominationClassification",
     "classify",
-    "pdom_bounds",
+    "pdom_bounds_grid",
 ]
 
 
@@ -103,25 +103,6 @@ def classify(
     irrelevant = tuple(o.id for o, f, g in zip(cands, dominates_b, dominated) if g and not f)
     influence = tuple(o.id for o, f, g in zip(cands, dominates_b, dominated) if not f and not g)
     return DominationClassification(complete, influence, irrelevant)
-
-
-def pdom_bounds(
-    a: UncertainObject,
-    b_rect: Rect,
-    r_rect: Rect,
-    p: float = 2.0,
-    depth: int = 1,
-) -> ProbBounds:
-    """Bounds on P(a dominates the fixed node pair (b_rect, r_rect)).
-
-    The lower bound accumulates the mass of a's frontier nodes that
-    dominate; the upper bound is one minus the mass of nodes that are
-    themselves dominated.  Deepening a's frontier only tightens both sides.
-    This is `pdom_bounds_grid` for one candidate, one b-node and one r-node.
-    """
-    b, r = (FrontierStack(x.lo[None], x.hi[None], np.ones(1), np.arange(2)) for x in (b_rect, r_rect))
-    lb, ub = pdom_bounds_grid(FrontierStack.of([a.leaves_at_depth(depth)]), b, r, check_norm_order(p))
-    return ProbBounds(float(lb[0, 0, 0]), float(ub[0, 0, 0]))
 
 
 def pdom_bounds_grid(

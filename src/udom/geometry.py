@@ -1,4 +1,14 @@
-"""Axis-aligned intervals/rectangles and the two domination decision criteria.
+"""Axis-aligned rectangles and the two domination decision criteria.
+
+Box a dominates box b with respect to box r when every point of a is closer
+than every point of b to every point of r.  The corner-wise ("optimal")
+criterion decides this exactly for rectangles: per dimension, the difference
+MaxDist(a_i, t)^p - MinDist(b_i, t)^p is maximised over the two endpoints t
+of r's projection interval (its maximum over the interval is attained at an
+endpoint), and domination holds iff the sum over dimensions is negative.
+The min/max baseline compares full-rectangle MaxDist(a, r) with
+MinDist(b, r); it ignores that both distances depend on the same position of
+r, so it is implied by (never tighter than) the corner-wise criterion.
 
 All comparisons are strict and use p-th powers of distances; roots are never
 taken because x^p is monotone on the nonnegatives.  Exact ties therefore never
@@ -7,57 +17,36 @@ count as domination, which keeps the criteria conservative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
-    "Interval",
     "Rect",
     "check_norm_order",
-    "dominates_optimal",
-    "dominates_minmax",
+    "dominance_grid",
     "rect_min_dist",
-    "rect_max_dist",
 ]
 
 
-@dataclass(frozen=True)
-class Interval:
-    """Closed interval [lo, hi]; degenerate intervals (lo == hi) are points."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.lo) and np.isfinite(self.hi)):
-            raise ValueError(f"interval bounds must be finite, got [{self.lo}, {self.hi}]")
-        if self.lo > self.hi:
-            raise ValueError(f"interval requires lo <= hi, got [{self.lo}, {self.hi}]")
-
-    @property
-    def length(self) -> float:
-        return self.hi - self.lo
-
-    def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
-
-
 class Rect:
-    """Axis-aligned box held as two (d,) arrays of per-dimension bounds.
+    """Axis-aligned box held as two read-only (d,) arrays of per-dimension
+    bounds; ``lo == hi`` in a dimension is a point there.
 
     Immutable after construction; safe to share across threads.
     """
 
     __slots__ = ("lo", "hi")
 
-    def __init__(self, intervals: Iterable[Interval]):
-        ivs = list(intervals)
-        if not ivs:
-            raise ValueError("rectangle needs at least one dimension")
-        lo = np.array([iv.lo for iv in ivs], dtype=float)
-        hi = np.array([iv.hi for iv in ivs], dtype=float)
+    def __init__(self, lo: Sequence[float], hi: Sequence[float]):
+        lo = np.array(lo, dtype=float)
+        hi = np.array(hi, dtype=float)
+        if lo.shape != hi.shape or lo.ndim != 1 or lo.size == 0:
+            raise ValueError("lo/hi must be equal-length non-empty 1d sequences")
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise ValueError("rectangle bounds must be finite")
+        if (lo > hi).any():
+            raise ValueError("rectangle requires lo <= hi in every dimension")
         lo.setflags(write=False)
         hi.setflags(write=False)
         object.__setattr__(self, "lo", lo)
@@ -66,36 +55,9 @@ class Rect:
     def __setattr__(self, name, value):
         raise AttributeError("Rect is immutable")
 
-    @classmethod
-    def from_bounds(cls, lo: Sequence[float], hi: Sequence[float]) -> "Rect":
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
-        if lo.shape != hi.shape or lo.ndim != 1 or lo.size == 0:
-            raise ValueError("lo/hi must be equal-length 1d sequences")
-        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
-            raise ValueError("rectangle bounds must be finite")
-        if (lo > hi).any():
-            raise ValueError("rectangle requires lo <= hi in every dimension")
-        rect = cls.__new__(cls)
-        lo = lo.copy()
-        hi = hi.copy()
-        lo.setflags(write=False)
-        hi.setflags(write=False)
-        object.__setattr__(rect, "lo", lo)
-        object.__setattr__(rect, "hi", hi)
-        return rect
-
-    @classmethod
-    def from_point(cls, point: Sequence[float]) -> "Rect":
-        return cls.from_bounds(point, point)
-
     @property
     def ndim(self) -> int:
         return self.lo.size
-
-    @property
-    def dims(self) -> tuple[Interval, ...]:
-        return tuple(Interval(float(l), float(h)) for l, h in zip(self.lo, self.hi))
 
     @property
     def is_degenerate(self) -> bool:
@@ -105,9 +67,6 @@ class Rect:
     def contains_point(self, point: Sequence[float]) -> bool:
         pt = np.asarray(point, dtype=float)
         return bool((self.lo <= pt).all() and (pt <= self.hi).all())
-
-    def contains_rect(self, other: "Rect") -> bool:
-        return bool((self.lo <= other.lo).all() and (other.hi <= self.hi).all())
 
     def __eq__(self, other):
         return (
@@ -133,61 +92,19 @@ def check_norm_order(p: float) -> float:
     return p
 
 
-def _check_dims(*rects: Rect):
-    d = rects[0].ndim
-    for rect in rects[1:]:
-        if rect.ndim != d:
-            raise ValueError(f"dimension mismatch: {d} vs {rect.ndim}")
-
-
-def dominates_optimal(a: Rect, b: Rect, r: Rect, p: float = 2.0) -> bool:
-    """Decide whether every point of a is closer than every point of b to every point of r.
-
-    Per dimension, the difference MaxDist(a_i, t)^p - MinDist(b_i, t)^p is
-    maximised over the two endpoint values t of r's projection interval (the
-    maximum over the whole interval is attained at an endpoint); domination
-    holds iff the sum over dimensions is strictly negative.  This is tight for
-    rectangles, unlike the min/max baseline, because both distances are
-    evaluated at the same position of r.
-    """
-    return _dominates(a, b, r, p, "optimal")
-
-
-def dominates_minmax(a: Rect, b: Rect, r: Rect, p: float = 2.0) -> bool:
-    """Baseline criterion: full-rectangle MaxDist(a, r) < MinDist(b, r).
-
-    Ignores that both distances depend on the same realisation of r, so it is
-    implied by (never tighter than) ``dominates_optimal``.
-    """
-    return _dominates(a, b, r, p, "minmax")
-
-
-def _dominates(a: Rect, b: Rect, r: Rect, p: float, criterion: str) -> bool:
-    _check_dims(a, b, r)
-    p = check_norm_order(p)
-    return bool(dominance_grid(a.lo[None], a.hi[None], b.lo[None], b.hi[None], r.lo, r.hi, p, criterion)[0, 0])
-
-
 def rect_min_dist(a: Rect, b: Rect, p: float = 2.0) -> float:
     """Minimum L_p distance between two boxes (0 when they intersect)."""
-    _check_dims(a, b)
+    if a.ndim != b.ndim:
+        raise ValueError(f"dimension mismatch: {a.ndim} vs {b.ndim}")
     p = check_norm_order(p)
     gaps = np.maximum(np.maximum(a.lo - b.hi, b.lo - a.hi), 0.0)
     return float((gaps**p).sum() ** (1.0 / p))
 
 
-def rect_max_dist(a: Rect, b: Rect, p: float = 2.0) -> float:
-    """Maximum L_p distance between two boxes."""
-    _check_dims(a, b)
-    p = check_norm_order(p)
-    spans = np.maximum(b.hi - a.lo, a.hi - b.lo)
-    return float((spans**p).sum() ** (1.0 / p))
-
-
 # ---------------------------------------------------------------------------
 # Vectorised kernels: m a-boxes against n b-boxes under one r-box, computed
 # on (m,) and (n,) per-dimension columns, with (m, n) results and (m, n)
-# temporaries only.  The scalar criteria above are 1x1 calls of these.
+# temporaries only.
 # ---------------------------------------------------------------------------
 
 

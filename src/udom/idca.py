@@ -31,7 +31,6 @@ __all__ = [
     "UncertaintyBelow",
     "PredicateDecided",
     "AnyOf",
-    "AllOf",
     "IdcaResult",
     "idca",
     "uncertainty",
@@ -105,17 +104,6 @@ class AnyOf(StopCriterion):
 
     def should_stop(self, depth, dist):
         return any(c.should_stop(depth, dist) for c in self.criteria)
-
-
-@dataclass(frozen=True)
-class AllOf(StopCriterion):
-    criteria: tuple
-
-    def __init__(self, criteria):
-        object.__setattr__(self, "criteria", tuple(criteria))
-
-    def should_stop(self, depth, dist):
-        return all(c.should_stop(depth, dist) for c in self.criteria)
 
 
 @dataclass

@@ -181,7 +181,7 @@ class UncertainObject:
         self.id = obj_id
         self.points = points
         self.weights = weights
-        self.mbr = Rect.from_bounds(points.min(axis=0), points.max(axis=0))
+        self.mbr = Rect(points.min(axis=0), points.max(axis=0))
         self._tree: Optional[DecompositionTree] = None
 
     @property
@@ -191,10 +191,6 @@ class UncertainObject:
     @property
     def ndim(self) -> int:
         return self.points.shape[1]
-
-    @property
-    def samples(self) -> list[tuple[np.ndarray, float]]:
-        return [(self.points[i], float(self.weights[i])) for i in range(self.n_samples)]
 
     @property
     def decomposition(self) -> DecompositionTree:
@@ -346,12 +342,14 @@ def _load_gaussian_csv(path, seed: int) -> list[UncertainObject]:
                 mean = np.array([float(v) for v in row[1 : 1 + d]])
                 sigma = np.array([float(v) for v in row[1 + d : 1 + 2 * d]])
                 nsamples = int(row[-1])
+                if not (np.isfinite(mean).all() and np.isfinite(sigma).all()):
+                    raise ValueError("mean and sigma must be finite")
+                if (sigma < 0).any():
+                    raise ValueError("sigma must be >= 0")
+                if nsamples < 1:
+                    raise ValueError("nsamples must be >= 1")
             except ValueError as exc:
                 raise DatasetError(f"line {lineno}: {exc}") from exc
-            if (sigma < 0).any():
-                raise DatasetError(f"line {lineno}: sigma must be >= 0")
-            if nsamples < 1:
-                raise DatasetError(f"line {lineno}: nsamples must be >= 1")
             pts = _gaussian_cloud(rng, mean, sigma, nsamples)
             wts = np.full(nsamples, 1.0 / nsamples)
             _append_checked(objects, lines, UncertainObject(obj_id, pts, wts), lineno)

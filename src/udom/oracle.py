@@ -23,7 +23,7 @@ from .genfunc import gf_exact
 from .geometry import check_norm_order
 from .model import UncertainObject
 
-__all__ = ["ExactPdf", "WorldBudgetError", "enumerate_exact", "mc_baseline"]
+__all__ = ["ExactPdf", "WorldBudgetError", "enumerate_exact", "mc_baseline", "DEFAULT_WORLD_BUDGET"]
 
 DEFAULT_WORLD_BUDGET = 10_000_000
 

@@ -13,7 +13,7 @@ from udom import Rect, build_object
 def make_rect(rng, d=2, span=4.0, max_side=1.5):
     lo = rng.uniform(-span, span, size=d)
     side = rng.uniform(0.0, max_side, size=d)
-    return Rect.from_bounds(lo, lo + side)
+    return Rect(lo, lo + side)
 
 
 def shrink_rect(rng, rect):
@@ -22,7 +22,7 @@ def shrink_rect(rng, rect):
     width = rect.hi - rect.lo
     new_lo = rect.lo + u[0] * width * 0.5
     new_hi = rect.hi - u[1] * (rect.hi - new_lo) * 0.5
-    return Rect.from_bounds(new_lo, np.maximum(new_hi, new_lo))
+    return Rect(new_lo, np.maximum(new_hi, new_lo))
 
 
 def random_object(rng, obj_id, d=2, max_samples=4, center=None, spread=1.0):

@@ -1,28 +1,44 @@
 """Reference formulations the engine's kernels are tested against.
 
 Each function here is a slower or more literal form of an engine kernel, kept
-as an oracle: scalar loops over dimensions, the dominance criterion as one
-(m, n, d, 2) broadcast, pdom bounds of one candidate frontier at a time, the
-UGF expanded on the full (rows, n+1, n+1) grid, extraction as a double loop
-over counts and x-degrees, and one IDCA depth evaluated on those two.
+as an oracle: scalar loops over dimensions, one cell of the dominance kernel
+for a single box triple, the dominance criterion as one (m, n, d, 2)
+broadcast, pdom bounds of one candidate frontier at a time, the UGF as a
+sparse product over one bound list (optionally k-truncated) and on the full
+(rows, n+1, n+1) grid, extraction as a double loop over counts and
+x-degrees, the looser plain-GF bounds, and one IDCA depth evaluated on the
+dense kernels.
 """
+
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from udom.domination import pdom_bounds_grid
-from udom.genfunc import DomCountDistribution
-from udom.geometry import Interval, Rect, _minmax_values_grid
+from udom.genfunc import DomCountDistribution, _gf_affine
+from udom.geometry import Rect, _minmax_values_grid, dominance_grid
 from udom.model import FrontierStack
 
 
-def min_dist_1d(a: Interval, r: float) -> float:
-    """Distance from point r to the nearest point of interval a (0 if inside)."""
-    return max(a.lo - r, r - a.hi, 0.0)
+def min_dist_1d(lo: float, hi: float, r: float) -> float:
+    """Distance from point r to the nearest point of [lo, hi] (0 if inside)."""
+    return max(lo - r, r - hi, 0.0)
 
 
-def max_dist_1d(a: Interval, r: float) -> float:
-    """Distance from point r to the farthest point of interval a."""
-    return max(r - a.lo, a.hi - r)
+def max_dist_1d(lo: float, hi: float, r: float) -> float:
+    """Distance from point r to the farthest point of [lo, hi]."""
+    return max(r - lo, hi - r)
+
+
+def dominates_optimal(a: Rect, b: Rect, r: Rect, p: float = 2.0) -> bool:
+    """The engine's corner-wise `dominance_grid` for one (a, b) pair under r."""
+    return bool(dominance_grid(a.lo[None], a.hi[None], b.lo[None], b.hi[None], r.lo, r.hi, p)[0, 0])
+
+
+def dominates_minmax(a: Rect, b: Rect, r: Rect, p: float = 2.0) -> bool:
+    """The engine's min/max `dominance_grid` for one (a, b) pair under r."""
+    return bool(dominance_grid(a.lo[None], a.hi[None], b.lo[None], b.hi[None], r.lo, r.hi, p, "minmax")[0, 0])
 
 
 def dominates_optimal_loop(a: Rect, b: Rect, r: Rect, p: float = 2.0) -> bool:
@@ -92,13 +108,97 @@ def pdom_bounds_loop(a, b_rect: Rect, r_rect: Rect, p: float = 2.0, depth: int =
     lb = 0.0
     dominated_mass = 0.0
     for lo, hi, mass in zip(f.lo, f.hi, f.mass.tolist()):
-        node = Rect.from_bounds(lo, hi)
+        node = Rect(lo, hi)
         if dominates_optimal_loop(node, b_rect, r_rect, p):
             lb += mass
         elif dominates_optimal_loop(b_rect, node, r_rect, p):
             dominated_mass += mass
     lb = min(lb, 1.0)
     return lb, max(min(1.0 - dominated_mass, 1.0), lb)
+
+
+@dataclass(frozen=True)
+class UGFPoly:
+    """Sparse bivariate polynomial keyed by (x-degree, y-degree)."""
+
+    coeffs: dict
+    n_factors: int
+
+    def coefficient(self, i: int, j: int) -> float:
+        return self.coeffs.get((i, j), 0.0)
+
+    def total_mass(self) -> float:
+        return float(sum(self.coeffs.values()))
+
+
+def _multiply_factor(coeffs, x, y, z, truncate_at):
+    """One incremental step F^l = F^(l-1) * (x*X + y*Y + z).
+
+    Source keys are visited in sorted order so accumulation is deterministic.
+    With truncation k, targets with x-degree >= k are dropped and targets with
+    total degree > k are merged into the bucket (i, k + 1 - i); bucketed mass
+    only ever influences upper bounds for counts < k, where any representative
+    with total degree > k acts identically.
+    """
+    out: dict = {}
+    for key in sorted(coeffs):
+        v = coeffs[key]
+        i, j = key
+        for di, dj, f in ((1, 0, x), (0, 1, y), (0, 0, z)):
+            if f == 0.0:
+                continue
+            ti, tj = i + di, j + dj
+            if truncate_at is not None:
+                if ti >= truncate_at:
+                    continue
+                if ti + tj > truncate_at:
+                    tj = truncate_at + 1 - ti
+            out[(ti, tj)] = out.get((ti, tj), 0.0) + v * f
+    return out
+
+
+def ugf_expand(bounds, truncate_at: Optional[int] = None) -> UGFPoly:
+    """The product of p_lb*x + (p_ub - p_lb)*y + (1 - p_ub) over the
+    (p_lb, p_ub) pairs, one factor at a time.
+
+    With ``truncate_at = k`` the result is only meaningful for counts below k:
+    extracted bounds for those counts match the untruncated expansion, and the
+    number of stored coefficients stays O(k^2) per step.
+    """
+    bounds = list(bounds)
+    coeffs = {(0, 0): 1.0}
+    for lb, ub in bounds:
+        coeffs = _multiply_factor(coeffs, lb, ub - lb, 1.0 - ub, truncate_at)
+    return UGFPoly(coeffs=coeffs, n_factors=len(bounds))
+
+
+def extract_bounds(poly: UGFPoly, n: Optional[int] = None) -> DomCountDistribution:
+    """Count bounds for counts 0..n: lb[k] = c[k, 0] and ub[k] sums c[i, j]
+    over i <= k <= i + j.  A truncated polynomial has valid bounds only for
+    counts below the truncation point."""
+    if n is None:
+        n = poly.n_factors
+    items = sorted(poly.coeffs.items())
+    lb = np.zeros(n + 1)
+    ub = np.zeros(n + 1)
+    for k in range(n + 1):
+        lb[k] = poly.coeffs.get((k, 0), 0.0)
+        ub[k] = sum(v for (i, j), v in items if i <= k <= i + j)
+    return DomCountDistribution(lb, ub)
+
+
+def gf_bounds_plain(bounds) -> DomCountDistribution:
+    """Count bounds from two plain univariate products instead of one UGF.
+
+    The lower product prod(p_lb*x + (1 - p_ub)) gives exactly the UGF lower
+    bounds.  The upper product prod(p_ub*x + (1 - p_lb)) double-counts the
+    unresolved fraction on both sides, so its coefficients are valid but in
+    general looser than the UGF upper bounds (and may exceed 1 on very wide
+    bounds; such values are kept raw, not clamped).
+    """
+    plb = np.array([lb for lb, _ in bounds], dtype=float)
+    pub = np.array([ub for _, ub in bounds], dtype=float)
+    return DomCountDistribution(_gf_affine(plb, 1.0 - pub), _gf_affine(pub, 1.0 - plb))
 
 
 def ugf_expand_batch_dense(plb: np.ndarray, pub: np.ndarray) -> np.ndarray:
@@ -122,7 +222,7 @@ def ugf_expand_batch_dense(plb: np.ndarray, pub: np.ndarray) -> np.ndarray:
 
 
 def extract_batch_loop(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batch form of extract_bounds over dense grids from ugf_expand_batch_dense."""
+    """`extract_bounds` for every row of dense grids from ugf_expand_batch_dense."""
     rows, size, _ = f.shape
     lb = f[:, :, 0].copy()
     csum = f.cumsum(axis=2)

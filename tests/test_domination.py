@@ -1,11 +1,7 @@
+import numpy as np
 import pytest
 
-from udom.domination import (
-    ProbBounds,
-    classify,
-    pdom_bounds,
-    pdom_bounds_grid,
-)
+from udom.domination import ProbBounds, classify, pdom_bounds_grid
 from udom.geometry import Rect
 from udom.model import FrontierStack, build_object
 
@@ -15,6 +11,14 @@ from reference import pdom_bounds_loop, pdom_bounds_stacked
 
 def point_obj(obj_id, xy):
     return build_object(obj_id, [(xy, 1.0)])
+
+
+def pdom_bounds(a, b_rect, r_rect, p=2.0, depth=1):
+    """`pdom_bounds_grid` for candidate `a` at `depth` against one fixed
+    (b-node, r-node) pair, as one ProbBounds."""
+    b, r = (FrontierStack(x.lo[None], x.hi[None], np.ones(1), np.arange(2)) for x in (b_rect, r_rect))
+    lb, ub = pdom_bounds_grid(FrontierStack.of([a.leaves_at_depth(depth)]), b, r, p)
+    return ProbBounds(float(lb[0, 0, 0]), float(ub[0, 0, 0]))
 
 
 def test_probbounds_validation():
@@ -184,6 +188,7 @@ def test_classification_consistent_with_depth_one_bounds(rng):
 
 
 def test_pdom_bounds_grid_matches_scalar(rng):
+    """Every (b-node, r-node) cell equals the scalar per-node loop."""
     for _ in range(25):
         a = random_object(rng, "a", max_samples=8, spread=1.0)
         b = random_object(rng, "b", max_samples=4, spread=1.0)
@@ -195,11 +200,8 @@ def test_pdom_bounds_grid_matches_scalar(rng):
         assert lb.shape == ub.shape == (1, len(bf), len(rf))
         for i in range(len(bf)):
             for j in range(len(rf)):
-                b_rect = Rect.from_bounds(bf.lo[i], bf.hi[i])
-                r_rect = Rect.from_bounds(rf.lo[j], rf.hi[j])
-                scalar = pdom_bounds(a, b_rect, r_rect, depth=depth)
-                assert lb[0, i, j] == pytest.approx(scalar.lb, abs=1e-12)
-                assert ub[0, i, j] == pytest.approx(scalar.ub, abs=1e-12)
+                b_rect = Rect(bf.lo[i], bf.hi[i])
+                r_rect = Rect(rf.lo[j], rf.hi[j])
                 loop_lb, loop_ub = pdom_bounds_loop(a, b_rect, r_rect, depth=depth)
                 assert lb[0, i, j] == pytest.approx(loop_lb, abs=1e-12)
                 assert ub[0, i, j] == pytest.approx(loop_ub, abs=1e-12)

@@ -3,22 +3,17 @@ import itertools
 import numpy as np
 import pytest
 
-from udom.genfunc import (
-    BernoulliBounds,
-    DomCountDistribution,
+from udom.genfunc import _extract_batch, _ugf_expand_batch, gf_exact
+
+from reference import (
     UGFPoly,
-    _extract_batch,
     _multiply_factor,
-    _ugf_expand_batch,
+    extract_batch_loop,
     extract_bounds,
     gf_bounds_plain,
-    gf_exact,
-    shift_right,
     ugf_expand,
-    weighted_mix,
+    ugf_expand_batch_dense,
 )
-
-from reference import extract_batch_loop, ugf_expand_batch_dense
 
 WORKED_PROBS = [0.2, 0.1, 0.3]
 WORKED_BOUNDS = [(0.2, 0.7), (0.6, 0.8)]
@@ -122,7 +117,8 @@ def test_gf_exact_validates():
 
 
 # ---------------------------------------------------------------------------
-# ugf_expand / extract_bounds
+# ugf_expand / extract_bounds: the sparse oracle the batch kernels are
+# tested against
 # ---------------------------------------------------------------------------
 
 
@@ -211,17 +207,8 @@ def test_extract_bounds_sandwich_over_resolutions(rng):
             assert (pdf <= dist.ub + 1e-9).all()
 
 
-def test_ugf_invalid_bounds():
-    with pytest.raises(ValueError):
-        ugf_expand([(0.5, 0.2)])
-    with pytest.raises(ValueError):
-        ugf_expand([(-0.1, 0.5)])
-    with pytest.raises(ValueError):
-        ugf_expand([(0.1, 0.5)], truncate_at=0)
-
-
 # ---------------------------------------------------------------------------
-# plain-GF route
+# plain-GF route (a looser oracle)
 # ---------------------------------------------------------------------------
 
 
@@ -267,75 +254,26 @@ def test_plain_tight_bounds_coincide(rng):
 
 
 # ---------------------------------------------------------------------------
-# weighted_mix / shift_right
+# mixing
 # ---------------------------------------------------------------------------
-
-
-def _dist(lb, ub):
-    return DomCountDistribution(np.asarray(lb, float), np.asarray(ub, float))
-
-
-def test_weighted_mix_identity():
-    d = _dist([0.2, 0.3], [0.4, 0.6])
-    out = weighted_mix([(d, 1.0)])
-    np.testing.assert_allclose(out.lb, d.lb)
-    np.testing.assert_allclose(out.ub, d.ub)
-
-
-def test_weighted_mix_two_identical_halves():
-    d = _dist([0.2, 0.3], [0.4, 0.6])
-    out = weighted_mix([(d, 0.5), (d, 0.5)])
-    np.testing.assert_allclose(out.lb, d.lb)
-    np.testing.assert_allclose(out.ub, d.ub)
-
-
-def test_weighted_mix_validates():
-    d = _dist([0.5], [0.5])
-    with pytest.raises(ValueError):
-        weighted_mix([(d, 0.6), (d, 0.6)])
-    with pytest.raises(ValueError):
-        weighted_mix([(d, 0.5), (_dist([0.1, 0.1], [0.2, 0.2]), 0.5)])
-    with pytest.raises(ValueError):
-        weighted_mix([])
 
 
 def test_weighted_mix_contains_mixed_exact_pdfs(rng):
-    """Mixing bound pairs keeps any mixture of compatible exact PDFs inside."""
+    """Mixing the batch kernels' bound rows by weight, as the engine mixes
+    node pairs, keeps any mixture of compatible exact PDFs inside."""
     for _ in range(50):
         n = 3
-        parts = []
-        true_parts = []
         w = rng.dirichlet(np.ones(3))
-        for wi in w:
-            bounds = random_bounds(rng, n)
-            parts.append((extract_bounds(ugf_expand(bounds)), wi))
-            probs = [rng.uniform(lo, hi) for lo, hi in bounds]
-            true_parts.append(gf_exact(probs))
-        mixed = weighted_mix(parts)
-        true_mix = sum(wi * pdf for wi, pdf in zip(w, true_parts))
-        assert (true_mix >= mixed.lb - 1e-9).all()
-        assert (true_mix <= mixed.ub + 1e-9).all()
-
-
-def test_shift_right_identity_and_move():
-    d = _dist([0.5, 0.0, 0.0, 0.0], [0.5, 0.0, 0.0, 0.0])
-    same = shift_right(d, 0)
-    np.testing.assert_allclose(same.lb, d.lb)
-    moved = shift_right(d, 3)
-    np.testing.assert_allclose(moved.lb, [0.0, 0.0, 0.0, 0.5])
-    np.testing.assert_allclose(moved.ub, [0.0, 0.0, 0.0, 0.5])
-
-
-def test_shift_right_overflow():
-    d = _dist([0.0, 0.5], [0.0, 0.5])
-    with pytest.raises(ValueError):
-        shift_right(d, 1)
-    with pytest.raises(ValueError):
-        shift_right(d, 5)
+        lo = rng.uniform(0, 1, size=(3, n))
+        hi = lo + rng.uniform(0, 1, size=(3, n)) * (1 - lo)
+        row_lb, row_ub = _extract_batch(_ugf_expand_batch(lo, hi), n)
+        true_mix = sum(wi * gf_exact(rng.uniform(l, h)) for wi, l, h in zip(w, lo, hi))
+        assert (true_mix >= w @ row_lb - 1e-9).all()
+        assert (true_mix <= np.minimum(w @ row_ub, 1.0) + 1e-9).all()
 
 
 # ---------------------------------------------------------------------------
-# truncation
+# truncation (the sparse oracle's k-truncation)
 # ---------------------------------------------------------------------------
 
 
@@ -422,7 +360,3 @@ def test_batch_kernels_match_dense_reference(rng):
             assert g.shape == (rows, n + 1)
             assert g.tobytes() == w.tobytes()
 
-
-def test_bernoulli_bounds_tuple_interface():
-    poly = ugf_expand([BernoulliBounds(0.2, 0.7), (0.6, 0.8)])
-    assert poly.n_factors == 2

@@ -1,20 +1,13 @@
 import numpy as np
 import pytest
 
-from udom.geometry import (
-    Interval,
-    Rect,
-    _optimal_values_grid,
-    dominance_grid,
-    dominates_minmax,
-    dominates_optimal,
-    rect_max_dist,
-    rect_min_dist,
-)
+from udom.geometry import Rect, _optimal_values_grid, check_norm_order, dominance_grid, rect_min_dist
 
 from conftest import make_rect, shrink_rect
 from reference import (
+    dominates_minmax,
     dominates_minmax_loop,
+    dominates_optimal,
     dominates_optimal_loop,
     max_dist_1d,
     min_dist_1d,
@@ -29,15 +22,15 @@ def grid_points(rect, res=10):
 
 
 def test_min_dist_1d_examples():
-    assert min_dist_1d(Interval(2, 4), 3) == 0
-    assert min_dist_1d(Interval(2, 4), 5) == 1
-    assert min_dist_1d(Interval(2, 4), 0) == 2
+    assert min_dist_1d(2, 4, 3) == 0
+    assert min_dist_1d(2, 4, 5) == 1
+    assert min_dist_1d(2, 4, 0) == 2
 
 
 def test_max_dist_1d_examples():
-    assert max_dist_1d(Interval(2, 4), 3) == 1
-    assert max_dist_1d(Interval(2, 4), 5) == 3
-    assert max_dist_1d(Interval(2, 2), 7) == 5
+    assert max_dist_1d(2, 4, 3) == 1
+    assert max_dist_1d(2, 4, 5) == 3
+    assert max_dist_1d(2, 2, 7) == 5
 
 
 @pytest.mark.xfail(
@@ -47,63 +40,66 @@ def test_max_dist_1d_examples():
     "is at distance 1, not 2 (asserted in test_max_dist_1d_examples)",
 )
 def test_max_dist_1d_inconsistent_reference_digit():
-    assert max_dist_1d(Interval(2, 4), 3) == 2
+    assert max_dist_1d(2, 4, 3) == 2
 
 
 def test_min_le_max(rng):
     for _ in range(500):
         lo, hi = np.sort(rng.uniform(-10, 10, 2))
         r = rng.uniform(-12, 12)
-        iv = Interval(lo, hi)
-        assert min_dist_1d(iv, r) <= max_dist_1d(iv, r)
+        assert min_dist_1d(lo, hi, r) <= max_dist_1d(lo, hi, r)
 
 
 def test_interval_validation():
+    """A one-dimensional Rect is a closed interval; a point is a legal one."""
     with pytest.raises(ValueError):
-        Interval(2, 1)
+        Rect([2], [1])
     with pytest.raises(ValueError):
-        Interval(0, float("nan"))
-    assert Interval(3, 3).length == 0  # points are legal intervals
+        Rect([0], [float("nan")])
+    assert Rect([3], [3]).is_degenerate
 
 
 def test_rect_validation():
     with pytest.raises(ValueError):
-        Rect.from_bounds([0, 0], [1])
+        Rect([0, 0], [1])
     with pytest.raises(ValueError):
-        Rect.from_bounds([2], [1])
+        Rect([], [])
     with pytest.raises(ValueError):
-        Rect([])
-    r = Rect([Interval(0, 1), Interval(2, 3)])
-    assert r.ndim == 2 and r.dims[1] == Interval(2, 3)
+        Rect([[0, 1]], [[1, 2]])
+    lo = np.array([0.0, 2.0])
+    r = Rect(lo, [1, 3])
+    lo[0] = 9.0  # the box holds its own read-only copy
+    assert r.ndim == 2 and r.lo.tolist() == [0.0, 2.0] and r.hi.tolist() == [1.0, 3.0]
+    with pytest.raises(ValueError):
+        r.lo[0] = 1.0
 
 
 def test_optimal_point_objects():
-    a = Rect.from_point([0.0, 0.0])
-    b = Rect.from_point([10.0, 10.0])
-    r = Rect.from_point([1.0, 1.0])
+    a = Rect([0.0, 0.0], [0.0, 0.0])
+    b = Rect([10.0, 10.0], [10.0, 10.0])
+    r = Rect([1.0, 1.0], [1.0, 1.0])
     assert dominates_optimal(a, b, r, 2.0)
     assert not dominates_optimal(b, a, r, 2.0)
 
 
 def test_optimal_never_self_dominates():
-    a = Rect.from_bounds([0.0, 0.0], [2.0, 1.0])
-    r = Rect.from_bounds([4.0, 4.0], [5.0, 5.0])
+    a = Rect([0.0, 0.0], [2.0, 1.0])
+    r = Rect([4.0, 4.0], [5.0, 5.0])
     assert not dominates_optimal(a, a, r, 2.0)
 
 
 def test_dimension_mismatch_raises():
-    a = Rect.from_point([0.0, 0.0])
-    b = Rect.from_point([1.0])
     with pytest.raises(ValueError):
-        dominates_optimal(a, b, a, 2.0)
-    with pytest.raises(ValueError):
-        dominates_minmax(a, b, a, 2.0)
+        rect_min_dist(Rect([0.0, 0.0], [0.0, 0.0]), Rect([1.0], [1.0]), 2.0)
 
 
 def test_norm_order_validated():
-    a = Rect.from_point([0.0])
-    with pytest.raises(ValueError):
-        dominates_optimal(a, a, a, 0.5)
+    a = Rect([0.0], [0.0])
+    for p in (0.5, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            check_norm_order(p)
+        with pytest.raises(ValueError):
+            rect_min_dist(a, a, p)
 
 
 def test_optimal_conservative_against_grid_oracle(rng):
@@ -115,8 +111,8 @@ def test_optimal_conservative_against_grid_oracle(rng):
         r = make_rect(rng, max_side=1.0)
         if rng.uniform() < 0.5:
             # Bias towards decided cases: pull a next to r, push b away.
-            a = Rect.from_bounds(r.lo - 0.3, r.hi + 0.3)
-            b = Rect.from_bounds(b.lo + 6.0, b.hi + 6.0)
+            a = Rect(r.lo - 0.3, r.hi + 0.3)
+            b = Rect(b.lo + 6.0, b.hi + 6.0)
         if not dominates_optimal(a, b, r, 2.0):
             continue
         fired += 1
@@ -129,15 +125,15 @@ def test_optimal_conservative_against_grid_oracle(rng):
 
 
 def test_minmax_examples():
-    a = Rect.from_point([0.0, 0.0])
-    b = Rect.from_point([10.0, 10.0])
-    r = Rect.from_point([1.0, 1.0])
+    a = Rect([0.0, 0.0], [0.0, 0.0])
+    b = Rect([10.0, 10.0], [10.0, 10.0])
+    r = Rect([1.0, 1.0], [1.0, 1.0])
     assert dominates_minmax(a, b, r, 2.0)
     # Overlapping distance ranges in 1d: MaxDist(a, r) = 2.5 > MinDist(b, r) = 0.
     assert not dominates_minmax(
-        Rect.from_bounds([0.0], [1.0]),
-        Rect.from_bounds([2.0], [3.0]),
-        Rect.from_bounds([0.5], [2.5]),
+        Rect([0.0], [1.0]),
+        Rect([2.0], [3.0]),
+        Rect([0.5], [2.5]),
         1.0,
     )
 
@@ -147,8 +143,8 @@ def test_minmax_implies_optimal(rng):
     for _ in range(10_000):
         a, b, r = (make_rect(rng, max_side=1.0) for _ in range(3))
         if rng.uniform() < 0.4:
-            a = Rect.from_bounds(r.lo - 0.2, r.hi + 0.2)
-            b = Rect.from_bounds(b.lo + 5.0, b.hi + 5.0)
+            a = Rect(r.lo - 0.2, r.hi + 0.2)
+            b = Rect(b.lo + 5.0, b.hi + 5.0)
         if dominates_minmax(a, b, r, 2.0):
             hits += 1
             assert dominates_optimal(a, b, r, 2.0)
@@ -157,9 +153,9 @@ def test_minmax_implies_optimal(rng):
 
 def test_optimal_strictly_tighter_fixture():
     """A 1d case the baseline misses: the reference couples both distances."""
-    a = Rect.from_bounds([4.0], [6.0])
-    b = Rect.from_bounds([11.0], [12.0])
-    r = Rect.from_bounds([0.0], [7.0])
+    a = Rect([4.0], [6.0])
+    b = Rect([11.0], [12.0])
+    r = Rect([0.0], [7.0])
     assert dominates_optimal(a, b, r, 2.0)
     assert not dominates_minmax(a, b, r, 2.0)
 
@@ -174,9 +170,9 @@ def test_shrinking_monotonicity(rng):
     checked = 0
     for _ in range(5000):
         r = make_rect(rng, max_side=1.0)
-        a = Rect.from_bounds(r.lo - rng.uniform(0, 0.5), r.hi + rng.uniform(0, 0.5))
+        a = Rect(r.lo - rng.uniform(0, 0.5), r.hi + rng.uniform(0, 0.5))
         shiftdir = rng.uniform(3.0, 8.0, size=2)
-        b = Rect.from_bounds(a.lo + shiftdir, a.hi + shiftdir)
+        b = Rect(a.lo + shiftdir, a.hi + shiftdir)
         if not dominates_optimal(a, b, r, 2.0):
             continue
         checked += 1
@@ -188,25 +184,22 @@ def test_shrinking_monotonicity(rng):
 def test_point_collapse(rng):
     for _ in range(2000):
         pa, pb, pr = rng.uniform(-5, 5, size=(3, 2))
-        a, b, r = Rect.from_point(pa), Rect.from_point(pb), Rect.from_point(pr)
+        a, b, r = Rect(pa, pa), Rect(pb, pb), Rect(pr, pr)
         expected = ((pa - pr) ** 2).sum() < ((pb - pr) ** 2).sum()
         assert dominates_optimal(a, b, r, 2.0) == expected
 
 
 def test_rect_distances():
-    a = Rect.from_bounds([0.0, 0.0], [1.0, 1.0])
-    b = Rect.from_bounds([4.0, 1.0], [5.0, 2.0])
+    a = Rect([0.0, 0.0], [1.0, 1.0])
+    b = Rect([4.0, 1.0], [5.0, 2.0])
     assert rect_min_dist(a, b, 2.0) == pytest.approx(3.0)
-    assert rect_max_dist(a, b, 2.0) == pytest.approx(np.sqrt(25 + 4))
+    assert rect_min_dist(a, b, 1.0) == pytest.approx(3.0)
     assert rect_min_dist(a, a, 2.0) == 0.0
 
 
 def test_dominance_grid_matches_scalars(rng):
-    cases = (
-        ("optimal", dominates_optimal, dominates_optimal_loop),
-        ("minmax", dominates_minmax, dominates_minmax_loop),
-    )
-    for criterion, scalar, loop in cases:
+    """Every cell of the kernel's (m, n) matrix equals the scalar loop."""
+    for criterion, loop in (("optimal", dominates_optimal_loop), ("minmax", dominates_minmax_loop)):
         for _ in range(50):
             m, n = rng.integers(1, 6, size=2)
             a = [make_rect(rng) for _ in range(m)]
@@ -224,7 +217,7 @@ def test_dominance_grid_matches_scalars(rng):
             )
             for i in range(m):
                 for j in range(n):
-                    assert grid[i, j] == scalar(a[i], b[j], r, 2.0) == loop(a[i], b[j], r, 2.0)
+                    assert grid[i, j] == loop(a[i], b[j], r, 2.0)
 
 
 def _kernel_boxes(rng, k, d):

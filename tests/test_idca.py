@@ -4,21 +4,14 @@ import importlib
 import numpy as np
 import pytest
 
-from udom.domination import classify, pdom_bounds
-from udom.genfunc import (
-    DomCountDistribution,
-    extract_bounds,
-    gf_exact,
-    shift_right,
-    ugf_expand,
-    weighted_mix,
-)
+from udom.domination import classify
+from udom.genfunc import DomCountDistribution, gf_exact
 from udom.geometry import Rect
 from udom.idca import (
-    AllOf,
     AnyOf,
     MaxDepth,
     PredicateDecided,
+    StopCriterion,
     UncertaintyBelow,
     idca,
     uncertainty,
@@ -27,7 +20,7 @@ from udom.model import build_object
 from udom.oracle import enumerate_exact
 
 from conftest import random_instance
-from reference import evaluate_depth_dense, pdom_bounds_stacked
+from reference import evaluate_depth_dense, extract_bounds, pdom_bounds_loop, pdom_bounds_stacked, ugf_expand
 
 FULL = AnyOf([MaxDepth(12), UncertaintyBelow(0.0)])
 
@@ -91,8 +84,9 @@ def test_oracle_sandwich_monotone_and_convergence(rng):
 
 
 def test_engine_matches_public_operations(rng):
-    """One refinement sweep recomputed from the public pieces: per-pair
-    candidate bounds -> UGF -> extraction -> mass-weighted mix -> shift."""
+    """One refinement sweep recomputed from the reference pieces: per-pair
+    scalar candidate bounds -> sparse UGF -> extraction -> mass-weighted sum
+    -> shift by the certain-dominator count."""
     for _ in range(10):
         db, b, r = random_instance(rng, n_objects=5)
         depth = 3
@@ -102,22 +96,20 @@ def test_engine_matches_public_operations(rng):
         cands = [by_id[i] for i in cls.influence_objects]
         if not cands:
             continue
-        parts = []
+        counts = slice(cls.complete_domination_count, cls.complete_domination_count + len(cands) + 1)
+        lb = np.zeros(len(db))
+        ub = np.zeros(len(db))
         bf, rf = b.leaves_at_depth(depth), r.leaves_at_depth(depth)
         for i in range(len(bf)):
             for j in range(len(rf)):
-                b_rect = Rect.from_bounds(bf.lo[i], bf.hi[i])
-                r_rect = Rect.from_bounds(rf.lo[j], rf.hi[j])
-                bounds = [pdom_bounds(a, b_rect, r_rect, depth=depth) for a in cands]
-                dist = extract_bounds(ugf_expand([(pb.lb, pb.ub) for pb in bounds]))
-                lb = np.zeros(len(db))
-                ub = np.zeros(len(db))
-                lb[: len(cands) + 1] = dist.lb
-                ub[: len(cands) + 1] = dist.ub
-                parts.append((DomCountDistribution(lb, ub), bf.mass[i] * rf.mass[j]))
-        manual = shift_right(weighted_mix(parts), cls.complete_domination_count)
-        np.testing.assert_allclose(res.distribution.lb, manual.lb, atol=1e-9)
-        np.testing.assert_allclose(res.distribution.ub, manual.ub, atol=1e-9)
+                b_rect = Rect(bf.lo[i], bf.hi[i])
+                r_rect = Rect(rf.lo[j], rf.hi[j])
+                bounds = [pdom_bounds_loop(a, b_rect, r_rect, depth=depth) for a in cands]
+                dist = extract_bounds(ugf_expand(bounds))
+                lb[counts] += bf.mass[i] * rf.mass[j] * dist.lb
+                ub[counts] += bf.mass[i] * rf.mass[j] * dist.ub
+        np.testing.assert_allclose(res.distribution.lb, lb, atol=1e-9)
+        np.testing.assert_allclose(res.distribution.ub, np.minimum(ub, 1.0), atol=1e-9)
 
 
 def test_database_is_validated_once_per_call(rng, monkeypatch):
@@ -266,7 +258,12 @@ def test_stop_criteria_basics(rng):
     assert res3.iterations_run <= 3
     res_eps = idca(db, b, r, stop=UncertaintyBelow(0.5))
     assert res_eps.uncertainty_trace[-1] <= 0.5 or res_eps.stop_reason != "criterion"
-    combined = idca(db, b, r, stop=AllOf([MaxDepth(2), UncertaintyBelow(10.0)]))
+
+    class AllOf(StopCriterion):
+        def should_stop(self, depth, dist):
+            return MaxDepth(2).should_stop(depth, dist) and UncertaintyBelow(10.0).should_stop(depth, dist)
+
+    combined = idca(db, b, r, stop=AllOf())
     assert combined.iterations_run >= 2
 
 

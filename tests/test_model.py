@@ -365,6 +365,10 @@ def test_gaussian_csv_errors(tmp_path):
     path.write_text("a, 0.5, 0.5, 0.1, 0.1, 0\n")
     with pytest.raises(DatasetError, match="nsamples"):
         load_dataset(path, "gaussian-csv")
+    for row in ("b,nan,0.5,0.1,0.1,4", "b,0.5,0.5,inf,0.1,4", "b,0.5,-inf,0.1,0.1,4"):
+        path.write_text("a, 0.5, 0.5, 0.1, 0.1, 4\n" + row + "\n")
+        with pytest.raises(DatasetError, match="line 2: mean and sigma must be finite"):
+            load_dataset(path, "gaussian-csv")
 
 
 def test_load_unknown_format(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from udom.genfunc import DomCountDistribution, extract_bounds, gf_exact, ugf_expand
+from udom.genfunc import DomCountDistribution, gf_exact
 from udom.idca import AnyOf, MaxDepth, UncertaintyBelow, idca
 from udom.model import build_object
 from udom.oracle import enumerate_exact, mc_baseline
@@ -16,6 +16,7 @@ from udom.queries import (
 )
 
 from conftest import random_instance
+from reference import extract_bounds, ugf_expand
 
 FULL = AnyOf([MaxDepth(12), UncertaintyBelow(0.0)])
 
