@@ -16,16 +16,7 @@ from .model import (
 )
 from .domination import DominationClassification, ProbBounds, classify
 from .genfunc import DomCountDistribution, gf_exact
-from .idca import (
-    AnyOf,
-    IdcaResult,
-    MaxDepth,
-    PredicateDecided,
-    StopCriterion,
-    UncertaintyBelow,
-    idca,
-    uncertainty,
-)
+from .idca import IdcaResult, idca, uncertainty
 from .oracle import ExactPdf, WorldBudgetError, enumerate_exact, mc_baseline
 from .queries import (
     QueryAnswer,

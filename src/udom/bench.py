@@ -15,16 +15,7 @@ import numpy as np
 
 from .domination import others
 from .geometry import rect_min_dist
-from .idca import (
-    AnyOf,
-    MaxDepth,
-    PredicateDecided,
-    UncertaintyBelow,
-    idca,
-    uncertainty,
-    DEFAULT_MAX_DEPTH,
-    DEFAULT_PAIR_BUDGET,
-)
+from .idca import DEFAULT_MAX_DEPTH, DEFAULT_PAIR_BUDGET, idca, uncertainty
 from .model import UncertainObject, generate_synthetic, load_dataset
 from .oracle import mc_baseline
 from .queries import QueryPredicate, knn_probability_bounds
@@ -62,6 +53,8 @@ class BenchConfig:
     def __post_init__(self):
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
+        if self.target_rank < 1:
+            raise ValueError("target_rank must be >= 1")
         if self.mode not in ("full", "predicate"):
             raise ValueError(f"unknown bench mode {self.mode!r}")
 
@@ -75,6 +68,8 @@ class BenchConfig:
 
 def select_query_pair(db: Sequence[UncertainObject], rng, m: int):
     """Reference = random object; target = object with the m-th smallest MinDist."""
+    if m < 1:
+        raise ValueError("target rank m must be >= 1")
     ref = db[int(rng.integers(0, len(db)))]
     rest = others(db, ref)
     rest.sort(key=lambda o: (rect_min_dist(o.mbr, ref.mbr), str(o.id)))
@@ -95,7 +90,8 @@ def bench_pruning(config: BenchConfig) -> list[dict]:
                 target,
                 ref,
                 p=config.p,
-                stop=AnyOf([MaxDepth(config.max_depth), UncertaintyBelow(0.0)]),
+                max_depth=config.max_depth,
+                epsilon=0.0,
                 criterion=criterion,
                 pair_budget=config.pair_budget,
             )
@@ -126,7 +122,8 @@ def _runtime_rows_full(db, target, ref, query_idx, config) -> list[dict]:
         target,
         ref,
         p=config.p,
-        stop=AnyOf([MaxDepth(config.max_depth), UncertaintyBelow(0.0)]),
+        max_depth=config.max_depth,
+        epsilon=0.0,
         pair_budget=config.pair_budget,
         on_iteration=observe,
     )
@@ -166,13 +163,9 @@ def _runtime_rows_predicate(db, target, ref, query_idx, config) -> list[dict]:
         target,
         ref,
         p=config.p,
-        stop=AnyOf(
-            [
-                MaxDepth(config.max_depth),
-                UncertaintyBelow(0.0),
-                PredicateDecided(predicate.decide),
-            ]
-        ),
+        max_depth=config.max_depth,
+        epsilon=0.0,
+        decide=predicate.decide,
         pair_budget=config.pair_budget,
     )
     wall = time.perf_counter() - t0

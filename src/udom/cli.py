@@ -14,7 +14,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import bench as bench_mod
-from .idca import DEFAULT_MAX_DEPTH, DEFAULT_PAIR_BUDGET, AnyOf, MaxDepth, UncertaintyBelow
+from .idca import DEFAULT_MAX_DEPTH, DEFAULT_PAIR_BUDGET
 from .model import (
     UncertainObject,
     build_object,
@@ -175,15 +175,14 @@ def _resolve_object(spec, db: list[UncertainObject], label: str) -> UncertainObj
     raise ValueError(f"--{label}: no object with id {spec!r} in the dataset")
 
 
-def _stop_from_args(args):
-    criteria = [MaxDepth(args.max_depth)]
-    if getattr(args, "epsilon", None) is not None:
-        criteria.append(UncertaintyBelow(args.epsilon))
-    return AnyOf(criteria) if len(criteria) > 1 else criteria[0]
-
-
 def _engine_kwargs(args):
-    return {"p": args.p, "criterion": args.criterion, "pair_budget": args.pair_budget}
+    return {
+        "p": args.p,
+        "max_depth": args.max_depth,
+        "epsilon": args.epsilon,
+        "criterion": args.criterion,
+        "pair_budget": args.pair_budget,
+    }
 
 
 def _emit(payload: dict, out: Optional[str]):
@@ -204,12 +203,11 @@ def _cmd_generate(args) -> int:
 
 def _cmd_query(args) -> int:
     db = load_dataset(args.dataset, args.format, seed=args.seed)
-    stop = _stop_from_args(args)
     kwargs = _engine_kwargs(args)
     if args.query_kind in ("knn", "rknn"):
         q = _resolve_object(args.q, db, "q")
         run = pknn_query if args.query_kind == "knn" else prknn_query
-        answer = run(db, q, args.k, args.tau, stop=stop, **kwargs)
+        answer = run(db, q, args.k, args.tau, **kwargs)
         payload = {
             "query": args.query_kind,
             "k": args.k,
@@ -231,7 +229,7 @@ def _cmd_query(args) -> int:
     elif args.query_kind == "irank":
         b = _resolve_object(args.b, db, "b")
         r = _resolve_object(args.r, db, "r")
-        rank = inverse_ranking(db, b, r, stop=stop, **kwargs)
+        rank = inverse_ranking(db, b, r, **kwargs)
         payload = {
             "query": "irank",
             "b": str(b.id),
@@ -246,7 +244,7 @@ def _cmd_query(args) -> int:
         }
     else:  # erank
         q = _resolve_object(args.q, db, "q")
-        ranks = expected_rank(db, q, stop=stop, **kwargs)
+        ranks = expected_rank(db, q, **kwargs)
         payload = {
             "query": "erank",
             "results": [{"id": str(i), "lb": lo, "ub": hi} for i, lo, hi in ranks],

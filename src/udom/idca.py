@@ -9,7 +9,7 @@ generating function per (target-leaf, reference-leaf) pair from per-candidate
 domination bounds, mixes the per-pair count bounds with the pair masses, and
 shifts by the certain-dominator count.  Nested decompositions only tighten
 bounds, so lower bounds rise and upper bounds fall monotonically until a stop
-criterion fires, the pair budget would be exceeded, or every object is fully
+rule fires, the pair budget would be exceeded, or every object is fully
 separated (at which point the bounds are exact for discrete objects).
 """
 
@@ -26,11 +26,6 @@ from .geometry import check_norm_order
 from .model import FrontierStack, UncertainObject
 
 __all__ = [
-    "StopCriterion",
-    "MaxDepth",
-    "UncertaintyBelow",
-    "PredicateDecided",
-    "AnyOf",
     "IdcaResult",
     "idca",
     "uncertainty",
@@ -45,65 +40,6 @@ DEFAULT_PAIR_BUDGET = 1 << 16
 # sized for the worst case of a full (n+1)^2 grid per pair row; the grids
 # actually built are usually much smaller (`genfunc._ugf_expand_batch`).
 _BATCH_FLOAT_BUDGET = 1 << 24
-
-
-class StopCriterion:
-    def should_stop(self, depth: int, dist: DomCountDistribution) -> bool:
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class MaxDepth(StopCriterion):
-    """Stop once the decomposition frontier reaches `h` levels."""
-
-    h: int = DEFAULT_MAX_DEPTH
-
-    def __post_init__(self):
-        if self.h < 1:
-            raise ValueError("max depth must be >= 1")
-
-    def should_stop(self, depth, dist):
-        return depth >= self.h
-
-
-@dataclass(frozen=True)
-class UncertaintyBelow(StopCriterion):
-    """Stop once the summed bound width drops to `epsilon` or below."""
-
-    epsilon: float = 0.0
-
-    def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
-
-    def should_stop(self, depth, dist):
-        return uncertainty(dist) <= self.epsilon
-
-
-@dataclass(frozen=True)
-class PredicateDecided(StopCriterion):
-    """Stop once a decision function returns a non-None verdict.
-
-    The callable receives the current count distribution; because bounds only
-    tighten, any verdict reached early is the same verdict full refinement
-    would reach.
-    """
-
-    decide: Callable[[DomCountDistribution], Optional[object]]
-
-    def should_stop(self, depth, dist):
-        return self.decide(dist) is not None
-
-
-@dataclass(frozen=True)
-class AnyOf(StopCriterion):
-    criteria: tuple
-
-    def __init__(self, criteria):
-        object.__setattr__(self, "criteria", tuple(criteria))
-
-    def should_stop(self, depth, dist):
-        return any(c.should_stop(depth, dist) for c in self.criteria)
 
 
 @dataclass
@@ -176,7 +112,9 @@ def idca(
     b: UncertainObject,
     r: UncertainObject,
     p: float = 2.0,
-    stop: Optional[StopCriterion] = None,
+    max_depth: int = DEFAULT_MAX_DEPTH,
+    epsilon: Optional[float] = None,
+    decide: Optional[Callable[[DomCountDistribution], object]] = None,
     criterion: str = "optimal",
     pair_budget: int = DEFAULT_PAIR_BUDGET,
     on_iteration: Optional[Callable[[int, DomCountDistribution], None]] = None,
@@ -188,11 +126,21 @@ def idca(
     and `r` when it is a database object, are excluded from the candidate
     set by object identity (`others`), so db ids must be unique and an
     external object never excludes a database object that shares its id.
+
+    Refinement stops with reason "criterion" once the frontier reaches
+    `max_depth` levels, once the summed bound width (`uncertainty`) is at or
+    below `epsilon`, or once `decide(dist)` returns a verdict other than None.
+    A verdict reached early is the verdict full refinement would reach,
+    because bounds only tighten.  Full separation ("exhausted") and the pair
+    budget ("pair_budget") end every run, whatever the stop values.
     `on_iteration(depth, dist)` is invoked after each evaluation
     (progress/timing observation only).
     """
     p = check_norm_order(p)
-    stop = stop if stop is not None else MaxDepth(DEFAULT_MAX_DEPTH)
+    if max_depth < 1:
+        raise ValueError("max_depth must be >= 1")
+    if epsilon is not None and not epsilon >= 0:
+        raise ValueError("epsilon must be >= 0")
     if pair_budget < 1:
         raise ValueError("pair_budget must be >= 1")
 
@@ -207,14 +155,17 @@ def idca(
     history: list[DomCountDistribution] = []
     trace: list[float] = []
     depth = 1
-    reason = "criterion"
     while True:
         dist = _evaluate_depth(cands, b, r, depth, shift, n_total, p, criterion)
         history.append(dist)
         trace.append(uncertainty(dist))
         if on_iteration is not None:
             on_iteration(depth, dist)
-        if stop.should_stop(depth, dist):
+        if (
+            depth >= max_depth
+            or (epsilon is not None and trace[-1] <= epsilon)
+            or (decide is not None and decide(dist) is not None)
+        ):
             reason = "criterion"
             break
         participants = [b, r, *cands]

@@ -15,7 +15,7 @@ import numpy as np
 
 from .domination import ProbBounds, others
 from .genfunc import DomCountDistribution
-from .idca import AnyOf, IdcaResult, MaxDepth, PredicateDecided, StopCriterion, idca
+from .idca import IdcaResult, idca
 from .model import UncertainObject
 
 __all__ = [
@@ -99,8 +99,7 @@ def _per_target(
     db: Sequence[UncertainObject],
     q: UncertainObject,
     roles: str,
-    stop: Optional[StopCriterion],
-    engine_kwargs: dict,
+    **engine_kwargs,
 ) -> Iterator[tuple[UncertainObject, IdcaResult]]:
     """Run the engine once per database object other than q, in str(id) order.
 
@@ -109,14 +108,14 @@ def _per_target(
     """
     for target in sorted(others(db, q), key=lambda o: str(o.id)):
         b, r = (target, q) if roles == "knn" else (q, target)
-        yield target, idca(db, b, r, stop=stop, **engine_kwargs)
+        yield target, idca(db, b, r, **engine_kwargs)
 
 
-def _threshold_query(kind, db, q, k, tau, stop, engine_kwargs) -> QueryAnswer:
+def _threshold_query(kind, db, q, k, tau, engine_kwargs) -> QueryAnswer:
     predicate = QueryPredicate(kind, k, tau)
-    stop_all = AnyOf([PredicateDecided(predicate.decide), stop if stop is not None else MaxDepth()])
     answer = QueryAnswer(kind=kind, k=k, tau=tau)
-    for target, result in _per_target(db, q, kind, stop_all, engine_kwargs):
+    # An explicit keyword: a caller-supplied `decide` raises TypeError here.
+    for target, result in _per_target(db, q, kind, decide=predicate.decide, **engine_kwargs):
         bounds = knn_probability_bounds(result.distribution, k)
         verdict = predicate.decide(result.distribution) or "undecided"
         answer.decisions.append(
@@ -130,16 +129,16 @@ def pknn_query(
     q: UncertainObject,
     k: int,
     tau: float,
-    stop: Optional[StopCriterion] = None,
     **engine_kwargs,
 ) -> QueryAnswer:
     """All objects that are k-nearest neighbours of q with probability > tau.
 
     Each candidate target runs its own refinement, stopping as soon as the
-    threshold predicate is decided (or the supplied stop criterion fires).
-    Objects still undecided at termination are reported with their bounds.
+    threshold predicate is decided or another `idca` stop rule (`max_depth`,
+    `epsilon`, passed through `engine_kwargs`) fires.  Objects still
+    undecided at termination are reported with their bounds.
     """
-    return _threshold_query("knn", db, q, k, tau, stop, engine_kwargs)
+    return _threshold_query("knn", db, q, k, tau, engine_kwargs)
 
 
 def prknn_query(
@@ -147,7 +146,6 @@ def prknn_query(
     q: UncertainObject,
     k: int,
     tau: float,
-    stop: Optional[StopCriterion] = None,
     **engine_kwargs,
 ) -> QueryAnswer:
     """All objects having q among their k nearest neighbours with probability > tau.
@@ -155,7 +153,7 @@ def prknn_query(
     The roles swap: for target object B the engine bounds the count of objects
     dominating q w.r.t. reference B (candidates exclude both B and q).
     """
-    return _threshold_query("rknn", db, q, k, tau, stop, engine_kwargs)
+    return _threshold_query("rknn", db, q, k, tau, engine_kwargs)
 
 
 @dataclass
@@ -176,11 +174,10 @@ def inverse_ranking(
     db: Sequence[UncertainObject],
     b: UncertainObject,
     r: UncertainObject,
-    stop: Optional[StopCriterion] = None,
     **engine_kwargs,
 ) -> RankDistribution:
     """Distribution bounds of b's position in a distance ranking w.r.t. r."""
-    result = idca(db, b, r, stop=stop, **engine_kwargs)
+    result = idca(db, b, r, **engine_kwargs)
     dist = result.distribution
     n = len(dist)
     return RankDistribution(
@@ -221,11 +218,10 @@ def expected_rank_interval(dist: DomCountDistribution) -> tuple[float, float]:
 def expected_rank(
     db: Sequence[UncertainObject],
     q: UncertainObject,
-    stop: Optional[StopCriterion] = None,
     **engine_kwargs,
 ) -> list[tuple[object, float, float]]:
     """Per-object expected-rank intervals w.r.t. query q, in object-id order."""
     return [
         (target.id, *expected_rank_interval(result.distribution))
-        for target, result in _per_target(db, q, "knn", stop, engine_kwargs)
+        for target, result in _per_target(db, q, "knn", **engine_kwargs)
     ]

@@ -17,7 +17,7 @@ import pytest
 from udom.bench import BenchConfig, bench_pruning
 from udom.genfunc import gf_exact
 from udom.geometry import Rect, rect_min_dist
-from udom.idca import AnyOf, MaxDepth, UncertaintyBelow, idca
+from udom.idca import idca
 from udom.model import build_object, generate_synthetic
 from udom.oracle import enumerate_exact, mc_baseline
 from udom.queries import (
@@ -38,7 +38,7 @@ from reference import (
     ugf_expand,
 )
 
-FULL = AnyOf([MaxDepth(14), UncertaintyBelow(0.0)])
+FULL = dict(max_depth=14, epsilon=0.0)
 
 
 def brute_force_count_pdf(probs):
@@ -160,7 +160,7 @@ def test_c03_dependency_counterexample():
     exact = enumerate_exact(db, b, r)
     assert abs(exact.pdf[2] - 0.5) < 1e-9
     assert abs(exact.pdf[1] - 0.0) < 1e-9
-    res = idca(db, b, r, stop=FULL)
+    res = idca(db, b, r, **FULL)
     np.testing.assert_allclose(res.distribution.lb, exact.pdf, atol=1e-9)
     np.testing.assert_allclose(res.distribution.ub, exact.pdf, atol=1e-9)
     # The naive independent product would claim P(count=2) = 0.25.
@@ -180,7 +180,7 @@ def _run_sandwich_instances():
     for _ in range(100):
         db, b, r = random_tiny_instance(rng)
         exact = enumerate_exact(db, b, r).pdf
-        res = idca(db, b, r, stop=FULL)
+        res = idca(db, b, r, **FULL)
         runs.append((exact, res))
     return runs
 
@@ -348,14 +348,14 @@ def test_c09_query_level_agreement():
     for trial in range(3):
         db = generate_synthetic(20, 2, 0.25, 4, seed=90 + trial)
         q = build_object("q", [(p, 1.0) for p in rng.uniform(0.3, 0.7, size=(4, 2))])
-        knn = pknn_query(db, q, k, tau, stop=FULL)
+        knn = pknn_query(db, q, k, tau, **FULL)
         for decision in knn.decisions:
             target = next(o for o in db if o.id == decision.object_id)
             p_hat, se = _mc_knn_probability_and_se(db, target, q, k, samples, seed=trial)
             if abs(p_hat - tau) > 3 * se:
                 checked += 1
                 assert decision.decision == ("in" if p_hat > tau else "out")
-        rknn = prknn_query(db, q, k, tau, stop=FULL)
+        rknn = prknn_query(db, q, k, tau, **FULL)
         for decision in rknn.decisions:
             target = next(o for o in db if o.id == decision.object_id)
             p_hat, se = _mc_knn_probability_and_se(db, q, target, k, samples, seed=trial)
@@ -371,7 +371,7 @@ def test_c09_query_level_agreement():
         b = db[int(rng.integers(0, n))]
         r = build_object("r", [(p, 1.0) for p in rng.uniform(0, 1, size=(3, 2))])
         exact = enumerate_exact(db, b, r).pdf
-        rank = inverse_ranking(db, b, r, stop=FULL)
+        rank = inverse_ranking(db, b, r, **FULL)
         np.testing.assert_allclose(rank.lb, exact, atol=1e-6)
         np.testing.assert_allclose(rank.ub, exact, atol=1e-6)
         lo, hi = expected_rank_interval(rank.result.distribution)
@@ -394,13 +394,11 @@ def test_c10_early_termination_soundness():
         k = int(rng.integers(1, 4))
         tau = float(rng.uniform(0.1, 0.9))
         predicate = QueryPredicate("knn", k, tau)
-        from udom.idca import PredicateDecided
-
-        early = idca(db, b, r, stop=PredicateDecided(predicate.decide))
+        early = idca(db, b, r, max_depth=FULL["max_depth"], decide=predicate.decide)
         early_verdict = predicate.decide(early.distribution)
         if early_verdict is None:
-            continue  # ran to exhaustion without deciding; nothing to compare
-        full = idca(db, b, r, stop=FULL)
+            continue  # stopped without deciding; nothing to compare
+        full = idca(db, b, r, **FULL)
         full_verdict = predicate.decide(full.distribution)
         total += 1
         agreements += early_verdict == full_verdict

@@ -126,6 +126,10 @@ def test_query_epsilon_flag(tiny_dataset, capsys):
     payload = json.loads(capsys.readouterr().out)
     # A huge epsilon stops every refinement after the first sweep.
     assert all(e["iterations"] == 1 for e in payload["decisions"])
+    # A NaN epsilon would never fire; it is refused, not ignored.
+    rc = main(["query", "knn", "--dataset", str(tiny_dataset), "--q", "0.5,0.5", "--epsilon", "nan"])
+    assert rc == 1
+    assert "epsilon" in capsys.readouterr().err
 
 
 def test_cli_unknown_id_fails(tiny_dataset, capsys):
@@ -198,6 +202,9 @@ def test_select_query_pair_rule():
 
     dists = sorted(rect_min_dist(o.mbr, ref.mbr) for o in db if o is not ref)
     assert rect_min_dist(target.mbr, ref.mbr) == pytest.approx(dists[9])
+    # Rank 0 would index the farthest object.
+    with pytest.raises(ValueError):
+        select_query_pair(db, rng, m=0)
 
 
 def test_bench_pruning_rows(tmp_path):
@@ -270,8 +277,14 @@ def test_bench_cli_end_to_end(tmp_path):
     assert rows and set(rows[0]) == set(PRUNING_HEADER)
 
 
-def test_bench_config_validation():
+def test_bench_config_validation(tmp_path):
     with pytest.raises(ValueError):
         BenchConfig(repetitions=0)
     with pytest.raises(ValueError):
         BenchConfig(mode="fastest")
+    with pytest.raises(ValueError):
+        BenchConfig(target_rank=0)
+    rc = main(["bench", "pruning", "--n", "30", "--samples", "4", "--queries", "1",
+               "--target-rank", "0", "--out", str(tmp_path / "p.csv")])
+    assert rc == 1
+    assert not (tmp_path / "p.csv").exists()

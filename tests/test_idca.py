@@ -7,22 +7,15 @@ import pytest
 from udom.domination import classify
 from udom.genfunc import DomCountDistribution, gf_exact
 from udom.geometry import Rect
-from udom.idca import (
-    AnyOf,
-    MaxDepth,
-    PredicateDecided,
-    StopCriterion,
-    UncertaintyBelow,
-    idca,
-    uncertainty,
-)
+from udom.idca import idca, uncertainty
 from udom.model import build_object
 from udom.oracle import enumerate_exact
+from udom.queries import pknn_query, prknn_query
 
 from conftest import random_instance
 from reference import evaluate_depth_dense, extract_bounds, pdom_bounds_loop, pdom_bounds_stacked, ugf_expand
 
-FULL = AnyOf([MaxDepth(12), UncertaintyBelow(0.0)])
+FULL = dict(max_depth=12, epsilon=0.0)
 
 
 def point_obj(obj_id, xy):
@@ -41,7 +34,7 @@ def test_all_complete_dominators_concentrates_after_iteration_zero():
     r = point_obj("r", (0.0, 0.0))
     b = point_obj("b", (10.0, 0.0))
     db = [point_obj(f"o{i}", (0.1 * (i + 1), 0.0)) for i in range(4)] + [b]
-    res = idca(db, b, r, stop=MaxDepth(1))
+    res = idca(db, b, r, max_depth=1)
     assert res.iterations_run == 1
     expected = np.zeros(5)
     expected[4] = 1.0
@@ -53,7 +46,7 @@ def test_all_complete_dominators_concentrates_after_iteration_zero():
 
 def test_dependency_fixture_full_depth_exact():
     db, b, r = dependency_fixture()
-    res = idca(db, b, r, stop=FULL)
+    res = idca(db, b, r, **FULL)
     np.testing.assert_allclose(res.distribution.lb, [0.5, 0.0, 0.5], atol=1e-9)
     np.testing.assert_allclose(res.distribution.ub, [0.5, 0.0, 0.5], atol=1e-9)
     # Treating the two candidates as independent coin flips would yield 0.25
@@ -67,7 +60,7 @@ def test_oracle_sandwich_monotone_and_convergence(rng):
     for _ in range(40):
         db, b, r = random_instance(rng)
         exact = enumerate_exact(db, b, r).pdf
-        res = idca(db, b, r, stop=FULL)
+        res = idca(db, b, r, **FULL)
         prev = None
         for dist in res.history:
             assert (exact >= dist.lb - 1e-9).all()
@@ -90,7 +83,7 @@ def test_engine_matches_public_operations(rng):
     for _ in range(10):
         db, b, r = random_instance(rng, n_objects=5)
         depth = 3
-        res = idca(db, b, r, stop=MaxDepth(depth))
+        res = idca(db, b, r, max_depth=depth)
         cls = classify(db, b, r)
         by_id = {o.id: o for o in db}
         cands = [by_id[i] for i in cls.influence_objects]
@@ -129,7 +122,7 @@ def test_database_is_validated_once_per_call(rng, monkeypatch):
     db, b, r = random_instance(rng, n_objects=6)
     for target, size in ((b, len(db)), (point_obj("x", (0.5, 0.5)), len(db) + 1)):
         calls.clear()
-        res = idca(db, target, r, stop=MaxDepth(3))
+        res = idca(db, target, r, max_depth=3)
         assert calls == [len(db)]
         assert len(res.distribution) == size
 
@@ -163,7 +156,7 @@ def test_history_matches_per_candidate_reference(rng, monkeypatch, d):
         runs = []
         for pdom in (stacked, pdom_bounds_stacked):
             monkeypatch.setattr(engine, "pdom_bounds_grid", pdom)
-            runs.append(idca(db, b, r, p=p, stop=MaxDepth(6), criterion=criterion))
+            runs.append(idca(db, b, r, p=p, max_depth=6, criterion=criterion))
         got, want = runs
         assert got.stop_reason == want.stop_reason
         assert len(got.history) == len(want.history)
@@ -198,12 +191,12 @@ def test_multi_chunk_history_matches_dense_reference(rng, monkeypatch, d):
         budget = (n + 1) ** 2 * (1, 2, 4, 8)[trial % 4]
         monkeypatch.setattr(engine, "_BATCH_FLOAT_BUDGET", budget)
         calls.clear()
-        got = idca(db, b, r, p=p, stop=MaxDepth(6), criterion=criterion)
+        got = idca(db, b, r, p=p, max_depth=6, criterion=criterion)
         # More expansion calls than depths: some depth was split into chunks.
         split_runs += len(calls) > len(got.history)
         with monkeypatch.context() as m:
             m.setattr(engine, "_evaluate_depth", functools.partial(evaluate_depth_dense, budget=budget))
-            want = idca(db, b, r, p=p, stop=MaxDepth(6), criterion=criterion)
+            want = idca(db, b, r, p=p, max_depth=6, criterion=criterion)
         assert got.stop_reason == want.stop_reason
         assert len(got.history) == len(want.history)
         for g, w in zip(got.history, want.history):
@@ -226,7 +219,7 @@ def test_sandwich_other_norms_and_dimensions(rng, p, d):
     for _ in range(10):
         db, b, r = random_instance(rng, n_objects=5, d=d)
         exact = enumerate_exact(db, b, r, p=p).pdf
-        res = idca(db, b, r, p=p, stop=FULL)
+        res = idca(db, b, r, p=p, **FULL)
         for dist in res.history:
             assert (exact >= dist.lb - 1e-9).all()
             assert (exact <= dist.ub + 1e-9).all()
@@ -244,7 +237,7 @@ def test_equal_weight_convergence_depth(rng):
     b = db[0]
     r = build_object("r", [(p, 1.0) for p in rng.uniform(0, 1, size=(4, 2))])
     depth = int(np.ceil(np.log2(4))) + 1
-    res = idca(db, b, r, stop=MaxDepth(depth))
+    res = idca(db, b, r, max_depth=depth)
     assert res.uncertainty_trace[-1] <= 1e-9
     exact = enumerate_exact(db, b, r).pdf
     np.testing.assert_allclose(res.distribution.lb, exact, atol=1e-9)
@@ -252,19 +245,48 @@ def test_equal_weight_convergence_depth(rng):
 
 def test_stop_criteria_basics(rng):
     db, b, r = random_instance(rng, n_objects=5)
-    res1 = idca(db, b, r, stop=MaxDepth(1))
+    res1 = idca(db, b, r, max_depth=1)
     assert res1.iterations_run == 1
-    res3 = idca(db, b, r, stop=MaxDepth(3))
+    res3 = idca(db, b, r, max_depth=3)
     assert res3.iterations_run <= 3
-    res_eps = idca(db, b, r, stop=UncertaintyBelow(0.5))
+    res_eps = idca(db, b, r, max_depth=12, epsilon=0.5)
     assert res_eps.uncertainty_trace[-1] <= 0.5 or res_eps.stop_reason != "criterion"
 
-    class AllOf(StopCriterion):
-        def should_stop(self, depth, dist):
-            return MaxDepth(2).should_stop(depth, dist) and UncertaintyBelow(10.0).should_stop(depth, dist)
+    # An instance that refines past depth 2 before it fully separates.
+    for _ in range(50):
+        db, b, r = random_instance(rng, n_objects=5)
+        plain = idca(db, b, r, max_depth=12)
+        if plain.iterations_run >= 3 and plain.stop_reason == "exhausted":
+            break
+    else:
+        pytest.fail("no instance refines past depth 2")
+    for h in range(1, plain.iterations_run):
+        capped = idca(db, b, r, max_depth=h)
+        assert (capped.iterations_run, capped.stop_reason) == (h, "criterion")
+        assert capped.distribution.lb.tobytes() == plain.history[h - 1].lb.tobytes()
+        assert capped.distribution.ub.tobytes() == plain.history[h - 1].ub.tobytes()
 
-    combined = idca(db, b, r, stop=AllOf())
-    assert combined.iterations_run >= 2
+    # epsilon=0.0 ends on the exact PDF as "criterion"; without it the same
+    # bounds end as "exhausted" (bench tells exact runs apart by the reason).
+    exact = idca(db, b, r, max_depth=12, epsilon=0.0)
+    assert (exact.stop_reason, plain.stop_reason) == ("criterion", "exhausted")
+    assert exact.uncertainty_trace[-1] == 0.0
+    np.testing.assert_allclose(exact.distribution.lb, plain.distribution.lb, atol=1e-12)
+    np.testing.assert_allclose(exact.distribution.ub, plain.distribution.ub, atol=1e-12)
+
+    seen = []
+
+    def decide_at_two(dist):
+        seen.append(dist)
+        return "done" if len(seen) == 2 else None
+
+    decided = idca(db, b, r, max_depth=12, decide=decide_at_two)
+    assert (decided.iterations_run, decided.stop_reason) == (2, "criterion")
+
+    # Threshold queries supply their own predicate; a second one is refused.
+    for query in (pknn_query, prknn_query):
+        with pytest.raises(TypeError):
+            query(db, r, 1, 0.5, decide=decide_at_two)
 
 
 def test_predicate_decided_stop(rng):
@@ -274,13 +296,13 @@ def test_predicate_decided_stop(rng):
         width = float((dist.ub - dist.lb).sum())
         return "ok" if width < 0.75 else None
 
-    res = idca(db, b, r, stop=AnyOf([PredicateDecided(decide), MaxDepth(12)]))
+    res = idca(db, b, r, max_depth=12, decide=decide)
     assert decide(res.distribution) == "ok" or res.stop_reason in ("exhausted", "pair_budget")
 
 
 def test_pair_budget_stop(rng):
     db, b, r = random_instance(rng, n_objects=6, max_samples=4)
-    res = idca(db, b, r, stop=MaxDepth(12), pair_budget=2)
+    res = idca(db, b, r, max_depth=12, pair_budget=2)
     if res.stop_reason == "pair_budget":
         assert res.iterations_run < 12
     else:
@@ -295,8 +317,8 @@ def test_criterion_dominance(rng):
     min/max baseline."""
     for _ in range(30):
         db, b, r = random_instance(rng, n_objects=6)
-        opt = idca(db, b, r, stop=MaxDepth(1), criterion="optimal")
-        mm = idca(db, b, r, stop=MaxDepth(1), criterion="minmax")
+        opt = idca(db, b, r, max_depth=1, criterion="optimal")
+        mm = idca(db, b, r, max_depth=1, criterion="minmax")
         assert len(opt.classification.influence_objects) <= len(
             mm.classification.influence_objects
         )
@@ -308,7 +330,7 @@ def test_minmax_mode_is_sound_and_converges(rng):
     for _ in range(15):
         db, b, r = random_instance(rng, n_objects=5)
         exact = enumerate_exact(db, b, r).pdf
-        res = idca(db, b, r, stop=FULL, criterion="minmax")
+        res = idca(db, b, r, **FULL, criterion="minmax")
         for dist in res.history:
             assert (exact >= dist.lb - 1e-9).all()
             assert (exact <= dist.ub + 1e-9).all()
@@ -319,7 +341,7 @@ def test_minmax_mode_is_sound_and_converges(rng):
 def test_reference_in_database_is_excluded(rng):
     db, b, _ = random_instance(rng, n_objects=5)
     r = db[0] if db[0] is not b else db[1]
-    res = idca(db, b, r, stop=FULL)
+    res = idca(db, b, r, **FULL)
     exact = enumerate_exact(db, b, r).pdf
     np.testing.assert_allclose(res.distribution.lb, exact, atol=1e-9)
     groups = (
@@ -340,6 +362,8 @@ def test_engine_validates():
     with pytest.raises(ValueError):
         idca(db, b, r, criterion="fancy")
     with pytest.raises(ValueError):
-        MaxDepth(0)
+        idca(db, b, r, max_depth=0)
     with pytest.raises(ValueError):
-        UncertaintyBelow(-1.0)
+        idca(db, b, r, epsilon=-1.0)
+    with pytest.raises(ValueError):
+        idca(db, b, r, epsilon=float("nan"))

@@ -110,7 +110,7 @@ def test_repeated_ids_are_rejected():
     db = [renamed, a2, c]
     np.testing.assert_allclose(enumerate_exact(db, a2, r).pdf, [0.0, 0.5, 0.5], atol=1e-12)
     np.testing.assert_allclose(mc_baseline(db, a2, r).pdf, [0.0, 0.5, 0.5], atol=1e-12)
-    dist = idca(db, a2, r, stop=None).distribution
+    dist = idca(db, a2, r).distribution
     np.testing.assert_allclose(dist.lb, [0.0, 0.5, 0.5], atol=1e-12)
     np.testing.assert_allclose(dist.ub, [0.0, 0.5, 0.5], atol=1e-12)
 

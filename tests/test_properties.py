@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from udom.idca import AnyOf, MaxDepth, PredicateDecided, UncertaintyBelow, idca
+from udom.idca import idca
 from udom.model import build_object
 from udom.oracle import enumerate_exact
 from udom.queries import QueryPredicate, pknn_query, prknn_query
@@ -87,7 +87,7 @@ def test_engine_sandwiches_oracle_and_stops_soundly(instance, p, criterion, k, t
     prefix of the full run with the full run's verdict."""
     db, b, r = instance
     exact = enumerate_exact(db, b, r, p=p).pdf
-    full = idca(db, b, r, p=p, criterion=criterion, stop=AnyOf([MaxDepth(12), UncertaintyBelow(0.0)]))
+    full = idca(db, b, r, p=p, criterion=criterion, max_depth=12, epsilon=0.0)
     prev = None
     for dist in full.history:
         assert len(dist) == len(exact)
@@ -97,7 +97,7 @@ def test_engine_sandwiches_oracle_and_stops_soundly(instance, p, criterion, k, t
         prev = dist
 
     predicate = QueryPredicate("knn", k, tau)
-    early = idca(db, b, r, p=p, criterion=criterion, stop=PredicateDecided(predicate.decide))
+    early = idca(db, b, r, p=p, criterion=criterion, max_depth=12, decide=predicate.decide)
     assert early.iterations_run <= len(full.history)
     at_stop = full.history[early.iterations_run - 1]
     assert early.distribution.lb.tobytes() == at_stop.lb.tobytes()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from udom.genfunc import DomCountDistribution, gf_exact
-from udom.idca import AnyOf, MaxDepth, UncertaintyBelow, idca
+from udom.idca import idca
 from udom.model import build_object
 from udom.oracle import enumerate_exact, mc_baseline
 from udom.queries import (
@@ -18,7 +18,7 @@ from udom.queries import (
 from conftest import random_instance
 from reference import extract_bounds, ugf_expand
 
-FULL = AnyOf([MaxDepth(12), UncertaintyBelow(0.0)])
+FULL = dict(max_depth=12, epsilon=0.0)
 
 WORKED_DIST = DomCountDistribution(
     np.array([0.10, 0.34, 0.12]), np.array([0.32, 0.78, 0.40])
@@ -86,7 +86,7 @@ def test_pknn_singleton_database():
 
 def test_pknn_tau_zero_includes_certain_members(rng):
     db, _, q = random_instance(rng, n_objects=4, max_samples=2)
-    answer = pknn_query(db, q, k=2, tau=0.0, stop=FULL)
+    answer = pknn_query(db, q, k=2, tau=0.0, **FULL)
     for decision in answer.decisions:
         exact = enumerate_exact(db, next(o for o in db if o.id == decision.object_id), q).pdf
         p = exact[:2].sum()
@@ -101,7 +101,7 @@ def test_pknn_matches_enumeration_decisions(rng):
     for _ in range(10):
         db, _, q = random_instance(rng, n_objects=5, max_samples=3)
         k, tau = 2, 0.5
-        answer = pknn_query(db, q, k, tau, stop=FULL)
+        answer = pknn_query(db, q, k, tau, **FULL)
         for decision in answer.decisions:
             target = next(o for o in db if o.id == decision.object_id)
             p = exact_knn_probability(db, target, q, k)
@@ -115,7 +115,7 @@ def test_pknn_early_decisions_match_full_depth(rng):
         db, _, q = random_instance(rng, n_objects=5, max_samples=3)
         k, tau = 2, 0.5
         early = pknn_query(db, q, k, tau)  # stops as soon as decided
-        full = pknn_query(db, q, k, tau, stop=FULL)
+        full = pknn_query(db, q, k, tau, **FULL)
         for e, f in zip(early.decisions, full.decisions):
             assert e.object_id == f.object_id
             if e.decision != "undecided" and f.decision != "undecided":
@@ -131,7 +131,7 @@ def test_prknn_two_object_database():
 
 def test_prknn_k_covers_whole_database(rng):
     db, _, q = random_instance(rng, n_objects=4, max_samples=2)
-    answer = prknn_query(db, q, k=len(db), tau=0.5, stop=FULL)
+    answer = prknn_query(db, q, k=len(db), tau=0.5, **FULL)
     for decision in answer.decisions:
         assert decision.decision == "in"
         assert decision.lb == pytest.approx(1.0) and decision.ub == pytest.approx(1.0)
@@ -142,10 +142,10 @@ def test_prknn_role_swap_consistency(rng):
     probability of the query object with B as the reference."""
     db, _, q = random_instance(rng, n_objects=4, max_samples=2)
     k = 2
-    answer = prknn_query(db, q, k, tau=0.5, stop=FULL)
+    answer = prknn_query(db, q, k, tau=0.5, **FULL)
     for decision in answer.decisions:
         b = next(o for o in db if o.id == decision.object_id)
-        res = idca(db, q, b, stop=FULL)
+        res = idca(db, q, b, **FULL)
         swapped = knn_probability_bounds(res.distribution, k)
         assert decision.lb == pytest.approx(swapped.lb, abs=1e-9)
         assert decision.ub == pytest.approx(swapped.ub, abs=1e-9)
@@ -172,14 +172,14 @@ def test_inverse_ranking_all_dominators():
     r = point_obj("r", (0.0, 0.0))
     b = point_obj("b", (10.0, 0.0))
     db = [point_obj(f"o{i}", (0.5 + 0.1 * i, 0.0)) for i in range(3)] + [b]
-    rank = inverse_ranking(db, b, r, stop=MaxDepth(1))
+    rank = inverse_ranking(db, b, r, max_depth=1)
     assert rank.bounds_for_rank(4).lb == pytest.approx(1.0)
     assert rank.bounds_for_rank(1).ub == 0.0
 
 
 def test_inverse_ranking_is_count_shifted_by_one(rng):
     db, b, r = random_instance(rng, n_objects=5, max_samples=3)
-    rank = inverse_ranking(db, b, r, stop=FULL)
+    rank = inverse_ranking(db, b, r, **FULL)
     exact = enumerate_exact(db, b, r).pdf
     for i, lb, ub in zip(rank.ranks, rank.lb, rank.ub):
         assert lb == pytest.approx(exact[i - 1], abs=1e-9)
@@ -223,7 +223,7 @@ def test_expected_rank_interval_respects_upper_caps():
 def test_expected_rank_certain_winner():
     q = point_obj("q", (0.0, 0.0))
     db = [point_obj("w", (1.0, 0.0)), point_obj("x", (5.0, 0.0))]
-    ranks = expected_rank(db, q, stop=FULL)
+    ranks = expected_rank(db, q, **FULL)
     as_dict = {obj_id: (lo, hi) for obj_id, lo, hi in ranks}
     assert as_dict["w"] == (pytest.approx(1.0), pytest.approx(1.0))
     assert as_dict["x"] == (pytest.approx(2.0), pytest.approx(2.0))
@@ -232,13 +232,13 @@ def test_expected_rank_certain_winner():
 def test_expected_rank_interval_contains_truth(rng):
     for _ in range(10):
         db, _, q = random_instance(rng, n_objects=4, max_samples=3)
-        coarse = expected_rank(db, q, stop=MaxDepth(2))
+        coarse = expected_rank(db, q, max_depth=2)
         for obj_id, lo, hi in coarse:
             target = next(o for o in db if o.id == obj_id)
             pdf = enumerate_exact(db, target, q).pdf
             truth = float(pdf @ np.arange(1, len(pdf) + 1))
             assert lo - 1e-9 <= truth <= hi + 1e-9
-        fine = expected_rank(db, q, stop=FULL)
+        fine = expected_rank(db, q, **FULL)
         for (_, lo, hi), (_, flo, fhi) in zip(coarse, fine):
             assert flo >= lo - 1e-9 and fhi <= hi + 1e-9
 
