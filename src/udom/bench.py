@@ -57,6 +57,15 @@ class BenchConfig:
             raise ValueError("target_rank must be >= 1")
         if self.mode not in ("full", "predicate"):
             raise ValueError(f"unknown bench mode {self.mode!r}")
+        # Engine and partner settings fail here, before any dataset work.
+        if self.max_depth < 1:
+            raise ValueError("max_depth must be >= 1")
+        if self.pair_budget < 1:
+            raise ValueError("pair_budget must be >= 1")
+        if any(s < 1 for s in self.mc_samples):
+            raise ValueError("every mc_samples entry must be >= 1")
+        if self.mode == "predicate":
+            QueryPredicate("knn", self.k, self.tau)
 
     def load_db(self) -> list[UncertainObject]:
         if self.dataset_path:
@@ -70,6 +79,8 @@ def select_query_pair(db: Sequence[UncertainObject], rng, m: int):
     """Reference = random object; target = object with the m-th smallest MinDist."""
     if m < 1:
         raise ValueError("target rank m must be >= 1")
+    if len(db) < 2:
+        raise ValueError("a target and a reference need a database of at least two objects")
     ref = db[int(rng.integers(0, len(db)))]
     rest = others(db, ref)
     rest.sort(key=lambda o: (rect_min_dist(o.mbr, ref.mbr), str(o.id)))

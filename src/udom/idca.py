@@ -1,16 +1,17 @@
 """Iterative domination count approximation.
 
-The engine first classifies the database against the target/reference MBRs:
-certain dominators become a fixed count offset, certainly-dominated objects
-drop out, and the remaining influence objects carry all the uncertainty.  It
-then refines: each iteration deepens the decompositions of the target, the
-reference and every influence object by one level, evaluates one uncertain
-generating function per (target-leaf, reference-leaf) pair from per-candidate
-domination bounds, mixes the per-pair count bounds with the pair masses, and
-shifts by the certain-dominator count.  Nested decompositions only tighten
-bounds, so lower bounds rise and upper bounds fall monotonically until a stop
-rule fires, the pair budget would be exceeded, or every object is fully
-separated (at which point the bounds are exact for discrete objects).
+Iteration 0 is the MBR classification alone: certain dominators become a
+fixed count offset s, certainly-dominated objects drop out, and each of the m
+remaining influence objects may or may not dominate, so every count in
+s..s+m is possible and none is certain.  From depth 2 on, each iteration
+deepens the decompositions of the target, the reference and every influence
+object by one level, evaluates one uncertain generating function per
+(target-leaf, reference-leaf) pair from per-candidate domination bounds,
+mixes the per-pair count bounds with the pair masses, and shifts by s.
+Nested decompositions only tighten bounds, so lower bounds rise and upper
+bounds fall monotonically until a stop rule fires, the pair budget would be
+exceeded, or every object is fully separated (at which point the bounds are
+exact for discrete objects).
 """
 
 from __future__ import annotations
@@ -46,8 +47,11 @@ _BATCH_FLOAT_BUDGET = 1 << 24
 class IdcaResult:
     """Final count distribution plus the whole refinement trace.
 
-    ``history[i]`` and ``uncertainty_trace[i]`` describe iteration i, where
-    iteration 0 is the pure MBR-classification stage (frontier depth 1).
+    ``history[i]`` and ``uncertainty_trace[i]`` describe iteration i.
+    Iteration 0 is the MBR classification: zero lower bounds, and upper
+    bounds equal to the root-mass product (capped at 1) on the counts
+    s..s+m, or the exact count s when no influence object is left.
+    Iteration i >= 1 is the sweep at frontier depth i + 1.
     ``stop_reason`` is "criterion", "pair_budget" or "exhausted".
     """
 
@@ -64,6 +68,26 @@ def uncertainty(dist: DomCountDistribution) -> float:
     return float((dist.ub - dist.lb).sum())
 
 
+def _classified_bounds(
+    n_cands: int, b: UncertainObject, r: UncertainObject, shift: int, n_total: int
+) -> DomCountDistribution:
+    """Iteration 0: the bounds the MBR classification alone allows.
+
+    At depth 1 every influence object's domination bounds are (0, 1), so the
+    one (b-root, r-root) pair expands to y^m: no count is certain and every
+    count in shift..shift+m is possible, weighted by the root-mass product
+    (which need not be exactly 1).  This is what a depth-1 sweep returns,
+    byte for byte, without building a decomposition.
+    """
+    lb = np.zeros(n_total)
+    ub = np.zeros(n_total)
+    if n_cands:
+        ub[shift : shift + n_cands + 1] = min(b.weights.sum() * r.weights.sum(), 1.0)
+    else:
+        lb[shift] = ub[shift] = 1.0
+    return DomCountDistribution(lb, ub)
+
+
 def _evaluate_depth(
     cands: Sequence[UncertainObject],
     b: UncertainObject,
@@ -74,14 +98,10 @@ def _evaluate_depth(
     p: float,
     criterion: str,
 ) -> DomCountDistribution:
-    """One refinement sweep at a fixed frontier depth (pre-validated budget)."""
+    """One refinement sweep at a fixed frontier depth over a non-empty
+    candidate set (pre-validated budget); `idca` runs it from depth 2 on."""
     lb = np.zeros(n_total)
     ub = np.zeros(n_total)
-    if not cands:
-        lb[shift] = 1.0
-        ub[shift] = 1.0
-        return DomCountDistribution(lb, ub)
-
     b_front = b.leaves_at_depth(depth)
     r_front = r.leaves_at_depth(depth)
     n_pairs = len(b_front) * len(r_front)
@@ -155,8 +175,8 @@ def idca(
     history: list[DomCountDistribution] = []
     trace: list[float] = []
     depth = 1
+    dist = _classified_bounds(len(cands), b, r, shift, n_total)
     while True:
-        dist = _evaluate_depth(cands, b, r, depth, shift, n_total, p, criterion)
         history.append(dist)
         trace.append(uncertainty(dist))
         if on_iteration is not None:
@@ -177,6 +197,7 @@ def idca(
             reason = "pair_budget"
             break
         depth += 1
+        dist = _evaluate_depth(cands, b, r, depth, shift, n_total, p, criterion)
 
     return IdcaResult(
         distribution=history[-1],

@@ -205,6 +205,10 @@ def test_select_query_pair_rule():
     # Rank 0 would index the farthest object.
     with pytest.raises(ValueError):
         select_query_pair(db, rng, m=0)
+    # One object leaves no target beside the reference.
+    for tiny in (db[:1], []):
+        with pytest.raises(ValueError, match="at least two objects"):
+            select_query_pair(tiny, rng, m=1)
 
 
 def test_bench_pruning_rows(tmp_path):
@@ -277,14 +281,38 @@ def test_bench_cli_end_to_end(tmp_path):
     assert rows and set(rows[0]) == set(PRUNING_HEADER)
 
 
-def test_bench_config_validation(tmp_path):
-    with pytest.raises(ValueError):
-        BenchConfig(repetitions=0)
-    with pytest.raises(ValueError):
-        BenchConfig(mode="fastest")
-    with pytest.raises(ValueError):
-        BenchConfig(target_rank=0)
-    rc = main(["bench", "pruning", "--n", "30", "--samples", "4", "--queries", "1",
-               "--target-rank", "0", "--out", str(tmp_path / "p.csv")])
-    assert rc == 1
-    assert not (tmp_path / "p.csv").exists()
+def test_bench_config_validation(tmp_path, capsys, monkeypatch):
+    bad_configs = [
+        dict(repetitions=0),
+        dict(mode="fastest"),
+        dict(target_rank=0),
+        dict(max_depth=0),
+        dict(pair_budget=0),
+        dict(mc_samples=(4, 0)),
+        dict(mode="predicate", k=0),
+        dict(mode="predicate", tau=1.5),
+    ]
+    for bad in bad_configs:
+        with pytest.raises(ValueError):
+            BenchConfig(**bad)
+
+    out = tmp_path / "p.csv"
+    common = ["--samples", "4", "--queries", "1", "--out", str(out)]
+    # A one-object database leaves no target beside the reference.
+    assert main(["bench", "pruning", "--n", "1", *common]) == 1
+    assert capsys.readouterr().err.startswith("udom: ")
+    assert not out.exists()
+
+    # Bad settings fail before any dataset is generated or loaded.
+    loads = []
+    monkeypatch.setattr(BenchConfig, "load_db", lambda self: loads.append(self) or [])
+    for argv in (
+        ["pruning", "--target-rank", "0"],
+        ["pruning", "--max-depth", "0"],
+        ["pruning", "--pair-budget", "0"],
+        ["runtime", "--mc-samples", "0"],
+        ["runtime", "--mode", "predicate", "--k", "0"],
+    ):
+        assert main(["bench", *argv, "--n", "30", *common]) == 1, argv
+        assert capsys.readouterr().err.startswith("udom: ")
+        assert loads == [] and not out.exists()

@@ -367,3 +367,85 @@ def test_engine_validates():
         idca(db, b, r, epsilon=-1.0)
     with pytest.raises(ValueError):
         idca(db, b, r, epsilon=float("nan"))
+
+
+def equal_weight_object(obj_id, rng, k, d):
+    """k samples of weight 1/k each, as `generate_synthetic` makes them."""
+    return build_object(obj_id, [(pt, 1.0 / k) for pt in rng.uniform(0.0, 1.0, size=(k, d))])
+
+
+def test_iteration_zero_equals_depth_one_sweep(rng):
+    """Iteration 0 is built from the classification counts alone, and equals
+    byte for byte a depth-1 sweep: the engine's sweep when there are
+    influence objects, and the dense reference (which keeps the
+    empty-candidate branch) in every case.  Equal-weight objects of 14 and
+    100 samples have root masses just below and just above 1."""
+    engine = importlib.import_module("udom.idca")
+    budget = engine._BATCH_FLOAT_BUDGET
+    masses = set()
+    seen_m0 = seen_m = 0
+    for trial in range(90):
+        d = 1 + trial % 3
+        p = (1.0, 2.0, 3.0)[trial % 3]
+        criterion = "minmax" if trial % 4 == 3 else "optimal"
+        if trial % 3 == 2:
+            db = tied_db(rng, d, int(rng.integers(1, 8)), min_samples=1, spread=0.3)
+        else:
+            db, _, _ = random_instance(rng, n_objects=int(rng.integers(1, 7)), d=d)
+        if trial % 5 == 0:
+            db[0] = equal_weight_object(db[0].id, rng, (14, 100)[trial % 2], d)
+        b = db[0]
+        if trial % 2 and len(db) > 1:
+            r = db[-1]
+        else:
+            r = equal_weight_object("ref", rng, (14, 100, 3)[trial % 3], d)
+        masses.update(float(o.weights.sum()) for o in (b, r))
+        res = idca(db, b, r, p=p, max_depth=1, criterion=criterion)
+        cls = res.classification
+        cands = [o for o in db if o.id in set(cls.influence_objects)]
+        shift = cls.complete_domination_count
+        n_total = len(res.distribution)
+        got = res.history[0]
+        wants = [evaluate_depth_dense(cands, b, r, 1, shift, n_total, p, criterion, budget)]
+        if cands:
+            wants.append(engine._evaluate_depth(cands, b, r, 1, shift, n_total, p, criterion))
+            seen_m += 1
+        else:
+            seen_m0 += 1
+        for want in wants:
+            assert got.lb.tobytes() == want.lb.tobytes()
+            assert got.ub.tobytes() == want.ub.tobytes()
+    assert {0.9999999999999999, 1.0000000000000004} <= masses
+    assert seen_m0 and seen_m
+
+
+def test_iteration_zero_builds_no_decomposition(rng, monkeypatch):
+    """A run that stops at iteration 0 deepens no decomposition and asks no
+    tree for a frontier, whether the influence set is empty or not."""
+    model = importlib.import_module("udom.model")
+    leaves = model.DecompositionTree.leaves
+    calls = []
+
+    def counted(self, depth):
+        calls.append(depth)
+        return leaves(self, depth)
+
+    monkeypatch.setattr(model.DecompositionTree, "leaves", counted)
+    open_runs = 0
+    for _ in range(20):
+        db, b, r = random_instance(rng, n_objects=6)
+        res = idca(db, b, r, max_depth=1)
+        assert (res.iterations_run, res.stop_reason) == (1, "criterion")
+        open_runs += bool(res.classification.influence_objects)
+    assert open_runs and calls == []
+
+    # Targets on a line decide at iteration 0: near ones have no influence
+    # objects and are in; the overlapping far cluster has at least k certain
+    # dominators and is out.
+    line = [build_object(i, [((float(i), 0.0), 1.0), ((i + 0.01, 0.01), 1.0)]) for i in range(6)]
+    cluster = [build_object(10 + i, [((20.0, 0.0), 1.0), ((21.0, 1.0), 1.0)]) for i in range(3)]
+    q = point_obj("q", (-1.0, 0.0))
+    answer = pknn_query(line + cluster, q, k=2, tau=0.5, max_depth=8)
+    verdicts = {d.object_id: (d.decision, d.iterations) for d in answer.decisions}
+    assert verdicts == {i: ("in" if i < 2 else "out", 1) for i in [*range(6), 10, 11, 12]}
+    assert calls == []

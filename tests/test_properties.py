@@ -1,11 +1,14 @@
 """Property tests for the engine and the threshold queries against the
 possible-worlds oracle.
 
-Coordinates and weights are drawn from small integer grids so ties,
-coincident samples and zero-extent boxes are common; query, target and
-reference objects are either database members or external objects whose id
-may collide with a database id.
+Coordinates and weights are drawn from small integer grids so ties are
+common; an object is a spread of samples, a single sample (a zero-extent
+box) or several weighted samples at one point.  Query, target and reference
+objects are either database members or external objects whose id may
+collide with a database id.
 """
+
+import functools
 
 import numpy as np
 from hypothesis import given, settings
@@ -17,10 +20,17 @@ from udom.oracle import enumerate_exact
 from udom.queries import QueryPredicate, pknn_query, prknn_query
 
 
+SHAPES = ("spread", "single", "coincident")
+
+
 @st.composite
-def objects(draw, obj_id, d):
-    n = draw(st.integers(1, 3))
-    coords = draw(st.lists(st.integers(0, 4), min_size=n * d, max_size=n * d))
+def objects(draw, obj_id, d, shapes=SHAPES):
+    shape = draw(st.sampled_from(shapes))
+    n = 1 if shape == "single" else draw(st.integers(2 if shape == "coincident" else 1, 3))
+    if shape == "coincident":
+        coords = draw(st.lists(st.integers(0, 4), min_size=d, max_size=d)) * n
+    else:
+        coords = draw(st.lists(st.integers(0, 4), min_size=n * d, max_size=n * d))
     weights = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
     pts = np.array(coords, dtype=float).reshape(n, d)
     return build_object(obj_id, list(zip(pts, weights)))
@@ -103,3 +113,37 @@ def test_engine_sandwiches_oracle_and_stops_soundly(instance, p, criterion, k, t
     assert early.distribution.lb.tobytes() == at_stop.lb.tobytes()
     assert early.distribution.ub.tobytes() == at_stop.ub.tobytes()
     assert predicate.decide(early.distribution) == predicate.decide(full.distribution)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(
+    st.data(),
+    st.integers(1, 3),
+    st.integers(2, 6),
+    st.sampled_from([1.0, 2.0, 3.0]),
+    st.sampled_from(["optimal", "minmax"]),
+)
+def test_zero_extent_objects_are_answered_at_iteration_zero(data, d, n, p, criterion):
+    """When every object is one point or several samples at one point, the
+    MBRs are the objects: every run ends after iteration 0, and without an
+    exact distance tie its bounds are the exact count PDF."""
+    point = functools.partial(objects, d=d, shapes=("single", "coincident"))
+    db = [data.draw(point(i)) for i in range(n)]
+    b = db[0]
+    r = data.draw(st.sampled_from(db[1:]) | point("r"))
+    full = idca(db, b, r, p=p, criterion=criterion, max_depth=12, epsilon=0.0)
+    assert full.iterations_run == 1
+    assert full.stop_reason in ("criterion", "exhausted")
+
+    exact = enumerate_exact(db, b, r, p=p).pdf
+    dist = full.distribution
+    assert (dist.lb <= exact + 1e-12).all() and (exact <= dist.ub + 1e-12).all()
+
+    # Integer coordinates and orders: the p-th power distances are exact.
+    def power(o):
+        return float((np.abs(o.points[0] - r.points[0]) ** p).sum())
+
+    if all(power(o) != power(b) for o in db if o is not b and o is not r):
+        assert full.stop_reason == "criterion"
+        np.testing.assert_allclose(dist.lb, exact, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dist.ub, exact, rtol=0, atol=1e-12)
