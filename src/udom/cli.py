@@ -2,12 +2,16 @@
 
 A ``--config`` file of ``key = value`` lines (keys match the long flag names
 with dashes or underscores) supplies defaults; explicit flags always win.
-Exit status is 0 on success and 1 on any error, with the message on stderr.
+Each config value becomes the default of the flag it names, so argparse parses
+and checks it exactly as it would the flag's own value.
+Exit status is 0 on success, 2 on a bad flag or config value, and 1 on any
+other error, with the message on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -27,22 +31,11 @@ from .queries import expected_rank, inverse_ranking, pknn_query, prknn_query
 
 __all__ = ["main"]
 
-
-def _parse_config_value(raw: str):
-    raw = raw.strip().strip('"').strip("'")
-    low = raw.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    for cast in (int, float):
-        try:
-            return cast(raw)
-        except ValueError:
-            continue
-    return raw
+_ROLES = {"q": "query", "b": "target", "r": "reference"}
 
 
 def load_config(path) -> dict:
-    """Parse a flat key = value file; '#' starts a comment."""
+    """Parse a flat key = value file into raw strings; '#' starts a comment."""
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -52,29 +45,54 @@ def load_config(path) -> dict:
             if "=" not in line:
                 raise ValueError(f"config line {lineno}: expected key = value")
             key, raw = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = _parse_config_value(raw)
+            out[key.strip().replace("-", "_")] = raw.strip().strip('"').strip("'")
     return out
 
 
-def _add_engine_flags(parser, cfg):
-    parser.add_argument("--max-depth", type=int, default=cfg.get("max_depth", DEFAULT_MAX_DEPTH))
-    parser.add_argument("--epsilon", type=float, default=cfg.get("epsilon"))
-    parser.add_argument("--pair-budget", type=int, default=cfg.get("pair_budget", DEFAULT_PAIR_BUDGET))
-    parser.add_argument(
-        "--criterion", choices=("optimal", "minmax"), default=cfg.get("criterion", "optimal")
-    )
-    parser.add_argument("--p", type=float, default=cfg.get("p", 2.0), help="L_p norm order")
+# No leading underscore: argparse names the type in "invalid comma_ints value".
+def comma_ints(text: str) -> tuple:
+    return tuple(int(tok) for tok in text.split(","))
 
 
-def _add_dataset_flags(parser, cfg):
-    parser.add_argument("--dataset", required="dataset" not in cfg, default=cfg.get("dataset"))
-    parser.add_argument(
-        "--format", choices=("jsonl", "gaussian-csv"), default=cfg.get("format")
-    )
-    parser.add_argument("--seed", type=int, default=cfg.get("seed", 0))
+def _leaf(subparsers, name, out_required=False, **kwargs):
+    """A runnable subcommand; every one takes --seed and --out."""
+    leaf = subparsers.add_parser(name, **kwargs)
+    leaf.add_argument("--seed", type=int, default=0)
+    leaf.add_argument("--out", required=out_required)
+    return leaf
 
 
-def build_parser(cfg: dict) -> argparse.ArgumentParser:
+def _add_dataset_flags(parser, objects="", required=True):
+    """The database (file, format, L_p norm) and the objects named against it."""
+    parser.add_argument("--dataset", required=required)
+    parser.add_argument("--format", choices=("jsonl", "gaussian-csv"))
+    parser.add_argument("--p", type=float, default=2.0, help="L_p norm order")
+    for name in objects:
+        parser.add_argument(
+            f"--{name}", required=True,
+            help=f"{_ROLES[name]} object: a dataset id, or an external comma-separated point "
+                 "or one-object jsonl file (external even when its id matches a dataset id)",
+        )
+
+
+def _add_synthetic_flags(parser, n):
+    parser.add_argument("--n", type=int, default=n)
+    parser.add_argument("--dims", type=int, default=2)
+    parser.add_argument("--max-extent", type=float, default=0.004)
+    parser.add_argument("--samples", type=int, default=100)
+
+
+def _add_engine_flags(parser):
+    parser.add_argument("--max-depth", type=int, default=DEFAULT_MAX_DEPTH)
+    parser.add_argument("--pair-budget", type=int, default=DEFAULT_PAIR_BUDGET)
+
+
+def _add_predicate_flags(parser, k):
+    parser.add_argument("--k", type=int, default=k)
+    parser.add_argument("--tau", type=float, default=0.5)
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="udom",
         description="Probabilistic domination-count queries over uncertain objects",
@@ -82,84 +100,79 @@ def build_parser(cfg: dict) -> argparse.ArgumentParser:
     parser.add_argument("--config", help="key = value file providing flag defaults")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("generate", help="write a synthetic jsonl dataset")
-    g.add_argument("--n", type=int, default=cfg.get("n", 10_000))
-    g.add_argument("--dims", type=int, default=cfg.get("dims", 2))
-    g.add_argument("--max-extent", type=float, default=cfg.get("max_extent", 0.004))
-    g.add_argument("--samples", type=int, default=cfg.get("samples", 100))
-    g.add_argument("--seed", type=int, default=cfg.get("seed", 0))
-    g.add_argument("--out", required="out" not in cfg, default=cfg.get("out"))
+    g = _leaf(sub, "generate", out_required=True, help="write a synthetic jsonl dataset")
+    _add_synthetic_flags(g, n=10_000)
 
     q = sub.add_parser("query", help="run a similarity query")
     qsub = q.add_subparsers(dest="query_kind", required=True)
-    for kind in ("knn", "rknn"):
-        qq = qsub.add_parser(kind)
-        _add_dataset_flags(qq, cfg)
-        _add_engine_flags(qq, cfg)
-        qq.add_argument("--k", type=int, default=cfg.get("k", 1))
-        qq.add_argument("--tau", type=float, default=cfg.get("tau", 0.5))
-        qq.add_argument("--q", required="q" not in cfg, default=cfg.get("q"),
-                        help="query object: a dataset id, or an external comma-separated point "
-                             "or jsonl file (external even when its id matches a dataset id)")
-        qq.add_argument("--out")
-    qi = qsub.add_parser("irank")
-    _add_dataset_flags(qi, cfg)
-    _add_engine_flags(qi, cfg)
-    qi.add_argument("--b", required="b" not in cfg, default=cfg.get("b"), help="target object id")
-    qi.add_argument("--r", required="r" not in cfg, default=cfg.get("r"),
-                    help="reference object: id or comma-separated point")
-    qi.add_argument("--out")
-    qe = qsub.add_parser("erank")
-    _add_dataset_flags(qe, cfg)
-    _add_engine_flags(qe, cfg)
-    qe.add_argument("--q", required="q" not in cfg, default=cfg.get("q"))
-    qe.add_argument("--out")
+    for kind, objects in (("knn", "q"), ("rknn", "q"), ("irank", "br"), ("erank", "q")):
+        qq = _leaf(qsub, kind)
+        _add_dataset_flags(qq, objects)
+        _add_engine_flags(qq)
+        qq.add_argument("--epsilon", type=float)
+        qq.add_argument("--criterion", choices=("optimal", "minmax"), default="optimal")
+        if kind in ("knn", "rknn"):
+            _add_predicate_flags(qq, k=1)
 
     o = sub.add_parser("oracle", help="ground-truth engines")
     osub = o.add_subparsers(dest="oracle_kind", required=True)
-    oe = osub.add_parser("exact")
-    _add_dataset_flags(oe, cfg)
-    oe.add_argument("--b", required="b" not in cfg, default=cfg.get("b"))
-    oe.add_argument("--r", required="r" not in cfg, default=cfg.get("r"))
-    oe.add_argument("--p", type=float, default=cfg.get("p", 2.0))
-    oe.add_argument("--world-budget", type=int, default=cfg.get("world_budget", DEFAULT_WORLD_BUDGET))
-    oe.add_argument("--out")
-    om = osub.add_parser("mc")
-    _add_dataset_flags(om, cfg)
-    om.add_argument("--b", required="b" not in cfg, default=cfg.get("b"))
-    om.add_argument("--q", required="q" not in cfg, default=cfg.get("q"))
-    om.add_argument("--p", type=float, default=cfg.get("p", 2.0))
-    om.add_argument("--sample-budget", type=int, default=cfg.get("sample_budget", 1000))
-    om.add_argument("--out")
+    for kind, objects, budget, default in (
+        ("exact", "br", "--world-budget", DEFAULT_WORLD_BUDGET),
+        ("mc", "bq", "--sample-budget", 1000),
+    ):
+        oo = _leaf(osub, kind)
+        _add_dataset_flags(oo, objects)
+        oo.add_argument(budget, type=int, default=default)
 
     bn = sub.add_parser("bench", help="benchmark harness, emits CSV")
     bsub = bn.add_subparsers(dest="bench_kind", required=True)
     for kind in ("pruning", "runtime"):
-        bb = bsub.add_parser(kind)
-        bb.add_argument("--dataset", default=cfg.get("dataset"))
-        bb.add_argument("--format", choices=("jsonl", "gaussian-csv"), default=cfg.get("format"))
-        bb.add_argument("--n", type=int, default=cfg.get("n", 2000))
-        bb.add_argument("--dims", type=int, default=cfg.get("dims", 2))
-        bb.add_argument("--max-extent", type=float, default=cfg.get("max_extent", 0.004))
-        bb.add_argument("--samples", type=int, default=cfg.get("samples", 100))
-        bb.add_argument("--seed", type=int, default=cfg.get("seed", 0))
-        bb.add_argument("--queries", type=int, default=cfg.get("queries", 20))
-        bb.add_argument("--target-rank", type=int, default=cfg.get("target_rank", 10))
-        bb.add_argument("--max-depth", type=int, default=cfg.get("max_depth", DEFAULT_MAX_DEPTH))
-        bb.add_argument("--pair-budget", type=int, default=cfg.get("pair_budget", DEFAULT_PAIR_BUDGET))
-        bb.add_argument("--p", type=float, default=cfg.get("p", 2.0))
-        bb.add_argument("--out", required="out" not in cfg, default=cfg.get("out"))
+        bb = _leaf(bsub, kind, out_required=True)
+        _add_dataset_flags(bb, required=False)
+        _add_synthetic_flags(bb, n=2000)
+        _add_engine_flags(bb)
+        bb.add_argument("--queries", type=int, default=20)
+        bb.add_argument("--target-rank", type=int, default=10)
         if kind == "runtime":
-            bb.add_argument("--mc-samples", default=cfg.get("mc_samples", "4,16,64"))
-            bb.add_argument("--mode", choices=("full", "predicate"), default=cfg.get("mode", "full"))
-            bb.add_argument("--k", type=int, default=cfg.get("k", 10))
-            bb.add_argument("--tau", type=float, default=cfg.get("tau", 0.5))
+            _add_predicate_flags(bb, k=10)
+            bb.add_argument("--mc-samples", type=comma_ints, default="4,16,64")
+            bb.add_argument("--mode", choices=("full", "predicate"), default="full")
     return parser
+
+
+def _parsers(parser):
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for child in action.choices.values():
+                yield from _parsers(child)
+
+
+def _apply_config(parser, cfg: dict) -> None:
+    """Make each config value the default of every flag named by its key.
+
+    argparse converts a string default with the flag's ``type`` only when the
+    flag is not given, so a config value fails exactly as the flag would.
+    """
+    unknown = set(cfg)
+    for each in _parsers(parser):
+        for action in each._actions:
+            # Neither --help nor a subcommand selector is a flag a value can stand in for.
+            if not action.option_strings or action.default is argparse.SUPPRESS:
+                continue
+            if action.dest in cfg:
+                value = cfg[action.dest]
+                if action.choices is not None and value not in action.choices:
+                    choices = ", ".join(action.choices)
+                    parser.error(f"config {action.dest} = {value!r}: choose from {choices}")
+                action.default, action.required = value, False
+                unknown.discard(action.dest)
+    if unknown:
+        parser.error(f"config key(s) naming no flag: {', '.join(sorted(unknown))}")
 
 
 def _resolve_object(spec, db: list[UncertainObject], label: str) -> UncertainObject:
     """Interpret an object spec as a point, a jsonl file, or a dataset id."""
-    spec = str(spec)
     if "," in spec:
         try:
             coords = [float(tok) for tok in spec.split(",")]
@@ -168,7 +181,10 @@ def _resolve_object(spec, db: list[UncertainObject], label: str) -> UncertainObj
         if coords is not None:
             return build_object(f"<{label}>", [(coords, 1.0)])
     if os.path.exists(spec) and spec.endswith((".jsonl", ".json")):
-        return load_dataset(spec, "jsonl")[0]
+        objs = load_dataset(spec, "jsonl")
+        if len(objs) != 1:
+            raise ValueError(f"--{label}: {spec} holds {len(objs)} objects, not one")
+        return objs[0]
     for obj in db:
         if str(obj.id) == spec:
             return obj
@@ -267,26 +283,12 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    config = bench_mod.BenchConfig(
-        n=args.n,
-        dims=args.dims,
-        max_extent=args.max_extent,
-        samples_per_object=args.samples,
-        seed=args.seed,
-        dataset_path=args.dataset,
-        dataset_format=args.format,
-        repetitions=args.queries,
-        target_rank=args.target_rank,
-        p=args.p,
-        max_depth=args.max_depth,
-        pair_budget=args.pair_budget,
-        mc_samples=tuple(
-            int(tok) for tok in str(getattr(args, "mc_samples", "4,16,64")).split(",")
-        ),
-        mode=getattr(args, "mode", "full"),
-        k=getattr(args, "k", 10),
-        tau=getattr(args, "tau", 0.5),
-    )
+    # Flags whose BenchConfig field has another name; the rest match by name.
+    renamed = {"samples": "samples_per_object", "dataset": "dataset_path",
+               "format": "dataset_format", "queries": "repetitions"}
+    values = {renamed.get(key, key): value for key, value in vars(args).items()}
+    fields = {field.name for field in dataclasses.fields(bench_mod.BenchConfig)}
+    config = bench_mod.BenchConfig(**{key: values[key] for key in fields & values.keys()})
     if args.bench_kind == "pruning":
         rows = bench_mod.bench_pruning(config)
         bench_mod.write_csv(rows, bench_mod.PRUNING_HEADER, args.out)
@@ -304,25 +306,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     known, _ = pre.parse_known_args(argv)
     try:
         cfg = load_config(known.config) if known.config else {}
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         print(f"udom: cannot read config: {exc}", file=sys.stderr)
         return 1
-    parser = build_parser(cfg)
+    parser = build_parser()
+    _apply_config(parser, cfg)
     args = parser.parse_args(argv)
+    commands = {"generate": _cmd_generate, "query": _cmd_query,
+                "oracle": _cmd_oracle, "bench": _cmd_bench}
     try:
-        if args.command == "generate":
-            return _cmd_generate(args)
-        if args.command == "query":
-            return _cmd_query(args)
-        if args.command == "oracle":
-            return _cmd_oracle(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
-        parser.error(f"unknown command {args.command!r}")
+        return commands[args.command](args)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"udom: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

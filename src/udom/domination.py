@@ -36,10 +36,6 @@ class ProbBounds:
         if not (-1e-12 <= self.lb <= self.ub + 1e-12 and self.ub <= 1.0 + 1e-12):
             raise ValueError(f"invalid probability bounds ({self.lb}, {self.ub})")
 
-    @property
-    def width(self) -> float:
-        return self.ub - self.lb
-
 
 @dataclass(frozen=True)
 class DominationClassification:

@@ -59,26 +59,6 @@ class Rect:
     def ndim(self) -> int:
         return self.lo.size
 
-    @property
-    def is_degenerate(self) -> bool:
-        """True when the box is a single point in every dimension."""
-        return bool((self.lo == self.hi).all())
-
-    def contains_point(self, point: Sequence[float]) -> bool:
-        pt = np.asarray(point, dtype=float)
-        return bool((self.lo <= pt).all() and (pt <= self.hi).all())
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Rect)
-            and self.lo.shape == other.lo.shape
-            and (self.lo == other.lo).all()
-            and (self.hi == other.hi).all()
-        )
-
-    def __hash__(self):
-        return hash((self.lo.tobytes(), self.hi.tobytes()))
-
     def __repr__(self):
         pairs = ", ".join(f"[{l:g}, {h:g}]" for l, h in zip(self.lo, self.hi))
         return f"Rect({pairs})"

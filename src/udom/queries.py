@@ -8,6 +8,7 @@ reached under early stopping always equals the full-depth decision.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
@@ -43,6 +44,10 @@ class QueryPredicate:
     def __post_init__(self):
         if self.kind not in ("knn", "rknn"):
             raise ValueError(f"unknown predicate kind {self.kind!r}")
+        try:
+            operator.index(self.k)
+        except TypeError:
+            raise ValueError(f"k must be an integer, got {self.k!r}") from None
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if not (0.0 <= self.tau <= 1.0):

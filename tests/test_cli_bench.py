@@ -110,6 +110,15 @@ def test_query_rknn_cli_with_file_target(tiny_dataset, tmp_path, capsys):
     assert len(payload["decisions"]) == 25
 
 
+def test_query_object_file_must_hold_one_object(tiny_dataset, tmp_path, capsys):
+    qfile = tmp_path / "three.jsonl"
+    save_dataset_jsonl(load_dataset(tiny_dataset)[:3], qfile)
+    rc = main(["query", "knn", "--dataset", str(tiny_dataset), "--q", str(qfile)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("udom: ") and "--q" in err and "3 objects" in err
+
+
 def test_query_q_as_dataset_id_excluded(tiny_dataset, capsys):
     rc = main(["query", "knn", "--dataset", str(tiny_dataset), "--k", "1", "--tau", "0.5",
                "--q", "7", "--max-depth", "3"])
@@ -159,17 +168,64 @@ def test_config_file_defaults_and_override(tmp_path, tiny_dataset, capsys):
 
 
 def test_load_config_parses_types(tmp_path):
+    """Values stay strings: each is typed by the flag it names, not by the file reader."""
     cfg = tmp_path / "c.cfg"
     cfg.write_text("a = 3\nb = 0.5\nc = hello\nd = true\n# comment\ne-f = 7\n")
     parsed = load_config(cfg)
-    assert parsed == {"a": 3, "b": 0.5, "c": "hello", "d": True, "e_f": 7}
+    assert parsed == {"a": "3", "b": "0.5", "c": "hello", "d": "true", "e_f": "7"}
 
 
-def test_config_bad_line(tmp_path):
+def test_config_value_fails_like_its_flag(tmp_path, tiny_dataset, capsys, monkeypatch):
+    """A bad config value ends in the flag's own argparse error: exit 2, no dataset work."""
+    reads = []
+    monkeypatch.setattr("udom.cli.load_dataset", lambda *a, **kw: reads.append(a) or [])
+    monkeypatch.setattr("udom.cli.generate_synthetic", lambda *a, **kw: reads.append(a) or [])
+    out = tmp_path / "x.jsonl"
+    cfg = tmp_path / "c.cfg"
+    query = ["query", "knn", "--dataset", str(tiny_dataset), "--q", "0.5,0.5"]
+    for argv, key, value in ((["generate", "--out", str(out)], "n", "1e1"), (query, "k", "2.5")):
+        cfg.write_text(f"{key} = {value}\n")
+        errors = []
+        for given in (["--config", str(cfg), *argv], [*argv, f"--{key}", value]):
+            with pytest.raises(SystemExit) as exc:
+                main(given)
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            errors.append(err.splitlines()[-1])
+        assert errors[0] == errors[1]
+        assert f"argument --{key}: invalid int value: '{value}'" in errors[0]
+    assert reads == [] and not out.exists()
+
+
+def test_config_rejects_bad_choice_and_unknown_key(tmp_path, tiny_dataset, capsys):
+    argv = ["query", "knn", "--dataset", str(tiny_dataset), "--q", "0.5,0.5"]
+    cfg = tmp_path / "c.cfg"
+    for line, named in (("criterion = fastest", "fastest"), ("max_dept = 2", "max_dept")):
+        cfg.write_text(line + "\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg), *argv])
+        assert exc.value.code != 0
+        assert named in capsys.readouterr().err
+
+
+def test_config_key_of_another_subcommand_is_allowed(tmp_path):
+    """`k` names no generate flag, but it names a query flag, so a shared file stays valid."""
+    cfg = tmp_path / "c.cfg"
+    out = tmp_path / "d.jsonl"
+    cfg.write_text(f"k = 2.5\nn = 5\nsamples = 2\nout = {out}\n")
+    assert main(["--config", str(cfg), "generate"]) == 0
+    assert len(load_dataset(out)) == 5
+
+
+def test_config_bad_line(tmp_path, capsys):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("just-a-word\n")
     with pytest.raises(ValueError, match="line 1"):
         load_config(cfg)
+    # The CLI reports it as an error message, not a traceback.
+    assert main(["--config", str(cfg), "generate", "--out", str(tmp_path / "x.jsonl")]) == 1
+    assert "line 1" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +346,7 @@ def test_bench_config_validation(tmp_path, capsys, monkeypatch):
         dict(pair_budget=0),
         dict(mc_samples=(4, 0)),
         dict(mode="predicate", k=0),
+        dict(mode="predicate", k=2.5),
         dict(mode="predicate", tau=1.5),
     ]
     for bad in bad_configs:

@@ -27,7 +27,8 @@ def test_probbounds_validation():
         ProbBounds(0.8, 0.2)
     with pytest.raises(ValueError):
         ProbBounds(-0.2, 0.5)
-    assert ProbBounds(0.25, 0.75).width == 0.5
+    bounds = ProbBounds(0.25, 0.75)
+    assert bounds.ub - bounds.lb == 0.5
 
 
 def test_classify_clear_cut():

@@ -56,7 +56,8 @@ def test_interval_validation():
         Rect([2], [1])
     with pytest.raises(ValueError):
         Rect([0], [float("nan")])
-    assert Rect([3], [3]).is_degenerate
+    point = Rect([3], [3])
+    assert point.lo == point.hi == 3
 
 
 def test_rect_validation():

@@ -45,8 +45,7 @@ def recursive_frontier(points, weights, depth):
 def test_build_single_sample_normalises():
     obj = build_object("a", [((1.0, 2.0), 5.0)])
     assert obj.weights[0] == 1.0
-    assert obj.mbr.is_degenerate
-    assert obj.mbr.contains_point([1.0, 2.0])
+    assert (obj.mbr.lo == [1.0, 2.0]).all() and (obj.mbr.hi == [1.0, 2.0]).all()
 
 
 def test_build_four_corner_samples():
@@ -278,7 +277,7 @@ def test_generate_synthetic_deterministic(tmp_path):
 
 def test_generate_single_point_object():
     db = generate_synthetic(1, 2, 0.5, 1, seed=0)
-    assert db[0].n_samples == 1 and db[0].mbr.is_degenerate
+    assert db[0].n_samples == 1 and (db[0].mbr.lo == db[0].mbr.hi).all()
 
 
 def test_generate_validates():

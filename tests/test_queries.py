@@ -68,6 +68,11 @@ def test_predicate_validation():
         QueryPredicate("knn", 1, 1.5)
     with pytest.raises(ValueError):
         QueryPredicate("skyline", 1, 0.5)
+    # k is a count: a float or a string is refused, a NumPy integer is one.
+    for k in (2.5, "3"):
+        with pytest.raises(ValueError, match="integer"):
+            QueryPredicate("knn", k, 0.5)
+    assert QueryPredicate("knn", np.int64(2), 0.5).k == 2
 
 
 def test_threshold_boundary_is_strict():
@@ -82,6 +87,9 @@ def test_pknn_singleton_database():
     q = point_obj("q", (0.0, 0.0))
     answer = pknn_query([only], q, k=1, tau=0.9)
     assert answer.result_ids == ["only"]
+    # A fractional k is refused before any target is refined.
+    with pytest.raises(ValueError, match="integer"):
+        pknn_query([only], q, k=2.5, tau=0.9)
 
 
 def test_pknn_tau_zero_includes_certain_members(rng):
