@@ -15,7 +15,7 @@ import numpy as np
 
 from .domination import others
 from .geometry import rect_min_dist
-from .idca import DEFAULT_MAX_DEPTH, DEFAULT_PAIR_BUDGET, idca, uncertainty
+from .idca import DEFAULT_MAX_DEPTH, idca, uncertainty
 from .model import UncertainObject, generate_synthetic, load_dataset
 from .oracle import mc_baseline
 from .queries import QueryPredicate, knn_probability_bounds
@@ -36,14 +36,12 @@ class BenchConfig:
     samples_per_object: int = 100
     seed: int = 0
     dataset_path: Optional[str] = None
-    dataset_format: Optional[str] = None
 
     repetitions: int = 20
     target_rank: int = 10  # pick the target with the m-th smallest MinDist
 
     p: float = 2.0
     max_depth: int = DEFAULT_MAX_DEPTH
-    pair_budget: int = DEFAULT_PAIR_BUDGET
 
     mc_samples: tuple = (4, 16, 64)
     mode: str = "full"  # "full" or "predicate"
@@ -60,8 +58,6 @@ class BenchConfig:
         # Engine and partner settings fail here, before any dataset work.
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
-        if self.pair_budget < 1:
-            raise ValueError("pair_budget must be >= 1")
         if any(s < 1 for s in self.mc_samples):
             raise ValueError("every mc_samples entry must be >= 1")
         if self.mode == "predicate":
@@ -69,7 +65,7 @@ class BenchConfig:
 
     def load_db(self) -> list[UncertainObject]:
         if self.dataset_path:
-            return load_dataset(self.dataset_path, self.dataset_format, seed=self.seed)
+            return load_dataset(self.dataset_path, seed=self.seed)
         return generate_synthetic(
             self.n, self.dims, self.max_extent, self.samples_per_object, self.seed
         )
@@ -104,7 +100,6 @@ def bench_pruning(config: BenchConfig) -> list[dict]:
                 max_depth=config.max_depth,
                 epsilon=0.0,
                 criterion=criterion,
-                pair_budget=config.pair_budget,
             )
             cand_count = len(result.classification.influence_objects)
             for iteration, unc in enumerate(result.uncertainty_trace):
@@ -135,7 +130,6 @@ def _runtime_rows_full(db, target, ref, query_idx, config) -> list[dict]:
         p=config.p,
         max_depth=config.max_depth,
         epsilon=0.0,
-        pair_budget=config.pair_budget,
         on_iteration=observe,
     )
     for i, (wall, unc) in enumerate(marks):
@@ -177,7 +171,6 @@ def _runtime_rows_predicate(db, target, ref, query_idx, config) -> list[dict]:
         max_depth=config.max_depth,
         epsilon=0.0,
         decide=predicate.decide,
-        pair_budget=config.pair_budget,
     )
     wall = time.perf_counter() - t0
     decided = predicate.decide(result.distribution)

@@ -18,7 +18,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import bench as bench_mod
-from .idca import DEFAULT_MAX_DEPTH, DEFAULT_PAIR_BUDGET
+from .idca import DEFAULT_MAX_DEPTH
 from .model import (
     UncertainObject,
     build_object,
@@ -26,7 +26,7 @@ from .model import (
     load_dataset,
     save_dataset_jsonl,
 )
-from .oracle import DEFAULT_WORLD_BUDGET, enumerate_exact, mc_baseline
+from .oracle import enumerate_exact, mc_baseline
 from .queries import expected_rank, inverse_ranking, pknn_query, prknn_query
 
 __all__ = ["main"]
@@ -63,15 +63,17 @@ def _leaf(subparsers, name, out_required=False, **kwargs):
 
 
 def _add_dataset_flags(parser, objects="", required=True):
-    """The database (file, format, L_p norm) and the objects named against it."""
-    parser.add_argument("--dataset", required=required)
-    parser.add_argument("--format", choices=("jsonl", "gaussian-csv"))
+    """The database (file, L_p norm) and the objects named against it."""
+    parser.add_argument(
+        "--dataset", required=required, help="a .csv name is read as gaussian-csv, any other as jsonl"
+    )
     parser.add_argument("--p", type=float, default=2.0, help="L_p norm order")
     for name in objects:
         parser.add_argument(
             f"--{name}", required=True,
             help=f"{_ROLES[name]} object: a dataset id, or an external comma-separated point "
-                 "or one-object jsonl file (external even when its id matches a dataset id)",
+                 "('x,' in one dimension) or one-object jsonl file (external even when its "
+                 "id matches a dataset id)",
         )
 
 
@@ -84,7 +86,6 @@ def _add_synthetic_flags(parser, n):
 
 def _add_engine_flags(parser):
     parser.add_argument("--max-depth", type=int, default=DEFAULT_MAX_DEPTH)
-    parser.add_argument("--pair-budget", type=int, default=DEFAULT_PAIR_BUDGET)
 
 
 def _add_predicate_flags(parser, k):
@@ -116,13 +117,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     o = sub.add_parser("oracle", help="ground-truth engines")
     osub = o.add_subparsers(dest="oracle_kind", required=True)
-    for kind, objects, budget, default in (
-        ("exact", "br", "--world-budget", DEFAULT_WORLD_BUDGET),
-        ("mc", "bq", "--sample-budget", 1000),
-    ):
+    for kind, objects in (("exact", "br"), ("mc", "bq")):
         oo = _leaf(osub, kind)
         _add_dataset_flags(oo, objects)
-        oo.add_argument(budget, type=int, default=default)
+        if kind == "mc":
+            oo.add_argument("--sample-budget", type=int, default=1000)
 
     bn = sub.add_parser("bench", help="benchmark harness, emits CSV")
     bsub = bn.add_subparsers(dest="bench_kind", required=True)
@@ -172,16 +171,20 @@ def _apply_config(parser, cfg: dict) -> None:
 
 
 def _resolve_object(spec, db: list[UncertainObject], label: str) -> UncertainObject:
-    """Interpret an object spec as a point, a jsonl file, or a dataset id."""
+    """Interpret an object spec as a point, a jsonl file, or a dataset id.
+
+    A comma marks a point, so one trailing comma is dropped: ``0.5,`` is the
+    one-dimensional point x = 0.5, while a bare ``0.5`` names an id.
+    """
     if "," in spec:
         try:
-            coords = [float(tok) for tok in spec.split(",")]
+            coords = [float(tok) for tok in spec.removesuffix(",").split(",")]
         except ValueError:
             coords = None
         if coords is not None:
             return build_object(f"<{label}>", [(coords, 1.0)])
     if os.path.exists(spec) and spec.endswith((".jsonl", ".json")):
-        objs = load_dataset(spec, "jsonl")
+        objs = load_dataset(spec)
         if len(objs) != 1:
             raise ValueError(f"--{label}: {spec} holds {len(objs)} objects, not one")
         return objs[0]
@@ -197,7 +200,6 @@ def _engine_kwargs(args):
         "max_depth": args.max_depth,
         "epsilon": args.epsilon,
         "criterion": args.criterion,
-        "pair_budget": args.pair_budget,
     }
 
 
@@ -218,7 +220,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_query(args) -> int:
-    db = load_dataset(args.dataset, args.format, seed=args.seed)
+    db = load_dataset(args.dataset, seed=args.seed)
     kwargs = _engine_kwargs(args)
     if args.query_kind in ("knn", "rknn"):
         q = _resolve_object(args.q, db, "q")
@@ -270,11 +272,11 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    db = load_dataset(args.dataset, args.format, seed=args.seed)
+    db = load_dataset(args.dataset, seed=args.seed)
     b = _resolve_object(args.b, db, "b")
     if args.oracle_kind == "exact":
         r = _resolve_object(args.r, db, "r")
-        res = enumerate_exact(db, b, r, p=args.p, world_budget=args.world_budget)
+        res = enumerate_exact(db, b, r, p=args.p)
     else:
         q = _resolve_object(args.q, db, "q")
         res = mc_baseline(db, b, q, samples=args.sample_budget, p=args.p, seed=args.seed)
@@ -285,7 +287,7 @@ def _cmd_oracle(args) -> int:
 def _cmd_bench(args) -> int:
     # Flags whose BenchConfig field has another name; the rest match by name.
     renamed = {"samples": "samples_per_object", "dataset": "dataset_path",
-               "format": "dataset_format", "queries": "repetitions"}
+               "queries": "repetitions"}
     values = {renamed.get(key, key): value for key, value in vars(args).items()}
     fields = {field.name for field in dataclasses.fields(bench_mod.BenchConfig)}
     config = bench_mod.BenchConfig(**{key: values[key] for key in fields & values.keys()})

@@ -31,11 +31,13 @@ __all__ = [
     "idca",
     "uncertainty",
     "DEFAULT_MAX_DEPTH",
-    "DEFAULT_PAIR_BUDGET",
 ]
 
 DEFAULT_MAX_DEPTH = 10
-DEFAULT_PAIR_BUDGET = 1 << 16
+
+# Cap on target-leaf x reference-leaf pairs one sweep may evaluate; a run
+# whose next sweep would exceed it stops with reason "pair_budget".
+_PAIR_BUDGET = 1 << 16
 
 # Cap on floats held by one batched expansion chunk (~128 MB of float64),
 # sized for the worst case of a full (n+1)^2 grid per pair row; the grids
@@ -136,7 +138,6 @@ def idca(
     epsilon: Optional[float] = None,
     decide: Optional[Callable[[DomCountDistribution], object]] = None,
     criterion: str = "optimal",
-    pair_budget: int = DEFAULT_PAIR_BUDGET,
     on_iteration: Optional[Callable[[int, DomCountDistribution], None]] = None,
 ) -> IdcaResult:
     """Approximate the PDF of b's domination count w.r.t. r over db.
@@ -151,8 +152,10 @@ def idca(
     `max_depth` levels, once the summed bound width (`uncertainty`) is at or
     below `epsilon`, or once `decide(dist)` returns a verdict other than None.
     A verdict reached early is the verdict full refinement would reach,
-    because bounds only tighten.  Full separation ("exhausted") and the pair
-    budget ("pair_budget") end every run, whatever the stop values.
+    because bounds only tighten.  Full separation ("exhausted") ends every
+    run, whatever the stop values, and so does a next sweep that would
+    evaluate more than 65536 (target-leaf, reference-leaf) pairs
+    ("pair_budget").
     `on_iteration(depth, dist)` is invoked after each evaluation
     (progress/timing observation only).
     """
@@ -161,8 +164,6 @@ def idca(
         raise ValueError("max_depth must be >= 1")
     if epsilon is not None and not epsilon >= 0:
         raise ValueError("epsilon must be >= 0")
-    if pair_budget < 1:
-        raise ValueError("pair_budget must be >= 1")
 
     # classify is the one pass that validates db, b and r (`others`); db ids
     # are unique after it, so the influence ids name the candidate objects.
@@ -193,7 +194,7 @@ def idca(
             reason = "exhausted"
             break
         next_pairs = len(b.leaves_at_depth(depth + 1)) * len(r.leaves_at_depth(depth + 1))
-        if next_pairs > pair_budget:
+        if next_pairs > _PAIR_BUDGET:
             reason = "pair_budget"
             break
         depth += 1

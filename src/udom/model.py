@@ -263,24 +263,21 @@ def _gaussian_cloud(rng, mean, sigma, n):
     return mean[None, :] + z * sigma[None, :]
 
 
-def load_dataset(path, fmt: Optional[str] = None, seed: int = 0) -> list[UncertainObject]:
-    """Read objects from a file.
+def load_dataset(path, *, seed: int = 0) -> list[UncertainObject]:
+    """Read objects from a file; the format follows the file name.
 
     Formats:
-      * ``jsonl``: one object per line,
+      * a ``.csv`` name is ``gaussian-csv``: rows
+        ``id, x1..xd, sigma1..sigmad, nsamples``; samples are drawn from the
+        per-dimension Gaussian truncated at +-3 sigma (seeded by `seed`,
+        reproducible), with equal weights.
+      * any other name is ``jsonl``: one object per line,
         ``{"id": ..., "samples": [[x1, ..., xd, w], ...]}``.
-      * ``gaussian-csv``: rows ``id, x1..xd, sigma1..sigmad, nsamples``;
-        samples are drawn from the per-dimension Gaussian truncated at
-        +-3 sigma (seeded, reproducible), with equal weights.
     """
     path = str(path)
-    if fmt is None:
-        fmt = "gaussian-csv" if path.endswith(".csv") else "jsonl"
-    if fmt == "jsonl":
-        return _load_jsonl(path)
-    if fmt == "gaussian-csv":
+    if path.endswith(".csv"):
         return _load_gaussian_csv(path, seed)
-    raise ValueError(f"unknown dataset format {fmt!r}")
+    return _load_jsonl(path)
 
 
 def _append_checked(objects: list, lines: dict, obj: UncertainObject, lineno: int):

@@ -2,7 +2,7 @@
 
 ``enumerate_exact`` walks every joint assignment of one sample per object and
 tallies domination counts directly from distances; it is deliberately naive
-(its only job is to be obviously right) and refuses to run past an explicit
+(its only job is to be obviously right) and refuses to run past a fixed
 world budget rather than silently approximating.
 
 ``mc_baseline`` is the sampling comparison partner: it draws positions of the
@@ -23,13 +23,13 @@ from .genfunc import gf_exact
 from .geometry import check_norm_order
 from .model import UncertainObject
 
-__all__ = ["ExactPdf", "WorldBudgetError", "enumerate_exact", "mc_baseline", "DEFAULT_WORLD_BUDGET"]
+__all__ = ["ExactPdf", "WorldBudgetError", "enumerate_exact", "mc_baseline"]
 
-DEFAULT_WORLD_BUDGET = 10_000_000
+_WORLD_BUDGET = 10_000_000
 
 
 class WorldBudgetError(RuntimeError):
-    """The instance has more possible worlds than the configured budget."""
+    """The instance has more possible worlds than `enumerate_exact` walks."""
 
 
 @dataclass(frozen=True)
@@ -53,23 +53,21 @@ def enumerate_exact(
     b: UncertainObject,
     r: UncertainObject,
     p: float = 2.0,
-    world_budget: int = DEFAULT_WORLD_BUDGET,
 ) -> ExactPdf:
     """Exact PDF of b's domination count w.r.t. r by full world enumeration.
 
     Every world fixes one sample of b, r and each candidate; its weight is the
     product of the sample weights and its count is the number of candidates
-    strictly closer to r's sample than b's sample.
+    strictly closer to r's sample than b's sample.  An instance with more
+    than 10,000,000 worlds raises `WorldBudgetError` before any is walked.
     """
     p = check_norm_order(p)
     cands = others(db, b, r)
     n_worlds = b.n_samples * r.n_samples
     for cand in cands:
         n_worlds *= cand.n_samples
-        if n_worlds > world_budget:
-            raise WorldBudgetError(
-                f"instance has more than {world_budget} possible worlds"
-            )
+        if n_worlds > _WORLD_BUDGET:
+            raise WorldBudgetError(f"instance has more than {_WORLD_BUDGET} possible worlds")
     size = len(others(db, b)) + 1
     pdf = np.zeros(size)
     for r_pt, r_w in zip(r.points, r.weights):

@@ -170,10 +170,6 @@ class RankDistribution:
     ub: np.ndarray
     result: IdcaResult
 
-    def bounds_for_rank(self, rank: int) -> ProbBounds:
-        idx = int(np.flatnonzero(self.ranks == rank)[0])
-        return ProbBounds(float(self.lb[idx]), float(self.ub[idx]))
-
 
 def inverse_ranking(
     db: Sequence[UncertainObject],

@@ -119,6 +119,20 @@ def test_query_object_file_must_hold_one_object(tiny_dataset, tmp_path, capsys):
     assert err.startswith("udom: ") and "--q" in err and "3 objects" in err
 
 
+def test_query_one_dimensional_external_point(tmp_path, capsys):
+    """A trailing comma marks a point, so `0.5,` is external in one dimension."""
+    data = tmp_path / "one.jsonl"
+    assert main(["generate", "--n", "6", "--dims", "1", "--samples", "3", "--out", str(data)]) == 0
+    capsys.readouterr()
+    rc = main(["query", "knn", "--dataset", str(data), "--q", "0.5,", "--k", "2", "--max-depth", "4"])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert sorted(e["id"] for e in payload["decisions"]) == [str(i) for i in range(6)]
+    # Without the comma the spec stays an id lookup.
+    assert main(["query", "knn", "--dataset", str(data), "--q", "0.5"]) == 1
+    assert "no object with id '0.5'" in capsys.readouterr().err
+
+
 def test_query_q_as_dataset_id_excluded(tiny_dataset, capsys):
     rc = main(["query", "knn", "--dataset", str(tiny_dataset), "--k", "1", "--tau", "0.5",
                "--q", "7", "--max-depth", "3"])
@@ -207,6 +221,23 @@ def test_config_rejects_bad_choice_and_unknown_key(tmp_path, tiny_dataset, capsy
             main(["--config", str(cfg), *argv])
         assert exc.value.code != 0
         assert named in capsys.readouterr().err
+
+
+def test_removed_knobs_are_rejected(tmp_path, tiny_dataset, capsys):
+    """The pair and world budgets and the dataset format are no flags and no config keys."""
+    query = ["query", "knn", "--dataset", str(tiny_dataset), "--q", "0.5,0.5"]
+    exact = ["oracle", "exact", "--dataset", str(tiny_dataset), "--b", "0", "--r", "1"]
+    cfg = tmp_path / "c.cfg"
+    for argv, flag, value in ((query, "pair-budget", "5"), (exact, "world-budget", "5"),
+                              (query, "format", "jsonl")):
+        cfg.write_text(f"{flag} = {value}\n")
+        for given, named in (([*argv, f"--{flag}", value], f"--{flag}"),
+                             (["--config", str(cfg), *argv], flag.replace("-", "_"))):
+            with pytest.raises(SystemExit) as exc:
+                main(given)
+            assert exc.value.code == 2, given
+            err = capsys.readouterr().err
+            assert named in err and "Traceback" not in err, err
 
 
 def test_config_key_of_another_subcommand_is_allowed(tmp_path):
@@ -343,7 +374,6 @@ def test_bench_config_validation(tmp_path, capsys, monkeypatch):
         dict(mode="fastest"),
         dict(target_rank=0),
         dict(max_depth=0),
-        dict(pair_budget=0),
         dict(mc_samples=(4, 0)),
         dict(mode="predicate", k=0),
         dict(mode="predicate", k=2.5),
@@ -366,7 +396,6 @@ def test_bench_config_validation(tmp_path, capsys, monkeypatch):
     for argv in (
         ["pruning", "--target-rank", "0"],
         ["pruning", "--max-depth", "0"],
-        ["pruning", "--pair-budget", "0"],
         ["runtime", "--mc-samples", "0"],
         ["runtime", "--mode", "predicate", "--k", "0"],
     ):

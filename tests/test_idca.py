@@ -300,9 +300,10 @@ def test_predicate_decided_stop(rng):
     assert decide(res.distribution) == "ok" or res.stop_reason in ("exhausted", "pair_budget")
 
 
-def test_pair_budget_stop(rng):
+def test_pair_budget_stop(rng, monkeypatch):
+    monkeypatch.setattr(importlib.import_module("udom.idca"), "_PAIR_BUDGET", 2)
     db, b, r = random_instance(rng, n_objects=6, max_samples=4)
-    res = idca(db, b, r, max_depth=12, pair_budget=2)
+    res = idca(db, b, r, max_depth=12)
     if res.stop_reason == "pair_budget":
         assert res.iterations_run < 12
     else:
@@ -355,8 +356,6 @@ def test_reference_in_database_is_excluded(rng):
 
 def test_engine_validates():
     db, b, r = dependency_fixture()
-    with pytest.raises(ValueError):
-        idca(db, b, r, pair_budget=0)
     with pytest.raises(ValueError):
         idca(db, b, r, p=0.2)
     with pytest.raises(ValueError):

@@ -339,7 +339,7 @@ def test_load_rejects_repeated_id(tmp_path):
 def test_gaussian_csv_sigma_zero(tmp_path):
     path = tmp_path / "g.csv"
     path.write_text("a, 0.5, 0.5, 0, 0, 7\n")
-    (obj,) = load_dataset(path, "gaussian-csv", seed=1)
+    (obj,) = load_dataset(path, seed=1)
     assert obj.n_samples == 7
     np.testing.assert_array_equal(obj.points, np.full((7, 2), 0.5))
 
@@ -347,12 +347,12 @@ def test_gaussian_csv_sigma_zero(tmp_path):
 def test_gaussian_csv_reproducible_and_bounded(tmp_path):
     path = tmp_path / "g.csv"
     path.write_text("a, 0.0, 0.0, 0.1, 0.2, 500\n")
-    (one,) = load_dataset(path, "gaussian-csv", seed=5)
-    (two,) = load_dataset(path, "gaussian-csv", seed=5)
+    (one,) = load_dataset(path, seed=5)
+    (two,) = load_dataset(path, seed=5)
     np.testing.assert_array_equal(one.points, two.points)
     assert (np.abs(one.points[:, 0]) <= 0.3 + 1e-12).all()
     assert (np.abs(one.points[:, 1]) <= 0.6 + 1e-12).all()
-    (three,) = load_dataset(path, "gaussian-csv", seed=6)
+    (three,) = load_dataset(path, seed=6)
     assert not np.array_equal(one.points, three.points)
 
 
@@ -360,21 +360,24 @@ def test_gaussian_csv_errors(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a, 0.5, 0.5, 0.1, 3\n")  # sigma column missing
     with pytest.raises(DatasetError, match="line 1"):
-        load_dataset(path, "gaussian-csv")
+        load_dataset(path)
     path.write_text("a, 0.5, 0.5, 0.1, 0.1, 0\n")
     with pytest.raises(DatasetError, match="nsamples"):
-        load_dataset(path, "gaussian-csv")
+        load_dataset(path)
     for row in ("b,nan,0.5,0.1,0.1,4", "b,0.5,0.5,inf,0.1,4", "b,0.5,-inf,0.1,0.1,4"):
         path.write_text("a, 0.5, 0.5, 0.1, 0.1, 4\n" + row + "\n")
         with pytest.raises(DatasetError, match="line 2: mean and sigma must be finite"):
-            load_dataset(path, "gaussian-csv")
+            load_dataset(path)
 
 
-def test_load_unknown_format(tmp_path):
-    path = tmp_path / "d.jsonl"
-    path.write_text("{}\n")
-    with pytest.raises(ValueError):
-        load_dataset(path, "parquet")
+def test_load_format_follows_file_name(tmp_path):
+    path = tmp_path / "d.txt"
+    path.write_text('{"id": "a", "samples": [[0.5, 0.5, 1]]}\n')
+    (obj,) = load_dataset(path)
+    assert obj.id == "a" and obj.n_samples == 1
+    # The format is no parameter: a stale positional one must not bind to `seed`.
+    with pytest.raises(TypeError):
+        load_dataset(path, "gaussian-csv")
 
 
 def test_empty_dataset(tmp_path):

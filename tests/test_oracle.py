@@ -47,10 +47,11 @@ def test_pdf_sums_to_one_and_permutation_invariant(rng):
     np.testing.assert_allclose(first.pdf, second.pdf, atol=1e-12)
 
 
-def test_world_budget_enforced(rng):
+def test_world_budget_enforced(rng, monkeypatch):
+    monkeypatch.setattr("udom.oracle._WORLD_BUDGET", 3)
     db, b, r = random_instance(rng, n_objects=6, max_samples=4)
     with pytest.raises(WorldBudgetError):
-        enumerate_exact(db, b, r, world_budget=3)
+        enumerate_exact(db, b, r)
 
 
 def test_mc_exact_for_certain_instance():

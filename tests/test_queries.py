@@ -181,8 +181,8 @@ def test_inverse_ranking_all_dominators():
     b = point_obj("b", (10.0, 0.0))
     db = [point_obj(f"o{i}", (0.5 + 0.1 * i, 0.0)) for i in range(3)] + [b]
     rank = inverse_ranking(db, b, r, max_depth=1)
-    assert rank.bounds_for_rank(4).lb == pytest.approx(1.0)
-    assert rank.bounds_for_rank(1).ub == 0.0
+    assert rank.lb[3] == pytest.approx(1.0)
+    assert rank.ub[0] == 0.0
 
 
 def test_inverse_ranking_is_count_shifted_by_one(rng):
