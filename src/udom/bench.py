@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .domination import others
-from .geometry import rect_min_dist
+from .geometry import _check_count, rect_min_dist
 from .idca import DEFAULT_MAX_DEPTH, idca, uncertainty
 from .model import UncertainObject, generate_synthetic, load_dataset
 from .oracle import mc_baseline
@@ -49,17 +49,14 @@ class BenchConfig:
     tau: float = 0.5
 
     def __post_init__(self):
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
-        if self.target_rank < 1:
-            raise ValueError("target_rank must be >= 1")
+        _check_count(self.repetitions, "repetitions")
+        _check_count(self.target_rank, "target_rank")
         if self.mode not in ("full", "predicate"):
             raise ValueError(f"unknown bench mode {self.mode!r}")
         # Engine and partner settings fail here, before any dataset work.
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
-        if any(s < 1 for s in self.mc_samples):
-            raise ValueError("every mc_samples entry must be >= 1")
+        _check_count(self.max_depth, "max_depth")
+        for s in self.mc_samples:
+            _check_count(s, "every mc_samples entry")
         if self.mode == "predicate":
             QueryPredicate("knn", self.k, self.tau)
 

@@ -42,10 +42,10 @@ class DominationClassification:
     """Split of the database relative to a target b and reference r.
 
     ``complete_dominators`` are closer than b to r in every possible world,
-    ``irrelevant`` objects in none, ``influence_objects`` are undecided at the
-    MBR level and are the only source of count uncertainty.  The target (and
-    the reference, when it is a database object) is excluded from all groups;
-    see `others`.
+    ``irrelevant`` objects in none; both are only counted, so they hold ids
+    and a kept result never keeps the database alive.  ``influence_objects``,
+    undecided by the MBRs and the refinement candidates, are the database
+    objects themselves.  Groups keep database order and exclude b and r (`others`).
     """
 
     complete_dominators: tuple
@@ -79,7 +79,7 @@ def classify(
     p: float = 2.0,
     criterion: str = "optimal",
 ) -> DominationClassification:
-    """Classify every database object against (b, r) from the MBRs alone.
+    """Group the objects of `others(db, b, r)` by two MBR kernel masks.
 
     ``criterion`` selects the decision rule: "optimal" (corner-wise, tight) or
     "minmax" (baseline, kept for comparisons; never prunes more than optimal).
@@ -95,9 +95,9 @@ def classify(
     b_lo, b_hi = b.mbr.lo[None, :], b.mbr.hi[None, :]
     dominates_b = dominance_grid(a_lo, a_hi, b_lo, b_hi, r.mbr.lo, r.mbr.hi, p, criterion)[:, 0]
     dominated = dominance_grid(b_lo, b_hi, a_lo, a_hi, r.mbr.lo, r.mbr.hi, p, criterion)[0, :]
-    complete = tuple(o.id for o, f in zip(cands, dominates_b) if f)
-    irrelevant = tuple(o.id for o, f, g in zip(cands, dominates_b, dominated) if g and not f)
-    influence = tuple(o.id for o, f, g in zip(cands, dominates_b, dominated) if not f and not g)
+    complete = tuple(cands[i].id for i in np.flatnonzero(dominates_b))
+    irrelevant = tuple(cands[i].id for i in np.flatnonzero(dominated & ~dominates_b))
+    influence = tuple(cands[i] for i in np.flatnonzero(~(dominated | dominates_b)))
     return DominationClassification(complete, influence, irrelevant)
 
 

@@ -17,6 +17,7 @@ count as domination, which keeps the criteria conservative.
 
 from __future__ import annotations
 
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -70,6 +71,16 @@ def check_norm_order(p: float) -> float:
     if not np.isfinite(p) or p < 1.0:
         raise ValueError(f"norm order must satisfy p >= 1, got {p}")
     return p
+
+
+def _check_count(value, name: str) -> None:
+    """Reject a `value` that `operator.index` refuses (2.5, nan, inf) or below 1."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
 
 
 def rect_min_dist(a: Rect, b: Rect, p: float = 2.0) -> float:

@@ -1,17 +1,17 @@
 """Iterative domination count approximation.
 
-Iteration 0 is the MBR classification alone: certain dominators become a
-fixed count offset s, certainly-dominated objects drop out, and each of the m
-remaining influence objects may or may not dominate, so every count in
-s..s+m is possible and none is certain.  From depth 2 on, each iteration
-deepens the decompositions of the target, the reference and every influence
-object by one level, evaluates one uncertain generating function per
-(target-leaf, reference-leaf) pair from per-candidate domination bounds,
-mixes the per-pair count bounds with the pair masses, and shifts by s.
-Nested decompositions only tighten bounds, so lower bounds rise and upper
-bounds fall monotonically until a stop rule fires, the pair budget would be
-exceeded, or every object is fully separated (at which point the bounds are
-exact for discrete objects).
+Iteration 0 is the MBR classification alone: certain dominators become a fixed
+count offset s, certainly-dominated objects drop out, and each of the m
+remaining influence objects may or may not dominate, so every count in s..s+m
+is possible and none is certain.  From depth 2 on, each iteration deepens the
+decompositions of the target, the reference and every influence object by one
+level (each split reads its node's axis and half-mass from the level it
+refines), evaluates one uncertain generating function per (target-leaf,
+reference-leaf) pair from per-candidate domination bounds, mixes the per-pair
+count bounds with the pair masses, and shifts by s.  Nested decompositions only
+tighten bounds, so lower bounds rise and upper bounds fall monotonically until
+a stop rule fires, the pair budget would be exceeded, or every object is fully
+separated (at which point the bounds are exact for discrete objects).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from .domination import DominationClassification, classify, pdom_bounds_grid
 from .genfunc import DomCountDistribution, _extract_batch, _ugf_expand_batch
-from .geometry import check_norm_order
+from .geometry import _check_count, check_norm_order
 from .model import FrontierStack, UncertainObject
 
 __all__ = [
@@ -143,10 +143,10 @@ def idca(
     """Approximate the PDF of b's domination count w.r.t. r over db.
 
     The returned arrays have one slot per database object other than `b`,
-    plus one (counts that are provably impossible keep zero bounds).  `b`,
-    and `r` when it is a database object, are excluded from the candidate
-    set by object identity (`others`), so db ids must be unique and an
-    external object never excludes a database object that shares its id.
+    plus one (counts that are provably impossible keep zero bounds).  The
+    candidates are the classification's influence objects: `b`, and `r` when
+    it is a database object, are excluded by identity (`others`), so db ids
+    must be unique and an external object never excludes one that shares its id.
 
     Refinement stops with reason "criterion" once the frontier reaches
     `max_depth` levels, once the summed bound width (`uncertainty`) is at or
@@ -160,16 +160,12 @@ def idca(
     (progress/timing observation only).
     """
     p = check_norm_order(p)
-    if max_depth < 1:
-        raise ValueError("max_depth must be >= 1")
+    _check_count(max_depth, "max_depth")
     if epsilon is not None and not epsilon >= 0:
         raise ValueError("epsilon must be >= 0")
 
-    # classify is the one pass that validates db, b and r (`others`); db ids
-    # are unique after it, so the influence ids name the candidate objects.
     cls = classify(db, b, r, p=p, criterion=criterion)
-    influence = set(cls.influence_objects)
-    cands = [o for o in db if o.id in influence]
+    cands = list(cls.influence_objects)
     shift = cls.complete_domination_count
     n_total = len(db) + 1 - any(o is b for o in db)
 

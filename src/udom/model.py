@@ -7,7 +7,8 @@ median of the widest MBR axis; child masses are always the exact weight sums
 (which reduces to the 0.5^(level-1) rule for even splits), and child
 rectangles are tight MBRs of their samples.  Each level is one `Frontier`:
 per-node ``lo``/``hi``/``mass`` arrays plus a sample permutation whose
-segments list every node's samples.
+segments list every node's samples; a split reads its node's axis and
+half-mass from the level it refines.
 """
 
 from __future__ import annotations
@@ -100,18 +101,17 @@ def _frontier(points, weights, order, start) -> Frontier:
     return Frontier(*arrays)
 
 
-def split(points: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, int]:
-    """Cut one node at the weighted median of its widest MBR axis.
+def split(keys: np.ndarray, weights: np.ndarray, half: float) -> tuple[np.ndarray, int]:
+    """Cut one node at the weighted median of `keys`, its samples' split-axis coordinates.
 
-    Returns ``(order, n_left)``: samples ordered along the axis (stable), of
-    which the shortest prefix whose cumulative weight reaches half the node
-    mass goes left, clipped so both sides stay non-empty.  The node needs
-    two distinct sample points.
+    Returns ``(order, n_left)``: samples ordered by key (stable), of which
+    the shortest prefix whose cumulative weight reaches `half` (half the node
+    mass) goes left, clipped so both sides stay non-empty.  The node needs
+    two distinct keys.
     """
-    axis = int(np.argmax(points.max(axis=0) - points.min(axis=0)))
-    order = np.argsort(points[:, axis], kind="stable")
+    order = np.argsort(keys, kind="stable")
     cum = np.cumsum(weights[order])
-    n_left = int(np.searchsorted(cum, weights.sum() / 2.0)) + 1
+    n_left = int(np.searchsorted(cum, half)) + 1
     return order, min(max(n_left, 1), len(order) - 1)
 
 
@@ -144,10 +144,11 @@ class DecompositionTree:
     def _deepen(self, f: Frontier) -> Frontier:
         order = f.order.copy()
         start = [0]
-        for atomic, s, e in zip(f.atomic, f.start[:-1], f.start[1:]):
+        axes = np.argmax(f.hi - f.lo, axis=1)
+        for atomic, axis, half, s, e in zip(f.atomic, axes, f.mass / 2.0, f.start[:-1], f.start[1:]):
             if not atomic:
                 seg = order[s:e]
-                perm, n_left = split(self._points[seg], self._weights[seg])
+                perm, n_left = split(self._points[seg, axis], self._weights[seg], half)
                 order[s:e] = seg[perm]
                 start.append(s + n_left)
             start.append(e)

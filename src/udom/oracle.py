@@ -20,7 +20,7 @@ import numpy as np
 
 from .domination import others
 from .genfunc import gf_exact
-from .geometry import check_norm_order
+from .geometry import _check_count, check_norm_order
 from .model import UncertainObject
 
 __all__ = ["ExactPdf", "WorldBudgetError", "enumerate_exact", "mc_baseline"]
@@ -103,8 +103,8 @@ def mc_baseline(
     probabilities feed the plain generating function.
     """
     p = check_norm_order(p)
-    if samples is not None and samples < 1:
-        raise ValueError("samples must be >= 1")
+    if samples is not None:
+        _check_count(samples, "samples")
     cands = others(db, b, q)
     size = len(others(db, b)) + 1
     if samples is None:

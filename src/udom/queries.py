@@ -8,7 +8,6 @@ reached under early stopping always equals the full-depth decision.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
@@ -16,6 +15,7 @@ import numpy as np
 
 from .domination import ProbBounds, others
 from .genfunc import DomCountDistribution
+from .geometry import _check_count
 from .idca import IdcaResult, idca
 from .model import UncertainObject
 
@@ -44,12 +44,7 @@ class QueryPredicate:
     def __post_init__(self):
         if self.kind not in ("knn", "rknn"):
             raise ValueError(f"unknown predicate kind {self.kind!r}")
-        try:
-            operator.index(self.k)
-        except TypeError:
-            raise ValueError(f"k must be an integer, got {self.k!r}") from None
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
+        _check_count(self.k, "k")
         if not (0.0 <= self.tau <= 1.0):
             raise ValueError("tau must lie in [0, 1]")
 

@@ -368,6 +368,23 @@ def test_bench_cli_end_to_end(tmp_path):
     assert rows and set(rows[0]) == set(PRUNING_HEADER)
 
 
+def test_bench_config_integer_fields():
+    """Counts are integers: a float depth cap or draw count is rejected before
+    any dataset work, and NumPy integers pass."""
+    for bad in (
+        dict(max_depth=float("nan")),
+        dict(max_depth=float("inf")),
+        dict(max_depth=2.5),
+        dict(mc_samples=(4, 2.5)),
+        dict(repetitions=1.5),
+        dict(target_rank=2.0),
+    ):
+        with pytest.raises(ValueError, match="must be an integer"):
+            BenchConfig(**bad)
+    config = BenchConfig(max_depth=np.int64(3), mc_samples=(np.int32(4),), repetitions=np.int64(2))
+    assert config.max_depth == 3
+
+
 def test_bench_config_validation(tmp_path, capsys, monkeypatch):
     bad_configs = [
         dict(repetitions=0),

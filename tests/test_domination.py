@@ -48,7 +48,7 @@ def test_classify_mirror_symmetric_is_influence():
     b = build_object("b", [((2.0, 0.0), 0.5), ((3.0, 1.0), 0.5)])
     mirror = build_object("a", [((-2.0, 0.0), 0.5), ((-3.0, -1.0), 0.5)])
     cls = classify([mirror, b], b, r)
-    assert cls.influence_objects == ("a",)
+    assert cls.influence_objects == (mirror,)
 
 
 def test_classify_excludes_target_and_reference():
@@ -58,6 +58,30 @@ def test_classify_excludes_target_and_reference():
     cls = classify([r, b, other], b, r)
     groups = cls.complete_dominators + cls.influence_objects + cls.irrelevant
     assert set(groups) == {"c"}
+
+
+def test_classify_influence_objects_are_database_objects(rng):
+    """The influence group holds the database objects themselves, in database
+    order, and the decided groups their ids.  An external reference whose id
+    equals a database id excludes nothing, so that database object lands in
+    exactly one group."""
+    seen = 0
+    for _ in range(40):
+        db, b, _ = random_instance(rng, n_objects=6)
+        twin = next(o for o in db if o is not b)
+        r = build_object(twin.id, [(pt, 1.0) for pt in rng.uniform(0, 1, size=(3, 2))])
+        cls = classify(db, b, r)
+        rest = [o for o in db if o is not b]
+        influence = [next(i for i, o in enumerate(rest) if o is a) for a in cls.influence_objects]
+        assert influence == sorted(influence)
+        for group in (cls.complete_dominators, cls.irrelevant):
+            assert list(group) == [o.id for o in rest if o.id in group]
+        assert sum(map(len, (cls.complete_dominators, cls.influence_objects, cls.irrelevant))) == len(rest)
+        in_influence = any(a is twin for a in cls.influence_objects)
+        hits = [twin.id in cls.complete_dominators, twin.id in cls.irrelevant, in_influence]
+        assert sum(hits) == 1
+        seen += hits[2]
+    assert seen  # the twin was an influence object at least once
 
 
 def test_classify_dimension_mismatch():
@@ -85,7 +109,7 @@ def test_classify_point_objects_agree_with_exhaustive(rng):
             elif d_b < d_a:
                 assert label in cls.irrelevant
             else:
-                assert label in cls.influence_objects
+                assert db[i] in cls.influence_objects
 
 
 def test_classify_multisample_is_conservative(rng):

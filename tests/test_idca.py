@@ -85,8 +85,7 @@ def test_engine_matches_public_operations(rng):
         depth = 3
         res = idca(db, b, r, max_depth=depth)
         cls = classify(db, b, r)
-        by_id = {o.id: o for o in db}
-        cands = [by_id[i] for i in cls.influence_objects]
+        cands = list(cls.influence_objects)
         if not cands:
             continue
         counts = slice(cls.complete_domination_count, cls.complete_domination_count + len(cands) + 1)
@@ -368,6 +367,20 @@ def test_engine_validates():
         idca(db, b, r, epsilon=float("nan"))
 
 
+def test_max_depth_must_be_an_integer(rng):
+    """A float depth cap would be compared, not counted: nan and inf lifted
+    the cap and 2.5 acted as 3.  NumPy integers are integers."""
+    db, b, r = random_instance(rng, n_objects=5)
+    for bad in (float("nan"), float("inf"), 2.5, 3.0, "3"):
+        with pytest.raises(ValueError, match="max_depth must be an integer"):
+            idca(db, b, r, max_depth=bad)
+    want = idca(db, b, r, max_depth=3)
+    got = idca(db, b, r, max_depth=np.int64(3))
+    assert got.iterations_run == want.iterations_run and got.stop_reason == want.stop_reason
+    assert got.distribution.lb.tobytes() == want.distribution.lb.tobytes()
+    assert got.distribution.ub.tobytes() == want.distribution.ub.tobytes()
+
+
 def equal_weight_object(obj_id, rng, k, d):
     """k samples of weight 1/k each, as `generate_synthetic` makes them."""
     return build_object(obj_id, [(pt, 1.0 / k) for pt in rng.uniform(0.0, 1.0, size=(k, d))])
@@ -401,7 +414,7 @@ def test_iteration_zero_equals_depth_one_sweep(rng):
         masses.update(float(o.weights.sum()) for o in (b, r))
         res = idca(db, b, r, p=p, max_depth=1, criterion=criterion)
         cls = res.classification
-        cands = [o for o in db if o.id in set(cls.influence_objects)]
+        cands = list(cls.influence_objects)
         shift = cls.complete_domination_count
         n_total = len(res.distribution)
         got = res.history[0]

@@ -89,7 +89,7 @@ def test_leaf_masses_sum_to_one_at_any_depth(rng):
 
 def test_split_four_on_a_line():
     obj = build_object("line", equal_weight([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0)]))
-    order, n_left = split(obj.points, obj.weights)
+    order, n_left = split(obj.points[:, 0], obj.weights, obj.weights.sum() / 2)
     assert n_left == 2
     assert set(map(tuple, obj.points[order[:n_left]])) == {(0.0, 0.0), (1.0, 0.0)}
     assert set(map(tuple, obj.points[order[n_left:]])) == {(2.0, 0.0), (3.0, 0.0)}
@@ -106,7 +106,7 @@ def test_split_three_equal_weights():
 
 def test_split_unbalanced_weights_keeps_children_nonempty():
     obj = build_object("w", [((0.0, 0.0), 0.1), ((1.0, 0.0), 0.9)])
-    order, n_left = split(obj.points, obj.weights)
+    order, n_left = split(obj.points[:, 0], obj.weights, obj.weights.sum() / 2)
     assert n_left == 1 and order.tolist() == [0, 1]
     assert obj.leaves_at_depth(2).mass.tolist() == pytest.approx([0.1, 0.9])
 
@@ -120,11 +120,20 @@ def test_coincident_root_stays_atomic():
     assert obj.decomposition.fully_separated(1)
 
 
-def test_split_axis_is_widest_side():
-    pts = np.array([(0.0, 0.0), (0.0, 10.0), (1.0, 4.0), (1.0, 6.0)])
-    order, n_left = split(pts, np.full(4, 0.25))
-    # Split must be along dimension 1 (extent 10 vs 1): children separate in y.
-    assert pts[order[:n_left], 1].max() <= pts[order[n_left:], 1].min()
+def test_deepen_splits_along_widest_side():
+    obj = build_object("tall", equal_weight([(0.0, 0.0), (0.0, 10.0), (1.0, 4.0), (1.0, 6.0)]))
+    # The root is 1 wide and 10 tall, so its children separate in y.
+    low, high = segments(obj.leaves_at_depth(2))
+    assert obj.points[low, 1].max() <= obj.points[high, 1].min()
+    assert sorted(obj.points[low, 1].tolist()) == [0.0, 4.0]
+
+
+def test_deepen_tie_for_widest_side_takes_first_axis():
+    obj = build_object("square", equal_weight([(0.0, 3.0), (1.0, 0.0), (2.0, 2.0), (3.0, 1.0)]))
+    # Both sides are 3 wide: argmax picks x, so the children separate in x.
+    low, high = segments(obj.leaves_at_depth(2))
+    assert sorted(obj.points[low, 0].tolist()) == [0.0, 1.0]
+    assert sorted(obj.points[high, 0].tolist()) == [2.0, 3.0]
 
 
 def test_leaves_depth_one_is_root():

@@ -95,6 +95,17 @@ def test_mc_validates():
         mc_baseline(db, b, r, samples=0)
 
 
+def test_mc_samples_must_be_an_integer(rng):
+    """A fractional draw count gave a PDF of total mass below 1."""
+    db, b, r = random_instance(rng, n_objects=4)
+    for bad in (2.5, float("nan"), float("inf"), "8"):
+        with pytest.raises(ValueError, match="samples must be an integer"):
+            mc_baseline(db, b, r, samples=bad, seed=3)
+    got = mc_baseline(db, b, r, samples=np.int64(8), seed=3)
+    want = mc_baseline(db, b, r, samples=8, seed=3)
+    assert got.pdf.tobytes() == want.pdf.tobytes() and got.worlds == want.worlds
+
+
 def test_repeated_ids_are_rejected():
     """Ids label answers, so they must be unique.  When identity was by id,
     excluding the target a@2 also dropped a@1, and both engines answered
