@@ -72,6 +72,67 @@ def others(db: Sequence[UncertainObject], *exclude: UncertainObject) -> list[Unc
     return [o for o in db if id(o) not in skip]
 
 
+# Group labels of one database object against one (target, reference) pair.
+COMPLETE, INFLUENCE, IRRELEVANT, EXCLUDED = range(4)
+
+
+def _mbr_rows(objs: Sequence[UncertainObject]) -> tuple[np.ndarray, np.ndarray]:
+    """The objects' MBRs as two (N, d) arrays of lower and upper corners."""
+    return np.stack([o.mbr.lo for o in objs]), np.stack([o.mbr.hi for o in objs])
+
+
+def _mbr_labels(lo, hi, b_lo, b_hi, r_lo, r_hi, p, criterion) -> np.ndarray:
+    """Group labels of the N boxes `lo`/`hi` for t (target, reference) pairs,
+    as an (N, t) int8 array.
+
+    Either b is a (t, d) stack of targets under one reference r ((d,) arrays),
+    or b is one target ((d,)) under a (t, d) stack of references.  A target
+    stack that *is* `lo`/`hi` makes the forward grid square; its transpose
+    is then the reverse grid, so one kernel call serves both directions.
+    An object that dominates b is COMPLETE, one that b dominates IRRELEVANT.
+    """
+    if np.ndim(r_lo) == 1:
+        dom = dominance_grid(lo, hi, b_lo, b_hi, r_lo, r_hi, p, criterion)
+        if b_lo is lo and b_hi is hi:
+            rev = dom.T
+        else:
+            rev = dominance_grid(b_lo, b_hi, lo, hi, r_lo, r_hi, p, criterion).T
+    else:
+        dom = dominance_grid(lo, hi, b_lo[None], b_hi[None], r_lo, r_hi, p, criterion)[:, 0]
+        rev = dominance_grid(b_lo[None], b_hi[None], lo, hi, r_lo, r_hi, p, criterion)[0]
+    labels = np.full(dom.shape, INFLUENCE, dtype=np.int8)
+    labels[rev] = IRRELEVANT
+    labels[dom] = COMPLETE
+    return labels
+
+
+def _target_labels(lo, hi, cols, q, roles, p, criterion) -> np.ndarray:
+    """`_mbr_labels` of the rows `lo`/`hi` against the targets `cols` (row
+    indices) with q fixed, each target's own row EXCLUDED.
+
+    ``roles`` "knn" makes each target b and q the reference; "rknn" makes q
+    the target and each target the reference.
+    """
+    if roles == "knn" and len(cols) == len(lo):
+        labels = _mbr_labels(lo, hi, lo, hi, q.mbr.lo, q.mbr.hi, p, criterion)[:, cols]
+    elif roles == "knn":
+        labels = _mbr_labels(lo, hi, lo[cols], hi[cols], q.mbr.lo, q.mbr.hi, p, criterion)
+    else:
+        labels = _mbr_labels(lo, hi, q.mbr.lo, q.mbr.hi, lo[cols], hi[cols], p, criterion)
+    labels[cols, np.arange(len(cols))] = EXCLUDED
+    return labels
+
+
+def _group(objs: Sequence[UncertainObject], labels: np.ndarray) -> DominationClassification:
+    """The classification that one target's label column over `objs` encodes."""
+
+    def ids(label):
+        return tuple(objs[i].id for i in np.flatnonzero(labels == label))
+
+    influence = tuple(objs[i] for i in np.flatnonzero(labels == INFLUENCE))
+    return DominationClassification(ids(COMPLETE), influence, ids(IRRELEVANT))
+
+
 def classify(
     db: Sequence[UncertainObject],
     b: UncertainObject,
@@ -83,6 +144,8 @@ def classify(
 
     ``criterion`` selects the decision rule: "optimal" (corner-wise, tight) or
     "minmax" (baseline, kept for comparisons; never prunes more than optimal).
+    This is the one-target case of the labelling a threshold query runs for
+    all its targets at once.
     """
     p = check_norm_order(p)
     if criterion not in ("optimal", "minmax"):
@@ -90,15 +153,8 @@ def classify(
     cands = others(db, b, r)
     if not cands:
         return DominationClassification((), (), ())
-    a_lo = np.stack([o.mbr.lo for o in cands])
-    a_hi = np.stack([o.mbr.hi for o in cands])
-    b_lo, b_hi = b.mbr.lo[None, :], b.mbr.hi[None, :]
-    dominates_b = dominance_grid(a_lo, a_hi, b_lo, b_hi, r.mbr.lo, r.mbr.hi, p, criterion)[:, 0]
-    dominated = dominance_grid(b_lo, b_hi, a_lo, a_hi, r.mbr.lo, r.mbr.hi, p, criterion)[0, :]
-    complete = tuple(cands[i].id for i in np.flatnonzero(dominates_b))
-    irrelevant = tuple(cands[i].id for i in np.flatnonzero(dominated & ~dominates_b))
-    influence = tuple(cands[i] for i in np.flatnonzero(~(dominated | dominates_b)))
-    return DominationClassification(complete, influence, irrelevant)
+    lo, hi = _mbr_rows(cands)
+    return _group(cands, _mbr_labels(lo, hi, b.mbr.lo[None], b.mbr.hi[None], r.mbr.lo, r.mbr.hi, p, criterion)[:, 0])
 
 
 def pdom_bounds_grid(

@@ -95,22 +95,35 @@ def rect_min_dist(a: Rect, b: Rect, p: float = 2.0) -> float:
 # ---------------------------------------------------------------------------
 # Vectorised kernels: m a-boxes against n b-boxes under one r-box, computed
 # on (m,) and (n,) per-dimension columns, with (m, n) results and (m, n)
-# temporaries only.
+# temporaries only.  A (k, d) stack of r-boxes gives (m, n, k) results, entry
+# [..., z] under r-box z; every cell gets the same float operations in the
+# same order as under a lone r-box, so a stacked call equals k single calls
+# bit for bit.
 # ---------------------------------------------------------------------------
 
 
 def _optimal_values_grid(a_lo, a_hi, b_lo, b_hi, r_lo, r_hi, p):
     """Criterion values for every (a-box, b-box) pair under one r-box.
 
-    a_lo/a_hi: (m, d); b_lo/b_hi: (n, d); r_lo/r_hi: (d,).
-    Returns (m, n); a value < 0 means the a-box dominates the b-box.  Per
-    dimension the larger of the two r-corner (m, n) differences is added
-    into the total in dimension order; peak temporary: three (m, n) arrays.
+    a_lo/a_hi: (m, d); b_lo/b_hi: (n, d); r_lo/r_hi: (d,), or (k, d) for a
+    stack.  Returns (m, n), or (m, n, k); a value < 0 means the a-box
+    dominates the b-box.  Per dimension the larger of the two r-corner
+    differences is added into the total in dimension order; peak temporary:
+    three result-sized arrays.
     """
-    rc = np.stack([r_lo, r_hi])[:, :, None]  # (2, d, 1): lower and upper r-corner
-    max_a = np.maximum(rc - a_lo.T, a_hi.T - rc) ** p  # (2, d, m)
-    min_b = np.maximum(np.maximum(b_lo.T - rc, rc - b_hi.T), 0.0) ** p  # (2, d, n)
-    total = np.zeros((a_lo.shape[0], b_lo.shape[0]))
+    a_lo, a_hi, b_lo, b_hi = a_lo.T, a_hi.T, b_lo.T, b_hi.T  # (d, m), (d, n)
+    if np.ndim(r_lo) == 2:  # the r-boxes of a stack go on a trailing axis
+        a_lo, a_hi, b_lo, b_hi = a_lo[..., None], a_hi[..., None], b_lo[..., None], b_hi[..., None]
+    # (2, d, 1[, k]): lower and upper r-corner, r-boxes contiguous so that they are the inner loop
+    rc = np.ascontiguousarray(np.stack([r_lo.T, r_hi.T]))[:, :, None]
+    max_a = rc - a_lo  # (2, d, m[, k]), worked in place
+    np.maximum(max_a, a_hi - rc, out=max_a)
+    max_a **= p
+    min_b = b_lo - rc  # (2, d, n[, k])
+    np.maximum(min_b, rc - b_hi, out=min_b)
+    np.maximum(min_b, 0.0, out=min_b)
+    min_b **= p
+    total = np.zeros(max_a.shape[2:3] + min_b.shape[2:])
     at_lo, at_hi = np.empty_like(total), np.empty_like(total)
     for i in range(rc.shape[1]):
         np.subtract(max_a[0, i, :, None], min_b[0, i], out=at_lo)
@@ -121,13 +134,18 @@ def _optimal_values_grid(a_lo, a_hi, b_lo, b_hi, r_lo, r_hi, p):
 
 def _minmax_values_grid(a_lo, a_hi, b_lo, b_hi, r_lo, r_hi, p):
     """Same shape contract as _optimal_values_grid for the min/max baseline."""
-    max_a = (np.maximum(r_hi[None] - a_lo, a_hi - r_lo[None]) ** p).sum(axis=1)  # (m,)
-    min_b = (np.maximum(np.maximum(b_lo - r_hi[None], r_lo[None] - b_hi), 0.0) ** p).sum(axis=1)  # (n,)
+    if np.ndim(r_lo) == 2:
+        a_lo, a_hi, b_lo, b_hi = a_lo[:, None], a_hi[:, None], b_lo[:, None], b_hi[:, None]
+    max_a = (np.maximum(r_hi[None] - a_lo, a_hi - r_lo[None]) ** p).sum(axis=-1)  # (m[, k])
+    min_b = (np.maximum(np.maximum(b_lo - r_hi[None], r_lo[None] - b_hi), 0.0) ** p).sum(axis=-1)  # (n[, k])
     return max_a[:, None] - min_b[None]
 
 
 def dominance_grid(a_lo, a_hi, b_lo, b_hi, r_lo, r_hi, p=2.0, criterion="optimal"):
-    """Boolean (m, n) matrix: a-box i dominates b-box j w.r.t. the given r-box."""
+    """Boolean (m, n) matrix: a-box i dominates b-box j w.r.t. the given r-box.
+
+    With a (k, d) stack of r-boxes the matrix is (m, n, k), one layer per r-box.
+    """
     if criterion == "optimal":
         vals = _optimal_values_grid(a_lo, a_hi, b_lo, b_hi, r_lo, r_hi, p)
     elif criterion == "minmax":

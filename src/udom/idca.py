@@ -70,6 +70,17 @@ def uncertainty(dist: DomCountDistribution) -> float:
     return float((dist.ub - dist.lb).sum())
 
 
+def _check_engine_args(p: float, max_depth: int, epsilon: Optional[float], criterion: str) -> float:
+    """Reject bad engine arguments; returns the validated norm order."""
+    p = check_norm_order(p)
+    _check_count(max_depth, "max_depth")
+    if epsilon is not None and not epsilon >= 0:
+        raise ValueError("epsilon must be >= 0")
+    if criterion not in ("optimal", "minmax"):
+        raise ValueError(f"unknown criterion {criterion!r}")
+    return p
+
+
 def _classified_bounds(
     n_cands: int, b: UncertainObject, r: UncertainObject, shift: int, n_total: int
 ) -> DomCountDistribution:
@@ -139,6 +150,7 @@ def idca(
     decide: Optional[Callable[[DomCountDistribution], object]] = None,
     criterion: str = "optimal",
     on_iteration: Optional[Callable[[int, DomCountDistribution], None]] = None,
+    _classification: Optional[DominationClassification] = None,
 ) -> IdcaResult:
     """Approximate the PDF of b's domination count w.r.t. r over db.
 
@@ -157,14 +169,11 @@ def idca(
     evaluate more than 65536 (target-leaf, reference-leaf) pairs
     ("pair_budget").
     `on_iteration(depth, dist)` is invoked after each evaluation
-    (progress/timing observation only).
+    (progress/timing observation only).  `_classification` is
+    `classify(db, b, r, p, criterion)` when the caller already holds it.
     """
-    p = check_norm_order(p)
-    _check_count(max_depth, "max_depth")
-    if epsilon is not None and not epsilon >= 0:
-        raise ValueError("epsilon must be >= 0")
-
-    cls = classify(db, b, r, p=p, criterion=criterion)
+    p = _check_engine_args(p, max_depth, epsilon, criterion)
+    cls = _classification if _classification is not None else classify(db, b, r, p=p, criterion=criterion)
     cands = list(cls.influence_objects)
     shift = cls.complete_domination_count
     n_total = len(db) + 1 - any(o is b for o in db)

@@ -68,7 +68,7 @@ def enumerate_exact(
         n_worlds *= cand.n_samples
         if n_worlds > _WORLD_BUDGET:
             raise WorldBudgetError(f"instance has more than {_WORLD_BUDGET} possible worlds")
-    size = len(others(db, b)) + 1
+    size = len(db) + 1 - any(o is b for o in db)
     pdf = np.zeros(size)
     for r_pt, r_w in zip(r.points, r.weights):
         d_b = _dist_pow(b.points, r_pt, p)
@@ -106,7 +106,7 @@ def mc_baseline(
     if samples is not None:
         _check_count(samples, "samples")
     cands = others(db, b, q)
-    size = len(others(db, b)) + 1
+    size = len(db) + 1 - any(o is b for o in db)
     if samples is None:
         q_points, q_weights = q.points, q.weights
         drawn = q.n_samples

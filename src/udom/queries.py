@@ -9,14 +9,21 @@ reached under early stopping always equals the full-depth decision.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .domination import ProbBounds, others
+from .domination import COMPLETE, INFLUENCE, ProbBounds, _group, _mbr_rows, _target_labels, others
 from .genfunc import DomCountDistribution
 from .geometry import _check_count
-from .idca import IdcaResult, idca
+from .idca import (
+    _BATCH_FLOAT_BUDGET,
+    DEFAULT_MAX_DEPTH,
+    IdcaResult,
+    _check_engine_args,
+    _classified_bounds,
+    idca,
+)
 from .model import UncertainObject
 
 __all__ = [
@@ -49,7 +56,10 @@ class QueryPredicate:
             raise ValueError("tau must lie in [0, 1]")
 
     def decide(self, dist: DomCountDistribution) -> Optional[str]:
-        bounds = knn_probability_bounds(dist, self.k)
+        return self._verdict(knn_probability_bounds(dist, self.k))
+
+    def _verdict(self, bounds: ProbBounds) -> Optional[str]:
+        """"in", "out", or None while `bounds` straddle tau."""
         if bounds.lb > self.tau:
             return "in"
         if bounds.ub <= self.tau:
@@ -95,32 +105,69 @@ def knn_probability_bounds(dist: DomCountDistribution, k: int) -> ProbBounds:
     return ProbBounds(min(lb, 1.0), max(min(lb, 1.0), ub))
 
 
-def _per_target(
+def _each_target(
     db: Sequence[UncertainObject],
     q: UncertainObject,
     roles: str,
-    **engine_kwargs,
-) -> Iterator[tuple[UncertainObject, IdcaResult]]:
-    """Run the engine once per database object other than q, in str(id) order.
+    decide: Optional[Callable[[DomCountDistribution], object]] = None,
+    p: float = 2.0,
+    max_depth: int = DEFAULT_MAX_DEPTH,
+    epsilon: Optional[float] = None,
+    criterion: str = "optimal",
+    on_iteration: Optional[Callable[[int, DomCountDistribution], None]] = None,
+) -> Iterator[tuple[UncertainObject, DomCountDistribution, int, str]]:
+    """`idca`'s (distribution, iterations, stop reason) for each database
+    object other than q, in str(id) order.
 
     ``roles`` "knn" bounds the count of each target w.r.t. q; "rknn" swaps
-    them and bounds the count of q w.r.t. each target.
+    them and bounds the count of q w.r.t. each target.  The database is
+    validated and its MBRs stacked once, and one kernel pass labels every
+    object against every target (`domination._target_labels`), in chunks of
+    targets whose float temporaries stay within the batch budget.  A target
+    that `decide` settles at iteration 0 is answered from its counts s and m
+    as `idca` would answer it; only the others run `idca`, on the
+    classification the pass already holds.
     """
-    for target in sorted(others(db, q), key=lambda o: str(o.id)):
-        b, r = (target, q) if roles == "knn" else (q, target)
-        yield target, idca(db, b, r, **engine_kwargs)
+    targets = others(db, q)
+    p = _check_engine_args(p, max_depth, epsilon, criterion)
+    if not targets:
+        return
+    n = len(targets)
+    lo, hi = _mbr_rows(targets)
+    # b is the target (a database object) in the kNN role and q in the RkNN role.
+    n_total = len(db) + (roles == "rknn" and n == len(db))
+    order = sorted(range(n), key=lambda i: str(targets[i].id))
+    # A chunk's kernel temporaries hold at most 2d + 3 floats per (object, target) cell.
+    chunk = max(1, _BATCH_FLOAT_BUDGET // ((2 * lo.shape[1] + 3) * n))
+    for start in range(0, n, chunk):
+        cols = order[start : start + chunk]
+        labels = _target_labels(lo, hi, cols, q, roles, p, criterion)
+        shifts = (labels == COMPLETE).sum(axis=0)
+        n_cands = (labels == INFLUENCE).sum(axis=0)
+        for j, i in enumerate(cols):
+            target = targets[i]
+            b, r = (target, q) if roles == "knn" else (q, target)
+            dist = _classified_bounds(int(n_cands[j]), b, r, int(shifts[j]), n_total)
+            if decide is not None and decide(dist) is not None:
+                if on_iteration is not None:
+                    on_iteration(1, dist)
+                yield target, dist, 1, "criterion"
+                continue
+            result = idca(
+                db, b, r, p=p, max_depth=max_depth, epsilon=epsilon, decide=decide, criterion=criterion,
+                on_iteration=on_iteration, _classification=_group(targets, labels[:, j]),
+            )
+            yield target, result.distribution, result.iterations_run, result.stop_reason
 
 
 def _threshold_query(kind, db, q, k, tau, engine_kwargs) -> QueryAnswer:
     predicate = QueryPredicate(kind, k, tau)
     answer = QueryAnswer(kind=kind, k=k, tau=tau)
     # An explicit keyword: a caller-supplied `decide` raises TypeError here.
-    for target, result in _per_target(db, q, kind, decide=predicate.decide, **engine_kwargs):
-        bounds = knn_probability_bounds(result.distribution, k)
-        verdict = predicate.decide(result.distribution) or "undecided"
-        answer.decisions.append(
-            ObjectDecision(target.id, verdict, bounds.lb, bounds.ub, result.iterations_run, result.stop_reason)
-        )
+    for target, dist, iterations, reason in _each_target(db, q, kind, decide=predicate.decide, **engine_kwargs):
+        bounds = knn_probability_bounds(dist, k)
+        verdict = predicate._verdict(bounds) or "undecided"
+        answer.decisions.append(ObjectDecision(target.id, verdict, bounds.lb, bounds.ub, iterations, reason))
     return answer
 
 
@@ -133,10 +180,14 @@ def pknn_query(
 ) -> QueryAnswer:
     """All objects that are k-nearest neighbours of q with probability > tau.
 
-    Each candidate target runs its own refinement, stopping as soon as the
-    threshold predicate is decided or another `idca` stop rule (`max_depth`,
-    `epsilon`, passed through `engine_kwargs`) fires.  Objects still
-    undecided at termination are reported with their bounds.
+    Filter, then refine.  The database is validated and its MBRs stacked
+    once, and one dominance-kernel pass gives every target its iteration-0
+    counts; a target the threshold predicate decides there is answered at
+    once.  Each open target runs its own refinement, stopping as soon as the
+    predicate is decided or another `idca` stop rule (`max_depth`,
+    `epsilon`, passed through `engine_kwargs`) fires.  The decisions equal
+    one full `idca` run per target.  Objects still undecided at termination
+    are reported with their bounds.
     """
     return _threshold_query("knn", db, q, k, tau, engine_kwargs)
 
@@ -151,7 +202,9 @@ def prknn_query(
     """All objects having q among their k nearest neighbours with probability > tau.
 
     The roles swap: for target object B the engine bounds the count of objects
-    dominating q w.r.t. reference B (candidates exclude both B and q).
+    dominating q w.r.t. reference B (candidates exclude both B and q).  The
+    filter pass of `pknn_query` then runs the kernel over the stack of every
+    target's MBR as the reference box.
     """
     return _threshold_query("rknn", db, q, k, tau, engine_kwargs)
 
@@ -218,6 +271,6 @@ def expected_rank(
 ) -> list[tuple[object, float, float]]:
     """Per-object expected-rank intervals w.r.t. query q, in object-id order."""
     return [
-        (target.id, *expected_rank_interval(result.distribution))
-        for target, result in _per_target(db, q, "knn", **engine_kwargs)
+        (target.id, *expected_rank_interval(dist))
+        for target, dist, _, _ in _each_target(db, q, "knn", **engine_kwargs)
     ]

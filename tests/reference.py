@@ -6,8 +6,8 @@ for a single box triple, the dominance criterion as one (m, n, d, 2)
 broadcast, pdom bounds of one candidate frontier at a time, the UGF as a
 sparse product over one bound list (optionally k-truncated) and on the full
 (rows, n+1, n+1) grid, extraction as a double loop over counts and
-x-degrees, the looser plain-GF bounds, and one IDCA depth evaluated on the
-dense kernels.
+x-degrees, the looser plain-GF bounds, one IDCA depth evaluated on the
+dense kernels, and the query drivers as one full `idca` run per target.
 """
 
 from dataclasses import dataclass
@@ -15,10 +15,12 @@ from typing import Optional
 
 import numpy as np
 
-from udom.domination import pdom_bounds_grid
+from udom.domination import others, pdom_bounds_grid
 from udom.genfunc import DomCountDistribution, _gf_affine
 from udom.geometry import Rect, _minmax_values_grid, dominance_grid
+from udom.idca import idca
 from udom.model import FrontierStack
+from udom.queries import ObjectDecision, QueryPredicate, expected_rank_interval, knn_probability_bounds
 
 
 def min_dist_1d(lo: float, hi: float, r: float) -> float:
@@ -273,3 +275,30 @@ def evaluate_depth_dense(cands, b, r, depth, shift, n_total, p, criterion, budge
     lb[shift : shift + n_cands + 1] = mixed_lb
     ub[shift : shift + n_cands + 1] = np.minimum(mixed_ub, 1.0)
     return DomCountDistribution(lb, np.maximum(ub, lb))
+
+
+def per_target(db, q, roles, **engine_kwargs):
+    """One full `idca` run, its own classification included, per database
+    object other than q, in str(id) order: (target, result) pairs.  Roles
+    "knn" make each target b and q the reference; "rknn" swap them."""
+    for target in sorted(others(db, q), key=lambda o: str(o.id)):
+        b, r = (target, q) if roles == "knn" else (q, target)
+        yield target, idca(db, b, r, **engine_kwargs)
+
+
+def threshold_query_per_target(kind, db, q, k, tau, **engine_kwargs):
+    """`pknn_query` ("knn") or `prknn_query` ("rknn") decisions from `per_target`."""
+    predicate = QueryPredicate(kind, k, tau)
+    decisions = []
+    for target, result in per_target(db, q, kind, decide=predicate.decide, **engine_kwargs):
+        bounds = knn_probability_bounds(result.distribution, k)
+        verdict = predicate.decide(result.distribution) or "undecided"
+        decisions.append(
+            ObjectDecision(target.id, verdict, bounds.lb, bounds.ub, result.iterations_run, result.stop_reason)
+        )
+    return decisions
+
+
+def expected_rank_per_target(db, q, **engine_kwargs):
+    """`expected_rank` from `per_target`."""
+    return [(t.id, *expected_rank_interval(res.distribution)) for t, res in per_target(db, q, "knn", **engine_kwargs)]

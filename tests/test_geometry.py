@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from udom.geometry import Rect, _optimal_values_grid, check_norm_order, dominance_grid, rect_min_dist
+from udom.geometry import (
+    Rect,
+    _minmax_values_grid,
+    _optimal_values_grid,
+    check_norm_order,
+    dominance_grid,
+    rect_min_dist,
+)
 
 from conftest import make_rect, shrink_rect
 from reference import (
@@ -260,3 +267,23 @@ def test_optimal_kernel_matches_4d_reference(rng, d):
             assert ((got < 0.0) == (want < 0.0))[clear].all()
             drift = max(drift, float(np.abs(got - want).max()))
     assert drift <= 1e-13
+
+
+@pytest.mark.parametrize("criterion", ["optimal", "minmax"])
+def test_r_stack_equals_single_calls(rng, criterion):
+    """A (k, d) stack of r-boxes gives (m, n, k) values whose layer z is, bit
+    for bit, the single call under r-box z; the masks follow."""
+    values = _optimal_values_grid if criterion == "optimal" else _minmax_values_grid
+    for trial in range(120):
+        d = 1 + trial % 10
+        p = (1.0, 1.5, 2.0, 3.0)[trial % 4]
+        m, n, k = (int(x) for x in rng.integers(1, 9, size=3))
+        a = _kernel_boxes(rng, m, d)
+        b = _kernel_boxes(rng, n, d)
+        r_lo, r_hi = _kernel_boxes(rng, k, d)
+        stacked = values(*a, *b, r_lo, r_hi, p)
+        grid = dominance_grid(*a, *b, r_lo, r_hi, p, criterion)
+        assert stacked.shape == grid.shape == (m, n, k)
+        for z in range(k):
+            assert stacked[..., z].tobytes() == values(*a, *b, r_lo[z], r_hi[z], p).tobytes()
+            assert (grid[..., z] == dominance_grid(*a, *b, r_lo[z], r_hi[z], p, criterion)).all()

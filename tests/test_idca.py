@@ -344,13 +344,11 @@ def test_reference_in_database_is_excluded(rng):
     res = idca(db, b, r, **FULL)
     exact = enumerate_exact(db, b, r).pdf
     np.testing.assert_allclose(res.distribution.lb, exact, atol=1e-9)
-    groups = (
-        res.classification.complete_dominators
-        + res.classification.influence_objects
-        + res.classification.irrelevant
-    )
-    assert b.id not in groups and r.id not in groups
-    assert len(groups) == len(db) - 2
+    cls = res.classification
+    assert all(o is not b and o is not r for o in cls.influence_objects)
+    counted = cls.complete_dominators + cls.irrelevant
+    assert b.id not in counted and r.id not in counted
+    assert len(counted) + len(cls.influence_objects) == len(db) - 2
 
 
 def test_engine_validates():

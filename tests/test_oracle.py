@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import udom.oracle as oracle
 from udom.idca import idca
 from udom.model import build_object
 from udom.oracle import WorldBudgetError, enumerate_exact, mc_baseline
@@ -139,3 +140,19 @@ def test_mixed_dimensionality_is_rejected():
             engine(db, b, r1)
     with pytest.raises(ValueError, match="dimension"):
         pknn_query([c], r1, 1, 0.5)
+
+
+def test_oracles_validate_the_database_once(rng, monkeypatch):
+    """Each oracle call runs one `others` pass, and its PDF has a slot per
+    database object other than the target, plus one, as `idca`'s does."""
+    validate = oracle.others
+    calls = []
+    monkeypatch.setattr(oracle, "others", lambda db, *exclude: calls.append(len(exclude)) or validate(db, *exclude))
+    db, b, r = random_instance(rng, n_objects=4, max_samples=2)
+    external = build_object(b.id, [((0.5, 0.5), 1.0)])
+    for target in (b, external):
+        for engine in (enumerate_exact, mc_baseline):
+            calls.clear()
+            pdf = engine(db, target, r).pdf
+            assert calls == [2]
+            assert len(pdf) == len(idca(db, target, r, max_depth=1).distribution)

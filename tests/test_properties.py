@@ -9,15 +9,19 @@ collide with a database id.
 """
 
 import functools
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import udom.queries as queries
 from udom.idca import idca
 from udom.model import build_object
 from udom.oracle import enumerate_exact
-from udom.queries import QueryPredicate, pknn_query, prknn_query
+from udom.queries import QueryPredicate, expected_rank, pknn_query, prknn_query
+
+from reference import expected_rank_per_target, threshold_query_per_target
 
 
 SHAPES = ("spread", "single", "coincident")
@@ -64,6 +68,58 @@ def test_threshold_queries_count_every_other_object(instance, p, k, tau):
             exact = float(enumerate_exact(db, b, r, p=p).pdf[:k].sum())
             if abs(exact - tau) > 1e-9:
                 assert decision.decision == ("in" if exact > tau else "out")
+
+
+def recorder():
+    """An `on_iteration` callback and the (depth, lb bits, ub bits) it saw."""
+    seen = []
+    return seen, lambda depth, dist: seen.append((depth, dist.lb.tobytes(), dist.ub.tobytes()))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(
+    instances(),
+    st.sampled_from([1.0, 2.0, 3.0]),
+    st.sampled_from(["optimal", "minmax"]),
+    st.integers(1, 3),
+    st.sampled_from([0.25, 0.5, 0.75]),
+    st.sampled_from([{}, {"max_depth": 1}, {"max_depth": 3}, {"epsilon": 0.5}]),
+    st.sampled_from([None, 1, 40]),
+)
+def test_queries_equal_the_per_target_loop(instance, p, criterion, k, tau, stops, budget):
+    """The one-pass queries return, field by field, the decisions of one
+    full `idca` run per target, and make the same `on_iteration` calls in
+    the same order.  The database is validated once per query.  A tiny
+    float budget splits the targets into chunks (budget 1: one per chunk)."""
+    db, q = instance
+    n_targets = len(db) - any(o is q for o in db)
+    engine = dict(p=p, criterion=criterion, **stops)
+    chunks, validations = [], []
+    labels, validate = queries._target_labels, queries.others
+    with (
+        mock.patch.object(queries, "_BATCH_FLOAT_BUDGET", budget or queries._BATCH_FLOAT_BUDGET),
+        mock.patch.object(queries, "_target_labels", lambda *a: chunks.append(len(a[2])) or labels(*a)),
+        mock.patch.object(queries, "others", lambda *a: validations.append(1) or validate(*a)),
+        mock.patch("udom.domination.others", queries.others),
+    ):
+        for kind, query in (("knn", pknn_query), ("rknn", prknn_query)):
+            chunks.clear()
+            validations.clear()
+            got_calls, got_hook = recorder()
+            want_calls, want_hook = recorder()
+            got = query(db, q, k, tau, on_iteration=got_hook, **engine).decisions
+            assert validations == [1]
+            assert sum(chunks) == n_targets
+            want = threshold_query_per_target(kind, db, q, k, tau, on_iteration=want_hook, **engine)
+            assert repr(got) == repr(want)
+            assert got_calls == want_calls
+            if budget == 1:
+                assert chunks == [1] * n_targets
+        got_calls, got_hook = recorder()
+        want_calls, want_hook = recorder()
+        got = expected_rank(db, q, on_iteration=got_hook, **engine)
+        assert repr(got) == repr(expected_rank_per_target(db, q, on_iteration=want_hook, **engine))
+        assert got_calls == want_calls
 
 
 @st.composite

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import udom.queries as queries
 from udom.genfunc import DomCountDistribution, gf_exact
 from udom.idca import idca
 from udom.model import build_object
@@ -15,8 +16,8 @@ from udom.queries import (
     prknn_query,
 )
 
-from conftest import random_instance
-from reference import extract_bounds, ugf_expand
+from conftest import random_instance, random_object
+from reference import expected_rank_per_target, extract_bounds, threshold_query_per_target, ugf_expand
 
 FULL = dict(max_depth=12, epsilon=0.0)
 
@@ -264,3 +265,33 @@ def test_truncated_expansion_gives_identical_decisions(rng):
         for tau in (0.1, 0.25, 0.5, 0.75, 0.9):
             pred = QueryPredicate("knn", k, tau)
             assert pred.decide(full) == pred.decide(trunc)
+
+
+def test_chunked_pass_equals_per_target_loop(rng, monkeypatch):
+    """Forty objects, q external or a database object, and a float budget
+    that splits the targets into uneven chunks of seven: both threshold
+    queries and expected_rank equal one full `idca` run per target."""
+    db = [random_object(rng, i, max_samples=5, spread=0.15) for i in range(40)]
+    for q in (random_object(rng, "q", max_samples=3, spread=0.15), db[17]):
+        n = len(db) - (q is db[17])
+        monkeypatch.setattr(queries, "_BATCH_FLOAT_BUDGET", 7 * (2 * 2 + 3) * n)
+        for kind, query in (("knn", pknn_query), ("rknn", prknn_query)):
+            for k in (1, 4):
+                got = query(db, q, k, 0.5, max_depth=4).decisions
+                assert repr(got) == repr(threshold_query_per_target(kind, db, q, k, 0.5, max_depth=4))
+        assert repr(expected_rank(db, q, max_depth=2)) == repr(expected_rank_per_target(db, q, max_depth=2))
+
+
+def test_threshold_queries_check_engine_arguments_once():
+    """Arguments are checked before any target, even when every target is
+    decided at iteration 0 and `idca` never runs; unknown keywords and a
+    caller-supplied `decide` are refused."""
+    db = [point_obj(i, (float(i), 0.0)) for i in range(3)]
+    q = point_obj("q", (-1.0, 0.0))
+    for query in (pknn_query, prknn_query):
+        for bad in (dict(p=0.5), dict(max_depth=0), dict(epsilon=-1.0), dict(criterion="fancy")):
+            with pytest.raises(ValueError):
+                query(db, q, 1, 0.5, **bad)
+        for bad in (dict(decide=lambda dist: None), dict(max_dpeth=3)):
+            with pytest.raises(TypeError):
+                query(db, q, 1, 0.5, **bad)
