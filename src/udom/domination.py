@@ -10,11 +10,11 @@ its decomposition frontier.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .geometry import check_norm_order, dominance_grid
+from .geometry import _kernel_floats_per_cell, check_norm_order, dominance_grid
 from .model import Frontier, FrontierStack, UncertainObject
 
 __all__ = [
@@ -23,6 +23,11 @@ __all__ = [
     "classify",
     "pdom_bounds_grid",
 ]
+
+# Cap on floats held by one batched chunk (~128 MB of float64): one chunk of
+# targets in `_target_labels`, and in `idca` one chunk of expansion pair
+# rows sized for a full (n+1)^2 grid per row (`genfunc._ugf_expand_batch`).
+_BATCH_FLOAT_BUDGET = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -72,55 +77,62 @@ def others(db: Sequence[UncertainObject], *exclude: UncertainObject) -> list[Unc
     return [o for o in db if id(o) not in skip]
 
 
+def _pdf_length(db: Sequence[UncertainObject], b: UncertainObject) -> int:
+    """Length of b's count PDF: one slot per database object other than b, plus one."""
+    return len(db) + 1 - any(o is b for o in db)
+
+
 # Group labels of one database object against one (target, reference) pair.
 COMPLETE, INFLUENCE, IRRELEVANT, EXCLUDED = range(4)
 
 
 def _mbr_rows(objs: Sequence[UncertainObject]) -> tuple[np.ndarray, np.ndarray]:
     """The objects' MBRs as two (N, d) arrays of lower and upper corners."""
-    return np.stack([o.mbr.lo for o in objs]), np.stack([o.mbr.hi for o in objs])
+    return np.array([o.mbr.lo for o in objs]), np.array([o.mbr.hi for o in objs])
 
 
 def _mbr_labels(lo, hi, b_lo, b_hi, r_lo, r_hi, p, criterion) -> np.ndarray:
-    """Group labels of the N boxes `lo`/`hi` for t (target, reference) pairs,
-    as an (N, t) int8 array.
-
-    Either b is a (t, d) stack of targets under one reference r ((d,) arrays),
-    or b is one target ((d,)) under a (t, d) stack of references.  A target
-    stack that *is* `lo`/`hi` makes the forward grid square; its transpose
-    is then the reverse grid, so one kernel call serves both directions.
+    """(N, t_b * t_r) int8 group labels, target-major, of the N boxes `lo`/`hi`
+    against a (t_b, d) stack of targets b under a (t_r, d) stack of references.
     An object that dominates b is COMPLETE, one that b dominates IRRELEVANT.
+    A target stack that *is* `lo`/`hi`, under one reference, makes the forward
+    grid square, and its transpose the reverse grid: one kernel call serves both.
     """
-    if np.ndim(r_lo) == 1:
-        dom = dominance_grid(lo, hi, b_lo, b_hi, r_lo, r_hi, p, criterion)
-        if b_lo is lo and b_hi is hi:
-            rev = dom.T
-        else:
-            rev = dominance_grid(b_lo, b_hi, lo, hi, r_lo, r_hi, p, criterion).T
+    dom = dominance_grid(lo, hi, b_lo, b_hi, r_lo, r_hi, p, criterion).reshape(len(lo), -1)
+    if b_lo is lo and b_hi is hi:
+        rev = dom.T
     else:
-        dom = dominance_grid(lo, hi, b_lo[None], b_hi[None], r_lo, r_hi, p, criterion)[:, 0]
-        rev = dominance_grid(b_lo[None], b_hi[None], lo, hi, r_lo, r_hi, p, criterion)[0]
+        rev = dominance_grid(b_lo, b_hi, lo, hi, r_lo, r_hi, p, criterion).swapaxes(0, 1).reshape(len(lo), -1)
     labels = np.full(dom.shape, INFLUENCE, dtype=np.int8)
     labels[rev] = IRRELEVANT
     labels[dom] = COMPLETE
     return labels
 
 
-def _target_labels(lo, hi, cols, q, roles, p, criterion) -> np.ndarray:
-    """`_mbr_labels` of the rows `lo`/`hi` against the targets `cols` (row
-    indices) with q fixed, each target's own row EXCLUDED.
-
-    ``roles`` "knn" makes each target b and q the reference; "rknn" makes q
-    the target and each target the reference.
-    """
-    if roles == "knn" and len(cols) == len(lo):
-        labels = _mbr_labels(lo, hi, lo, hi, q.mbr.lo, q.mbr.hi, p, criterion)[:, cols]
-    elif roles == "knn":
-        labels = _mbr_labels(lo, hi, lo[cols], hi[cols], q.mbr.lo, q.mbr.hi, p, criterion)
-    else:
-        labels = _mbr_labels(lo, hi, q.mbr.lo, q.mbr.hi, lo[cols], hi[cols], p, criterion)
-    labels[cols, np.arange(len(cols))] = EXCLUDED
-    return labels
+def _target_labels(targets, order, q, roles, p, criterion) -> Iterator[tuple[UncertainObject, int, int, np.ndarray]]:
+    """Label every object of `targets` against each target in `order` (row
+    indices), q fixed: role "knn" makes the target b and q the reference,
+    "rknn" makes q b and the target the reference.  The MBRs are stacked once
+    and the targets labelled in chunks within `_BATCH_FLOAT_BUDGET` (a kNN
+    chunk of every target labels the square grid, then orders its columns).
+    Yields per target: it, its COMPLETE count s, its INFLUENCE count m and its
+    label column over `targets`, with its own row EXCLUDED."""
+    lo, hi = _mbr_rows(targets)
+    one = q.mbr.lo[None], q.mbr.hi[None]
+    chunk = max(1, _BATCH_FLOAT_BUDGET // (_kernel_floats_per_cell(lo.shape[1]) * len(targets)))
+    for start in range(0, len(order), chunk):
+        cols = order[start : start + chunk]
+        square = roles == "knn" and len(cols) == len(lo)
+        stack = (lo, hi) if square else (lo[cols], hi[cols])
+        b, r = (stack, one) if roles == "knn" else (one, stack)
+        labels = _mbr_labels(lo, hi, *b, *r, p, criterion)
+        if square:
+            labels = labels[:, cols]
+        labels[cols, np.arange(len(cols))] = EXCLUDED
+        shifts = (labels == COMPLETE).sum(axis=0)
+        n_cands = (labels == INFLUENCE).sum(axis=0)
+        for j, i in enumerate(cols):
+            yield targets[i], int(shifts[j]), int(n_cands[j]), labels[:, j]
 
 
 def _group(objs: Sequence[UncertainObject], labels: np.ndarray) -> DominationClassification:
@@ -154,7 +166,8 @@ def classify(
     if not cands:
         return DominationClassification((), (), ())
     lo, hi = _mbr_rows(cands)
-    return _group(cands, _mbr_labels(lo, hi, b.mbr.lo[None], b.mbr.hi[None], r.mbr.lo, r.mbr.hi, p, criterion)[:, 0])
+    labels = _mbr_labels(lo, hi, b.mbr.lo[None], b.mbr.hi[None], r.mbr.lo[None], r.mbr.hi[None], p, criterion)
+    return _group(cands, labels[:, 0])
 
 
 def pdom_bounds_grid(
@@ -177,9 +190,9 @@ def pdom_bounds_grid(
     segs = list(zip(a.seg[:-1], a.seg[1:]))
     lb = np.zeros((len(segs), len(b), len(r)))
     ub = np.ones((len(segs), len(b), len(r)))
-    for z, (r_lo, r_hi) in enumerate(zip(r.lo, r.hi)):
-        dom = dominance_grid(a.lo, a.hi, b.lo, b.hi, r_lo, r_hi, p, criterion).astype(float)
-        rev = dominance_grid(b.lo, b.hi, a.lo, a.hi, r_lo, r_hi, p, criterion).astype(float)
+    for z, (r_lo, r_hi) in enumerate(zip(r.lo[:, None], r.hi[:, None])):  # one-box stacks
+        dom = dominance_grid(a.lo, a.hi, b.lo, b.hi, r_lo, r_hi, p, criterion)[..., 0].astype(float)
+        rev = dominance_grid(b.lo, b.hi, a.lo, a.hi, r_lo, r_hi, p, criterion)[..., 0].astype(float)
         for c, (s, e) in enumerate(segs):
             lb[c, :, z] = a.mass[s:e] @ dom[s:e]
             ub[c, :, z] = 1.0 - rev[:, s:e] @ a.mass[s:e]

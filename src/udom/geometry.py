@@ -93,33 +93,35 @@ def rect_min_dist(a: Rect, b: Rect, p: float = 2.0) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Vectorised kernels: m a-boxes against n b-boxes under one r-box, computed
-# on (m,) and (n,) per-dimension columns, with (m, n) results and (m, n)
-# temporaries only.  A (k, d) stack of r-boxes gives (m, n, k) results, entry
-# [..., z] under r-box z; every cell gets the same float operations in the
-# same order as under a lone r-box, so a stacked call equals k single calls
+# Vectorised kernels: m a-boxes against n b-boxes under a (k, d) stack of
+# r-boxes, computed on per-dimension columns, with (m, n, k) results, entry
+# [..., z] under r-box z.  Every cell gets the same float operations in the
+# same order whatever m, n and k are, so a stacked call equals k one-box calls
 # bit for bit.
 # ---------------------------------------------------------------------------
 
 
-def _optimal_values_grid(a_lo, a_hi, b_lo, b_hi, r_lo, r_hi, p):
-    """Criterion values for every (a-box, b-box) pair under one r-box.
+def _kernel_floats_per_cell(d: int) -> int:
+    """Bound on one kernel call's float temporaries per (m, n, k) result cell: three
+    result-sized arrays and 2d(m + n)k r-corner distances (2d per cell once m, n >= 2)."""
+    return 2 * d + 3
 
-    a_lo/a_hi: (m, d); b_lo/b_hi: (n, d); r_lo/r_hi: (d,), or (k, d) for a
-    stack.  Returns (m, n), or (m, n, k); a value < 0 means the a-box
-    dominates the b-box.  Per dimension the larger of the two r-corner
-    differences is added into the total in dimension order; peak temporary:
-    three result-sized arrays.
+
+def _optimal_values_grid(a_lo, a_hi, b_lo, b_hi, r_lo, r_hi, p):
+    """Criterion values for every (a-box, b-box, r-box) triple.
+
+    a_lo/a_hi: (m, d); b_lo/b_hi: (n, d); r_lo/r_hi: (k, d).  Returns
+    (m, n, k); a value < 0 means the a-box dominates the b-box under that
+    r-box.  Per dimension the larger of the two r-corner differences is added
+    into the total in dimension order.
     """
-    a_lo, a_hi, b_lo, b_hi = a_lo.T, a_hi.T, b_lo.T, b_hi.T  # (d, m), (d, n)
-    if np.ndim(r_lo) == 2:  # the r-boxes of a stack go on a trailing axis
-        a_lo, a_hi, b_lo, b_hi = a_lo[..., None], a_hi[..., None], b_lo[..., None], b_hi[..., None]
-    # (2, d, 1[, k]): lower and upper r-corner, r-boxes contiguous so that they are the inner loop
+    a_lo, a_hi, b_lo, b_hi = (x.T[..., None] for x in (a_lo, a_hi, b_lo, b_hi))  # (d, m, 1), (d, n, 1)
+    # (2, d, 1, k): lower and upper r-corner, r-boxes contiguous so that they are the inner loop
     rc = np.ascontiguousarray(np.stack([r_lo.T, r_hi.T]))[:, :, None]
-    max_a = rc - a_lo  # (2, d, m[, k]), worked in place
+    max_a = rc - a_lo  # (2, d, m, k), worked in place
     np.maximum(max_a, a_hi - rc, out=max_a)
     max_a **= p
-    min_b = b_lo - rc  # (2, d, n[, k])
+    min_b = b_lo - rc  # (2, d, n, k)
     np.maximum(min_b, rc - b_hi, out=min_b)
     np.maximum(min_b, 0.0, out=min_b)
     min_b **= p
@@ -134,17 +136,16 @@ def _optimal_values_grid(a_lo, a_hi, b_lo, b_hi, r_lo, r_hi, p):
 
 def _minmax_values_grid(a_lo, a_hi, b_lo, b_hi, r_lo, r_hi, p):
     """Same shape contract as _optimal_values_grid for the min/max baseline."""
-    if np.ndim(r_lo) == 2:
-        a_lo, a_hi, b_lo, b_hi = a_lo[:, None], a_hi[:, None], b_lo[:, None], b_hi[:, None]
-    max_a = (np.maximum(r_hi[None] - a_lo, a_hi - r_lo[None]) ** p).sum(axis=-1)  # (m[, k])
-    min_b = (np.maximum(np.maximum(b_lo - r_hi[None], r_lo[None] - b_hi), 0.0) ** p).sum(axis=-1)  # (n[, k])
+    max_a = (np.maximum(r_hi - a_lo[:, None], a_hi[:, None] - r_lo) ** p).sum(axis=-1)  # (m, k)
+    min_b = (np.maximum(np.maximum(b_lo[:, None] - r_hi, r_lo - b_hi[:, None]), 0.0) ** p).sum(axis=-1)  # (n, k)
     return max_a[:, None] - min_b[None]
 
 
 def dominance_grid(a_lo, a_hi, b_lo, b_hi, r_lo, r_hi, p=2.0, criterion="optimal"):
-    """Boolean (m, n) matrix: a-box i dominates b-box j w.r.t. the given r-box.
+    """Boolean (m, n, k) array: a-box i dominates b-box j w.r.t. r-box z.
 
-    With a (k, d) stack of r-boxes the matrix is (m, n, k), one layer per r-box.
+    a_lo/a_hi are (m, d), b_lo/b_hi (n, d) and r_lo/r_hi a (k, d) stack; one
+    r-box is a (1, d) stack and gives an (m, n, 1) result.
     """
     if criterion == "optimal":
         vals = _optimal_values_grid(a_lo, a_hi, b_lo, b_hi, r_lo, r_hi, p)

@@ -11,7 +11,9 @@ reference-leaf) pair from per-candidate domination bounds, mixes the per-pair
 count bounds with the pair masses, and shifts by s.  Nested decompositions only
 tighten bounds, so lower bounds rise and upper bounds fall monotonically until
 a stop rule fires, the pair budget would be exceeded, or every object is fully
-separated (at which point the bounds are exact for discrete objects).
+separated.  Then the bounds are exact for discrete objects, unless two samples
+tie exactly in distance to a reference sample: a tie never counts as
+domination, so such a sample triple keeps its pdom bounds at (0, 1).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .domination import DominationClassification, classify, pdom_bounds_grid
+from .domination import _BATCH_FLOAT_BUDGET, DominationClassification, _pdf_length, classify, pdom_bounds_grid
 from .genfunc import DomCountDistribution, _extract_batch, _ugf_expand_batch
 from .geometry import _check_count, check_norm_order
 from .model import FrontierStack, UncertainObject
@@ -38,11 +40,6 @@ DEFAULT_MAX_DEPTH = 10
 # Cap on target-leaf x reference-leaf pairs one sweep may evaluate; a run
 # whose next sweep would exceed it stops with reason "pair_budget".
 _PAIR_BUDGET = 1 << 16
-
-# Cap on floats held by one batched expansion chunk (~128 MB of float64),
-# sized for the worst case of a full (n+1)^2 grid per pair row; the grids
-# actually built are usually much smaller (`genfunc._ugf_expand_batch`).
-_BATCH_FLOAT_BUDGET = 1 << 24
 
 
 @dataclass
@@ -79,6 +76,16 @@ def _check_engine_args(p: float, max_depth: int, epsilon: Optional[float], crite
     if criterion not in ("optimal", "minmax"):
         raise ValueError(f"unknown criterion {criterion!r}")
     return p
+
+
+def _stopped(depth: int, dist: DomCountDistribution, max_depth: int, epsilon, decide) -> bool:
+    """`idca`'s stop rule ("criterion") after the evaluation at `depth`: `max_depth`
+    levels, a summed bound width at most `epsilon`, or a verdict from `decide`."""
+    return (
+        depth >= max_depth
+        or (epsilon is not None and uncertainty(dist) <= epsilon)
+        or (decide is not None and decide(dist) is not None)
+    )
 
 
 def _classified_bounds(
@@ -176,22 +183,16 @@ def idca(
     cls = _classification if _classification is not None else classify(db, b, r, p=p, criterion=criterion)
     cands = list(cls.influence_objects)
     shift = cls.complete_domination_count
-    n_total = len(db) + 1 - any(o is b for o in db)
+    n_total = _pdf_length(db, b)
 
     history: list[DomCountDistribution] = []
-    trace: list[float] = []
     depth = 1
     dist = _classified_bounds(len(cands), b, r, shift, n_total)
     while True:
         history.append(dist)
-        trace.append(uncertainty(dist))
         if on_iteration is not None:
             on_iteration(depth, dist)
-        if (
-            depth >= max_depth
-            or (epsilon is not None and trace[-1] <= epsilon)
-            or (decide is not None and decide(dist) is not None)
-        ):
+        if _stopped(depth, dist, max_depth, epsilon, decide):
             reason = "criterion"
             break
         participants = [b, r, *cands]
@@ -208,7 +209,7 @@ def idca(
     return IdcaResult(
         distribution=history[-1],
         iterations_run=len(history),
-        uncertainty_trace=trace,
+        uncertainty_trace=[uncertainty(h) for h in history],
         classification=cls,
         stop_reason=reason,
         history=history,

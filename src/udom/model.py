@@ -21,7 +21,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .geometry import Rect
+from .geometry import Rect, _check_count
 
 __all__ = [
     "Frontier",
@@ -174,9 +174,10 @@ class UncertainObject:
             raise ValueError("weights must be one per sample")
         if not np.isfinite(points).all():
             raise ValueError("sample coordinates must be finite")
-        if (weights <= 0).any() or not np.isfinite(weights).all():
-            raise ValueError("sample weights must be positive and finite")
-        weights = weights / weights.sum()
+        total = weights.sum()
+        if (weights <= 0).any() or not np.isfinite(total):
+            raise ValueError("sample weights must be positive, with a finite sum")
+        weights = weights / total
         points.setflags(write=False)
         weights.setflags(write=False)
         self.id = obj_id
@@ -233,8 +234,8 @@ def generate_synthetic(
     so every MBR lies within [0, 1 + max_extent]^d.  Fully deterministic for a
     fixed seed.
     """
-    if n < 1 or d < 1 or samples_per_object < 1:
-        raise ValueError("n, d and samples_per_object must be >= 1")
+    for value, name in ((n, "n"), (d, "d"), (samples_per_object, "samples_per_object")):
+        _check_count(value, name)
     if not (0.0 < max_extent < 1.0):
         raise ValueError("max_extent must lie in (0, 1)")
     rng = np.random.default_rng(seed)

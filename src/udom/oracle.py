@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .domination import others
+from .domination import _pdf_length, others
 from .genfunc import gf_exact
 from .geometry import _check_count, check_norm_order
 from .model import UncertainObject
@@ -68,7 +68,7 @@ def enumerate_exact(
         n_worlds *= cand.n_samples
         if n_worlds > _WORLD_BUDGET:
             raise WorldBudgetError(f"instance has more than {_WORLD_BUDGET} possible worlds")
-    size = len(db) + 1 - any(o is b for o in db)
+    size = _pdf_length(db, b)
     pdf = np.zeros(size)
     for r_pt, r_w in zip(r.points, r.weights):
         d_b = _dist_pow(b.points, r_pt, p)
@@ -106,7 +106,7 @@ def mc_baseline(
     if samples is not None:
         _check_count(samples, "samples")
     cands = others(db, b, q)
-    size = len(db) + 1 - any(o is b for o in db)
+    size = _pdf_length(db, b)
     if samples is None:
         q_points, q_weights = q.points, q.weights
         drawn = q.n_samples

@@ -13,17 +13,10 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .domination import COMPLETE, INFLUENCE, ProbBounds, _group, _mbr_rows, _target_labels, others
+from .domination import ProbBounds, _group, _pdf_length, _target_labels, others
 from .genfunc import DomCountDistribution
 from .geometry import _check_count
-from .idca import (
-    _BATCH_FLOAT_BUDGET,
-    DEFAULT_MAX_DEPTH,
-    IdcaResult,
-    _check_engine_args,
-    _classified_bounds,
-    idca,
-)
+from .idca import DEFAULT_MAX_DEPTH, IdcaResult, _check_engine_args, _classified_bounds, _stopped, idca
 from .model import UncertainObject
 
 __all__ = [
@@ -97,8 +90,7 @@ class QueryAnswer:
 
 def knn_probability_bounds(dist: DomCountDistribution, k: int) -> ProbBounds:
     """Bounds on P(count < k): sums of the first k per-count bounds."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _check_count(k, "k")
     k = min(k, len(dist))
     lb = float(dist.lb[:k].sum())
     ub = min(1.0, float(dist.ub[:k].sum()))
@@ -121,43 +113,31 @@ def _each_target(
 
     ``roles`` "knn" bounds the count of each target w.r.t. q; "rknn" swaps
     them and bounds the count of q w.r.t. each target.  The database is
-    validated and its MBRs stacked once, and one kernel pass labels every
-    object against every target (`domination._target_labels`), in chunks of
-    targets whose float temporaries stay within the batch budget.  A target
-    that `decide` settles at iteration 0 is answered from its counts s and m
-    as `idca` would answer it; only the others run `idca`, on the
-    classification the pass already holds.
+    validated once, and one kernel pass labels every object against every
+    target (`domination._target_labels`).  A target at which any stop
+    rule fires at iteration 0 (`decide`, `max_depth` or `epsilon`) is
+    answered from its counts s and m as `idca` would answer it; only the
+    others run `idca`, on the classification the pass already holds.
     """
     targets = others(db, q)
     p = _check_engine_args(p, max_depth, epsilon, criterion)
     if not targets:
         return
-    n = len(targets)
-    lo, hi = _mbr_rows(targets)
-    # b is the target (a database object) in the kNN role and q in the RkNN role.
-    n_total = len(db) + (roles == "rknn" and n == len(db))
-    order = sorted(range(n), key=lambda i: str(targets[i].id))
-    # A chunk's kernel temporaries hold at most 2d + 3 floats per (object, target) cell.
-    chunk = max(1, _BATCH_FLOAT_BUDGET // ((2 * lo.shape[1] + 3) * n))
-    for start in range(0, n, chunk):
-        cols = order[start : start + chunk]
-        labels = _target_labels(lo, hi, cols, q, roles, p, criterion)
-        shifts = (labels == COMPLETE).sum(axis=0)
-        n_cands = (labels == INFLUENCE).sum(axis=0)
-        for j, i in enumerate(cols):
-            target = targets[i]
-            b, r = (target, q) if roles == "knn" else (q, target)
-            dist = _classified_bounds(int(n_cands[j]), b, r, int(shifts[j]), n_total)
-            if decide is not None and decide(dist) is not None:
-                if on_iteration is not None:
-                    on_iteration(1, dist)
-                yield target, dist, 1, "criterion"
-                continue
-            result = idca(
-                db, b, r, p=p, max_depth=max_depth, epsilon=epsilon, decide=decide, criterion=criterion,
-                on_iteration=on_iteration, _classification=_group(targets, labels[:, j]),
-            )
-            yield target, result.distribution, result.iterations_run, result.stop_reason
+    order = sorted(range(len(targets)), key=lambda i: str(targets[i].id))
+    n_total = _pdf_length(db, targets[0] if roles == "knn" else q)  # b's, the same for every target
+    for target, shift, n_cands, labels in _target_labels(targets, order, q, roles, p, criterion):
+        b, r = (target, q) if roles == "knn" else (q, target)
+        dist = _classified_bounds(n_cands, b, r, shift, n_total)
+        if _stopped(1, dist, max_depth, epsilon, decide):
+            if on_iteration is not None:
+                on_iteration(1, dist)
+            yield target, dist, 1, "criterion"
+            continue
+        result = idca(
+            db, b, r, p=p, max_depth=max_depth, epsilon=epsilon, decide=decide, criterion=criterion,
+            on_iteration=on_iteration, _classification=_group(targets, labels),
+        )
+        yield target, result.distribution, result.iterations_run, result.stop_reason
 
 
 def _threshold_query(kind, db, q, k, tau, engine_kwargs) -> QueryAnswer:
@@ -182,12 +162,12 @@ def pknn_query(
 
     Filter, then refine.  The database is validated and its MBRs stacked
     once, and one dominance-kernel pass gives every target its iteration-0
-    counts; a target the threshold predicate decides there is answered at
-    once.  Each open target runs its own refinement, stopping as soon as the
-    predicate is decided or another `idca` stop rule (`max_depth`,
-    `epsilon`, passed through `engine_kwargs`) fires.  The decisions equal
-    one full `idca` run per target.  Objects still undecided at termination
-    are reported with their bounds.
+    counts; a target at which the threshold predicate or another `idca` stop
+    rule (`max_depth`, `epsilon`, passed through `engine_kwargs`) fires
+    there is answered at once.  Each open target runs its own refinement,
+    stopping as soon as one of them fires.  The decisions equal one full
+    `idca` run per target.  Objects still undecided at termination are
+    reported with their bounds.
     """
     return _threshold_query("knn", db, q, k, tau, engine_kwargs)
 

@@ -35,12 +35,14 @@ def max_dist_1d(lo: float, hi: float, r: float) -> float:
 
 def dominates_optimal(a: Rect, b: Rect, r: Rect, p: float = 2.0) -> bool:
     """The engine's corner-wise `dominance_grid` for one (a, b) pair under r."""
-    return bool(dominance_grid(a.lo[None], a.hi[None], b.lo[None], b.hi[None], r.lo, r.hi, p)[0, 0])
+    return bool(dominance_grid(a.lo[None], a.hi[None], b.lo[None], b.hi[None], r.lo[None], r.hi[None], p)[0, 0, 0])
 
 
 def dominates_minmax(a: Rect, b: Rect, r: Rect, p: float = 2.0) -> bool:
     """The engine's min/max `dominance_grid` for one (a, b) pair under r."""
-    return bool(dominance_grid(a.lo[None], a.hi[None], b.lo[None], b.hi[None], r.lo, r.hi, p, "minmax")[0, 0])
+    return bool(
+        dominance_grid(a.lo[None], a.hi[None], b.lo[None], b.hi[None], r.lo[None], r.hi[None], p, "minmax")[0, 0, 0]
+    )
 
 
 def dominates_optimal_loop(a: Rect, b: Rect, r: Rect, p: float = 2.0) -> bool:
@@ -77,10 +79,15 @@ def optimal_values_4d(a_lo, a_hi, b_lo, b_hi, r_lo, r_hi, p):
     return diff.max(axis=3).sum(axis=2)
 
 
+def minmax_values_one(a_lo, a_hi, b_lo, b_hi, r_lo, r_hi, p):
+    """The engine's min/max values under one r-box, passed as a one-box stack: (m, n)."""
+    return _minmax_values_grid(a_lo, a_hi, b_lo, b_hi, r_lo[None], r_hi[None], p)[..., 0]
+
+
 def pdom_bounds_one(a_lo, a_hi, a_mass, b, r, p=2.0, criterion="optimal"):
     """pdom bounds of one candidate frontier (its node arrays) against every
     (b-node, r-node) pair, as (len(b), len(r)) arrays, one candidate per call."""
-    values = optimal_values_4d if criterion == "optimal" else _minmax_values_grid
+    values = optimal_values_4d if criterion == "optimal" else minmax_values_one
     lb = np.zeros((len(b), len(r)))
     ub = np.ones((len(b), len(r)))
     for z, (r_lo, r_hi) in enumerate(zip(r.lo, r.hi)):

@@ -206,7 +206,8 @@ def test_rect_distances():
 
 
 def test_dominance_grid_matches_scalars(rng):
-    """Every cell of the kernel's (m, n) matrix equals the scalar loop."""
+    """Every cell of the kernel's (m, n, 1) array under a one-box stack
+    equals the scalar loop."""
     for criterion, loop in (("optimal", dominates_optimal_loop), ("minmax", dominates_minmax_loop)):
         for _ in range(50):
             m, n = rng.integers(1, 6, size=2)
@@ -218,14 +219,15 @@ def test_dominance_grid_matches_scalars(rng):
                 np.stack([x.hi for x in a]),
                 np.stack([x.lo for x in b]),
                 np.stack([x.hi for x in b]),
-                r.lo,
-                r.hi,
+                r.lo[None],
+                r.hi[None],
                 2.0,
                 criterion,
             )
+            assert grid.shape == (m, n, 1)
             for i in range(m):
                 for j in range(n):
-                    assert grid[i, j] == loop(a[i], b[j], r, 2.0)
+                    assert grid[i, j, 0] == loop(a[i], b[j], r, 2.0)
 
 
 def _kernel_boxes(rng, k, d):
@@ -257,7 +259,7 @@ def test_optimal_kernel_matches_4d_reference(rng, d):
             r_lo, r_hi = np.minimum(r_lo, r_hi), np.maximum(r_lo, r_hi)
         else:
             (r_lo,), (r_hi,) = _kernel_boxes(rng, 1, d)
-        got = _optimal_values_grid(a_lo, a_hi, b_lo, b_hi, r_lo, r_hi, p)
+        got = _optimal_values_grid(a_lo, a_hi, b_lo, b_hi, r_lo[None], r_hi[None], p)[..., 0]
         want = optimal_values_4d(a_lo, a_hi, b_lo, b_hi, r_lo, r_hi, p)
         assert got.shape == want.shape == (m, n)
         if d <= 7:
@@ -272,7 +274,7 @@ def test_optimal_kernel_matches_4d_reference(rng, d):
 @pytest.mark.parametrize("criterion", ["optimal", "minmax"])
 def test_r_stack_equals_single_calls(rng, criterion):
     """A (k, d) stack of r-boxes gives (m, n, k) values whose layer z is, bit
-    for bit, the single call under r-box z; the masks follow."""
+    for bit, the one-box stack of r-box z; the masks follow."""
     values = _optimal_values_grid if criterion == "optimal" else _minmax_values_grid
     for trial in range(120):
         d = 1 + trial % 10
@@ -285,5 +287,6 @@ def test_r_stack_equals_single_calls(rng, criterion):
         grid = dominance_grid(*a, *b, r_lo, r_hi, p, criterion)
         assert stacked.shape == grid.shape == (m, n, k)
         for z in range(k):
-            assert stacked[..., z].tobytes() == values(*a, *b, r_lo[z], r_hi[z], p).tobytes()
-            assert (grid[..., z] == dominance_grid(*a, *b, r_lo[z], r_hi[z], p, criterion)).all()
+            one = r_lo[z : z + 1], r_hi[z : z + 1]
+            assert stacked[..., z].tobytes() == values(*a, *b, *one, p)[..., 0].tobytes()
+            assert (grid[..., z] == dominance_grid(*a, *b, *one, p, criterion)[..., 0]).all()

@@ -78,6 +78,9 @@ def test_build_errors():
         build_object("x", [((0.0, 0.0), 0.0)])
     with pytest.raises(ValueError):
         build_object("x", [((0.0, 0.0), -2.0)])
+    # Each weight is finite, but their sum overflows.
+    with pytest.raises(ValueError, match="finite sum"):
+        build_object("x", [((0.0, 0.0), 1e308), ((0.1, 0.0), 1e308)])
 
 
 def test_leaf_masses_sum_to_one_at_any_depth(rng):
@@ -296,6 +299,9 @@ def test_generate_validates():
         generate_synthetic(5, 2, 1.5, 10)
     with pytest.raises(ValueError):
         generate_synthetic(5, 2, 0.0, 10)
+    for n, d, samples in ((2.5, 2, 10), (5, 2.5, 10), (5, 2, 2.5)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            generate_synthetic(n, d, 0.004, samples)
 
 
 def test_load_jsonl_roundtrip(tmp_path):
@@ -314,9 +320,10 @@ def test_load_jsonl_roundtrip(tmp_path):
 
 def test_load_jsonl_error_carries_line_number(tmp_path):
     path = tmp_path / "bad.jsonl"
-    path.write_text('{"id": "a", "samples": [[0, 0, 1]]}\nnot json\n')
-    with pytest.raises(DatasetError, match="line 2"):
-        load_dataset(path)
+    for bad in ("not json", '{"id": "b", "samples": [[0, 0, 1e308], [0.1, 0, 1e308]]}'):
+        path.write_text('{"id": "a", "samples": [[0, 0, 1]]}\n' + bad + "\n")
+        with pytest.raises(DatasetError, match="line 2"):
+            load_dataset(path)
 
 
 def test_load_jsonl_dimension_mismatch(tmp_path):

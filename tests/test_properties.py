@@ -15,6 +15,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import udom.domination as domination
 import udom.queries as queries
 from udom.idca import idca
 from udom.model import build_object
@@ -95,10 +96,11 @@ def test_queries_equal_the_per_target_loop(instance, p, criterion, k, tau, stops
     n_targets = len(db) - any(o is q for o in db)
     engine = dict(p=p, criterion=criterion, **stops)
     chunks, validations = [], []
-    labels, validate = queries._target_labels, queries.others
+    labels, validate = domination._mbr_labels, queries.others
     with (
-        mock.patch.object(queries, "_BATCH_FLOAT_BUDGET", budget or queries._BATCH_FLOAT_BUDGET),
-        mock.patch.object(queries, "_target_labels", lambda *a: chunks.append(len(a[2])) or labels(*a)),
+        mock.patch.object(domination, "_BATCH_FLOAT_BUDGET", budget or domination._BATCH_FLOAT_BUDGET),
+        # A chunk's size is its target-stack length times its reference-stack length.
+        mock.patch.object(domination, "_mbr_labels", lambda *a: chunks.append(len(a[2]) * len(a[4])) or labels(*a)),
         mock.patch.object(queries, "others", lambda *a: validations.append(1) or validate(*a)),
         mock.patch("udom.domination.others", queries.others),
     ):
@@ -110,11 +112,11 @@ def test_queries_equal_the_per_target_loop(instance, p, criterion, k, tau, stops
             got = query(db, q, k, tau, on_iteration=got_hook, **engine).decisions
             assert validations == [1]
             assert sum(chunks) == n_targets
+            if budget == 1:
+                assert chunks == [1] * n_targets
             want = threshold_query_per_target(kind, db, q, k, tau, on_iteration=want_hook, **engine)
             assert repr(got) == repr(want)
             assert got_calls == want_calls
-            if budget == 1:
-                assert chunks == [1] * n_targets
         got_calls, got_hook = recorder()
         want_calls, want_hook = recorder()
         got = expected_rank(db, q, on_iteration=got_hook, **engine)

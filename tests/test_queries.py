@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import udom.domination as domination
 import udom.queries as queries
 from udom.genfunc import DomCountDistribution, gf_exact
 from udom.idca import idca
@@ -73,6 +74,8 @@ def test_predicate_validation():
     for k in (2.5, "3"):
         with pytest.raises(ValueError, match="integer"):
             QueryPredicate("knn", k, 0.5)
+        with pytest.raises(ValueError, match="integer"):
+            knn_probability_bounds(WORKED_DIST, k)
     assert QueryPredicate("knn", np.int64(2), 0.5).k == 2
 
 
@@ -274,7 +277,7 @@ def test_chunked_pass_equals_per_target_loop(rng, monkeypatch):
     db = [random_object(rng, i, max_samples=5, spread=0.15) for i in range(40)]
     for q in (random_object(rng, "q", max_samples=3, spread=0.15), db[17]):
         n = len(db) - (q is db[17])
-        monkeypatch.setattr(queries, "_BATCH_FLOAT_BUDGET", 7 * (2 * 2 + 3) * n)
+        monkeypatch.setattr(domination, "_BATCH_FLOAT_BUDGET", 7 * (2 * 2 + 3) * n)
         for kind, query in (("knn", pknn_query), ("rknn", prknn_query)):
             for k in (1, 4):
                 got = query(db, q, k, 0.5, max_depth=4).decisions
@@ -295,3 +298,36 @@ def test_threshold_queries_check_engine_arguments_once():
         for bad in (dict(decide=lambda dist: None), dict(max_dpeth=3)):
             with pytest.raises(TypeError):
                 query(db, q, 1, 0.5, **bad)
+
+
+@pytest.mark.parametrize("stop", [dict(max_depth=1), dict(epsilon=100.0)])
+def test_iteration_zero_stop_rules_never_enter_idca(rng, monkeypatch, stop):
+    """`max_depth=1`, or an `epsilon` above every iteration-0 width, stops
+    every target at iteration 0, so the queries answer each one from its MBR
+    counts and never call `idca`; decisions, ranks and `on_iteration` calls
+    still equal one full `idca` run per target.  Without the stop rule the
+    same queries do refine some targets."""
+    db = [random_object(rng, i, max_samples=4, spread=0.3) for i in range(12)]
+    runs = []
+    monkeypatch.setattr(queries, "idca", lambda *a, **kw: runs.append(1) or idca(*a, **kw))
+
+    def calls_of(fn, *args, **kwargs):
+        """`fn`'s output and its `on_iteration` calls (depth, lb bits, ub bits)."""
+        seen = []
+
+        def hook(depth, dist):
+            seen.append((depth, dist.lb.tobytes(), dist.ub.tobytes()))
+
+        return repr(fn(*args, on_iteration=hook, **kwargs)), seen
+
+    for q in (random_object(rng, "q", max_samples=3, spread=0.3), db[5]):
+        for kind, query in (("knn", pknn_query), ("rknn", prknn_query)):
+            runs.clear()
+            got = calls_of(lambda **kw: query(db, q, 3, 0.5, **kw).decisions, **stop)
+            assert runs == []
+            assert got == calls_of(threshold_query_per_target, kind, db, q, 3, 0.5, **stop)
+            query(db, q, 3, 0.5)
+            assert runs
+        runs.clear()
+        assert calls_of(expected_rank, db, q, **stop) == calls_of(expected_rank_per_target, db, q, **stop)
+        assert runs == []
