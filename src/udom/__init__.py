@@ -12,7 +12,6 @@ from .model import (
     generate_synthetic,
     load_dataset,
     save_dataset_jsonl,
-    split,
 )
 from .domination import DominationClassification, ProbBounds, classify
 from .genfunc import DomCountDistribution, gf_exact

@@ -15,7 +15,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .geometry import _kernel_floats_per_cell, check_norm_order, dominance_grid
-from .model import Frontier, FrontierStack, UncertainObject
+from .model import Frontier, UncertainObject
 
 __all__ = [
     "ProbBounds",
@@ -171,21 +171,21 @@ def classify(
 
 
 def pdom_bounds_grid(
-    a: FrontierStack,
-    b: Frontier | FrontierStack,
-    r: Frontier | FrontierStack,
+    a: Frontier,
+    b: Frontier,
+    r: Frontier,
     p: float = 2.0,
     criterion: str = "optimal",
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised pdom bounds of every stacked candidate frontier against
-    every (b-node, r-node) pair.
+    """Vectorised pdom bounds of every candidate frontier against every
+    (b-node, r-node) pair.
 
-    `a` holds one segment per candidate; only the ``lo``/``hi`` node arrays
+    `a` holds one root per candidate; only the ``lo``/``hi`` node arrays
     of `b` and `r` are read.  Returns (lb, ub) arrays of shape
     (n_cands, len(b), len(r)).  Each r-node costs one forward and one reverse
     `dominance_grid` call over all candidate nodes at once, so the peak
     temporary is O(len(a) * len(b)) per r-node.  Each candidate's masses are
-    summed over its own segment, in the order a lone frontier would use.
+    summed over its own rows, in the order a lone frontier would use.
     """
     segs = list(zip(a.seg[:-1], a.seg[1:]))
     lb = np.zeros((len(segs), len(b), len(r)))

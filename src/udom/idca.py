@@ -3,12 +3,14 @@
 Iteration 0 is the MBR classification alone: certain dominators become a fixed
 count offset s, certainly-dominated objects drop out, and each of the m
 remaining influence objects may or may not dominate, so every count in s..s+m
-is possible and none is certain.  From depth 2 on, each iteration deepens the
-decompositions of the target, the reference and every influence object by one
-level (each split reads its node's axis and half-mass from the level it
-refines), evaluates one uncertain generating function per (target-leaf,
-reference-leaf) pair from per-candidate domination bounds, mixes the per-pair
-count bounds with the pair masses, and shifts by s.  Nested decompositions only
+is possible and none is certain.  The first sweep builds one decomposition
+forest per run over the influence objects, the target and the reference, one
+root each.  From depth 2 on, each iteration deepens every root by one level
+in one segmented `split` of the forest's frontier, reads the candidates,
+target and reference as row slices of that one level, evaluates one
+uncertain generating function per (target-leaf, reference-leaf) pair from
+per-candidate domination bounds, mixes the per-pair count bounds with the
+pair masses, and shifts by s.  Nested decompositions only
 tighten bounds, so lower bounds rise and upper bounds fall monotonically until
 a stop rule fires, the pair budget would be exceeded, or every object is fully
 separated.  Then the bounds are exact for discrete objects, unless two samples
@@ -26,7 +28,7 @@ import numpy as np
 from .domination import _BATCH_FLOAT_BUDGET, DominationClassification, _pdf_length, classify, pdom_bounds_grid
 from .genfunc import DomCountDistribution, _extract_batch, _ugf_expand_batch
 from .geometry import _check_count, check_norm_order
-from .model import FrontierStack, UncertainObject
+from .model import DecompositionTree, Frontier, UncertainObject
 
 __all__ = [
     "IdcaResult",
@@ -109,26 +111,19 @@ def _classified_bounds(
 
 
 def _evaluate_depth(
-    cands: Sequence[UncertainObject],
-    b: UncertainObject,
-    r: UncertainObject,
-    depth: int,
-    shift: int,
-    n_total: int,
-    p: float,
-    criterion: str,
+    level: Frontier, n_cands: int, shift: int, n_total: int, p: float, criterion: str
 ) -> DomCountDistribution:
-    """One refinement sweep at a fixed frontier depth over a non-empty
-    candidate set (pre-validated budget); `idca` runs it from depth 2 on."""
+    """One refinement sweep over a frontier `level` of the forest of
+    ``[*cands, b, r]`` with ``n_cands >= 1`` candidates (pre-validated
+    budget); `idca` runs it from depth 2 on."""
     lb = np.zeros(n_total)
     ub = np.zeros(n_total)
-    b_front = b.leaves_at_depth(depth)
-    r_front = r.leaves_at_depth(depth)
+    cands = level.roots(0, n_cands)
+    b_front = level.roots(n_cands, n_cands + 1)
+    r_front = level.roots(n_cands + 1, n_cands + 2)
     n_pairs = len(b_front) * len(r_front)
-    n_cands = len(cands)
 
-    stack = FrontierStack.of([cand.leaves_at_depth(depth) for cand in cands])
-    plb, pub = (g.reshape(n_cands, n_pairs) for g in pdom_bounds_grid(stack, b_front, r_front, p, criterion))
+    plb, pub = (g.reshape(n_cands, n_pairs) for g in pdom_bounds_grid(cands, b_front, r_front, p, criterion))
 
     pair_w = np.outer(b_front.mass, r_front.mass).ravel()
 
@@ -147,6 +142,11 @@ def _evaluate_depth(
     return DomCountDistribution(lb, np.maximum(ub, lb))
 
 
+def _grown(front: Frontier) -> int:
+    """Node count of `front` one level deeper: each non-atomic node splits in two."""
+    return len(front) + int((~front.atomic).sum())
+
+
 def idca(
     db: Sequence[UncertainObject],
     b: UncertainObject,
@@ -157,7 +157,7 @@ def idca(
     decide: Optional[Callable[[DomCountDistribution], object]] = None,
     criterion: str = "optimal",
     on_iteration: Optional[Callable[[int, DomCountDistribution], None]] = None,
-    _classification: Optional[DominationClassification] = None,
+    _start: Optional[tuple[DominationClassification, DomCountDistribution]] = None,
 ) -> IdcaResult:
     """Approximate the PDF of b's domination count w.r.t. r over db.
 
@@ -176,35 +176,48 @@ def idca(
     evaluate more than 65536 (target-leaf, reference-leaf) pairs
     ("pair_budget").
     `on_iteration(depth, dist)` is invoked after each evaluation
-    (progress/timing observation only).  `_classification` is
-    `classify(db, b, r, p, criterion)` when the caller already holds it.
+    (progress/timing observation only).  `_start` is
+    ``(classify(db, b, r, p, criterion), iteration 0)`` from a caller that
+    already validated the arguments, built iteration 0 and found that no
+    stop rule fires on it.
     """
-    p = _check_engine_args(p, max_depth, epsilon, criterion)
-    cls = _classification if _classification is not None else classify(db, b, r, p=p, criterion=criterion)
+    if _start is None:
+        p = _check_engine_args(p, max_depth, epsilon, criterion)
+        cls = classify(db, b, r, p=p, criterion=criterion)
+        dist = _classified_bounds(len(cls.influence_objects), b, r, cls.complete_domination_count, _pdf_length(db, b))
+    else:
+        cls, dist = _start
     cands = list(cls.influence_objects)
     shift = cls.complete_domination_count
-    n_total = _pdf_length(db, b)
+    n_total = len(dist)
+    n = len(cands)
 
     history: list[DomCountDistribution] = []
     depth = 1
-    dist = _classified_bounds(len(cands), b, r, shift, n_total)
+    forest = level = None
     while True:
         history.append(dist)
         if on_iteration is not None:
             on_iteration(depth, dist)
-        if _stopped(depth, dist, max_depth, epsilon, decide):
+        # A caller-built iteration 0 comes with no stop rule firing on it.
+        if (depth > 1 or _start is None) and _stopped(depth, dist, max_depth, epsilon, decide):
             reason = "criterion"
             break
-        participants = [b, r, *cands]
-        if not cands or all(o.decomposition.fully_separated(depth) for o in participants):
+        if not cands:
             reason = "exhausted"
             break
-        next_pairs = len(b.leaves_at_depth(depth + 1)) * len(r.leaves_at_depth(depth + 1))
-        if next_pairs > _PAIR_BUDGET:
+        if forest is None:
+            forest = DecompositionTree([*cands, b, r])
+            level = forest.leaves(1)
+        if level.atomic.all():
+            reason = "exhausted"
+            break
+        if _grown(level.roots(n, n + 1)) * _grown(level.roots(n + 1, n + 2)) > _PAIR_BUDGET:
             reason = "pair_budget"
             break
         depth += 1
-        dist = _evaluate_depth(cands, b, r, depth, shift, n_total, p, criterion)
+        level = forest.leaves(depth)
+        dist = _evaluate_depth(level, n, shift, n_total, p, criterion)
 
     return IdcaResult(
         distribution=history[-1],

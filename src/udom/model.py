@@ -5,10 +5,14 @@ to one, bounded by its tight MBR.  Continuous densities enter by sampling at
 ingestion time.  The decomposition bisects a node's samples at the weighted
 median of the widest MBR axis; child masses are always the exact weight sums
 (which reduces to the 0.5^(level-1) rule for even splits), and child
-rectangles are tight MBRs of their samples.  Each level is one `Frontier`:
-per-node ``lo``/``hi``/``mass`` arrays plus a sample permutation whose
-segments list every node's samples; a split reads its node's axis and
-half-mass from the level it refines.
+rectangles are tight MBRs of their samples.  A `DecompositionTree` is a
+forest: it holds the samples of one or more objects, one root each (an
+object's own tree has one root; a refinement run builds one forest over all
+its participants).  Each level is one `Frontier`: per-node
+``lo``/``hi``/``mass`` arrays whose rows are segmented by root, plus a sample
+permutation whose segments list every node's samples.  A level is built by
+one `split` of every node of the level above, which reads each node's axis
+and half-mass from that level.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import csv
 import json
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -25,12 +30,10 @@ from .geometry import Rect, _check_count
 
 __all__ = [
     "Frontier",
-    "FrontierStack",
     "DecompositionTree",
     "UncertainObject",
     "DatasetError",
     "build_object",
-    "split",
     "generate_synthetic",
     "load_dataset",
     "save_dataset_jsonl",
@@ -46,8 +49,9 @@ class Frontier:
     """One decomposition level as read-only arrays over its k nodes.
 
     Node i has the tight MBR ``[lo[i], hi[i]]``, the weight sum ``mass[i]``
-    and the samples ``order[start[i]:start[i + 1]]``.  Compared by identity:
-    the tree builds each level once.
+    and the samples ``order[start[i]:start[i + 1]]``.  Root j of the forest
+    owns node rows ``seg[j]:seg[j + 1]``; a one-object tree has one root.
+    Compared by identity: the tree builds each level once.
     """
 
     lo: np.ndarray
@@ -55,104 +59,116 @@ class Frontier:
     mass: np.ndarray
     order: np.ndarray
     start: np.ndarray
+    seg: np.ndarray
 
     def __len__(self) -> int:
         return self.mass.size
 
-    @property
+    @cached_property
     def atomic(self) -> np.ndarray:
         """Per node: True when all its samples coincide (nothing to split)."""
         return (self.lo == self.hi).all(axis=1)
 
-
-@dataclass(frozen=True, eq=False)
-class FrontierStack:
-    """Several frontiers' nodes concatenated into one set of node arrays.
-
-    Frontier i owns rows ``seg[i]:seg[i + 1]`` of ``lo``, ``hi`` and
-    ``mass``; len() is the total node count.
-    """
-
-    lo: np.ndarray
-    hi: np.ndarray
-    mass: np.ndarray
-    seg: np.ndarray
-
-    @classmethod
-    def of(cls, frontiers: Sequence[Frontier]) -> "FrontierStack":
-        seg = np.cumsum([0] + [len(f) for f in frontiers])
-        return cls(*(np.concatenate([getattr(f, k) for f in frontiers]) for k in ("lo", "hi", "mass")), seg)
-
-    def __len__(self) -> int:
-        return self.mass.size
+    def roots(self, i: int, j: int) -> "Frontier":
+        """The node rows of roots i..j-1, as views; `order` and `start` still
+        index the whole forest's samples."""
+        a, b = self.seg[i], self.seg[j]
+        seg = self.seg[i : j + 1] - a
+        seg.setflags(write=False)
+        return Frontier(self.lo[a:b], self.hi[a:b], self.mass[a:b], self.order, self.start[a : b + 1], seg)
 
 
-def _frontier(points, weights, order, start) -> Frontier:
-    pts = points[order]
+def _by_size(start: np.ndarray, nodes: np.ndarray):
+    """Group `nodes` by sample count: yields each group's nodes and their
+    (nodes, count) matrix of sample positions ``start[i] .. start[i + 1] - 1``."""
+    sizes = start[nodes + 1] - start[nodes]
+    for size in np.flatnonzero(np.bincount(sizes)):
+        rows = nodes[sizes == size]
+        yield rows, start[rows, None] + np.arange(size)
+
+
+def _frontier(points, weights, order, start, seg) -> Frontier:
+    pts = np.take(points, order, axis=0)
     w = weights[order]
     heads = start[:-1]
-    # One .sum() per segment keeps numpy's pairwise summation over the node's
-    # samples in node order; np.add.reduceat adds sequentially and would move
-    # masses (and so every bound) in the last bits.
-    mass = np.array([w[s:e].sum() for s, e in zip(heads, start[1:])])
-    arrays = (np.minimum.reduceat(pts, heads), np.maximum.reduceat(pts, heads), mass, order, start)
+    # A row of a C-ordered 2-D .sum(axis=1) is numpy's pairwise summation over
+    # the node's samples in node order, as the node's own .sum() would add
+    # them; np.add.reduceat adds sequentially and would move masses (and so
+    # every bound) in the last bits.
+    mass = np.empty(heads.size)
+    for rows, pos in _by_size(start, np.arange(heads.size)):
+        mass[rows] = w[pos].sum(axis=1)
+    arrays = (np.minimum.reduceat(pts, heads), np.maximum.reduceat(pts, heads), mass, order, start, seg)
     for a in arrays:
         a.setflags(write=False)
     return Frontier(*arrays)
 
 
-def split(keys: np.ndarray, weights: np.ndarray, half: float) -> tuple[np.ndarray, int]:
-    """Cut one node at the weighted median of `keys`, its samples' split-axis coordinates.
+def split(points: np.ndarray, weights: np.ndarray, level: Frontier) -> tuple[np.ndarray, np.ndarray]:
+    """Cut every non-atomic node of `level` at the weighted median of its widest axis.
 
-    Returns ``(order, n_left)``: samples ordered by key (stable), of which
-    the shortest prefix whose cumulative weight reaches `half` (half the node
-    mass) goes left, clipped so both sides stay non-empty.  The node needs
-    two distinct keys.
+    Returns ``(order, n_left)``: ``level.order`` with each node's samples
+    sorted (stably) by their coordinate on the node's widest axis, and per
+    node the length of the shortest prefix whose cumulative weight reaches
+    half the node mass, clipped so both sides stay non-empty; 0 for an
+    atomic node, which is not cut.  Nodes of one size are cut together, as
+    the rows of one 2-D stable argsort and one row-wise ``cumsum``: each row
+    adds from zero in node order, as a per-node ``cumsum`` would.
     """
-    order = np.argsort(keys, kind="stable")
-    cum = np.cumsum(weights[order])
-    n_left = int(np.searchsorted(cum, half)) + 1
-    return order, min(max(n_left, 1), len(order) - 1)
+    order = level.order.copy()
+    axis = np.argmax(level.hi - level.lo, axis=1)
+    n_left = np.zeros(len(level), dtype=np.intp)
+    for rows, pos in _by_size(level.start, np.flatnonzero(~level.atomic)):
+        ids = order[pos]
+        ids = np.take_along_axis(ids, np.argsort(points[ids, axis[rows, None]], axis=1, kind="stable"), axis=1)
+        order[pos] = ids
+        below = (np.cumsum(weights[ids], axis=1) < level.mass[rows, None] / 2.0).sum(axis=1)
+        n_left[rows] = np.minimum(below + 1, pos.shape[1] - 1)
+    return order, n_left
 
 
 class DecompositionTree:
-    """Binary kd-decomposition stored as one `Frontier` per level, deepened
-    lazily and guarded by a lock so that concurrent readers always observe a
-    consistent frontier."""
+    """Binary kd-decompositions of `objects` (a forest, root j for
+    ``objects[j]``) stored as one `Frontier` per level, deepened lazily and
+    guarded by a lock so that concurrent readers always observe a consistent
+    frontier.  Each level is one `split` of every node of the level above."""
 
-    def __init__(self, points: np.ndarray, weights: np.ndarray):
-        self._points = points
-        self._weights = weights
-        n = weights.size
-        self._levels = [_frontier(points, weights, np.arange(n), np.array([0, n]))]
+    def __init__(self, objects: Sequence["UncertainObject"]):
+        self._points = np.concatenate([o.points for o in objects])
+        self._weights = np.concatenate([o.weights for o in objects])
+        self._start = np.cumsum([0] + [o.n_samples for o in objects])
+        self._levels: list[Frontier] = []
         self._lock = threading.Lock()
 
     def leaves(self, depth: int) -> Frontier:
-        """Frontier of the tree at most `depth` levels deep (root is level 1).
+        """Frontier of the forest at most `depth` levels deep (roots are level 1).
 
-        Atomic nodes are carried down unchanged; the frontier masses always
-        sum to the root mass.  Deepening past full separation is a no-op.
+        Atomic nodes are carried down unchanged; each root's frontier masses
+        always sum to its root mass.  Deepening past full separation of every
+        root is a no-op.
         """
         if depth < 1:
             raise ValueError("depth must be >= 1")
         with self._lock:
             levels = self._levels
+            if not levels:
+                levels.append(self._roots())
             while len(levels) < depth and not levels[-1].atomic.all():
                 levels.append(self._deepen(levels[-1]))
             return levels[min(depth, len(levels)) - 1]
 
+    def _roots(self) -> Frontier:
+        """Level 1, one node per root; built on first use, inside `leaves`."""
+        start = self._start
+        return _frontier(self._points, self._weights, np.arange(start[-1]), start, np.arange(start.size))
+
     def _deepen(self, f: Frontier) -> Frontier:
-        order = f.order.copy()
-        start = [0]
-        axes = np.argmax(f.hi - f.lo, axis=1)
-        for atomic, axis, half, s, e in zip(f.atomic, axes, f.mass / 2.0, f.start[:-1], f.start[1:]):
-            if not atomic:
-                seg = order[s:e]
-                perm, n_left = split(self._points[seg, axis], self._weights[seg], half)
-                order[s:e] = seg[perm]
-                start.append(s + n_left)
-            start.append(e)
-        return _frontier(self._points, self._weights, order, np.array(start))
+        order, n_left = split(self._points, self._weights, f)
+        cut = np.flatnonzero(n_left)
+        start = np.sort(np.concatenate([f.start, f.start[cut] + n_left[cut]]))
+        # A root's first row moves down by the number of cut nodes above it.
+        grown = np.searchsorted(cut, f.seg)
+        return _frontier(self._points, self._weights, order, start, f.seg + grown)
 
     def fully_separated(self, depth: int) -> bool:
         """True when every frontier node at `depth` is atomic."""
@@ -197,10 +213,11 @@ class UncertainObject:
     @property
     def decomposition(self) -> DecompositionTree:
         if self._tree is None:
-            self._tree = DecompositionTree(self.points, self.weights)
+            self._tree = DecompositionTree([self])
         return self._tree
 
     def leaves_at_depth(self, depth: int) -> Frontier:
+        """`depth`'s level of the object's own one-root decomposition."""
         return self.decomposition.leaves(depth)
 
     def __repr__(self):
@@ -347,11 +364,11 @@ def _load_gaussian_csv(path, seed: int) -> list[UncertainObject]:
                     raise ValueError("sigma must be >= 0")
                 if nsamples < 1:
                     raise ValueError("nsamples must be >= 1")
+                pts = _gaussian_cloud(rng, mean, sigma, nsamples)
+                obj = UncertainObject(obj_id, pts, np.full(nsamples, 1.0 / nsamples))
             except ValueError as exc:
                 raise DatasetError(f"line {lineno}: {exc}") from exc
-            pts = _gaussian_cloud(rng, mean, sigma, nsamples)
-            wts = np.full(nsamples, 1.0 / nsamples)
-            _append_checked(objects, lines, UncertainObject(obj_id, pts, wts), lineno)
+            _append_checked(objects, lines, obj, lineno)
     if not objects:
         raise DatasetError("dataset is empty")
     return objects

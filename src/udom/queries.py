@@ -117,7 +117,7 @@ def _each_target(
     target (`domination._target_labels`).  A target at which any stop
     rule fires at iteration 0 (`decide`, `max_depth` or `epsilon`) is
     answered from its counts s and m as `idca` would answer it; only the
-    others run `idca`, on the classification the pass already holds.
+    others run `idca`, on the classification and iteration 0 it already holds.
     """
     targets = others(db, q)
     p = _check_engine_args(p, max_depth, epsilon, criterion)
@@ -135,7 +135,7 @@ def _each_target(
             continue
         result = idca(
             db, b, r, p=p, max_depth=max_depth, epsilon=epsilon, decide=decide, criterion=criterion,
-            on_iteration=on_iteration, _classification=_group(targets, labels),
+            on_iteration=on_iteration, _start=(_group(targets, labels), dist),
         )
         yield target, result.distribution, result.iterations_run, result.stop_reason
 

@@ -19,7 +19,6 @@ from udom.domination import others, pdom_bounds_grid
 from udom.genfunc import DomCountDistribution, _gf_affine
 from udom.geometry import Rect, _minmax_values_grid, dominance_grid
 from udom.idca import idca
-from udom.model import FrontierStack
 from udom.queries import ObjectDecision, QueryPredicate, expected_rank_interval, knn_probability_bounds
 
 
@@ -248,23 +247,23 @@ def extract_batch_loop(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lb, np.minimum(ub, 1.0)
 
 
-def evaluate_depth_dense(cands, b, r, depth, shift, n_total, p, criterion, budget):
+def evaluate_depth_dense(level, n_cands, shift, n_total, p, criterion, budget):
     """`idca._evaluate_depth` on the dense kernels above: pairs in chunks of
     ``max(1, budget // (n+1)^2)`` rows, each chunk's weighted bounds added to
-    the running mix in chunk order."""
+    the running mix in chunk order.  `level` is a frontier of the forest of
+    ``[*cands, b, r]``."""
     lb = np.zeros(n_total)
     ub = np.zeros(n_total)
-    if not cands:
+    if not n_cands:
         lb[shift] = 1.0
         ub[shift] = 1.0
         return DomCountDistribution(lb, ub)
 
-    b_front = b.leaves_at_depth(depth)
-    r_front = r.leaves_at_depth(depth)
+    b_front = level.roots(n_cands, n_cands + 1)
+    r_front = level.roots(n_cands + 1, n_cands + 2)
     n_pairs = len(b_front) * len(r_front)
-    n_cands = len(cands)
 
-    stack = FrontierStack.of([cand.leaves_at_depth(depth) for cand in cands])
+    stack = level.roots(0, n_cands)
     plb, pub = (g.reshape(n_cands, n_pairs) for g in pdom_bounds_grid(stack, b_front, r_front, p, criterion))
 
     pair_w = np.outer(b_front.mass, r_front.mass).ravel()

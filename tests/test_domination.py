@@ -3,7 +3,7 @@ import pytest
 
 from udom.domination import ProbBounds, classify, pdom_bounds_grid
 from udom.geometry import Rect
-from udom.model import FrontierStack, build_object
+from udom.model import DecompositionTree, build_object
 
 from conftest import random_instance, random_object
 from reference import pdom_bounds_loop, pdom_bounds_stacked
@@ -16,8 +16,8 @@ def point_obj(obj_id, xy):
 def pdom_bounds(a, b_rect, r_rect, p=2.0, depth=1):
     """`pdom_bounds_grid` for candidate `a` at `depth` against one fixed
     (b-node, r-node) pair, as one ProbBounds."""
-    b, r = (FrontierStack(x.lo[None], x.hi[None], np.ones(1), np.arange(2)) for x in (b_rect, r_rect))
-    lb, ub = pdom_bounds_grid(FrontierStack.of([a.leaves_at_depth(depth)]), b, r, p)
+    b, r = (build_object("box", [(x.lo, 1.0), (x.hi, 1.0)]).leaves_at_depth(1) for x in (b_rect, r_rect))
+    lb, ub = pdom_bounds_grid(a.leaves_at_depth(depth), b, r, p)
     return ProbBounds(float(lb[0, 0, 0]), float(ub[0, 0, 0]))
 
 
@@ -221,7 +221,7 @@ def test_pdom_bounds_grid_matches_scalar(rng):
         depth = 3
         bf = b.leaves_at_depth(depth)
         rf = r.leaves_at_depth(depth)
-        lb, ub = pdom_bounds_grid(FrontierStack.of([a.leaves_at_depth(depth)]), bf, rf)
+        lb, ub = pdom_bounds_grid(a.leaves_at_depth(depth), bf, rf)
         assert lb.shape == ub.shape == (1, len(bf), len(rf))
         for i in range(len(bf)):
             for j in range(len(rf)):
@@ -253,7 +253,7 @@ def test_pdom_bounds_grid_stack_matches_per_candidate(rng, criterion):
         b = random_object(rng, "b", d, max_samples=6, spread=1.0)
         r = random_object(rng, "r", d, max_samples=6, spread=1.0)
         depth = int(rng.integers(1, 5))
-        stack = FrontierStack.of([c.leaves_at_depth(depth) for c in cands])
+        stack = DecompositionTree(cands).leaves(depth)
         bf, rf = b.leaves_at_depth(depth), r.leaves_at_depth(depth)
         assert len(stack) == sum(len(c.leaves_at_depth(depth)) for c in cands)
         lb, ub = pdom_bounds_grid(stack, bf, rf, p, criterion)

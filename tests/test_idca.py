@@ -8,7 +8,7 @@ from udom.domination import classify
 from udom.genfunc import DomCountDistribution, gf_exact
 from udom.geometry import Rect
 from udom.idca import idca, uncertainty
-from udom.model import build_object
+from udom.model import DecompositionTree, build_object
 from udom.oracle import enumerate_exact
 from udom.queries import pknn_query, prknn_query
 
@@ -416,9 +416,10 @@ def test_iteration_zero_equals_depth_one_sweep(rng):
         shift = cls.complete_domination_count
         n_total = len(res.distribution)
         got = res.history[0]
-        wants = [evaluate_depth_dense(cands, b, r, 1, shift, n_total, p, criterion, budget)]
+        roots = DecompositionTree([*cands, b, r]).leaves(1)
+        wants = [evaluate_depth_dense(roots, len(cands), shift, n_total, p, criterion, budget)]
         if cands:
-            wants.append(engine._evaluate_depth(cands, b, r, 1, shift, n_total, p, criterion))
+            wants.append(engine._evaluate_depth(roots, len(cands), shift, n_total, p, criterion))
             seen_m += 1
         else:
             seen_m0 += 1

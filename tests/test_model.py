@@ -2,9 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from udom.model import (
     DatasetError,
+    DecompositionTree,
     build_object,
     generate_synthetic,
     load_dataset,
@@ -92,7 +95,7 @@ def test_leaf_masses_sum_to_one_at_any_depth(rng):
 
 def test_split_four_on_a_line():
     obj = build_object("line", equal_weight([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0)]))
-    order, n_left = split(obj.points[:, 0], obj.weights, obj.weights.sum() / 2)
+    order, (n_left,) = split(obj.points, obj.weights, obj.leaves_at_depth(1))
     assert n_left == 2
     assert set(map(tuple, obj.points[order[:n_left]])) == {(0.0, 0.0), (1.0, 0.0)}
     assert set(map(tuple, obj.points[order[n_left:]])) == {(2.0, 0.0), (3.0, 0.0)}
@@ -109,7 +112,7 @@ def test_split_three_equal_weights():
 
 def test_split_unbalanced_weights_keeps_children_nonempty():
     obj = build_object("w", [((0.0, 0.0), 0.1), ((1.0, 0.0), 0.9)])
-    order, n_left = split(obj.points[:, 0], obj.weights, obj.weights.sum() / 2)
+    order, (n_left,) = split(obj.points, obj.weights, obj.leaves_at_depth(1))
     assert n_left == 1 and order.tolist() == [0, 1]
     assert obj.leaves_at_depth(2).mass.tolist() == pytest.approx([0.1, 0.9])
 
@@ -226,6 +229,60 @@ def test_frontiers_match_recursive_reference(rng, d):
             done = obj.decomposition.fully_separated(depth)
             assert done == all((lo == hi).all() for lo, hi, _, _ in expected)
             depth += 1
+
+
+@st.composite
+def forest_objects(draw):
+    """1..6 objects of one dimensionality 1..3: one sample, coincident
+    samples, samples on a small integer grid (ties on every axis) or spread
+    samples, each with equal or unequal weights."""
+    d = draw(st.integers(1, 3))
+    objs = []
+    for i in range(draw(st.integers(1, 6))):
+        shape = draw(st.sampled_from(("single", "coincident", "grid", "spread")))
+        n = 1 if shape == "single" else draw(st.integers(2, 40))
+        if shape == "coincident":
+            pts = np.tile(draw(st.lists(st.integers(0, 3), min_size=d, max_size=d)), (n, 1))
+        elif shape == "grid":
+            pts = np.array(draw(st.lists(st.integers(0, 3), min_size=n * d, max_size=n * d))).reshape(n, d)
+        else:
+            pts = np.array(draw(st.lists(st.floats(0, 1), min_size=n * d, max_size=n * d))).reshape(n, d)
+        if draw(st.booleans()):
+            wts = [1.0] * n
+        else:
+            wts = draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
+        objs.append(build_object(i, list(zip(pts.astype(float), wts))))
+    return objs
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(forest_objects())
+def test_forest_levels_equal_each_object_alone(objs):
+    """Every level of a forest holds, in the rows of each root, the
+    recursive splitter's frontier of that object alone, byte for byte:
+    lo, hi and mass, and the object's sample order and node starts."""
+    forest = DecompositionTree(objs)
+    offsets = np.cumsum([0] + [o.n_samples for o in objs])
+    depth = 1
+    while True:
+        level = forest.leaves(depth)
+        assert level.seg[0] == 0 and level.seg[-1] == len(level) and len(level.seg) == len(objs) + 1
+        for j, obj in enumerate(objs):
+            expected = recursive_frontier(obj.points, obj.weights, depth)
+            part = level.roots(j, j + 1)
+            assert len(part) == len(expected)
+            assert part.lo.tobytes() == np.array([lo for lo, _, _, _ in expected]).tobytes()
+            assert part.hi.tobytes() == np.array([hi for _, hi, _, _ in expected]).tobytes()
+            assert part.mass.tobytes() == np.array([mass for _, _, mass, _ in expected]).tobytes()
+            s, e = offsets[j], offsets[j + 1]
+            assert part.start[0] == s and part.start[-1] == e
+            own = part.order[s:e] - s
+            assert np.array_equal(own, np.concatenate([idx for _, _, _, idx in expected]))
+            assert np.array_equal(part.start - s, np.cumsum([0] + [len(idx) for _, _, _, idx in expected]))
+        if level.atomic.all():
+            break
+        depth += 1
+    assert forest.leaves(depth + 3) is level
 
 
 def test_concurrent_lazy_deepening_is_consistent(rng):
@@ -384,6 +441,10 @@ def test_gaussian_csv_errors(tmp_path):
         path.write_text("a, 0.5, 0.5, 0.1, 0.1, 4\n" + row + "\n")
         with pytest.raises(DatasetError, match="line 2: mean and sigma must be finite"):
             load_dataset(path)
+    # Finite sigmas whose drawn samples overflow.
+    path.write_text("a, 0, 0, 0.1, 0.1, 5\nb, 0, 0, 1e308, 1e308, 50\n")
+    with pytest.raises(DatasetError, match="line 2: sample coordinates must be finite"):
+        load_dataset(path)
 
 
 def test_load_format_follows_file_name(tmp_path):

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -298,6 +300,38 @@ def test_threshold_queries_check_engine_arguments_once():
         for bad in (dict(decide=lambda dist: None), dict(max_dpeth=3)):
             with pytest.raises(TypeError):
                 query(db, q, 1, 0.5, **bad)
+
+
+def test_open_targets_hand_iteration_zero_to_idca(rng, monkeypatch):
+    """Each target's iteration 0 is built and tested against the stop rules
+    once, in the labelling pass, and the engine arguments are checked once
+    per query: an open target hands its iteration 0 to `idca`, which neither
+    rebuilds nor re-tests it.  Counted under both names the engine could
+    call each helper by."""
+    engine = importlib.import_module("udom.idca")
+    built, checked, tested = [], [], []
+    bounds, check, stopped = engine._classified_bounds, engine._check_engine_args, engine._stopped
+
+    def counted_stopped(depth, *args):
+        if depth == 1:
+            tested.append(depth)
+        return stopped(depth, *args)
+
+    for module in (queries, engine):
+        monkeypatch.setattr(module, "_classified_bounds", lambda *a: built.append(1) or bounds(*a))
+        monkeypatch.setattr(module, "_check_engine_args", lambda *a: checked.append(1) or check(*a))
+        monkeypatch.setattr(module, "_stopped", counted_stopped)
+    db = [random_object(rng, i, max_samples=4, spread=0.3) for i in range(12)]
+    refined = 0
+    for q in (random_object(rng, "q", max_samples=3, spread=0.3), db[5]):
+        for query in (pknn_query, prknn_query):
+            for seen in (built, checked, tested):
+                seen.clear()
+            decisions = query(db, q, 3, 0.5, max_depth=6).decisions
+            assert len(built) == len(tested) == len(decisions)
+            assert len(checked) == 1
+            refined += sum(d.iterations > 1 for d in decisions)
+    assert refined
 
 
 @pytest.mark.parametrize("stop", [dict(max_depth=1), dict(epsilon=100.0)])
