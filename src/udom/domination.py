@@ -15,7 +15,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .geometry import _kernel_floats_per_cell, check_norm_order, dominance_grid
-from .model import Frontier, UncertainObject
+from .model import Frontier, UncertainObject, _by_size
 
 __all__ = [
     "ProbBounds",
@@ -109,14 +109,15 @@ def _mbr_labels(lo, hi, b_lo, b_hi, r_lo, r_hi, p, criterion) -> np.ndarray:
     return labels
 
 
-def _target_labels(targets, order, q, roles, p, criterion) -> Iterator[tuple[UncertainObject, int, int, np.ndarray]]:
+def _target_labels(targets, order, q, roles, p, criterion) -> Iterator[tuple[list, np.ndarray, np.ndarray, np.ndarray]]:
     """Label every object of `targets` against each target in `order` (row
     indices), q fixed: role "knn" makes the target b and q the reference,
     "rknn" makes q b and the target the reference.  The MBRs are stacked once
     and the targets labelled in chunks within `_BATCH_FLOAT_BUDGET` (a kNN
     chunk of every target labels the square grid, then orders its columns).
-    Yields per target: it, its COMPLETE count s, its INFLUENCE count m and its
-    label column over `targets`, with its own row EXCLUDED."""
+    Yields per chunk: its row indices, per target its COMPLETE count s and
+    its INFLUENCE count m, and the (len(targets), chunk) label columns, each
+    target's own row EXCLUDED."""
     lo, hi = _mbr_rows(targets)
     one = q.mbr.lo[None], q.mbr.hi[None]
     chunk = max(1, _BATCH_FLOAT_BUDGET // (_kernel_floats_per_cell(lo.shape[1]) * len(targets)))
@@ -129,10 +130,7 @@ def _target_labels(targets, order, q, roles, p, criterion) -> Iterator[tuple[Unc
         if square:
             labels = labels[:, cols]
         labels[cols, np.arange(len(cols))] = EXCLUDED
-        shifts = (labels == COMPLETE).sum(axis=0)
-        n_cands = (labels == INFLUENCE).sum(axis=0)
-        for j, i in enumerate(cols):
-            yield targets[i], int(shifts[j]), int(n_cands[j]), labels[:, j]
+        yield cols, (labels == COMPLETE).sum(axis=0), (labels == INFLUENCE).sum(axis=0), labels
 
 
 def _group(objs: Sequence[UncertainObject], labels: np.ndarray) -> DominationClassification:
@@ -180,22 +178,37 @@ def pdom_bounds_grid(
     """Vectorised pdom bounds of every candidate frontier against every
     (b-node, r-node) pair.
 
-    `a` holds one root per candidate; only the ``lo``/``hi`` node arrays
-    of `b` and `r` are read.  Returns (lb, ub) arrays of shape
-    (n_cands, len(b), len(r)).  Each r-node costs one forward and one reverse
-    `dominance_grid` call over all candidate nodes at once, so the peak
-    temporary is O(len(a) * len(b)) per r-node.  Each candidate's masses are
-    summed over its own rows, in the order a lone frontier would use.
+    `a` holds one root per candidate and `b` one root per target (one in a
+    single-pair sweep); only the ``lo``/``hi`` node arrays of `r` are read.
+    Returns (lb, ub) arrays of shape (a's roots, len(b), len(r)).  Each
+    r-node costs one forward and one reverse `dominance_grid` call over all
+    nodes at once, so the peak temporary is O(len(a) * len(b)) per r-node.
+    A candidate's bounds against one b-root are products over that
+    (candidate, b-root) block alone, its masses summed in node order, so
+    they are what a one-root `b` gives, bit for bit.
     """
-    segs = list(zip(a.seg[:-1], a.seg[1:]))
-    lb = np.zeros((len(segs), len(b), len(r)))
-    ub = np.ones((len(segs), len(b), len(r)))
+    # Roots of one node count are one (roots, rows) group; every pair of an
+    # a-group and a b-group is one stack of same-shaped (M, N) blocks.  A
+    # group of every root reads all rows in order: a slice, not a gather.
+    def index(rows, f):
+        return slice(None) if rows.size == len(f) else rows.ravel()
+
+    blocks = [
+        (roots[:, None, None], a.mass[rows][:, None, None, :], cols, (*rows.shape, *cols.shape), index(rows, a), index(cols, b))
+        for roots, rows in _by_size(a.seg, np.arange(a.seg.size - 1))
+        for _, cols in _by_size(b.seg, np.arange(b.seg.size - 1))
+    ]
+    lb = np.zeros((a.seg.size - 1, len(b), len(r)))
+    ub = np.ones((a.seg.size - 1, len(b), len(r)))
     for z, (r_lo, r_hi) in enumerate(zip(r.lo[:, None], r.hi[:, None])):  # one-box stacks
-        dom = dominance_grid(a.lo, a.hi, b.lo, b.hi, r_lo, r_hi, p, criterion)[..., 0].astype(float)
-        rev = dominance_grid(b.lo, b.hi, a.lo, a.hi, r_lo, r_hi, p, criterion)[..., 0].astype(float)
-        for c, (s, e) in enumerate(segs):
-            lb[c, :, z] = a.mass[s:e] @ dom[s:e]
-            ub[c, :, z] = 1.0 - rev[:, s:e] @ a.mass[s:e]
+        dom = dominance_grid(a.lo, a.hi, b.lo, b.hi, r_lo, r_hi, p, criterion)[..., 0]
+        rev = dominance_grid(b.lo, b.hi, a.lo, a.hi, r_lo, r_hi, p, criterion)[..., 0]
+        for roots, mass, cols, (pa, m, pb, n), ri, ci in blocks:
+            # C-ordered blocks, gathered by two axis takes: one vector-matrix product each
+            fwd = dom[ri][:, ci].reshape(pa, m, pb, n).transpose(0, 2, 1, 3)
+            lb[roots, cols, z] = (mass @ np.ascontiguousarray(fwd, dtype=float))[:, :, 0]
+            back = rev[ci][:, ri].reshape(pb, n, pa, m).transpose(2, 0, 1, 3)
+            ub[roots, cols, z] = 1.0 - (np.ascontiguousarray(back, dtype=float) @ mass.swapaxes(2, 3))[..., 0]
     np.minimum(lb, 1.0, out=lb)
     np.maximum(ub, lb, out=ub)
     return lb, ub

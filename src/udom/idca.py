@@ -3,14 +3,16 @@
 Iteration 0 is the MBR classification alone: certain dominators become a fixed
 count offset s, certainly-dominated objects drop out, and each of the m
 remaining influence objects may or may not dominate, so every count in s..s+m
-is possible and none is certain.  The first sweep builds one decomposition
-forest per run over the influence objects, the target and the reference, one
-root each.  From depth 2 on, each iteration deepens every root by one level
-in one segmented `split` of the forest's frontier, reads the candidates,
-target and reference as row slices of that one level, evaluates one
-uncertain generating function per (target-leaf, reference-leaf) pair from
-per-candidate domination bounds, mixes the per-pair count bounds with the
-pair masses, and shifts by s.  Nested decompositions only
+is possible and none is certain.  Refinement steps a batch of (b, r) runs,
+the open targets of a threshold query or the one pair of a direct call, in
+one decomposition forest with one root per distinct participant.  From
+depth 2 on, each step deepens every root by one level in one segmented
+`split` and sweeps the active runs together: one kernel pass per reference
+(`pdom_bounds_grid`), then one padded expansion of an uncertain generating
+function per (target-leaf, reference-leaf) pair, mixed into its run with the
+pair masses and shifted by s.  A run reads only its own roots' rows, so its
+bounds are bit for bit those it would get alone; each run answers through
+its own `idca` call.  Nested decompositions only
 tighten bounds, so lower bounds rise and upper bounds fall monotonically until
 a stop rule fires, the pair budget would be exceeded, or every object is fully
 separated.  Then the bounds are exact for discrete objects, unless two samples
@@ -21,13 +23,13 @@ domination, so such a sample triple keeps its pdom bounds at (0, 1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .domination import _BATCH_FLOAT_BUDGET, DominationClassification, _pdf_length, classify, pdom_bounds_grid
 from .genfunc import DomCountDistribution, _extract_batch, _ugf_expand_batch
-from .geometry import _check_count, check_norm_order
+from .geometry import _check_count, _kernel_floats_per_cell, check_norm_order
 from .model import DecompositionTree, Frontier, UncertainObject
 
 __all__ = [
@@ -90,61 +92,172 @@ def _stopped(depth: int, dist: DomCountDistribution, max_depth: int, epsilon, de
     )
 
 
-def _classified_bounds(
-    n_cands: int, b: UncertainObject, r: UncertainObject, shift: int, n_total: int
-) -> DomCountDistribution:
-    """Iteration 0: the bounds the MBR classification alone allows.
+def _classified_bounds(n_cands, weights, shifts, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Iteration 0 of each target: the bounds the MBR classification alone
+    allows, as (lb, ub) rows over the counts 0..width-1.
 
     At depth 1 every influence object's domination bounds are (0, 1), so the
     one (b-root, r-root) pair expands to y^m: no count is certain and every
-    count in shift..shift+m is possible, weighted by the root-mass product
-    (which need not be exactly 1).  This is what a depth-1 sweep returns,
-    byte for byte, without building a decomposition.
+    count in s..s+m is possible, weighted by the root-mass product
+    ``min(b.weights.sum() * r.weights.sum(), 1)`` (which need not be exactly
+    1); with m = 0 the count s is exact.  This is what a depth-1 sweep
+    returns, byte for byte, without building a decomposition.
     """
-    lb = np.zeros(n_total)
-    ub = np.zeros(n_total)
-    if n_cands:
-        ub[shift : shift + n_cands + 1] = min(b.weights.sum() * r.weights.sum(), 1.0)
-    else:
-        lb[shift] = ub[shift] = 1.0
-    return DomCountDistribution(lb, ub)
+    counts = np.arange(width)
+    exact = (n_cands == 0)[:, None]
+    ub = np.where(exact, 1.0, weights[:, None]) * ((counts >= shifts[:, None]) & (counts <= (shifts + n_cands)[:, None]))
+    return np.where(exact, ub, 0.0), ub
 
 
-def _evaluate_depth(
-    level: Frontier, n_cands: int, shift: int, n_total: int, p: float, criterion: str
-) -> DomCountDistribution:
-    """One refinement sweep over a frontier `level` of the forest of
-    ``[*cands, b, r]`` with ``n_cands >= 1`` candidates (pre-validated
-    budget); `idca` runs it from depth 2 on."""
-    lb = np.zeros(n_total)
-    ub = np.zeros(n_total)
-    cands = level.roots(0, n_cands)
-    b_front = level.roots(n_cands, n_cands + 1)
-    r_front = level.roots(n_cands + 1, n_cands + 2)
-    n_pairs = len(b_front) * len(r_front)
+@dataclass(eq=False)
+class _Run:
+    """One (b, r) refinement: its classification, its history (iteration 0
+    first), the steps of its batch (`_refine`) and, once stopped, its stop reason."""
 
-    plb, pub = (g.reshape(n_cands, n_pairs) for g in pdom_bounds_grid(cands, b_front, r_front, p, criterion))
-
-    pair_w = np.outer(b_front.mass, r_front.mass).ravel()
-
-    mixed_lb = np.zeros(n_cands + 1)
-    mixed_ub = np.zeros(n_cands + 1)
-    chunk = max(1, _BATCH_FLOAT_BUDGET // ((n_cands + 1) * (n_cands + 1)))
-    for start in range(0, n_pairs, chunk):
-        sl = slice(start, start + chunk)
-        grids = _ugf_expand_batch(plb[:, sl].T, pub[:, sl].T)
-        pair_lb, pair_ub = _extract_batch(grids, n_cands)
-        mixed_lb += pair_w[sl] @ pair_lb
-        mixed_ub += pair_w[sl] @ pair_ub
-
-    lb[shift : shift + n_cands + 1] = mixed_lb
-    ub[shift : shift + n_cands + 1] = np.minimum(mixed_ub, 1.0)
-    return DomCountDistribution(lb, np.maximum(ub, lb))
+    b: UncertainObject
+    r: UncertainObject
+    cls: DominationClassification
+    history: list
+    reason: str = ""
+    steps: Optional[Iterator] = None
+    roots: Optional[np.ndarray] = None  # its forest roots: candidates, b, r
+    cands = property(lambda self: self.cls.influence_objects)
+    shift = property(lambda self: self.cls.complete_domination_count)
 
 
-def _grown(front: Frontier) -> int:
-    """Node count of `front` one level deeper: each non-atomic node splits in two."""
-    return len(front) + int((~front.atomic).sum())
+def _cap() -> int:
+    """Floats that one batch's histories, one sweep's kernel grid or one
+    block of iteration-0 rows may hold: a 64th of `_BATCH_FLOAT_BUDGET`
+    (~2 MB), so many small runs share a sweep while memory stays bounded."""
+    return _BATCH_FLOAT_BUDGET >> 6
+
+
+def _parts(runs: list, nodes: list, budget: int) -> Iterator[list]:
+    """Consecutive runs whose distinct roots hold N nodes in all, with an
+    N x N kernel grid within `budget` floats; a run over it goes alone."""
+    part, seen = [], set()
+    for run in runs:
+        grown = seen | set(run.roots.tolist())
+        cells = sum(nodes[k] for k in grown) ** 2 * _kernel_floats_per_cell(run.b.ndim)
+        if part and cells > budget:
+            yield part
+            part, grown = [], set(run.roots.tolist())
+        part.append(run)
+        seen = grown
+    if part:
+        yield part
+
+
+def _refine(runs: list, p: float, max_depth: int, epsilon, decide, criterion: str) -> None:
+    """Give each of `runs` (each open at iteration 0) the steps of its batch:
+    consecutive runs whose histories, at `max_depth` iterations, fit
+    `_cap` share one `_sweeps`."""
+    if not runs:
+        return
+    size = max(1, _cap() // (2 * len(runs[0].history[0]) * max_depth))
+    for s in range(0, len(runs), size):
+        steps = _sweeps(runs[s : s + size], p, max_depth, epsilon, decide, criterion)
+        for run in runs[s : s + size]:
+            run.steps = steps
+
+
+def _sweeps(runs: list, p: float, max_depth: int, epsilon, decide, criterion: str) -> Iterator[None]:
+    """Refine `runs` in one forest with one root per distinct participant,
+    one step per depth: each step stops the runs whose own stop rule fires,
+    then sweeps every other run together (in `_parts` within `_cap`).
+    A run reads only its own roots' rows, so it stops where it would stop
+    alone: on `_stopped` ("criterion"), with no candidates or its roots all
+    atomic ("exhausted"), or before a sweep over the pair budget
+    ("pair_budget").  The steps end when every run has stopped."""
+    live = [run for run in runs if run.cands]
+    for run in runs:
+        run.reason = "" if run.cands else "exhausted"
+    if not live:
+        return
+    members = list({id(o): o for run in live for o in (*run.cands, run.b, run.r)}.values())
+    roots = {id(o): k for k, o in enumerate(members)}
+    for run in live:
+        run.roots = np.array([roots[id(o)] for o in (*run.cands, run.b, run.r)])
+    forest = DecompositionTree(members)
+    depth, level = 1, forest.leaves(1)
+    while True:
+        atomic = np.logical_and.reduceat(level.atomic, level.seg[:-1])
+        # Node count of each root one level deeper: each non-atomic node splits in two.
+        grown = np.diff(level.seg) + np.add.reduceat(~level.atomic, level.seg[:-1], dtype=np.intp)
+        for run in live:
+            if depth > 1 and _stopped(depth, run.history[-1], max_depth, epsilon, decide):
+                run.reason = "criterion"
+            elif atomic[run.roots].all():
+                run.reason = "exhausted"
+            elif grown[run.roots[-2]] * grown[run.roots[-1]] > _PAIR_BUDGET:
+                run.reason = "pair_budget"
+        live = [run for run in live if not run.reason]
+        if not live:
+            return
+        depth += 1
+        level = forest.leaves(depth)
+        for part in _parts(live, np.diff(level.seg).tolist(), _cap()):
+            for run, dist in zip(part, _evaluate_depth(level, part, p, criterion)):
+                run.history.append(dist)
+        yield
+
+
+def _pair_bounds(level: Frontier, runs: list, p: float, criterion: str) -> list:
+    """Per run, its (pairs, candidates) pdom lower and upper bounds, pairs
+    b-leaf major.  Runs with one reference share one `pdom_bounds_grid` call."""
+    out = {}
+    for ref in dict.fromkeys(int(run.roots[-1]) for run in runs):
+        group = [run for run in runs if run.roots[-1] == ref]
+        cands = np.unique(np.concatenate([run.roots[:-2] for run in group]))
+        bs = np.unique([run.roots[-2] for run in group])
+        b = level.take(bs)
+        lb, ub = pdom_bounds_grid(level.take(cands), b, level.roots(ref, ref + 1), p, criterion)
+        for run in group:
+            c, j = np.searchsorted(cands, run.roots[:-2]), np.searchsorted(bs, run.roots[-2])
+            out[run] = [g[c, b.seg[j] : b.seg[j + 1]].reshape(c.size, -1).T for g in (lb, ub)]
+    return [out[run] for run in runs]
+
+
+def _evaluate_depth(level: Frontier, runs: list, p: float, criterion: str) -> list[DomCountDistribution]:
+    """One refinement sweep over a frontier `level` of the forest for every
+    run of `runs` (each with >= 1 candidate, budget pre-validated); `_refine`
+    runs it from depth 2 on.
+
+    Each run's pair rows are cut into the chunks it would use alone,
+    ``max(1, _BATCH_FLOAT_BUDGET // (n+1)^2)`` rows for n candidates, and
+    consecutive chunks share one expansion and extraction while their rows
+    times the squared widest n fit `_cap`.  A narrower run is
+    padded with plb = pub = 0, factors that multiply by exactly 1, and each
+    chunk is mixed into its own run in chunk order: every run gets the
+    bounds of its own sweep, bit for bit.
+    """
+    bounds = _pair_bounds(level, runs, p, criterion)
+    rows = np.cumsum([0] + [len(plb) for plb, _ in bounds])
+    plb_all = np.zeros((rows[-1], max(len(run.cands) for run in runs)))
+    pub_all = np.zeros_like(plb_all)
+    groups, width = [[]], 0  # groups of (run index, first row, end row) chunks
+    for i, (run, (plb, pub)) in enumerate(zip(runs, bounds)):
+        n = len(run.cands)
+        plb_all[rows[i] : rows[i + 1], :n] = plb
+        pub_all[rows[i] : rows[i + 1], :n] = pub
+        step = max(1, _BATCH_FLOAT_BUDGET // ((n + 1) * (n + 1)))
+        for s in range(rows[i], rows[i + 1], step):
+            e, width = min(s + step, rows[i + 1]), max(width, n)
+            if groups[-1] and (e - groups[-1][0][1]) * (width + 1) ** 2 > _cap():
+                groups.append([])
+                width = n
+            groups[-1].append((i, s, e))
+    weights = [np.outer(*(level.mass[level.seg[k] : level.seg[k + 1]] for k in run.roots[-2:])).ravel() for run in runs]
+    mixed = [(np.zeros(len(run.history[0])), np.zeros(len(run.history[0]))) for run in runs]
+    for group in groups:
+        first, last, width = group[0][1], group[-1][2], max(len(runs[i].cands) for i, _, _ in group)
+        pair_lb, pair_ub = _extract_batch(_ugf_expand_batch(plb_all[first:last, :width], pub_all[first:last, :width]), width)
+        for i, s, e in group:
+            w, top = weights[i][s - rows[i] : e - rows[i]], len(runs[i].cands) + 1
+            counts = slice(runs[i].shift, runs[i].shift + top)  # mixed from zeros, shifted by s
+            mixed[i][0][counts] += w @ np.ascontiguousarray(pair_lb[s - first : e - first, :top])
+            mixed[i][1][counts] += w @ np.ascontiguousarray(pair_ub[s - first : e - first, :top])
+    return [DomCountDistribution(lb, np.maximum(np.minimum(ub, 1.0), lb)) for lb, ub in mixed]
 
 
 def idca(
@@ -157,7 +270,7 @@ def idca(
     decide: Optional[Callable[[DomCountDistribution], object]] = None,
     criterion: str = "optimal",
     on_iteration: Optional[Callable[[int, DomCountDistribution], None]] = None,
-    _start: Optional[tuple[DominationClassification, DomCountDistribution]] = None,
+    _start: Optional[_Run] = None,
 ) -> IdcaResult:
     """Approximate the PDF of b's domination count w.r.t. r over db.
 
@@ -176,54 +289,38 @@ def idca(
     evaluate more than 65536 (target-leaf, reference-leaf) pairs
     ("pair_budget").
     `on_iteration(depth, dist)` is invoked after each evaluation
-    (progress/timing observation only).  `_start` is
-    ``(classify(db, b, r, p, criterion), iteration 0)`` from a caller that
-    already validated the arguments, built iteration 0 and found that no
-    stop rule fires on it.
+    (progress/timing observation only).
+
+    `_start` is an open target's run from a threshold query's batch, holding
+    its classification and iteration 0 (arguments checked there): the call
+    steps the batch until that run stops, which may advance other runs too.
+    Evaluations made before the call reach `on_iteration` at its start.
     """
-    if _start is None:
+    run = _start
+    if run is None:
         p = _check_engine_args(p, max_depth, epsilon, criterion)
         cls = classify(db, b, r, p=p, criterion=criterion)
-        dist = _classified_bounds(len(cls.influence_objects), b, r, cls.complete_domination_count, _pdf_length(db, b))
-    else:
-        cls, dist = _start
-    cands = list(cls.influence_objects)
-    shift = cls.complete_domination_count
-    n_total = len(dist)
-    n = len(cands)
-
-    history: list[DomCountDistribution] = []
-    depth = 1
-    forest = level = None
+        m, weight = len(cls.influence_objects), min(b.weights.sum() * r.weights.sum(), 1.0)
+        lb, ub = _classified_bounds(np.array([m]), np.array([weight]), np.array([cls.complete_domination_count]), _pdf_length(db, b))
+        run = _Run(b, r, cls, [DomCountDistribution(lb[0], ub[0])])
+        if _stopped(1, run.history[0], max_depth, epsilon, decide):
+            run.reason = "criterion"
+        else:
+            _refine([run], p, max_depth, epsilon, decide, criterion)
+    seen = 0
     while True:
-        history.append(dist)
         if on_iteration is not None:
-            on_iteration(depth, dist)
-        # A caller-built iteration 0 comes with no stop rule firing on it.
-        if (depth > 1 or _start is None) and _stopped(depth, dist, max_depth, epsilon, decide):
-            reason = "criterion"
+            for depth in range(seen, len(run.history)):
+                on_iteration(depth + 1, run.history[depth])
+            seen = len(run.history)
+        if run.reason:
             break
-        if not cands:
-            reason = "exhausted"
-            break
-        if forest is None:
-            forest = DecompositionTree([*cands, b, r])
-            level = forest.leaves(1)
-        if level.atomic.all():
-            reason = "exhausted"
-            break
-        if _grown(level.roots(n, n + 1)) * _grown(level.roots(n + 1, n + 2)) > _PAIR_BUDGET:
-            reason = "pair_budget"
-            break
-        depth += 1
-        level = forest.leaves(depth)
-        dist = _evaluate_depth(level, n, shift, n_total, p, criterion)
-
+        next(run.steps, None)
     return IdcaResult(
-        distribution=history[-1],
-        iterations_run=len(history),
-        uncertainty_trace=[uncertainty(h) for h in history],
-        classification=cls,
-        stop_reason=reason,
-        history=history,
+        distribution=run.history[-1],
+        iterations_run=len(run.history),
+        uncertainty_trace=[uncertainty(h) for h in run.history],
+        classification=run.cls,
+        stop_reason=run.reason,
+        history=run.history,
     )

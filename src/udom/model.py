@@ -77,6 +77,19 @@ class Frontier:
         seg.setflags(write=False)
         return Frontier(self.lo[a:b], self.hi[a:b], self.mass[a:b], self.order, self.start[a : b + 1], seg)
 
+    def take(self, roots: np.ndarray) -> "Frontier":
+        """The node rows of `roots` (root indices, in that order), copied,
+        with their samples: one frontier over the same forest samples."""
+        rows, seg = _ranges(self.seg[roots], self.seg[roots + 1])
+        samples, start = _ranges(self.start[rows], self.start[rows + 1])
+        return Frontier(self.lo[rows], self.hi[rows], self.mass[rows], self.order[samples], start, seg)
+
+
+def _ranges(heads: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The concatenated ranges ``heads[i]:ends[i]`` and their offsets in it."""
+    offsets = np.concatenate([[0], np.cumsum(ends - heads)])
+    return np.repeat(heads - offsets[:-1], ends - heads) + np.arange(offsets[-1]), offsets
+
 
 def _by_size(start: np.ndarray, nodes: np.ndarray):
     """Group `nodes` by sample count: yields each group's nodes and their

@@ -4,6 +4,9 @@ All decisions compare strictly: an object is *in* when the probability lower
 bound exceeds tau and *out* when the upper bound is at most tau, so boundary
 cases are deterministic.  Because refinement only tightens bounds, a decision
 reached under early stopping always equals the full-depth decision.
+
+The queries over many targets share `_each_target`: one MBR kernel pass labels
+every target, and the targets it leaves open are refined in shared batches.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import numpy as np
 from .domination import ProbBounds, _group, _pdf_length, _target_labels, others
 from .genfunc import DomCountDistribution
 from .geometry import _check_count
-from .idca import DEFAULT_MAX_DEPTH, IdcaResult, _check_engine_args, _classified_bounds, _stopped, idca
+from .idca import DEFAULT_MAX_DEPTH, IdcaResult, _cap, _check_engine_args, _classified_bounds, _refine, _Run, idca, uncertainty
 from .model import UncertainObject
 
 __all__ = [
@@ -91,33 +94,39 @@ class QueryAnswer:
 def knn_probability_bounds(dist: DomCountDistribution, k: int) -> ProbBounds:
     """Bounds on P(count < k): sums of the first k per-count bounds."""
     _check_count(k, "k")
-    k = min(k, len(dist))
-    lb = float(dist.lb[:k].sum())
-    ub = min(1.0, float(dist.ub[:k].sum()))
-    return ProbBounds(min(lb, 1.0), max(min(lb, 1.0), ub))
+    return ProbBounds(*map(float, _knn_rows(dist.lb, dist.ub, k)))
+
+
+def _knn_rows(lb: np.ndarray, ub: np.ndarray, k: int) -> tuple:
+    """`knn_probability_bounds` of each row of per-count bounds (lb, ub); a
+    row of a 2-D sum adds as the 1-D sum would."""
+    lb = np.minimum(lb[..., :k].sum(axis=-1), 1.0)
+    return lb, np.maximum(lb, np.minimum(ub[..., :k].sum(axis=-1), 1.0))
 
 
 def _each_target(
     db: Sequence[UncertainObject],
     q: UncertainObject,
     roles: str,
-    decide: Optional[Callable[[DomCountDistribution], object]] = None,
+    predicate: Optional[QueryPredicate] = None,
     p: float = 2.0,
     max_depth: int = DEFAULT_MAX_DEPTH,
     epsilon: Optional[float] = None,
     criterion: str = "optimal",
     on_iteration: Optional[Callable[[int, DomCountDistribution], None]] = None,
-) -> Iterator[tuple[UncertainObject, DomCountDistribution, int, str]]:
+) -> Iterator[tuple]:
     """`idca`'s (distribution, iterations, stop reason) for each database
-    object other than q, in str(id) order.
+    object other than q, in str(id) order, plus the bounds on P(count < k)
+    when a threshold `predicate` is given (else None).
 
     ``roles`` "knn" bounds the count of each target w.r.t. q; "rknn" swaps
     them and bounds the count of q w.r.t. each target.  The database is
     validated once, and one kernel pass labels every object against every
-    target (`domination._target_labels`).  A target at which any stop
-    rule fires at iteration 0 (`decide`, `max_depth` or `epsilon`) is
-    answered from its counts s and m as `idca` would answer it; only the
-    others run `idca`, on the classification and iteration 0 it already holds.
+    target (`domination._target_labels`).  Per chunk, one array pass tests
+    the predicate on every iteration 0; a target at which a stop rule fires
+    is answered there, its distribution built only if read (else None).
+    The others are refined in shared batches (`idca._refine`), each
+    answered by its own `idca` call.
     """
     targets = others(db, q)
     p = _check_engine_args(p, max_depth, epsilon, criterion)
@@ -125,27 +134,50 @@ def _each_target(
         return
     order = sorted(range(len(targets)), key=lambda i: str(targets[i].id))
     n_total = _pdf_length(db, targets[0] if roles == "knn" else q)  # b's, the same for every target
-    for target, shift, n_cands, labels in _target_labels(targets, order, q, roles, p, criterion):
-        b, r = (target, q) if roles == "knn" else (q, target)
-        dist = _classified_bounds(n_cands, b, r, shift, n_total)
-        if _stopped(1, dist, max_depth, epsilon, decide):
-            if on_iteration is not None:
-                on_iteration(1, dist)
-            yield target, dist, 1, "criterion"
-            continue
-        result = idca(
-            db, b, r, p=p, max_depth=max_depth, epsilon=epsilon, decide=decide, criterion=criterion,
-            on_iteration=on_iteration, _start=(_group(targets, labels), dist),
-        )
-        yield target, result.distribution, result.iterations_run, result.stop_reason
+    weights = np.minimum(np.array([o.weights.sum() for o in targets]) * q.weights.sum(), 1.0)  # root-mass products
+    decide = None if predicate is None else predicate.decide
+    for cols, shifts, n_cands, labels in _target_labels(targets, order, q, roles, p, criterion):
+        stop = np.full(len(cols), max_depth <= 1)
+        if predicate is not None:
+            plb, pub = _knn_rows(*_classified_bounds(n_cands, weights[cols], shifts, min(predicate.k, n_total)), predicate.k)
+            stop |= (plb > predicate.tau) | (pub <= predicate.tau)
+        # Blocks of targets whose iteration-0 rows fit `_cap`; a block's read
+        # rows are every one for `on_iteration` or expected_rank, else the open ones.
+        block = max(1, _cap() // (2 * n_total))
+        for start in range(0, len(cols), block):
+            js = range(start, min(start + block, len(cols)))
+            read = [j for j in js if not stop[j] or on_iteration is not None or predicate is None]
+            rows = _classified_bounds(n_cands[read], weights[[cols[j] for j in read]], shifts[read], n_total)
+            first = dict(zip(read, map(DomCountDistribution, *rows)))
+            runs = {}
+            for j in read:
+                if not (stop[j] or (epsilon is not None and uncertainty(first[j]) <= epsilon)):
+                    b, r = (targets[cols[j]], q) if roles == "knn" else (q, targets[cols[j]])
+                    runs[j] = _Run(b, r, _group(targets, labels[:, j]), [first[j]])
+            _refine(list(runs.values()), p, max_depth, epsilon, decide, criterion)
+            for j in js:
+                run = runs.pop(j, None)  # an answered run's history is not kept
+                if run is not None:
+                    result = idca(
+                        db, run.b, run.r, p=p, max_depth=max_depth, epsilon=epsilon, decide=decide,
+                        criterion=criterion, on_iteration=on_iteration, _start=run,
+                    )
+                    dist, iterations, reason = result.distribution, result.iterations_run, result.stop_reason
+                else:
+                    if on_iteration is not None:
+                        on_iteration(1, first[j])
+                    dist, iterations, reason = first.get(j), 1, "criterion"
+                bounds = None
+                if predicate is not None:
+                    bounds = knn_probability_bounds(dist, predicate.k) if run is not None else ProbBounds(float(plb[j]), float(pub[j]))
+                yield targets[cols[j]], dist, iterations, reason, bounds
 
 
 def _threshold_query(kind, db, q, k, tau, engine_kwargs) -> QueryAnswer:
     predicate = QueryPredicate(kind, k, tau)
     answer = QueryAnswer(kind=kind, k=k, tau=tau)
     # An explicit keyword: a caller-supplied `decide` raises TypeError here.
-    for target, dist, iterations, reason in _each_target(db, q, kind, decide=predicate.decide, **engine_kwargs):
-        bounds = knn_probability_bounds(dist, k)
+    for target, _, iterations, reason, bounds in _each_target(db, q, kind, predicate, **engine_kwargs):
         verdict = predicate._verdict(bounds) or "undecided"
         answer.decisions.append(ObjectDecision(target.id, verdict, bounds.lb, bounds.ub, iterations, reason))
     return answer
@@ -164,10 +196,14 @@ def pknn_query(
     once, and one dominance-kernel pass gives every target its iteration-0
     counts; a target at which the threshold predicate or another `idca` stop
     rule (`max_depth`, `epsilon`, passed through `engine_kwargs`) fires
-    there is answered at once.  Each open target runs its own refinement,
-    stopping as soon as one of them fires.  The decisions equal one full
-    `idca` run per target.  Objects still undecided at termination are
-    reported with their bounds.
+    there is answered at once.  The open targets are refined together in
+    batches (one decomposition forest, one sweep per depth), each stopping
+    as soon as one of its own stop rules fires.  The decisions, and the
+    `on_iteration` calls (each target's together, depth 1 first, in id
+    order), equal one full `idca` run per target.  A target's calls come
+    during its own `idca` call, the iterations that an earlier target's call
+    already made all at once, so they are not timing signals.  Objects
+    still undecided at termination are reported with their bounds.
     """
     return _threshold_query("knn", db, q, k, tau, engine_kwargs)
 
@@ -184,7 +220,7 @@ def prknn_query(
     The roles swap: for target object B the engine bounds the count of objects
     dominating q w.r.t. reference B (candidates exclude both B and q).  The
     filter pass of `pknn_query` then runs the kernel over the stack of every
-    target's MBR as the reference box.
+    target's MBR as the reference box; `on_iteration` is as in `pknn_query`.
     """
     return _threshold_query("rknn", db, q, k, tau, engine_kwargs)
 
@@ -249,8 +285,11 @@ def expected_rank(
     q: UncertainObject,
     **engine_kwargs,
 ) -> list[tuple[object, float, float]]:
-    """Per-object expected-rank intervals w.r.t. query q, in object-id order."""
+    """Per-object expected-rank intervals w.r.t. query q, in object-id order.
+
+    Every target is refined as in `pknn_query`, with no predicate to stop it
+    early; `on_iteration` sees the calls that `pknn_query` describes."""
     return [
         (target.id, *expected_rank_interval(dist))
-        for target, dist, _, _ in _each_target(db, q, "knn", **engine_kwargs)
+        for target, dist, _, _, _ in _each_target(db, q, "knn", **engine_kwargs)
     ]

@@ -164,6 +164,15 @@ def test_history_matches_per_candidate_reference(rng, monkeypatch, d):
             assert g.ub.tobytes() == w.ub.tobytes()
 
 
+def dense_sweep(level, runs, p, criterion, budget):
+    """`idca._evaluate_depth` as `evaluate_depth_dense`, one run at a time on
+    its own roots ``[*cands, b, r]`` of the batch forest's `level`."""
+    return [
+        evaluate_depth_dense(level.take(run.roots), len(run.cands), run.shift, len(run.history[0]), p, criterion, budget)
+        for run in runs
+    ]
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_multi_chunk_history_matches_dense_reference(rng, monkeypatch, d):
     """With a float budget small enough to split the pairs of a depth into
@@ -194,7 +203,7 @@ def test_multi_chunk_history_matches_dense_reference(rng, monkeypatch, d):
         # More expansion calls than depths: some depth was split into chunks.
         split_runs += len(calls) > len(got.history)
         with monkeypatch.context() as m:
-            m.setattr(engine, "_evaluate_depth", functools.partial(evaluate_depth_dense, budget=budget))
+            m.setattr(engine, "_evaluate_depth", functools.partial(dense_sweep, budget=budget))
             want = idca(db, b, r, p=p, max_depth=6, criterion=criterion)
         assert got.stop_reason == want.stop_reason
         assert len(got.history) == len(want.history)
@@ -419,7 +428,8 @@ def test_iteration_zero_equals_depth_one_sweep(rng):
         roots = DecompositionTree([*cands, b, r]).leaves(1)
         wants = [evaluate_depth_dense(roots, len(cands), shift, n_total, p, criterion, budget)]
         if cands:
-            wants.append(engine._evaluate_depth(roots, len(cands), shift, n_total, p, criterion))
+            run = engine._Run(b, r, cls, [got], roots=np.arange(len(cands) + 2))
+            wants.extend(engine._evaluate_depth(roots, [run], p, criterion))
             seen_m += 1
         else:
             seen_m0 += 1
@@ -460,3 +470,16 @@ def test_iteration_zero_builds_no_decomposition(rng, monkeypatch):
     verdicts = {d.object_id: (d.decision, d.iterations) for d in answer.decisions}
     assert verdicts == {i: ("in" if i < 2 else "out", 1) for i in [*range(6), 10, 11, 12]}
     assert calls == []
+
+
+def test_on_iteration_sees_each_evaluation_as_it_is_made(rng, monkeypatch):
+    """`idca` reports each evaluation before it makes the next one, so the
+    runtime benchmark's timestamps mark when each iteration was ready."""
+    engine = importlib.import_module("udom.idca")
+    sweep = engine._evaluate_depth
+    events = []
+    monkeypatch.setattr(engine, "_evaluate_depth", lambda *a: events.append("sweep") or sweep(*a))
+    db = [build_object(i, [(pt, 1.0) for pt in rng.uniform(0.0, 1.0, size=(8, 2))]) for i in range(8)]
+    res = idca(db, db[0], db[1], max_depth=5, epsilon=0.0, on_iteration=lambda depth, dist: events.append(depth))
+    assert res.iterations_run > 2
+    assert events == [e for depth in range(1, res.iterations_run + 1) for e in (["sweep", depth] if depth > 1 else [1])]

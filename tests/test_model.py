@@ -260,7 +260,8 @@ def forest_objects(draw):
 def test_forest_levels_equal_each_object_alone(objs):
     """Every level of a forest holds, in the rows of each root, the
     recursive splitter's frontier of that object alone, byte for byte:
-    lo, hi and mass, and the object's sample order and node starts."""
+    lo, hi and mass, and the object's sample order and node starts.
+    `take` of the roots in reverse order is those parts in that order."""
     forest = DecompositionTree(objs)
     offsets = np.cumsum([0] + [o.n_samples for o in objs])
     depth = 1
@@ -279,6 +280,13 @@ def test_forest_levels_equal_each_object_alone(objs):
             own = part.order[s:e] - s
             assert np.array_equal(own, np.concatenate([idx for _, _, _, idx in expected]))
             assert np.array_equal(part.start - s, np.cumsum([0] + [len(idx) for _, _, _, idx in expected]))
+        parts = [level.roots(j, j + 1) for j in reversed(range(len(objs)))]
+        picked = level.take(np.arange(len(objs))[::-1])
+        for name in ("lo", "hi", "mass"):
+            assert getattr(picked, name).tobytes() == np.concatenate([getattr(x, name) for x in parts]).tobytes()
+        assert np.array_equal(picked.seg, np.cumsum([0] + [len(x) for x in parts]))
+        assert np.array_equal(picked.order, np.concatenate([x.order[x.start[0] : x.start[-1]] for x in parts]))
+        assert np.array_equal(np.diff(picked.start), np.concatenate([np.diff(x.start) for x in parts]))
         if level.atomic.all():
             break
         depth += 1

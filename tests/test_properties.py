@@ -8,7 +8,9 @@ objects are either database members or external objects whose id may
 collide with a database id.
 """
 
+import contextlib
 import functools
+import importlib
 from unittest import mock
 
 import numpy as np
@@ -205,3 +207,69 @@ def test_zero_extent_objects_are_answered_at_iteration_zero(data, d, n, p, crite
         assert full.stop_reason == "criterion"
         np.testing.assert_allclose(dist.lb, exact, rtol=0, atol=1e-12)
         np.testing.assert_allclose(dist.ub, exact, rtol=0, atol=1e-12)
+
+
+@st.composite
+def crowded_instances(draw):
+    """Six to twelve overlapping objects of one to six weighted samples each,
+    on a coarse grid (so samples and distances tie) or spread freely, and a
+    query object that is a database member or external."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(6, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = draw(st.booleans())
+    db = []
+    for i in range(n):
+        k = int(rng.integers(1, 7))
+        pts = rng.uniform(0.0, 1.0, size=d) + rng.uniform(-0.3, 0.3, size=(k, d))
+        if grid:
+            pts = np.round(pts * 4) / 4
+        db.append(build_object(i, list(zip(pts, rng.uniform(0.1, 1.0, size=k)))))
+    if draw(st.booleans()):
+        q = db[draw(st.integers(0, n - 1))]
+    else:
+        q = build_object("q", [(pt, 1.0) for pt in rng.uniform(0.2, 0.8, size=(int(rng.integers(1, 4)), d))])
+    return db, q
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(
+    crowded_instances(),
+    st.sampled_from(["optimal", "minmax"]),
+    st.integers(1, 6),
+    st.sampled_from([{}, {"max_depth": 2}, {"max_depth": 4}, {"epsilon": 0.25}]),
+    st.sampled_from([None, 4, 24]),
+    st.sampled_from([None, 1, 64 * 600, 64 * 7 * 30 * 30]),
+)
+def test_batched_refinement_equals_the_per_target_loop(instance, criterion, k, stops, pair_budget, batch_budget):
+    """Many open targets refined together equal, field by field and call by
+    call, one full `idca` run per target: both roles and criteria, q in the
+    database or external, varied stop rules and k, and budgets patched so
+    that labelling chunks, batches, sweeps and expansions split into several
+    chunks (budget 1: one target per chunk, batch and sweep, one pair row
+    per expansion chunk; 64 * 600: batches of a few runs; a sweep cap of
+    7 * 30 * 30 floats: sweeps in parts) and the pair budget stops some
+    runs.  Targets retire at different depths."""
+    db, q = instance
+    engine = importlib.import_module("udom.idca")
+    patched = [
+        (engine, "_PAIR_BUDGET", pair_budget),
+        (engine, "_BATCH_FLOAT_BUDGET", batch_budget),
+        (domination, "_BATCH_FLOAT_BUDGET", batch_budget),
+    ]
+    with contextlib.ExitStack() as stack:
+        for module, name, value in patched:
+            if value is not None:
+                stack.enter_context(mock.patch.object(module, name, value))
+        for kind, query in (("knn", pknn_query), ("rknn", prknn_query)):
+            got_calls, got_hook = recorder()
+            want_calls, want_hook = recorder()
+            got = query(db, q, k, 0.5, criterion=criterion, on_iteration=got_hook, **stops).decisions
+            want = threshold_query_per_target(kind, db, q, k, 0.5, criterion=criterion, on_iteration=want_hook, **stops)
+            assert repr(got) == repr(want)
+            assert got_calls == want_calls
+        got_calls, got_hook = recorder()
+        want_calls, want_hook = recorder()
+        got = expected_rank(db, q, criterion=criterion, on_iteration=got_hook, **stops)
+        assert repr(got) == repr(expected_rank_per_target(db, q, criterion=criterion, on_iteration=want_hook, **stops))
+        assert got_calls == want_calls

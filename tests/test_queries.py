@@ -304,31 +304,41 @@ def test_threshold_queries_check_engine_arguments_once():
 
 def test_open_targets_hand_iteration_zero_to_idca(rng, monkeypatch):
     """Each target's iteration 0 is built and tested against the stop rules
-    once, in the labelling pass, and the engine arguments are checked once
-    per query: an open target hands its iteration 0 to `idca`, which neither
-    rebuilds nor re-tests it.  Counted under both names the engine could
-    call each helper by."""
+    once, in the labelling pass (per chunk, one array pass tests the
+    predicate and one builds the open targets' rows), and the engine
+    arguments are checked once per query: an open target hands its run,
+    classified and holding its iteration 0, to `idca`, which neither
+    classifies, rebuilds nor re-tests it.  Counted under both names the
+    engine could call each helper by."""
     engine = importlib.import_module("udom.idca")
-    built, checked, tested = [], [], []
-    bounds, check, stopped = engine._classified_bounds, engine._check_engine_args, engine._stopped
+    built, checked, tested, classified, handed = [], [], [], [], []
+    bounds, check, stopped, classify = engine._classified_bounds, engine._check_engine_args, engine._stopped, engine.classify
 
     def counted_stopped(depth, *args):
         if depth == 1:
             tested.append(depth)
         return stopped(depth, *args)
 
+    def counted_idca(*args, _start=None, **kwargs):
+        handed.append(_start)
+        return idca(*args, _start=_start, **kwargs)
+
     for module in (queries, engine):
         monkeypatch.setattr(module, "_classified_bounds", lambda *a: built.append(1) or bounds(*a))
         monkeypatch.setattr(module, "_check_engine_args", lambda *a: checked.append(1) or check(*a))
-        monkeypatch.setattr(module, "_stopped", counted_stopped)
+        monkeypatch.setattr(module, "_stopped", counted_stopped, raising=False)
+    monkeypatch.setattr(engine, "classify", lambda *a, **kw: classified.append(1) or classify(*a, **kw))
+    monkeypatch.setattr(queries, "idca", counted_idca)
     db = [random_object(rng, i, max_samples=4, spread=0.3) for i in range(12)]
     refined = 0
     for q in (random_object(rng, "q", max_samples=3, spread=0.3), db[5]):
         for query in (pknn_query, prknn_query):
-            for seen in (built, checked, tested):
+            for seen in (built, checked, tested, classified, handed):
                 seen.clear()
             decisions = query(db, q, 3, 0.5, max_depth=6).decisions
-            assert len(built) == len(tested) == len(decisions)
+            assert None not in handed
+            assert handed and len(built) == 2  # one chunk: the predicate's rows, then the open targets
+            assert tested == classified == []
             assert len(checked) == 1
             refined += sum(d.iterations > 1 for d in decisions)
     assert refined
@@ -365,3 +375,47 @@ def test_iteration_zero_stop_rules_never_enter_idca(rng, monkeypatch, stop):
         runs.clear()
         assert calls_of(expected_rank, db, q, **stop) == calls_of(expected_rank_per_target, db, q, **stop)
         assert runs == []
+
+
+def test_on_iteration_calls_come_per_target_in_id_order(rng):
+    """The batch refines many targets side by side, yet `on_iteration` sees
+    each target's calls together, depth 1 first and rising by one, targets
+    in str(id) order: a depth that does not grow starts the next target,
+    and every target starts exactly once."""
+    db = [random_object(rng, i, max_samples=5, spread=0.25) for i in range(14)]
+    q = random_object(rng, "q", max_samples=3, spread=0.25)
+    for query in (pknn_query, prknn_query):
+        depths = []
+        answer = query(db, q, 4, 0.5, max_depth=6, on_iteration=lambda depth, dist: depths.append(depth))
+        traces = []
+        for depth in depths:
+            if depth == 1:
+                traces.append([])
+            traces[-1].append(depth)
+        assert [list(range(1, len(t) + 1)) for t in traces] == traces
+        assert [len(t) for t in traces] == [d.iterations for d in answer.decisions]
+        assert [d.object_id for d in answer.decisions] == sorted(range(14), key=str)
+        assert len({len(t) for t in traces}) > 2  # targets retire at different depths
+
+
+def test_refinement_batches_hold_a_bounded_history(rng, monkeypatch):
+    """The runs that share one forest keep their histories (two floats per
+    count per iteration, up to `max_depth` iterations) within the sweep cap,
+    a 64th of `_BATCH_FLOAT_BUDGET`, however many targets are open: with
+    the cap patched to three runs, expected_rank (every target open) cuts
+    its one labelling chunk into batches of three, and its ranks and
+    `on_iteration` calls still equal one `idca` run per target."""
+    engine = importlib.import_module("udom.idca")
+    db = [random_object(rng, i, max_samples=4, spread=0.3) for i in range(24)]
+    q = random_object(rng, "q", max_samples=3, spread=0.3)
+    n_total, max_depth = len(db), 6  # counts 0..23 for a database target b
+    monkeypatch.setattr(engine, "_BATCH_FLOAT_BUDGET", 64 * 3 * 2 * n_total * max_depth)
+    sizes = []
+    sweeps = engine._sweeps
+    monkeypatch.setattr(engine, "_sweeps", lambda runs, *a: sizes.append(len(runs)) or sweeps(runs, *a))
+    got_calls, want_calls = [], []
+    got = expected_rank(db, q, max_depth=max_depth, on_iteration=lambda depth, dist: got_calls.append((depth, dist.lb.tobytes(), dist.ub.tobytes())))
+    assert sizes == [3] * 8
+    want = expected_rank_per_target(db, q, max_depth=max_depth, on_iteration=lambda depth, dist: want_calls.append((depth, dist.lb.tobytes(), dist.ub.tobytes())))
+    assert repr(got) == repr(want)
+    assert got_calls == want_calls
