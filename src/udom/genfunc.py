@@ -17,7 +17,11 @@ up to j more unresolved, which yields count bounds:
 The engine's batch expansion keeps only the degrees that can hold mass: the
 x-degree never exceeds the number of factors with p_lb > 0, nor the y-degree
 the number with p_lb < p_ub, so the coefficients beyond them are exact zeros
-and leaving them out changes no bound in its last bit.
+and leaving them out changes no bound in its last bit.  So too a certain
+factor (p_lb = p_ub = 1) is an exact x-shift that adds only exact zeros,
+and one with p_ub = 0 multiplies by exactly 1: `udom.idca` may expand a
+row's other factors alone, in order, and shift its bounds by its count of
+certain factors, with the same products and sums in every cell.
 """
 
 from __future__ import annotations
@@ -55,6 +59,13 @@ class DomCountDistribution:
 
     def __len__(self):
         return self.lb.size
+
+    @classmethod
+    def _unchecked(cls, lb: np.ndarray, ub: np.ndarray) -> "DomCountDistribution":
+        """The engine's constructor: float 1-d bounds it has just clipped, not checked again."""
+        dist = cls.__new__(cls)
+        dist.lb, dist.ub = lb, ub
+        return dist
 
 
 def gf_exact(probs: Sequence[float]) -> np.ndarray:

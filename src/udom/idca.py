@@ -218,6 +218,26 @@ def _pair_bounds(level: Frontier, runs: list, p: float, criterion: str) -> list:
     return [out[run] for run in runs]
 
 
+def _expand_open(plb: np.ndarray, pub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_extract_batch(_ugf_expand_batch(plb, pub), n)`` for (rows, n)
+    factor bounds, byte for byte; packed as `_evaluate_depth` states."""
+    n = plb.shape[1]
+    open_ = (pub > 0.0) & (plb < 1.0)  # plb == 1 implies pub == 1: a certain factor
+    w = int(open_.sum(axis=1).max(initial=0))
+    pos = plb > 0.0
+    a, a_open = pos.sum(axis=1).max(initial=0), (pos & open_).sum(axis=1).max(initial=0)
+    if (a_open + 1) * w >= (a + 1) * int((pub > 0.0).any(axis=0).sum()):
+        return _extract_batch(_ugf_expand_batch(plb, pub), n)
+    r, c = np.nonzero(open_)  # row-major: each row's open factors in order
+    packed = np.zeros((2, len(plb), w))
+    packed[:, r, np.cumsum(open_, axis=1)[r, c] - 1] = plb[r, c], pub[r, c]
+    cols = (plb == 1.0).sum(axis=1)[:, None] + np.arange(w + 1)
+    out = np.zeros((2, len(plb), n + w + 1))
+    for o, bounds in zip(out, _extract_batch(_ugf_expand_batch(*packed), w)):
+        np.put_along_axis(o, cols, bounds, axis=1)
+    return out[0, :, : n + 1], out[1, :, : n + 1]
+
+
 def _evaluate_depth(level: Frontier, runs: list, p: float, criterion: str) -> list[DomCountDistribution]:
     """One refinement sweep over a frontier `level` of the forest for every
     run of `runs` (each with >= 1 candidate, budget pre-validated); `_refine`
@@ -229,7 +249,13 @@ def _evaluate_depth(level: Frontier, runs: list, p: float, criterion: str) -> li
     times the squared widest n fit `_cap`.  A narrower run is
     padded with plb = pub = 0, factors that multiply by exactly 1, and each
     chunk is mixed into its own run in chunk order: every run gets the
-    bounds of its own sweep, bit for bit.
+    bounds of its own sweep, bit for bit.  A group may expand only its open
+    factors (`_expand_open`): each row's (1, 1) factors become its x-shift,
+    its (0, 0) ones drop out, the rest are packed left in order and padded
+    with (0, 0), and the packed block of width w is put at counts
+    shift..shift+w of each row.  It packs only when (a' + 1) * w < (a + 1) * L,
+    fewer grid cells: a and a' count a row's most plb > 0 factors before
+    and after packing, L the columns with pub > 0 in some row.
     """
     bounds = _pair_bounds(level, runs, p, criterion)
     rows = np.cumsum([0] + [len(plb) for plb, _ in bounds])
@@ -251,13 +277,13 @@ def _evaluate_depth(level: Frontier, runs: list, p: float, criterion: str) -> li
     mixed = [(np.zeros(len(run.history[0])), np.zeros(len(run.history[0]))) for run in runs]
     for group in groups:
         first, last, width = group[0][1], group[-1][2], max(len(runs[i].cands) for i, _, _ in group)
-        pair_lb, pair_ub = _extract_batch(_ugf_expand_batch(plb_all[first:last, :width], pub_all[first:last, :width]), width)
+        pair_lb, pair_ub = _expand_open(plb_all[first:last, :width], pub_all[first:last, :width])
         for i, s, e in group:
             w, top = weights[i][s - rows[i] : e - rows[i]], len(runs[i].cands) + 1
             counts = slice(runs[i].shift, runs[i].shift + top)  # mixed from zeros, shifted by s
             mixed[i][0][counts] += w @ np.ascontiguousarray(pair_lb[s - first : e - first, :top])
             mixed[i][1][counts] += w @ np.ascontiguousarray(pair_ub[s - first : e - first, :top])
-    return [DomCountDistribution(lb, np.maximum(np.minimum(ub, 1.0), lb)) for lb, ub in mixed]
+    return [DomCountDistribution._unchecked(lb, np.maximum(np.minimum(ub, 1.0), lb)) for lb, ub in mixed]
 
 
 def idca(
@@ -302,7 +328,7 @@ def idca(
         cls = classify(db, b, r, p=p, criterion=criterion)
         m, weight = len(cls.influence_objects), min(b.weights.sum() * r.weights.sum(), 1.0)
         lb, ub = _classified_bounds(np.array([m]), np.array([weight]), np.array([cls.complete_domination_count]), _pdf_length(db, b))
-        run = _Run(b, r, cls, [DomCountDistribution(lb[0], ub[0])])
+        run = _Run(b, r, cls, [DomCountDistribution._unchecked(lb[0], ub[0])])
         if _stopped(1, run.history[0], max_depth, epsilon, decide):
             run.reason = "criterion"
         else:

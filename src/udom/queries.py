@@ -148,7 +148,7 @@ def _each_target(
             js = range(start, min(start + block, len(cols)))
             read = [j for j in js if not stop[j] or on_iteration is not None or predicate is None]
             rows = _classified_bounds(n_cands[read], weights[[cols[j] for j in read]], shifts[read], n_total)
-            first = dict(zip(read, map(DomCountDistribution, *rows)))
+            first = dict(zip(read, map(DomCountDistribution._unchecked, *rows)))
             runs = {}
             for j in read:
                 if not (stop[j] or (epsilon is not None and uncertainty(first[j]) <= epsilon)):
