@@ -211,7 +211,7 @@ def _pair_bounds(level: Frontier, runs: list, p: float, criterion: str) -> list:
         cands = np.unique(np.concatenate([run.roots[:-2] for run in group]))
         bs = np.unique([run.roots[-2] for run in group])
         b = level.take(bs)
-        lb, ub = pdom_bounds_grid(level.take(cands), b, level.roots(ref, ref + 1), p, criterion)
+        lb, ub = pdom_bounds_grid(level.take(cands), b, level.take(np.array([ref])), p, criterion)
         for run in group:
             c, j = np.searchsorted(cands, run.roots[:-2]), np.searchsorted(bs, run.roots[-2])
             out[run] = [g[c, b.seg[j] : b.seg[j + 1]].reshape(c.size, -1).T for g in (lb, ub)]

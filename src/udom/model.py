@@ -1,4 +1,4 @@
-"""Uncertain objects as weighted sample sets with lazy kd-decomposition.
+"""Uncertain objects as weighted sample sets, and their kd-decomposition.
 
 An object is a finite set of weighted alternative positions whose weights sum
 to one, bounded by its tight MBR.  Continuous densities enter by sampling at
@@ -8,7 +8,8 @@ median of the widest MBR axis; child masses are always the exact weight sums
 rectangles are tight MBRs of their samples.  A `DecompositionTree` is a
 forest: it holds the samples of one or more objects, one root each (an
 object's own tree has one root; a refinement run builds one forest over all
-its participants).  Each level is one `Frontier`: per-node
+its participants).  It is read forward as a stream of levels and holds only
+the newest one.  Each level is one `Frontier`: per-node
 ``lo``/``hi``/``mass`` arrays whose rows are segmented by root, plus a sample
 permutation whose segments list every node's samples.  A level is built by
 one `split` of every node of the level above, which reads each node's axis
@@ -19,10 +20,9 @@ from __future__ import annotations
 
 import csv
 import json
-import threading
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -51,7 +51,7 @@ class Frontier:
     Node i has the tight MBR ``[lo[i], hi[i]]``, the weight sum ``mass[i]``
     and the samples ``order[start[i]:start[i + 1]]``.  Root j of the forest
     owns node rows ``seg[j]:seg[j + 1]``; a one-object tree has one root.
-    Compared by identity: the tree builds each level once.
+    Compared by identity: a level is built once, from the one above it.
     """
 
     lo: np.ndarray
@@ -68,14 +68,6 @@ class Frontier:
     def atomic(self) -> np.ndarray:
         """Per node: True when all its samples coincide (nothing to split)."""
         return (self.lo == self.hi).all(axis=1)
-
-    def roots(self, i: int, j: int) -> "Frontier":
-        """The node rows of roots i..j-1, as views; `order` and `start` still
-        index the whole forest's samples."""
-        a, b = self.seg[i], self.seg[j]
-        seg = self.seg[i : j + 1] - a
-        seg.setflags(write=False)
-        return Frontier(self.lo[a:b], self.hi[a:b], self.mass[a:b], self.order, self.start[a : b + 1], seg)
 
     def take(self, roots: np.ndarray) -> "Frontier":
         """The node rows of `roots` (root indices, in that order), copied,
@@ -142,56 +134,43 @@ def split(points: np.ndarray, weights: np.ndarray, level: Frontier) -> tuple[np.
 
 class DecompositionTree:
     """Binary kd-decompositions of `objects` (a forest, root j for
-    ``objects[j]``) stored as one `Frontier` per level, deepened lazily and
-    guarded by a lock so that concurrent readers always observe a consistent
-    frontier.  Each level is one `split` of every node of the level above."""
+    ``objects[j]``), read forward as a stream of levels: the tree holds only
+    its newest `Frontier`, and each level is one `split` of every node of
+    the level above."""
 
     def __init__(self, objects: Sequence["UncertainObject"]):
         self._points = np.concatenate([o.points for o in objects])
         self._weights = np.concatenate([o.weights for o in objects])
-        self._start = np.cumsum([0] + [o.n_samples for o in objects])
-        self._levels: list[Frontier] = []
-        self._lock = threading.Lock()
+        start = np.cumsum([0] + [o.n_samples for o in objects])
+        self._level = _frontier(self._points, self._weights, np.arange(start[-1]), start, np.arange(start.size))
+        self._depth = 1
 
     def leaves(self, depth: int) -> Frontier:
         """Frontier of the forest at most `depth` levels deep (roots are level 1).
 
-        Atomic nodes are carried down unchanged; each root's frontier masses
-        always sum to its root mass.  Deepening past full separation of every
-        root is a no-op.
+        Deepens forward from the newest level built; a `depth` below it
+        raises ValueError.  Atomic nodes are carried down unchanged; each
+        root's frontier masses always sum to its root mass.  Once every root
+        is fully separated the newest level is returned unchanged.
         """
-        if depth < 1:
-            raise ValueError("depth must be >= 1")
-        with self._lock:
-            levels = self._levels
-            if not levels:
-                levels.append(self._roots())
-            while len(levels) < depth and not levels[-1].atomic.all():
-                levels.append(self._deepen(levels[-1]))
-            return levels[min(depth, len(levels)) - 1]
-
-    def _roots(self) -> Frontier:
-        """Level 1, one node per root; built on first use, inside `leaves`."""
-        start = self._start
-        return _frontier(self._points, self._weights, np.arange(start[-1]), start, np.arange(start.size))
-
-    def _deepen(self, f: Frontier) -> Frontier:
-        order, n_left = split(self._points, self._weights, f)
-        cut = np.flatnonzero(n_left)
-        start = np.sort(np.concatenate([f.start, f.start[cut] + n_left[cut]]))
-        # A root's first row moves down by the number of cut nodes above it.
-        grown = np.searchsorted(cut, f.seg)
-        return _frontier(self._points, self._weights, order, start, f.seg + grown)
-
-    def fully_separated(self, depth: int) -> bool:
-        """True when every frontier node at `depth` is atomic."""
-        return bool(self.leaves(depth).atomic.all())
+        _check_count(depth, "depth")
+        if depth < self._depth:
+            raise ValueError(f"depth {depth} is below the newest level built ({self._depth})")
+        f = self._level
+        while self._depth < depth and not f.atomic.all():
+            order, n_left = split(self._points, self._weights, f)
+            cut = np.flatnonzero(n_left)
+            start = np.sort(np.concatenate([f.start, f.start[cut] + n_left[cut]]))
+            # A root's first row moves down by the number of cut nodes above it.
+            f = _frontier(self._points, self._weights, order, start, f.seg + np.searchsorted(cut, f.seg))
+            self._level, self._depth = f, self._depth + 1
+        return f
 
 
 class UncertainObject:
-    """A weighted discrete sample set with id, tight MBR and decomposition tree."""
+    """A weighted discrete sample set with an id and a tight MBR."""
 
-    __slots__ = ("id", "points", "weights", "mbr", "_tree")
+    __slots__ = ("id", "points", "weights", "mbr")
 
     def __init__(self, obj_id, points: np.ndarray, weights: np.ndarray):
         # Copy before freezing so caller-owned arrays are never made read-only.
@@ -213,7 +192,6 @@ class UncertainObject:
         self.points = points
         self.weights = weights
         self.mbr = Rect(points.min(axis=0), points.max(axis=0))
-        self._tree: Optional[DecompositionTree] = None
 
     @property
     def n_samples(self) -> int:
@@ -222,16 +200,6 @@ class UncertainObject:
     @property
     def ndim(self) -> int:
         return self.points.shape[1]
-
-    @property
-    def decomposition(self) -> DecompositionTree:
-        if self._tree is None:
-            self._tree = DecompositionTree([self])
-        return self._tree
-
-    def leaves_at_depth(self, depth: int) -> Frontier:
-        """`depth`'s level of the object's own one-root decomposition."""
-        return self.decomposition.leaves(depth)
 
     def __repr__(self):
         return f"UncertainObject(id={self.id!r}, n={self.n_samples}, d={self.ndim})"

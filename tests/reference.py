@@ -109,10 +109,10 @@ def pdom_bounds_stacked(stack, b, r, p=2.0, criterion="optimal"):
     return np.stack([lb for lb, _ in parts]), np.stack([ub for _, ub in parts])
 
 
-def pdom_bounds_loop(a, b_rect: Rect, r_rect: Rect, p: float = 2.0, depth: int = 1):
-    """Scalar pdom bounds: one `dominates_optimal_loop` test per frontier node,
-    masses added in node order.  Returns (lb, ub)."""
-    f = a.leaves_at_depth(depth)
+def pdom_bounds_loop(f, b_rect: Rect, r_rect: Rect, p: float = 2.0):
+    """Scalar pdom bounds of a candidate's frontier `f` (a one-object
+    level): one `dominates_optimal_loop` test per node, masses added in node
+    order.  Returns (lb, ub)."""
     lb = 0.0
     dominated_mass = 0.0
     for lo, hi, mass in zip(f.lo, f.hi, f.mass.tolist()):
@@ -259,11 +259,11 @@ def evaluate_depth_dense(level, n_cands, shift, n_total, p, criterion, budget):
         ub[shift] = 1.0
         return DomCountDistribution(lb, ub)
 
-    b_front = level.roots(n_cands, n_cands + 1)
-    r_front = level.roots(n_cands + 1, n_cands + 2)
+    b_front = level.take(np.array([n_cands]))
+    r_front = level.take(np.array([n_cands + 1]))
     n_pairs = len(b_front) * len(r_front)
 
-    stack = level.roots(0, n_cands)
+    stack = level.take(np.arange(n_cands))
     plb, pub = (g.reshape(n_cands, n_pairs) for g in pdom_bounds_grid(stack, b_front, r_front, p, criterion))
 
     pair_w = np.outer(b_front.mass, r_front.mass).ravel()

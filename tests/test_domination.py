@@ -16,8 +16,8 @@ def point_obj(obj_id, xy):
 def pdom_bounds(a, b_rect, r_rect, p=2.0, depth=1):
     """`pdom_bounds_grid` for candidate `a` at `depth` against one fixed
     (b-node, r-node) pair, as one ProbBounds."""
-    b, r = (build_object("box", [(x.lo, 1.0), (x.hi, 1.0)]).leaves_at_depth(1) for x in (b_rect, r_rect))
-    lb, ub = pdom_bounds_grid(a.leaves_at_depth(depth), b, r, p)
+    b, r = (DecompositionTree([build_object("box", [(x.lo, 1.0), (x.hi, 1.0)])]).leaves(1) for x in (b_rect, r_rect))
+    lb, ub = pdom_bounds_grid(DecompositionTree([a]).leaves(depth), b, r, p)
     return ProbBounds(float(lb[0, 0, 0]), float(ub[0, 0, 0]))
 
 
@@ -219,15 +219,14 @@ def test_pdom_bounds_grid_matches_scalar(rng):
         b = random_object(rng, "b", max_samples=4, spread=1.0)
         r = random_object(rng, "r", max_samples=4, spread=1.0)
         depth = 3
-        bf = b.leaves_at_depth(depth)
-        rf = r.leaves_at_depth(depth)
-        lb, ub = pdom_bounds_grid(a.leaves_at_depth(depth), bf, rf)
+        af, bf, rf = (DecompositionTree([o]).leaves(depth) for o in (a, b, r))
+        lb, ub = pdom_bounds_grid(af, bf, rf)
         assert lb.shape == ub.shape == (1, len(bf), len(rf))
         for i in range(len(bf)):
             for j in range(len(rf)):
                 b_rect = Rect(bf.lo[i], bf.hi[i])
                 r_rect = Rect(rf.lo[j], rf.hi[j])
-                loop_lb, loop_ub = pdom_bounds_loop(a, b_rect, r_rect, depth=depth)
+                loop_lb, loop_ub = pdom_bounds_loop(af, b_rect, r_rect)
                 assert lb[0, i, j] == pytest.approx(loop_lb, abs=1e-12)
                 assert ub[0, i, j] == pytest.approx(loop_ub, abs=1e-12)
 
@@ -254,8 +253,8 @@ def test_pdom_bounds_grid_stack_matches_per_candidate(rng, criterion):
         r = random_object(rng, "r", d, max_samples=6, spread=1.0)
         depth = int(rng.integers(1, 5))
         stack = DecompositionTree(cands).leaves(depth)
-        bf, rf = b.leaves_at_depth(depth), r.leaves_at_depth(depth)
-        assert len(stack) == sum(len(c.leaves_at_depth(depth)) for c in cands)
+        bf, rf = (DecompositionTree([o]).leaves(depth) for o in (b, r))
+        assert len(stack) == sum(len(DecompositionTree([c]).leaves(depth)) for c in cands)
         lb, ub = pdom_bounds_grid(stack, bf, rf, p, criterion)
         want_lb, want_ub = pdom_bounds_stacked(stack, bf, rf, p, criterion)
         assert lb.shape == (len(cands), len(bf), len(rf))

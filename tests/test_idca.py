@@ -1,5 +1,7 @@
 import functools
+import gc
 import importlib
+import weakref
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from udom.domination import classify
 from udom.genfunc import DomCountDistribution, gf_exact
 from udom.geometry import Rect
 from udom.idca import idca, uncertainty
-from udom.model import DecompositionTree, build_object
+from udom.model import DecompositionTree, build_object, generate_synthetic
 from udom.oracle import enumerate_exact
 from udom.queries import pknn_query, prknn_query
 
@@ -91,12 +93,13 @@ def test_engine_matches_public_operations(rng):
         counts = slice(cls.complete_domination_count, cls.complete_domination_count + len(cands) + 1)
         lb = np.zeros(len(db))
         ub = np.zeros(len(db))
-        bf, rf = b.leaves_at_depth(depth), r.leaves_at_depth(depth)
+        bf, rf = (DecompositionTree([o]).leaves(depth) for o in (b, r))
+        cand_fronts = [DecompositionTree([a]).leaves(depth) for a in cands]
         for i in range(len(bf)):
             for j in range(len(rf)):
                 b_rect = Rect(bf.lo[i], bf.hi[i])
                 r_rect = Rect(rf.lo[j], rf.hi[j])
-                bounds = [pdom_bounds_loop(a, b_rect, r_rect, depth=depth) for a in cands]
+                bounds = [pdom_bounds_loop(f, b_rect, r_rect) for f in cand_fronts]
                 dist = extract_bounds(ugf_expand(bounds))
                 lb[counts] += bf.mass[i] * rf.mass[j] * dist.lb
                 ub[counts] += bf.mass[i] * rf.mass[j] * dist.ub
@@ -438,6 +441,29 @@ def test_iteration_zero_equals_depth_one_sweep(rng):
             assert got.ub.tobytes() == want.ub.tobytes()
     assert {0.9999999999999999, 1.0000000000000004} <= masses
     assert seen_m0 and seen_m
+
+
+def test_refinement_holds_at_most_two_levels(monkeypatch):
+    """A refinement batch reads its forest forward and keeps no old level:
+    once the tree has handed out depth d, every level shallower than d - 1
+    is garbage.  The run reaches depth 5 or more."""
+    model = importlib.import_module("udom.model")
+    leaves = model.DecompositionTree.leaves
+    levels, held = [], []
+
+    def tracked(self, depth):
+        level = leaves(self, depth)
+        if not levels or levels[-1]() is not level:
+            levels.append(weakref.ref(level))
+        gc.collect()
+        held.append(sum(ref() is not None for ref in levels[:-2]))
+        return level
+
+    monkeypatch.setattr(model.DecompositionTree, "leaves", tracked)
+    db = generate_synthetic(10, 2, 0.5, 32, seed=4)
+    res = idca(db, db[0], db[1], max_depth=7, epsilon=0.0)
+    assert res.iterations_run >= 5 and len(levels) >= 5
+    assert held and not any(held)
 
 
 def test_iteration_zero_builds_no_decomposition(rng, monkeypatch):

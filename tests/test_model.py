@@ -55,7 +55,7 @@ def test_build_four_corner_samples():
     corners = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
     obj = build_object("sq", equal_weight(corners))
     assert (obj.mbr.lo == [0.0, 0.0]).all() and (obj.mbr.hi == [1.0, 1.0]).all()
-    root = obj.leaves_at_depth(1)
+    root = DecompositionTree([obj]).leaves(1)
     assert len(root) == 1 and root.mass[0] == 1.0
     assert (root.lo[0] == obj.mbr.lo).all() and (root.hi[0] == obj.mbr.hi).all()
 
@@ -88,48 +88,51 @@ def test_build_errors():
 
 def test_leaf_masses_sum_to_one_at_any_depth(rng):
     pts = rng.uniform(0, 1, size=(1000, 2))
-    obj = build_object("u", equal_weight(pts))
+    tree = DecompositionTree([build_object("u", equal_weight(pts))])
     for depth in (1, 2, 3, 5, 8):
-        assert abs(obj.leaves_at_depth(depth).mass.sum() - 1.0) < 1e-9
+        assert abs(tree.leaves(depth).mass.sum() - 1.0) < 1e-9
 
 
 def test_split_four_on_a_line():
     obj = build_object("line", equal_weight([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0)]))
-    order, (n_left,) = split(obj.points, obj.weights, obj.leaves_at_depth(1))
+    tree = DecompositionTree([obj])
+    order, (n_left,) = split(obj.points, obj.weights, tree.leaves(1))
     assert n_left == 2
     assert set(map(tuple, obj.points[order[:n_left]])) == {(0.0, 0.0), (1.0, 0.0)}
     assert set(map(tuple, obj.points[order[n_left:]])) == {(2.0, 0.0), (3.0, 0.0)}
-    halves = obj.leaves_at_depth(2)
+    halves = tree.leaves(2)
     assert len(halves) == 2 and halves.mass.tolist() == pytest.approx([0.5, 0.5])
     assert [seg.tolist() for seg in segments(halves)] == [order[:2].tolist(), order[2:].tolist()]
 
 
 def test_split_three_equal_weights():
     obj = build_object("tri", equal_weight([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]))
-    masses = sorted(obj.leaves_at_depth(2).mass.tolist())
+    masses = sorted(DecompositionTree([obj]).leaves(2).mass.tolist())
     assert masses == pytest.approx([1 / 3, 2 / 3])
 
 
 def test_split_unbalanced_weights_keeps_children_nonempty():
     obj = build_object("w", [((0.0, 0.0), 0.1), ((1.0, 0.0), 0.9)])
-    order, (n_left,) = split(obj.points, obj.weights, obj.leaves_at_depth(1))
+    tree = DecompositionTree([obj])
+    order, (n_left,) = split(obj.points, obj.weights, tree.leaves(1))
     assert n_left == 1 and order.tolist() == [0, 1]
-    assert obj.leaves_at_depth(2).mass.tolist() == pytest.approx([0.1, 0.9])
+    assert tree.leaves(2).mass.tolist() == pytest.approx([0.1, 0.9])
 
 
 def test_coincident_root_stays_atomic():
-    obj = build_object("c", equal_weight([(1.0, 1.0), (1.0, 1.0)]))
+    tree = DecompositionTree([build_object("c", equal_weight([(1.0, 1.0), (1.0, 1.0)]))])
+    root = tree.leaves(1)
+    assert root.atomic.all()
     for depth in (1, 2, 3, 6):
-        front = obj.leaves_at_depth(depth)
-        assert len(front) == 1 and front.atomic.all() and front.mass[0] == 1.0
+        front = tree.leaves(depth)
+        assert front is root and len(front) == 1 and front.mass[0] == 1.0
         assert front.order.tolist() == [0, 1] and front.start.tolist() == [0, 2]
-    assert obj.decomposition.fully_separated(1)
 
 
 def test_deepen_splits_along_widest_side():
     obj = build_object("tall", equal_weight([(0.0, 0.0), (0.0, 10.0), (1.0, 4.0), (1.0, 6.0)]))
     # The root is 1 wide and 10 tall, so its children separate in y.
-    low, high = segments(obj.leaves_at_depth(2))
+    low, high = segments(DecompositionTree([obj]).leaves(2))
     assert obj.points[low, 1].max() <= obj.points[high, 1].min()
     assert sorted(obj.points[low, 1].tolist()) == [0.0, 4.0]
 
@@ -137,39 +140,51 @@ def test_deepen_splits_along_widest_side():
 def test_deepen_tie_for_widest_side_takes_first_axis():
     obj = build_object("square", equal_weight([(0.0, 3.0), (1.0, 0.0), (2.0, 2.0), (3.0, 1.0)]))
     # Both sides are 3 wide: argmax picks x, so the children separate in x.
-    low, high = segments(obj.leaves_at_depth(2))
+    low, high = segments(DecompositionTree([obj]).leaves(2))
     assert sorted(obj.points[low, 0].tolist()) == [0.0, 1.0]
     assert sorted(obj.points[high, 0].tolist()) == [2.0, 3.0]
 
 
 def test_leaves_depth_one_is_root():
-    obj = build_object("r", equal_weight([(0.0, 0.0), (1.0, 1.0)]))
-    root = obj.leaves_at_depth(1)
+    tree = DecompositionTree([build_object("r", equal_weight([(0.0, 0.0), (1.0, 1.0)]))])
+    root = tree.leaves(1)
     assert len(root) == 1 and root.order.tolist() == [0, 1] and root.start.tolist() == [0, 2]
     assert not root.atomic[0]
-    with pytest.raises(ValueError):
-        obj.leaves_at_depth(0)
+
+
+@pytest.mark.parametrize("depth", [0, 2.5, float("nan")])
+def test_leaves_rejects_a_depth_that_is_not_a_count(depth):
+    """A depth that is not an integer >= 1 raises ValueError and deepens
+    nothing: the root level is still the newest."""
+    tree = DecompositionTree([build_object("r", equal_weight([(0.0, 0.0), (1.0, 1.0), (2.0, 0.0)]))])
+    with pytest.raises(ValueError, match="depth"):
+        tree.leaves(depth)
+    assert len(tree.leaves(1)) == 1
 
 
 def test_eight_samples_fully_separate_at_depth_four():
     pts = [(float(i), float(i % 3)) for i in range(8)]
-    obj = build_object("e", equal_weight(pts))
-    leaves = obj.leaves_at_depth(4)
+    tree = DecompositionTree([build_object("e", equal_weight(pts))])
+    assert not tree.leaves(3).atomic.all()
+    leaves = tree.leaves(4)
+    # The tree holds only its newest level: an older depth is gone.
+    with pytest.raises(ValueError, match="below the newest level"):
+        tree.leaves(3)
     assert len(leaves) == 8
     assert leaves.mass.tolist() == pytest.approx([1 / 8] * 8)
     assert leaves.atomic.all()
-    # Idempotent beyond full separation.
-    assert obj.leaves_at_depth(9) is leaves
-    assert obj.decomposition.fully_separated(4)
-    assert not obj.decomposition.fully_separated(3)
+    # Idempotent beyond full separation, at any depth from the newest level on.
+    assert tree.leaves(9) is leaves
+    assert tree.leaves(5) is leaves
 
 
 def test_frontier_partitions_sample_set(rng):
     pts = rng.uniform(0, 1, size=(37, 2))
     wts = rng.uniform(0.2, 1.0, size=37)
     obj = build_object("p", list(zip(pts, wts)))
+    tree = DecompositionTree([obj])
     for depth in (2, 3, 4, 6):
-        front = obj.leaves_at_depth(depth)
+        front = tree.leaves(depth)
         assert sorted(front.order.tolist()) == list(range(37))
         assert front.start[0] == 0 and front.start[-1] == 37
         assert (np.diff(front.start) > 0).all()
@@ -182,9 +197,9 @@ def test_frontier_partitions_sample_set(rng):
 
 def test_child_rects_nested_in_parents(rng):
     pts = rng.uniform(0, 1, size=(64, 2))
-    obj = build_object("n", equal_weight(pts))
+    tree = DecompositionTree([build_object("n", equal_weight(pts))])
     for depth in range(1, 8):
-        parent, child = obj.leaves_at_depth(depth), obj.leaves_at_depth(depth + 1)
+        parent, child = tree.leaves(depth), tree.leaves(depth + 1)
         up = np.searchsorted(parent.start, child.start[:-1], side="right") - 1
         assert (child.start[1:] <= parent.start[up + 1]).all()
         assert (parent.lo[up] <= child.lo).all() and (child.hi <= parent.hi[up]).all()
@@ -195,9 +210,9 @@ def test_child_rects_nested_in_parents(rng):
 def test_power_of_two_masses_match_half_rule(rng):
     """2^m equal-weight samples in general position give 0.5^(level-1) masses."""
     pts = rng.uniform(0, 1, size=(16, 2))
-    obj = build_object("h", equal_weight(pts))
+    tree = DecompositionTree([build_object("h", equal_weight(pts))])
     for depth in (2, 3, 4, 5):
-        front = obj.leaves_at_depth(depth)
+        front = tree.leaves(depth)
         assert len(front) == 2 ** (depth - 1)
         assert front.mass.tolist() == pytest.approx([0.5 ** (depth - 1)] * len(front))
 
@@ -217,16 +232,17 @@ def test_frontiers_match_recursive_reference(rng, d):
             pts[n // 2 :] = pts[0]  # coincident samples
         wts = rng.uniform(0.05, 1.0, size=n) if trial % 4 else np.ones(n)
         obj = build_object("f", list(zip(pts, wts)))
+        tree = DecompositionTree([obj])
         depth, done = 1, False
         while not done:
             expected = recursive_frontier(obj.points, obj.weights, depth)
-            front = obj.leaves_at_depth(depth)
+            front = tree.leaves(depth)
             assert len(front) == len(expected)
             for i, (lo, hi, mass, idx) in enumerate(expected):
                 assert np.array_equal(front.lo[i], lo) and np.array_equal(front.hi[i], hi)
                 assert front.mass[i] == mass
                 assert np.array_equal(segments(front)[i], idx)
-            done = obj.decomposition.fully_separated(depth)
+            done = bool(front.atomic.all())
             assert done == all((lo == hi).all() for lo, hi, _, _ in expected)
             depth += 1
 
@@ -270,66 +286,24 @@ def test_forest_levels_equal_each_object_alone(objs):
         assert level.seg[0] == 0 and level.seg[-1] == len(level) and len(level.seg) == len(objs) + 1
         for j, obj in enumerate(objs):
             expected = recursive_frontier(obj.points, obj.weights, depth)
-            part = level.roots(j, j + 1)
-            assert len(part) == len(expected)
+            part = level.take(np.array([j]))
+            assert len(part) == len(expected) and part.seg.tolist() == [0, len(part)]
             assert part.lo.tobytes() == np.array([lo for lo, _, _, _ in expected]).tobytes()
             assert part.hi.tobytes() == np.array([hi for _, hi, _, _ in expected]).tobytes()
             assert part.mass.tobytes() == np.array([mass for _, _, mass, _ in expected]).tobytes()
-            s, e = offsets[j], offsets[j + 1]
-            assert part.start[0] == s and part.start[-1] == e
-            own = part.order[s:e] - s
+            own = part.order - offsets[j]
             assert np.array_equal(own, np.concatenate([idx for _, _, _, idx in expected]))
-            assert np.array_equal(part.start - s, np.cumsum([0] + [len(idx) for _, _, _, idx in expected]))
-        parts = [level.roots(j, j + 1) for j in reversed(range(len(objs)))]
+            assert np.array_equal(part.start, np.cumsum([0] + [len(idx) for _, _, _, idx in expected]))
+        parts = [level.take(np.array([j])) for j in reversed(range(len(objs)))]
         picked = level.take(np.arange(len(objs))[::-1])
-        for name in ("lo", "hi", "mass"):
+        for name in ("lo", "hi", "mass", "order"):
             assert getattr(picked, name).tobytes() == np.concatenate([getattr(x, name) for x in parts]).tobytes()
         assert np.array_equal(picked.seg, np.cumsum([0] + [len(x) for x in parts]))
-        assert np.array_equal(picked.order, np.concatenate([x.order[x.start[0] : x.start[-1]] for x in parts]))
         assert np.array_equal(np.diff(picked.start), np.concatenate([np.diff(x.start) for x in parts]))
         if level.atomic.all():
             break
         depth += 1
     assert forest.leaves(depth + 3) is level
-
-
-def test_concurrent_lazy_deepening_is_consistent(rng):
-    """Readers racing to deepen the same tree all see complete frontiers."""
-    import sys
-    import threading
-
-    pts = rng.uniform(0, 1, size=(64, 2))
-    obj = build_object("conc", equal_weight(pts))
-    obj.decomposition  # materialise the tree before sharing it
-    errors = []
-    seen = {}
-
-    def reader(depth):
-        try:
-            for _ in range(50):
-                front = obj.leaves_at_depth(depth)
-                if seen.setdefault(depth, front) is not front:
-                    errors.append("frontier rebuilt")
-                if abs(front.mass.sum() - 1.0) > 1e-9:
-                    errors.append(front.mass.sum())
-                if sorted(front.order.tolist()) != list(range(64)) or front.start[-1] != 64:
-                    errors.append("bad partition")
-        except Exception as exc:  # surface failures from worker threads
-            errors.append(exc)
-
-    threads = [threading.Thread(target=reader, args=(d,)) for d in (2, 4, 6, 7) for _ in range(2)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert not errors
-    assert len(obj.leaves_at_depth(7)) == 64
 
 
 def test_generate_synthetic_shapes_and_bounds():

@@ -1,4 +1,7 @@
+import functools
 import importlib
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -7,7 +10,7 @@ import udom.domination as domination
 import udom.queries as queries
 from udom.genfunc import DomCountDistribution, gf_exact
 from udom.idca import idca
-from udom.model import build_object
+from udom.model import build_object, generate_synthetic
 from udom.oracle import enumerate_exact, mc_baseline
 from udom.queries import (
     QueryPredicate,
@@ -419,3 +422,37 @@ def test_refinement_batches_hold_a_bounded_history(rng, monkeypatch):
     want = expected_rank_per_target(db, q, max_depth=max_depth, on_iteration=lambda depth, dist: want_calls.append((depth, dist.lb.tobytes(), dist.ub.tobytes())))
     assert repr(got) == repr(want)
     assert got_calls == want_calls
+
+
+def test_threads_share_one_database():
+    """Four threads running the same query over one shared database each get
+    the serial answer: decisions, bounds, iterations and stop reasons."""
+    db = generate_synthetic(40, 2, 0.1, 16, seed=5)
+    q = point_obj("q", (0.5, 0.5))
+    query = functools.partial(pknn_query, db, q, k=4, tau=0.5, max_depth=6)
+    want = query()
+    assert len({d.iterations for d in want.decisions}) > 1
+    answers, errors = [], []
+    gate = threading.Barrier(4)
+
+    def worker():
+        try:
+            gate.wait()
+            answers.append(query())
+        except Exception as exc:  # surface failures from worker threads
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors and len(answers) == 4
+    for got in answers:
+        assert got.decisions == want.decisions
