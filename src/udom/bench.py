@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .domination import others
-from .geometry import _check_count, rect_min_dist
+from .geometry import _check_count, check_norm_order, rect_min_dist
 from .idca import DEFAULT_MAX_DEPTH, idca, uncertainty
 from .model import UncertainObject, generate_synthetic, load_dataset
 from .oracle import mc_baseline
@@ -54,6 +54,7 @@ class BenchConfig:
         if self.mode not in ("full", "predicate"):
             raise ValueError(f"unknown bench mode {self.mode!r}")
         # Engine and partner settings fail here, before any dataset work.
+        check_norm_order(self.p)
         _check_count(self.max_depth, "max_depth")
         for s in self.mc_samples:
             _check_count(s, "every mc_samples entry")

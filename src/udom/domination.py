@@ -25,8 +25,8 @@ __all__ = [
 ]
 
 # Cap on floats held by one batched chunk (~128 MB of float64): one chunk of
-# targets in `_target_labels`, and in `idca` one chunk of expansion pair
-# rows sized for a full (n+1)^2 grid per row (`genfunc._ugf_expand_batch`).
+# targets in `_target_labels`, and in `idca` one range of a sweep's pair
+# rows, at most (width+1)^2 grid floats per row for its widest run.
 _BATCH_FLOAT_BUDGET = 1 << 24
 
 

@@ -9,10 +9,10 @@ one decomposition forest with one root per distinct participant.  From
 depth 2 on, each step deepens every root by one level in one segmented
 `split` and sweeps the active runs together: one kernel pass per reference
 (`pdom_bounds_grid`), then one padded expansion of an uncertain generating
-function per (target-leaf, reference-leaf) pair, mixed into its run with the
-pair masses and shifted by s.  A run reads only its own roots' rows, so its
-bounds are bit for bit those it would get alone; each run answers through
-its own `idca` call.  Nested decompositions only
+function per (target-leaf, reference-leaf) pair, mixed into its run in one
+product with the pair masses and shifted by s.  A run reads only its own
+roots' rows, so its bounds are bit for bit those it would get alone; each
+run answers through its own `idca` call.  Nested decompositions only
 tighten bounds, so lower bounds rise and upper bounds fall monotonically until
 a stop rule fires, the pair budget would be exceeded, or every object is fully
 separated.  Then the bounds are exact for discrete objects, unless two samples
@@ -126,9 +126,9 @@ class _Run:
 
 
 def _cap() -> int:
-    """Floats that one batch's histories, one sweep's kernel grid or one
-    block of iteration-0 rows may hold: a 64th of `_BATCH_FLOAT_BUDGET`
-    (~2 MB), so many small runs share a sweep while memory stays bounded."""
+    """Floats that one batch's histories or one sweep's kernel grid may
+    hold: a 64th of `_BATCH_FLOAT_BUDGET` (~2 MB), so many small runs share
+    a sweep while memory stays bounded."""
     return _BATCH_FLOAT_BUDGET >> 6
 
 
@@ -202,22 +202,6 @@ def _sweeps(runs: list, p: float, max_depth: int, epsilon, decide, criterion: st
         yield
 
 
-def _pair_bounds(level: Frontier, runs: list, p: float, criterion: str) -> list:
-    """Per run, its (pairs, candidates) pdom lower and upper bounds, pairs
-    b-leaf major.  Runs with one reference share one `pdom_bounds_grid` call."""
-    out = {}
-    for ref in dict.fromkeys(int(run.roots[-1]) for run in runs):
-        group = [run for run in runs if run.roots[-1] == ref]
-        cands = np.unique(np.concatenate([run.roots[:-2] for run in group]))
-        bs = np.unique([run.roots[-2] for run in group])
-        b = level.take(bs)
-        lb, ub = pdom_bounds_grid(level.take(cands), b, level.take(np.array([ref])), p, criterion)
-        for run in group:
-            c, j = np.searchsorted(cands, run.roots[:-2]), np.searchsorted(bs, run.roots[-2])
-            out[run] = [g[c, b.seg[j] : b.seg[j + 1]].reshape(c.size, -1).T for g in (lb, ub)]
-    return [out[run] for run in runs]
-
-
 def _expand_open(plb: np.ndarray, pub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``_extract_batch(_ugf_expand_batch(plb, pub), n)`` for (rows, n)
     factor bounds, byte for byte; packed as `_evaluate_depth` states."""
@@ -243,13 +227,16 @@ def _evaluate_depth(level: Frontier, runs: list, p: float, criterion: str) -> li
     run of `runs` (each with >= 1 candidate, budget pre-validated); `_refine`
     runs it from depth 2 on.
 
-    Each run's pair rows are cut into the chunks it would use alone,
-    ``max(1, _BATCH_FLOAT_BUDGET // (n+1)^2)`` rows for n candidates, and
-    consecutive chunks share one expansion and extraction while their rows
-    times the squared widest n fit `_cap`.  A narrower run is
-    padded with plb = pub = 0, factors that multiply by exactly 1, and each
-    chunk is mixed into its own run in chunk order: every run gets the
-    bounds of its own sweep, bit for bit.  A group may expand only its open
+    The sweep fills one (2, rows, width) block of pdom bounds, one row per
+    (b-leaf, r-leaf) pair of each run in turn (b-leaf major), width the most
+    candidates of any run; the runs of one reference share one
+    `pdom_bounds_grid` call.  A narrower run is padded with plb = pub = 0,
+    factors that multiply by exactly 1.  The block is expanded and extracted
+    in consecutive ranges of ``max(1, _BATCH_FLOAT_BUDGET // (width+1)^2)``
+    rows; a run's rows may span ranges, as a row's expansion does not depend
+    on its neighbours.  Each run is then mixed in one product with its pair
+    masses and shifted by s, so its bounds are those of its own sweep, bit
+    for bit, however the rows were cut.  A range may expand only its open
     factors (`_expand_open`): each row's (1, 1) factors become its x-shift,
     its (0, 0) ones drop out, the rest are packed left in order and padded
     with (0, 0), and the packed block of width w is put at counts
@@ -257,33 +244,32 @@ def _evaluate_depth(level: Frontier, runs: list, p: float, criterion: str) -> li
     fewer grid cells: a and a' count a row's most plb > 0 factors before
     and after packing, L the columns with pub > 0 in some row.
     """
-    bounds = _pair_bounds(level, runs, p, criterion)
-    rows = np.cumsum([0] + [len(plb) for plb, _ in bounds])
-    plb_all = np.zeros((rows[-1], max(len(run.cands) for run in runs)))
-    pub_all = np.zeros_like(plb_all)
-    groups, width = [[]], 0  # groups of (run index, first row, end row) chunks
-    for i, (run, (plb, pub)) in enumerate(zip(runs, bounds)):
-        n = len(run.cands)
-        plb_all[rows[i] : rows[i + 1], :n] = plb
-        pub_all[rows[i] : rows[i + 1], :n] = pub
-        step = max(1, _BATCH_FLOAT_BUDGET // ((n + 1) * (n + 1)))
-        for s in range(rows[i], rows[i + 1], step):
-            e, width = min(s + step, rows[i + 1]), max(width, n)
-            if groups[-1] and (e - groups[-1][0][1]) * (width + 1) ** 2 > _cap():
-                groups.append([])
-                width = n
-            groups[-1].append((i, s, e))
-    weights = [np.outer(*(level.mass[level.seg[k] : level.seg[k + 1]] for k in run.roots[-2:])).ravel() for run in runs]
-    mixed = [(np.zeros(len(run.history[0])), np.zeros(len(run.history[0]))) for run in runs]
-    for group in groups:
-        first, last, width = group[0][1], group[-1][2], max(len(runs[i].cands) for i, _, _ in group)
-        pair_lb, pair_ub = _expand_open(plb_all[first:last, :width], pub_all[first:last, :width])
-        for i, s, e in group:
-            w, top = weights[i][s - rows[i] : e - rows[i]], len(runs[i].cands) + 1
-            counts = slice(runs[i].shift, runs[i].shift + top)  # mixed from zeros, shifted by s
-            mixed[i][0][counts] += w @ np.ascontiguousarray(pair_lb[s - first : e - first, :top])
-            mixed[i][1][counts] += w @ np.ascontiguousarray(pair_ub[s - first : e - first, :top])
-    return [DomCountDistribution._unchecked(lb, np.maximum(np.minimum(ub, 1.0), lb)) for lb, ub in mixed]
+    nodes = np.diff(level.seg)
+    rows = np.cumsum([0] + [nodes[run.roots[-2]] * nodes[run.roots[-1]] for run in runs])
+    width = max(len(run.cands) for run in runs)
+    block = np.zeros((2, rows[-1], width))
+    for ref in dict.fromkeys(int(run.roots[-1]) for run in runs):
+        group = [i for i, run in enumerate(runs) if run.roots[-1] == ref]
+        cands = np.unique(np.concatenate([runs[i].roots[:-2] for i in group]))
+        bs = np.unique([runs[i].roots[-2] for i in group])
+        b = level.take(bs)
+        bounds = pdom_bounds_grid(level.take(cands), b, level.take(np.array([ref])), p, criterion)
+        for i in group:
+            c, j = np.searchsorted(cands, runs[i].roots[:-2]), np.searchsorted(bs, runs[i].roots[-2])
+            for out, g in zip(block, bounds):
+                out[rows[i] : rows[i + 1], : c.size] = g[c, b.seg[j] : b.seg[j + 1]].reshape(c.size, -1).T
+    step = max(1, _BATCH_FLOAT_BUDGET // (width + 1) ** 2)
+    ranges = [_expand_open(*block[:, s : s + step]) for s in range(0, rows[-1], step)]
+    pair = [np.concatenate(g) if len(ranges) > 1 else g[0] for g in zip(*ranges)]  # lb, ub
+    dists = []
+    for run, first, last in zip(runs, rows[:-1], rows[1:]):
+        w = np.outer(*(level.mass[level.seg[k] : level.seg[k + 1]] for k in run.roots[-2:])).ravel()
+        counts = slice(run.shift, run.shift + len(run.cands) + 1)  # shifted by s
+        lb, ub = np.zeros(len(run.history[0])), np.zeros(len(run.history[0]))  # not views of one block: a history keeps lb
+        for mixed, g in zip((lb, ub), pair):
+            mixed[counts] = w @ np.ascontiguousarray(g[first:last, : len(run.cands) + 1])
+        dists.append(DomCountDistribution._unchecked(lb, np.maximum(np.minimum(ub, 1.0), lb)))
+    return dists
 
 
 def idca(

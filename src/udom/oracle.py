@@ -63,9 +63,9 @@ def enumerate_exact(
     """
     p = check_norm_order(p)
     cands = others(db, b, r)
-    n_worlds = b.n_samples * r.n_samples
-    for cand in cands:
-        n_worlds *= cand.n_samples
+    n_worlds = 1
+    for n_samples in (b.n_samples, r.n_samples, *(c.n_samples for c in cands)):
+        n_worlds *= n_samples
         if n_worlds > _WORLD_BUDGET:
             raise WorldBudgetError(f"instance has more than {_WORLD_BUDGET} possible worlds")
     size = _pdf_length(db, b)

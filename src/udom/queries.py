@@ -19,7 +19,7 @@ import numpy as np
 from .domination import ProbBounds, _group, _pdf_length, _target_labels, others
 from .genfunc import DomCountDistribution
 from .geometry import _check_count
-from .idca import DEFAULT_MAX_DEPTH, IdcaResult, _cap, _check_engine_args, _classified_bounds, _refine, _Run, idca, uncertainty
+from .idca import DEFAULT_MAX_DEPTH, IdcaResult, _check_engine_args, _classified_bounds, _refine, _Run, idca, uncertainty
 from .model import UncertainObject
 
 __all__ = [
@@ -122,11 +122,12 @@ def _each_target(
     ``roles`` "knn" bounds the count of each target w.r.t. q; "rknn" swaps
     them and bounds the count of q w.r.t. each target.  The database is
     validated once, and one kernel pass labels every object against every
-    target (`domination._target_labels`).  Per chunk, one array pass tests
-    the predicate on every iteration 0; a target at which a stop rule fires
-    is answered there, its distribution built only if read (else None).
-    The others are refined in shared batches (`idca._refine`), each
-    answered by its own `idca` call.
+    target (`domination._target_labels`).  Each labelling chunk is answered
+    as one block: one array pass tests the predicate on every iteration 0,
+    and a target at which a stop rule fires is answered there, its
+    distribution built only if read (else None).  The others are refined in
+    shared batches (`idca._refine`), each answered by its own `idca` call.
+    The chunk's iteration-0 rows are fewer floats than its kernel pass.
     """
     targets = others(db, q)
     p = _check_engine_args(p, max_depth, epsilon, criterion)
@@ -141,36 +142,32 @@ def _each_target(
         if predicate is not None:
             plb, pub = _knn_rows(*_classified_bounds(n_cands, weights[cols], shifts, min(predicate.k, n_total)), predicate.k)
             stop |= (plb > predicate.tau) | (pub <= predicate.tau)
-        # Blocks of targets whose iteration-0 rows fit `_cap`; a block's read
-        # rows are every one for `on_iteration` or expected_rank, else the open ones.
-        block = max(1, _cap() // (2 * n_total))
-        for start in range(0, len(cols), block):
-            js = range(start, min(start + block, len(cols)))
-            read = [j for j in js if not stop[j] or on_iteration is not None or predicate is None]
-            rows = _classified_bounds(n_cands[read], weights[[cols[j] for j in read]], shifts[read], n_total)
-            first = dict(zip(read, map(DomCountDistribution._unchecked, *rows)))
-            runs = {}
-            for j in read:
-                if not (stop[j] or (epsilon is not None and uncertainty(first[j]) <= epsilon)):
-                    b, r = (targets[cols[j]], q) if roles == "knn" else (q, targets[cols[j]])
-                    runs[j] = _Run(b, r, _group(targets, labels[:, j]), [first[j]])
-            _refine(list(runs.values()), p, max_depth, epsilon, decide, criterion)
-            for j in js:
-                run = runs.pop(j, None)  # an answered run's history is not kept
-                if run is not None:
-                    result = idca(
-                        db, run.b, run.r, p=p, max_depth=max_depth, epsilon=epsilon, decide=decide,
-                        criterion=criterion, on_iteration=on_iteration, _start=run,
-                    )
-                    dist, iterations, reason = result.distribution, result.iterations_run, result.stop_reason
-                else:
-                    if on_iteration is not None:
-                        on_iteration(1, first[j])
-                    dist, iterations, reason = first.get(j), 1, "criterion"
-                bounds = None
-                if predicate is not None:
-                    bounds = knn_probability_bounds(dist, predicate.k) if run is not None else ProbBounds(float(plb[j]), float(pub[j]))
-                yield targets[cols[j]], dist, iterations, reason, bounds
+        # The read iteration-0 rows: every one for `on_iteration` or expected_rank, else the open ones.
+        read = [j for j in range(len(cols)) if not stop[j] or on_iteration is not None or predicate is None]
+        rows = _classified_bounds(n_cands[read], weights[[cols[j] for j in read]], shifts[read], n_total)
+        first = dict(zip(read, map(DomCountDistribution._unchecked, *rows)))
+        runs = {}
+        for j in read:
+            if not (stop[j] or (epsilon is not None and uncertainty(first[j]) <= epsilon)):
+                b, r = (targets[cols[j]], q) if roles == "knn" else (q, targets[cols[j]])
+                runs[j] = _Run(b, r, _group(targets, labels[:, j]), [first[j]])
+        _refine(list(runs.values()), p, max_depth, epsilon, decide, criterion)
+        for j in range(len(cols)):
+            run = runs.pop(j, None)  # an answered run's history is not kept
+            if run is not None:
+                result = idca(
+                    db, run.b, run.r, p=p, max_depth=max_depth, epsilon=epsilon, decide=decide,
+                    criterion=criterion, on_iteration=on_iteration, _start=run,
+                )
+                dist, iterations, reason = result.distribution, result.iterations_run, result.stop_reason
+            else:
+                if on_iteration is not None:
+                    on_iteration(1, first[j])
+                dist, iterations, reason = first.get(j), 1, "criterion"
+            bounds = None
+            if predicate is not None:
+                bounds = knn_probability_bounds(dist, predicate.k) if run is not None else ProbBounds(float(plb[j]), float(pub[j]))
+            yield targets[cols[j]], dist, iterations, reason, bounds
 
 
 def _threshold_query(kind, db, q, k, tau, engine_kwargs) -> QueryAnswer:

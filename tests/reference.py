@@ -248,9 +248,9 @@ def extract_batch_loop(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def evaluate_depth_dense(level, n_cands, shift, n_total, p, criterion, budget):
-    """`idca._evaluate_depth` on the dense kernels above: pairs in chunks of
-    ``max(1, budget // (n+1)^2)`` rows, each chunk's weighted bounds added to
-    the running mix in chunk order.  `level` is a frontier of the forest of
+    """`idca._evaluate_depth` on the dense kernels above: pairs expanded in
+    chunks of ``max(1, budget // (n+1)^2)`` rows, then mixed in one weighted
+    product over every pair.  `level` is a frontier of the forest of
     ``[*cands, b, r]``."""
     lb = np.zeros(n_total)
     ub = np.zeros(n_total)
@@ -268,18 +268,15 @@ def evaluate_depth_dense(level, n_cands, shift, n_total, p, criterion, budget):
 
     pair_w = np.outer(b_front.mass, r_front.mass).ravel()
 
-    mixed_lb = np.zeros(n_cands + 1)
-    mixed_ub = np.zeros(n_cands + 1)
     chunk = max(1, budget // ((n_cands + 1) * (n_cands + 1)))
-    for start in range(0, n_pairs, chunk):
-        sl = slice(start, start + chunk)
-        grids = ugf_expand_batch_dense(plb[:, sl].T, pub[:, sl].T)
-        pair_lb, pair_ub = extract_batch_loop(grids)
-        mixed_lb += pair_w[sl] @ pair_lb
-        mixed_ub += pair_w[sl] @ pair_ub
+    chunks = [
+        extract_batch_loop(ugf_expand_batch_dense(plb[:, s : s + chunk].T, pub[:, s : s + chunk].T))
+        for s in range(0, n_pairs, chunk)
+    ]
+    pair_lb, pair_ub = (np.concatenate(g) for g in zip(*chunks))
 
-    lb[shift : shift + n_cands + 1] = mixed_lb
-    ub[shift : shift + n_cands + 1] = np.minimum(mixed_ub, 1.0)
+    lb[shift : shift + n_cands + 1] = pair_w @ pair_lb
+    ub[shift : shift + n_cands + 1] = np.minimum(pair_w @ pair_ub, 1.0)
     return DomCountDistribution(lb, np.maximum(ub, lb))
 
 

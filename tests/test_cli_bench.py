@@ -395,6 +395,8 @@ def test_bench_config_validation(tmp_path, capsys, monkeypatch):
         dict(mode="predicate", k=0),
         dict(mode="predicate", k=2.5),
         dict(mode="predicate", tau=1.5),
+        dict(p=0.5),
+        dict(p=float("nan")),
     ]
     for bad in bad_configs:
         with pytest.raises(ValueError):

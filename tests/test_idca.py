@@ -181,7 +181,8 @@ def test_multi_chunk_history_matches_dense_reference(rng, monkeypatch, d):
     """With a float budget small enough to split the pairs of a depth into
     several chunks, every depth's bounds equal, bit for bit, those of the
     same chunks expanded on full (n+1, n+1) grids, extracted by the per-count
-    loop and mixed in chunk order."""
+    loop and mixed in one product, and those under the default budget: a
+    run's bounds do not depend on how its rows are cut."""
     engine = importlib.import_module("udom.idca")
     expand = engine._ugf_expand_batch
     calls = []
@@ -200,19 +201,21 @@ def test_multi_chunk_history_matches_dense_reference(rng, monkeypatch, d):
         # A chunk holds budget // (n+1)^2 pair rows for n candidates.
         n = len(classify(db, b, r, p=p, criterion=criterion).influence_objects)
         budget = (n + 1) ** 2 * (1, 2, 4, 8)[trial % 4]
-        monkeypatch.setattr(engine, "_BATCH_FLOAT_BUDGET", budget)
-        calls.clear()
-        got = idca(db, b, r, p=p, max_depth=6, criterion=criterion)
-        # More expansion calls than depths: some depth was split into chunks.
-        split_runs += len(calls) > len(got.history)
+        default = idca(db, b, r, p=p, max_depth=6, criterion=criterion)
         with monkeypatch.context() as m:
+            m.setattr(engine, "_BATCH_FLOAT_BUDGET", budget)
+            calls.clear()
+            got = idca(db, b, r, p=p, max_depth=6, criterion=criterion)
+            # More expansion calls than depths: some depth was split into chunks.
+            split_runs += len(calls) > len(got.history)
             m.setattr(engine, "_evaluate_depth", functools.partial(dense_sweep, budget=budget))
             want = idca(db, b, r, p=p, max_depth=6, criterion=criterion)
-        assert got.stop_reason == want.stop_reason
-        assert len(got.history) == len(want.history)
-        for g, w in zip(got.history, want.history):
-            assert g.lb.tobytes() == w.lb.tobytes()
-            assert g.ub.tobytes() == w.ub.tobytes()
+        for ref in (want, default):
+            assert got.stop_reason == ref.stop_reason
+            assert len(got.history) == len(ref.history)
+            for g, w in zip(got.history, ref.history):
+                assert g.lb.tobytes() == w.lb.tobytes()
+                assert g.ub.tobytes() == w.ub.tobytes()
     assert split_runs >= 12
 
 

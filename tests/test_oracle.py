@@ -49,6 +49,11 @@ def test_pdf_sums_to_one_and_permutation_invariant(rng):
 
 
 def test_world_budget_enforced(rng, monkeypatch):
+    # No candidate: 4000 x 3000 worlds of b and r alone are over the budget.
+    b = build_object("b", [(pt, 1.0) for pt in rng.uniform(size=(4000, 2))])
+    r = build_object("r", [(pt, 1.0) for pt in rng.uniform(size=(3000, 2))])
+    with pytest.raises(WorldBudgetError):
+        enumerate_exact([b, r], b, r)
     monkeypatch.setattr("udom.oracle._WORLD_BUDGET", 3)
     db, b, r = random_instance(rng, n_objects=6, max_samples=4)
     with pytest.raises(WorldBudgetError):
