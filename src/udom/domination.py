@@ -26,7 +26,9 @@ __all__ = [
 
 # Cap on floats held by one batched chunk (~128 MB of float64): one chunk of
 # targets in `_target_labels`, and in `idca` one range of a sweep's pair
-# rows, at most (width+1)^2 grid floats per row for its widest run.
+# rows, at most (width+1)^2 grid floats per row for its widest run.  A 64th
+# of it (`idca._cap`) caps one sweep's `pdom_bounds_grid` call and a batch's
+# histories.
 _BATCH_FLOAT_BUDGET = 1 << 24
 
 
@@ -185,7 +187,8 @@ def pdom_bounds_grid(
     nodes at once, so the peak temporary is O(len(a) * len(b)) per r-node.
     A candidate's bounds against one b-root are products over that
     (candidate, b-root) block alone, its masses summed in node order, so
-    they are what a one-root `b` gives, bit for bit.
+    they are what a one-root `b` gives, bit for bit; likewise a candidate
+    root's bounds do not depend on the other roots of `a`, bit for bit.
     """
     # Roots of one node count are one (roots, rows) group; every pair of an
     # a-group and a b-group is one stack of same-shaped (M, N) blocks.  A

@@ -141,16 +141,28 @@ def _minmax_values_grid(a_lo, a_hi, b_lo, b_hi, r_lo, r_hi, p):
     return max_a[:, None] - min_b[None]
 
 
+def _no_overflow(fn, *args):
+    """``fn(*args)``, with a float overflow raised as ValueError rather than
+    warned: an infinite distance term would decide domination with
+    certainty, whichever box is closer."""
+    try:
+        with np.errstate(over="raise"):
+            return fn(*args)
+    except FloatingPointError:
+        raise ValueError("p-th power distances overflow; rescale the coordinates") from None
+
+
 def dominance_grid(a_lo, a_hi, b_lo, b_hi, r_lo, r_hi, p=2.0, criterion="optimal"):
     """Boolean (m, n, k) array: a-box i dominates b-box j w.r.t. r-box z.
 
     a_lo/a_hi are (m, d), b_lo/b_hi (n, d) and r_lo/r_hi a (k, d) stack; one
-    r-box is a (1, d) stack and gives an (m, n, 1) result.
+    r-box is a (1, d) stack and gives an (m, n, 1) result.  Boxes whose
+    p-th power distances, or their sums, overflow raise ValueError.
     """
     if criterion == "optimal":
-        vals = _optimal_values_grid(a_lo, a_hi, b_lo, b_hi, r_lo, r_hi, p)
+        values = _optimal_values_grid
     elif criterion == "minmax":
-        vals = _minmax_values_grid(a_lo, a_hi, b_lo, b_hi, r_lo, r_hi, p)
+        values = _minmax_values_grid
     else:
         raise ValueError(f"unknown criterion {criterion!r}")
-    return vals < 0.0
+    return _no_overflow(values, a_lo, a_hi, b_lo, b_hi, r_lo, r_hi, p) < 0.0

@@ -7,12 +7,13 @@ is possible and none is certain.  Refinement steps a batch of (b, r) runs,
 the open targets of a threshold query or the one pair of a direct call, in
 one decomposition forest with one root per distinct participant.  From
 depth 2 on, each step deepens every root by one level in one segmented
-`split` and sweeps the active runs together: one kernel pass per reference
-(`pdom_bounds_grid`), then one padded expansion of an uncertain generating
-function per (target-leaf, reference-leaf) pair, mixed into its run in one
-product with the pair masses and shifted by s.  A run reads only its own
-roots' rows, so its bounds are bit for bit those it would get alone; each
-run answers through its own `idca` call.  Nested decompositions only
+`split` and sweeps every active run together, once: one kernel pass per
+reference (`pdom_bounds_grid`, in calls over whole candidate roots whose
+kernel grid fits `_cap`), then one padded expansion of an uncertain
+generating function per (target-leaf, reference-leaf) pair, mixed into its
+run in one product with the pair masses and shifted by s.  A run reads only
+its own roots' rows, so its bounds are bit for bit those it would get alone;
+each run answers through its own `idca` call.  Nested decompositions only
 tighten bounds, so lower bounds rise and upper bounds fall monotonically until
 a stop rule fires, the pair budget would be exceeded, or every object is fully
 separated.  Then the bounds are exact for discrete objects, unless two samples
@@ -126,26 +127,10 @@ class _Run:
 
 
 def _cap() -> int:
-    """Floats that one batch's histories or one sweep's kernel grid may
-    hold: a 64th of `_BATCH_FLOAT_BUDGET` (~2 MB), so many small runs share
-    a sweep while memory stays bounded."""
+    """Floats that one batch's histories or one `pdom_bounds_grid` call's
+    kernel grid may hold: a 64th of `_BATCH_FLOAT_BUDGET` (~2 MB), so many
+    small runs share a batch while memory stays bounded."""
     return _BATCH_FLOAT_BUDGET >> 6
-
-
-def _parts(runs: list, nodes: list, budget: int) -> Iterator[list]:
-    """Consecutive runs whose distinct roots hold N nodes in all, with an
-    N x N kernel grid within `budget` floats; a run over it goes alone."""
-    part, seen = [], set()
-    for run in runs:
-        grown = seen | set(run.roots.tolist())
-        cells = sum(nodes[k] for k in grown) ** 2 * _kernel_floats_per_cell(run.b.ndim)
-        if part and cells > budget:
-            yield part
-            part, grown = [], set(run.roots.tolist())
-        part.append(run)
-        seen = grown
-    if part:
-        yield part
 
 
 def _refine(runs: list, p: float, max_depth: int, epsilon, decide, criterion: str) -> None:
@@ -164,7 +149,7 @@ def _refine(runs: list, p: float, max_depth: int, epsilon, decide, criterion: st
 def _sweeps(runs: list, p: float, max_depth: int, epsilon, decide, criterion: str) -> Iterator[None]:
     """Refine `runs` in one forest with one root per distinct participant,
     one step per depth: each step stops the runs whose own stop rule fires,
-    then sweeps every other run together (in `_parts` within `_cap`).
+    then sweeps every other run together in one `_evaluate_depth`.
     A run reads only its own roots' rows, so it stops where it would stop
     alone: on `_stopped` ("criterion"), with no candidates or its roots all
     atomic ("exhausted"), or before a sweep over the pair budget
@@ -196,9 +181,8 @@ def _sweeps(runs: list, p: float, max_depth: int, epsilon, decide, criterion: st
             return
         depth += 1
         level = forest.leaves(depth)
-        for part in _parts(live, np.diff(level.seg).tolist(), _cap()):
-            for run, dist in zip(part, _evaluate_depth(level, part, p, criterion)):
-                run.history.append(dist)
+        for run, dist in zip(live, _evaluate_depth(level, live, p, criterion)):
+            run.history.append(dist)
         yield
 
 
@@ -229,9 +213,14 @@ def _evaluate_depth(level: Frontier, runs: list, p: float, criterion: str) -> li
 
     The sweep fills one (2, rows, width) block of pdom bounds, one row per
     (b-leaf, r-leaf) pair of each run in turn (b-leaf major), width the most
-    candidates of any run; the runs of one reference share one
-    `pdom_bounds_grid` call.  A narrower run is padded with plb = pub = 0,
-    factors that multiply by exactly 1.  The block is expanded and extracted
+    candidates of any run.  The runs of one reference share its
+    `pdom_bounds_grid` calls: its candidate roots, cut into consecutive calls
+    whose grid of candidate nodes x target nodes x
+    `_kernel_floats_per_cell(d)` floats fits `_cap` (a root over it alone),
+    their bounds concatenated along the candidate axis; a candidate root's
+    bounds do not depend on the other roots of its call, so the cut changes
+    no bit.  A narrower run is padded with plb = pub = 0, factors that
+    multiply by exactly 1.  The block is expanded and extracted
     in consecutive ranges of ``max(1, _BATCH_FLOAT_BUDGET // (width+1)^2)``
     rows; a run's rows may span ranges, as a row's expansion does not depend
     on its neighbours.  Each run is then mixed in one product with its pair
@@ -252,8 +241,14 @@ def _evaluate_depth(level: Frontier, runs: list, p: float, criterion: str) -> li
         group = [i for i, run in enumerate(runs) if run.roots[-1] == ref]
         cands = np.unique(np.concatenate([runs[i].roots[:-2] for i in group]))
         bs = np.unique([runs[i].roots[-2] for i in group])
-        b = level.take(bs)
-        bounds = pdom_bounds_grid(level.take(cands), b, level.take(np.array([ref])), p, criterion)
+        b, r = level.take(bs), level.take(np.array([ref]))
+        fit = _cap() // (len(b) * _kernel_floats_per_cell(level.lo.shape[1]))  # candidate nodes per call
+        ends = np.concatenate([[0], np.cumsum(nodes[cands])])  # nodes of the first i candidate roots
+        cuts = [0]
+        while cuts[-1] < cands.size:
+            cuts.append(max(cuts[-1] + 1, int(np.searchsorted(ends, ends[cuts[-1]] + fit, side="right")) - 1))
+        calls = [pdom_bounds_grid(level.take(cands[s:e]), b, r, p, criterion) for s, e in zip(cuts, cuts[1:])]
+        bounds = [np.concatenate(g) if len(calls) > 1 else g[0] for g in zip(*calls)]  # lb, ub
         for i in group:
             c, j = np.searchsorted(cands, runs[i].roots[:-2]), np.searchsorted(bs, runs[i].roots[-2])
             for out, g in zip(block, bounds):

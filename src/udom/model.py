@@ -182,10 +182,10 @@ class UncertainObject:
             raise ValueError("weights must be one per sample")
         if not np.isfinite(points).all():
             raise ValueError("sample coordinates must be finite")
-        total = weights.sum()
-        if (weights <= 0).any() or not np.isfinite(total):
-            raise ValueError("sample weights must be positive, with a finite sum")
-        weights = weights / total
+        # n weights below max_float / 2n have a finite sum, so the sum is taken only where it cannot overflow.
+        if not (weights.min() > 0 and float(weights.max()) * 2 * weights.size < np.inf):
+            raise ValueError("sample weights must be positive, with a finite sum: each below 8.9e307 / samples")
+        weights = weights / weights.sum()
         points.setflags(write=False)
         weights.setflags(write=False)
         self.id = obj_id
@@ -260,7 +260,8 @@ def _gaussian_cloud(rng, mean, sigma, n):
         if not bad.any():
             break
         z[bad] = rng.standard_normal(int(bad.sum()))
-    return mean[None, :] + z * sigma[None, :]
+    with np.errstate(over="ignore"):  # overflowing samples are rejected as the object is built
+        return mean[None, :] + z * sigma[None, :]
 
 
 def load_dataset(path, *, seed: int = 0) -> list[UncertainObject]:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .domination import _pdf_length, others
 from .genfunc import gf_exact
-from .geometry import _check_count, check_norm_order
+from .geometry import _check_count, _no_overflow, check_norm_order
 from .model import UncertainObject
 
 __all__ = ["ExactPdf", "WorldBudgetError", "enumerate_exact", "mc_baseline"]
@@ -45,7 +45,7 @@ class ExactPdf:
 
 
 def _dist_pow(points: np.ndarray, ref: np.ndarray, p: float) -> np.ndarray:
-    return (np.abs(points - ref[None, :]) ** p).sum(axis=1)
+    return _no_overflow(lambda: (np.abs(points - ref[None, :]) ** p).sum(axis=1))
 
 
 def enumerate_exact(

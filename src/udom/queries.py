@@ -17,7 +17,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .domination import ProbBounds, _group, _pdf_length, _target_labels, others
-from .genfunc import DomCountDistribution
+from .genfunc import MASS_TOLERANCE, DomCountDistribution
 from .geometry import _check_count
 from .idca import DEFAULT_MAX_DEPTH, IdcaResult, _check_engine_args, _classified_bounds, _refine, _Run, idca, uncertainty
 from .model import UncertainObject
@@ -256,8 +256,12 @@ def expected_rank_interval(dist: DomCountDistribution) -> tuple[float, float]:
     Starting from the lower bounds, the unassigned mass is pushed towards
     rank 1 (for the minimum) or the last rank (for the maximum), never
     exceeding any per-count upper bound.  Tight bounds collapse the interval
-    to the plain expectation sum(P(count = i) * (i + 1)).
+    to the plain expectation sum(P(count = i) * (i + 1)).  Bounds that no
+    PDF satisfies (sum(lb) > 1 or sum(ub) < 1, beyond `MASS_TOLERANCE`)
+    raise ValueError.
     """
+    if dist.lb.sum() > 1.0 + MASS_TOLERANCE or dist.ub.sum() < 1.0 - MASS_TOLERANCE:
+        raise ValueError("no PDF satisfies the bounds: sum(lb) > 1 or sum(ub) < 1")
     n = len(dist)
     ranks = np.arange(1, n + 1, dtype=float)
 

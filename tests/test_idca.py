@@ -512,3 +512,74 @@ def test_on_iteration_sees_each_evaluation_as_it_is_made(rng, monkeypatch):
     res = idca(db, db[0], db[1], max_depth=5, epsilon=0.0, on_iteration=lambda depth, dist: events.append(depth))
     assert res.iterations_run > 2
     assert events == [e for depth in range(1, res.iterations_run + 1) for e in (["sweep", depth] if depth > 1 else [1])]
+
+
+def test_each_kernel_call_of_a_sweep_fits_the_cap(monkeypatch):
+    """A sweep cuts each reference's candidate roots into `pdom_bounds_grid`
+    calls whose kernel grid, candidate nodes x target nodes (one r-node per
+    `dominance_grid` call), stays within `_cap` floats at 7 floats per cell
+    in 2-d; only a root over the cap on its own may go alone.  With the cap
+    patched to 200 cells, every multi-root call fits it, the sweeps make
+    more calls than under the default budget, and the bounds and decisions
+    equal the default budget's, byte for byte."""
+    engine = importlib.import_module("udom.idca")
+    domination = importlib.import_module("udom.domination")
+    db = generate_synthetic(40, 2, 0.3, 8, seed=3)
+    q = point_obj("q", (0.5, 0.5))
+    pdom, kernel = engine.pdom_bounds_grid, domination.dominance_grid
+    calls, inside = [], []  # per pdom_bounds_grid call: [candidate roots, largest kernel grid]
+
+    def pdom_counted(a, *args):
+        calls.append([a.seg.size - 1, 0])
+        inside.append(True)
+        try:
+            return pdom(a, *args)
+        finally:
+            inside.pop()
+
+    def kernel_counted(*args):
+        out = kernel(*args)
+        if inside:
+            calls[-1][1] = max(calls[-1][1], out.size)
+        return out
+
+    monkeypatch.setattr(engine, "pdom_bounds_grid", pdom_counted)
+    monkeypatch.setattr(domination, "dominance_grid", kernel_counted)
+
+    def run():
+        calls.clear()
+        res = idca(db, db[0], db[1], max_depth=5, epsilon=0.0)
+        answer = pknn_query(db, q, 6, 0.5, max_depth=5)
+        return [(h.lb.tobytes(), h.ub.tobytes()) for h in res.history], repr(answer.decisions), len(calls)
+
+    *want, default_calls = run()
+    monkeypatch.setattr(engine, "_BATCH_FLOAT_BUDGET", 64 * 7 * 200)
+    *got, patched_calls = run()
+    assert got == want
+    multi = [cells for roots, cells in calls if roots > 1]
+    assert multi and max(multi) <= 200
+    assert patched_calls > default_calls
+
+
+@pytest.mark.parametrize(
+    "a_xy, b_xy",
+    [
+        ((1e154, 1.3e154), (1.5e154, 0.0)),  # a squared coordinate overflows
+        ((0.0, 0.0, 1.7e308, 1.7e308), (1.5e308, 1.5e308, 0.0, 0.0)),  # p = 1: only the sums overflow
+    ],
+)
+def test_overflowing_distances_are_rejected(a_xy, b_xy):
+    """b is closer to r than a.  Distance powers that overflowed to inf
+    would make a certainly closer (lb = ub = [0, 1]); the engine, the query
+    and the oracle raise instead, and numpy warns of no overflow."""
+    a, b = point_obj("a", a_xy), point_obj("b", b_xy)
+    r = point_obj("r", (0.0,) * len(a_xy))
+    p = 2.0 if len(a_xy) == 2 else 1.0
+    for call in (
+        lambda: idca([a, b], b, r, p=p),
+        lambda: idca([a, b], b, r, p=p, criterion="minmax"),
+        lambda: pknn_query([a, b], r, 1, 0.5, p=p),
+        lambda: enumerate_exact([a, b], b, r, p=p),
+    ):
+        with pytest.raises(ValueError, match="overflow"):
+            call()

@@ -246,11 +246,12 @@ def test_batched_refinement_equals_the_per_target_loop(instance, criterion, k, s
     """Many open targets refined together equal, field by field and call by
     call, one full `idca` run per target: both roles and criteria, q in the
     database or external, varied stop rules and k, and budgets patched so
-    that labelling chunks, batches, sweeps and expansions split into several
-    chunks (budget 1: one target per chunk, batch and sweep, one pair row
-    per expansion chunk; 64 * 600: batches of a few runs; a sweep cap of
-    7 * 30 * 30 floats: sweeps in parts) and the pair budget stops some
-    runs.  Targets retire at different depths."""
+    that labelling chunks, batches, kernel calls and expansions split into
+    several chunks (budget 1: one target per chunk and batch, one candidate
+    root per `pdom_bounds_grid` call, one pair row per expansion chunk;
+    64 * 600: batches of a few runs; a kernel-call cap of 7 * 30 * 30
+    floats: a reference's candidate roots in several calls) and the pair
+    budget stops some runs.  Targets retire at different depths."""
     db, q = instance
     engine = importlib.import_module("udom.idca")
     patched = [

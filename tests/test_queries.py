@@ -237,6 +237,24 @@ def test_expected_rank_interval_respects_upper_caps():
     assert hi == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize(
+    "lb, ub",
+    [
+        ([0.0, 0.0, 0.0], [0.2, 0.2, 0.2]),  # at most 0.6 mass: the fill would give (2.4, 1.6)
+        ([0.6, 0.5, 0.0], [0.6, 0.5, 0.1]),  # at least 1.1 mass
+    ],
+)
+def test_expected_rank_interval_rejects_bounds_no_pdf_satisfies(lb, ub):
+    with pytest.raises(ValueError, match="no PDF"):
+        expected_rank_interval(DomCountDistribution(np.array(lb), np.array(ub)))
+
+
+def test_expected_rank_interval_accepts_mass_within_tolerance():
+    """Root-mass products a few ulps off 1 (the engine's iteration 0) stay valid."""
+    lo, hi = expected_rank_interval(DomCountDistribution(np.zeros(2), np.array([0.0, 1.0 - 1e-12])))
+    assert (lo, hi) == (pytest.approx(2.0), pytest.approx(2.0))
+
+
 def test_expected_rank_certain_winner():
     q = point_obj("q", (0.0, 0.0))
     db = [point_obj("w", (1.0, 0.0)), point_obj("x", (5.0, 0.0))]
