@@ -15,7 +15,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .geometry import _kernel_floats_per_cell, check_norm_order, dominance_grid
-from .model import Frontier, UncertainObject, _by_size
+from .model import Frontier, UncertainObject
 
 __all__ = [
     "ProbBounds",
@@ -181,37 +181,25 @@ def pdom_bounds_grid(
     (b-node, r-node) pair.
 
     `a` holds one root per candidate and `b` one root per target (one in a
-    single-pair sweep); only the ``lo``/``hi`` node arrays of `r` are read.
-    Returns (lb, ub) arrays of shape (a's roots, len(b), len(r)).  Each
-    r-node costs one forward and one reverse `dominance_grid` call over all
-    nodes at once, so the peak temporary is O(len(a) * len(b)) per r-node.
-    A candidate's bounds against one b-root are products over that
-    (candidate, b-root) block alone, its masses summed in node order, so
-    they are what a one-root `b` gives, bit for bit; likewise a candidate
-    root's bounds do not depend on the other roots of `a`, bit for bit.
+    single-pair sweep); only the ``lo``/``hi`` node arrays of `b` and `r`
+    are read.  Returns (lb, ub) arrays of shape (a's roots, len(b), len(r)).
+    Each r-node costs one forward and one reverse `dominance_grid` call over
+    all nodes at once, so the peak temporary is O(len(a) * len(b)) per
+    r-node.  A candidate root's bound on one (b-node, r-node) pair is one
+    segmented sum (`np.add.reduceat`) of the masses of its nodes that
+    dominate the b-node (lb), or that the b-node dominates (1 - ub).  Each
+    (segment, column) is reduced on its own, so a candidate root's bounds do
+    not depend on the other roots of `a`, nor a b-node's on the other nodes
+    of `b`: both are what a one-root call gives, bit for bit.
     """
-    # Roots of one node count are one (roots, rows) group; every pair of an
-    # a-group and a b-group is one stack of same-shaped (M, N) blocks.  A
-    # group of every root reads all rows in order: a slice, not a gather.
-    def index(rows, f):
-        return slice(None) if rows.size == len(f) else rows.ravel()
-
-    blocks = [
-        (roots[:, None, None], a.mass[rows][:, None, None, :], cols, (*rows.shape, *cols.shape), index(rows, a), index(cols, b))
-        for roots, rows in _by_size(a.seg, np.arange(a.seg.size - 1))
-        for _, cols in _by_size(b.seg, np.arange(b.seg.size - 1))
-    ]
-    lb = np.zeros((a.seg.size - 1, len(b), len(r)))
-    ub = np.ones((a.seg.size - 1, len(b), len(r)))
+    lb = np.empty((a.seg.size - 1, len(b), len(r)))
+    ub = np.empty((a.seg.size - 1, len(b), len(r)))
+    mass = a.mass[:, None]
     for z, (r_lo, r_hi) in enumerate(zip(r.lo[:, None], r.hi[:, None])):  # one-box stacks
         dom = dominance_grid(a.lo, a.hi, b.lo, b.hi, r_lo, r_hi, p, criterion)[..., 0]
         rev = dominance_grid(b.lo, b.hi, a.lo, a.hi, r_lo, r_hi, p, criterion)[..., 0]
-        for roots, mass, cols, (pa, m, pb, n), ri, ci in blocks:
-            # C-ordered blocks, gathered by two axis takes: one vector-matrix product each
-            fwd = dom[ri][:, ci].reshape(pa, m, pb, n).transpose(0, 2, 1, 3)
-            lb[roots, cols, z] = (mass @ np.ascontiguousarray(fwd, dtype=float))[:, :, 0]
-            back = rev[ci][:, ri].reshape(pb, n, pa, m).transpose(2, 0, 1, 3)
-            ub[roots, cols, z] = 1.0 - (np.ascontiguousarray(back, dtype=float) @ mass.swapaxes(2, 3))[..., 0]
+        lb[:, :, z] = np.add.reduceat(mass * dom, a.seg[:-1])
+        ub[:, :, z] = 1.0 - np.add.reduceat(mass * rev.T, a.seg[:-1])
     np.minimum(lb, 1.0, out=lb)
     np.maximum(ub, lb, out=ub)
     return lb, ub

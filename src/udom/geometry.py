@@ -84,12 +84,13 @@ def _check_count(value, name: str) -> None:
 
 
 def rect_min_dist(a: Rect, b: Rect, p: float = 2.0) -> float:
-    """Minimum L_p distance between two boxes (0 when they intersect)."""
+    """Minimum L_p distance between two boxes (0 when they intersect).  A
+    distance whose p-th power overflows raises ValueError, as in the kernel."""
     if a.ndim != b.ndim:
         raise ValueError(f"dimension mismatch: {a.ndim} vs {b.ndim}")
     p = check_norm_order(p)
     gaps = np.maximum(np.maximum(a.lo - b.hi, b.lo - a.hi), 0.0)
-    return float((gaps**p).sum() ** (1.0 / p))
+    return float(_no_overflow(lambda: (gaps**p).sum()) ** (1.0 / p))
 
 
 # ---------------------------------------------------------------------------

@@ -98,8 +98,8 @@ def _frontier(points, weights, order, start, seg) -> Frontier:
     heads = start[:-1]
     # A row of a C-ordered 2-D .sum(axis=1) is numpy's pairwise summation over
     # the node's samples in node order, as the node's own .sum() would add
-    # them; np.add.reduceat adds sequentially and would move masses (and so
-    # every bound) in the last bits.
+    # them; np.add.reduceat adds in an order of its own (neither left to right
+    # nor pairwise) and would move masses (and so every bound) in the last bits.
     mass = np.empty(heads.size)
     for rows, pos in _by_size(start, np.arange(heads.size)):
         mass[rows] = w[pos].sum(axis=1)

@@ -85,15 +85,18 @@ def minmax_values_one(a_lo, a_hi, b_lo, b_hi, r_lo, r_hi, p):
 
 def pdom_bounds_one(a_lo, a_hi, a_mass, b, r, p=2.0, criterion="optimal"):
     """pdom bounds of one candidate frontier (its node arrays) against every
-    (b-node, r-node) pair, as (len(b), len(r)) arrays, one candidate per call."""
+    (b-node, r-node) pair, as (len(b), len(r)) arrays, one candidate per call.
+    Its node masses are added by the engine's reduction, `np.add.reduceat`
+    over one segment, whose order of additions is numpy's own (not left to
+    right), so a stack can be compared with each candidate alone bit for bit."""
     values = optimal_values_4d if criterion == "optimal" else minmax_values_one
     lb = np.zeros((len(b), len(r)))
     ub = np.ones((len(b), len(r)))
     for z, (r_lo, r_hi) in enumerate(zip(r.lo, r.hi)):
         dom = values(a_lo, a_hi, b.lo, b.hi, r_lo, r_hi, p) < 0.0
         rev = values(b.lo, b.hi, a_lo, a_hi, r_lo, r_hi, p) < 0.0
-        lb[:, z] = a_mass @ dom.astype(float)
-        ub[:, z] = 1.0 - rev.astype(float) @ a_mass
+        lb[:, z] = np.add.reduceat(a_mass[:, None] * dom, [0])[0]
+        ub[:, z] = 1.0 - np.add.reduceat(a_mass[:, None] * rev.T, [0])[0]
     np.minimum(lb, 1.0, out=lb)
     np.maximum(ub, lb, out=ub)
     return lb, ub

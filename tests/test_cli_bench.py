@@ -14,7 +14,7 @@ from udom.bench import (
     write_csv,
 )
 from udom.cli import load_config, main
-from udom.model import generate_synthetic, load_dataset, save_dataset_jsonl
+from udom.model import build_object, generate_synthetic, load_dataset, save_dataset_jsonl
 
 
 @pytest.fixture
@@ -296,6 +296,13 @@ def test_select_query_pair_rule():
     for tiny in (db[:1], []):
         with pytest.raises(ValueError, match="at least two objects"):
             select_query_pair(tiny, rng, m=1)
+
+
+def test_select_query_pair_overflow_raises():
+    """MinDists whose squares overflow are refused, not ranked as inf."""
+    db = [build_object(i, [(xy, 1.0)]) for i, xy in enumerate([(1e154, 1.3e154), (1.5e154, 0.0), (0.0, 0.0)])]
+    with pytest.raises(ValueError, match="overflow"):
+        select_query_pair(db, np.random.default_rng(0), m=1)
 
 
 def test_bench_pruning_rows(tmp_path):

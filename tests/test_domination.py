@@ -235,7 +235,9 @@ def test_pdom_bounds_grid_matches_scalar(rng):
 def test_pdom_bounds_grid_stack_matches_per_candidate(rng, criterion):
     """A stack of candidates gives, bit for bit, the bounds of each candidate
     evaluated alone on its own arrays.  Candidates differ in node count; some
-    are one sample (a single atomic node) or coincident samples (atomic)."""
+    are one sample (a single atomic node) or coincident samples (atomic).
+    The targets are a forest of 1-3 objects of distinct sample counts, and
+    each target root's columns are, bit for bit, those of that root alone."""
     for trial in range(40):
         d = int(rng.integers(1, 5))
         p = (1.0, 2.0, 3.0)[trial % 3]
@@ -249,14 +251,24 @@ def test_pdom_bounds_grid_stack_matches_per_candidate(rng, criterion):
                 cands.append(build_object(c, [(pt, w) for w in rng.uniform(0.1, 1, 3)]))
             else:
                 cands.append(random_object(rng, c, d, max_samples=12, spread=1.0))
-        b = random_object(rng, "b", d, max_samples=6, spread=1.0)
+        sizes = rng.choice(np.arange(1, 7), size=int(rng.integers(1, 4)), replace=False)
+        bs = [
+            build_object(f"b{i}", list(zip(rng.uniform(0, 1, d) + rng.uniform(-0.5, 0.5, (n, d)), rng.uniform(0.1, 1, n))))
+            for i, n in enumerate(sizes)
+        ]
         r = random_object(rng, "r", d, max_samples=6, spread=1.0)
         depth = int(rng.integers(1, 5))
         stack = DecompositionTree(cands).leaves(depth)
-        bf, rf = (DecompositionTree([o]).leaves(depth) for o in (b, r))
+        bf = DecompositionTree(bs).leaves(depth)
+        rf = DecompositionTree([r]).leaves(depth)
         assert len(stack) == sum(len(DecompositionTree([c]).leaves(depth)) for c in cands)
         lb, ub = pdom_bounds_grid(stack, bf, rf, p, criterion)
         want_lb, want_ub = pdom_bounds_stacked(stack, bf, rf, p, criterion)
         assert lb.shape == (len(cands), len(bf), len(rf))
         assert lb.tobytes() == want_lb.tobytes()
         assert ub.tobytes() == want_ub.tobytes()
+        for j, o in enumerate(bs):
+            cols = slice(bf.seg[j], bf.seg[j + 1])
+            one_lb, one_ub = pdom_bounds_grid(stack, DecompositionTree([o]).leaves(depth), rf, p, criterion)
+            assert np.ascontiguousarray(lb[:, cols]).tobytes() == one_lb.tobytes()
+            assert np.ascontiguousarray(ub[:, cols]).tobytes() == one_ub.tobytes()

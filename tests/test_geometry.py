@@ -101,6 +101,16 @@ def test_dimension_mismatch_raises():
         rect_min_dist(Rect([0.0, 0.0], [0.0, 0.0]), Rect([1.0], [1.0]), 2.0)
 
 
+def test_rect_min_dist_overflow_raises():
+    """A distance whose p-th power overflows is refused, as the kernel refuses
+    it, rather than returned as inf."""
+    a, b = Rect([0.0, 0.0], [0.0, 0.0]), Rect([1e200, 0.0], [1e200, 0.0])
+    assert rect_min_dist(a, b, 1.0) == 1e200
+    with pytest.raises(ValueError, match="overflow"):
+        rect_min_dist(a, b, 2.0)
+    assert rect_min_dist(a, Rect([3.0, 4.0], [5.0, 6.0])) == 5.0
+
+
 def test_norm_order_validated():
     a = Rect([0.0], [0.0])
     for p in (0.5, float("inf"), float("nan")):
