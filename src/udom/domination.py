@@ -25,10 +25,8 @@ __all__ = [
 ]
 
 # Cap on floats held by one batched chunk (~128 MB of float64): one chunk of
-# targets in `_target_labels`, and in `idca` one range of a sweep's pair
-# rows, at most (width+1)^2 grid floats per row for its widest run.  A 64th
-# of it (`idca._cap`) caps one sweep's `pdom_bounds_grid` call and a batch's
-# histories.
+# targets in `_target_labels`.  A 64th of it (`idca._cap`) caps one sweep's
+# `pdom_bounds_grid` call and a batch's histories.
 _BATCH_FLOAT_BUDGET = 1 << 24
 
 

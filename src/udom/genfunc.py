@@ -2,26 +2,35 @@
 
 The count of independent Bernoulli events is read off the coefficients of
 ``prod_i (1 - p_i + p_i*x)``.  When only an interval [p_lb, p_ub] is known per
-event, the product is taken over three-term factors
+event, the uncertain generating function takes the product over three-term
+factors
 
     p_lb * x  +  (p_ub - p_lb) * y  +  (1 - p_ub)
 
 where x tracks events that certainly happen, y tracks unresolved events and
-the constant tracks events that certainly do not happen.  A coefficient
-c[i, j] is then the probability that at least i events certainly happen with
-up to j more unresolved, which yields count bounds:
+the constant tracks events that certainly do not happen.  Its bounds read
+only two things off that product.  Let X count the certain events and Y the
+unresolved ones; X is Poisson-binomial over p_lb and X + Y over p_ub, so
 
-    P(count = k)  >=  c[k, 0]
-    P(count = k)  <=  sum of c[i, j] over i <= k <= i + j
+    P(count = k)  >=  P(X = k, Y = 0)  =  [x^k] prod(p_lb*x + 1 - p_ub)
+    P(count = k)  <=  P(X <= k <= X + Y)  =  P(X <= k) - P(X + Y <= k - 1)
 
-The engine's batch expansion keeps only the degrees that can hold mass: the
-x-degree never exceeds the number of factors with p_lb > 0, nor the y-degree
-the number with p_lb < p_ub, so the coefficients beyond them are exact zeros
-and leaving them out changes no bound in its last bit.  So too a certain
-factor (p_lb = p_ub = 1) is an exact x-shift that adds only exact zeros,
-and one with p_ub = 0 multiplies by exactly 1: `udom.idca` may expand a
-row's other factors alone, in order, and shift its bounds by its count of
-certain factors, with the same products and sums in every cell.
+(X + Y < k implies X <= k).  The engine computes three univariate products
+per pair row, C = prod(p_lb*x + 1 - p_ub), A = prod(p_lb*x + 1 - p_lb) and
+B = prod(p_ub*x + 1 - p_ub): lb[k] = C[k] and
+ub[k] = cumsum(A)[k] - cumsum(B)[k-1].  A pass over one factor with
+x-coefficient x and constant z sets each coefficient to c[j]*z + c[j-1]*x.
+
+The lower bound equals the (x, y) grid expansion's bit for bit: the grid's
+y-degree-0 cells, which it reads, get the same products and sums in the same
+order as C, and the y-terms never reach them.  The upper bound is a
+difference of two cumulative sums.  Each coefficient of A and B passes
+through at most 2n roundings for n factors and each cumulative sum n more,
+over masses that total 1, so ub is off by at most about 3n*eps in absolute
+terms; against the grid's ub (with rounding of its own) the tests hold it
+within (n+1)*eps.  It is clamped to [lb, 1].  A (0, 0) factor multiplies all
+three products by exactly 1 and a (1, 1) factor shifts them by exactly one
+degree, so padding and certain factors add no rounding.
 """
 
 from __future__ import annotations
@@ -71,87 +80,48 @@ class DomCountDistribution:
 def gf_exact(probs: Sequence[float]) -> np.ndarray:
     """PDF of a sum of independent Bernoulli variables with exact probabilities.
 
-    Returns an array c of length len(probs) + 1 with c[j] = P(sum = j).
-    Factors with p in {0, 1} contribute a no-op / an index shift, so they are
-    handled without touching the convolution (identical values, faster).
+    Returns an array c of length len(probs) + 1 with c[j] = P(sum = j): the
+    engine's product on one row with p_lb = p_ub = probs.
     """
     probs = np.asarray(list(probs), dtype=float)
     if probs.size and ((probs < 0.0) | (probs > 1.0)).any():
         raise ValueError("probabilities must lie in [0, 1]")
-    ones = int((probs == 1.0).sum())
-    fracs = probs[(probs > 0.0) & (probs < 1.0)]
-    out = np.zeros(probs.size + 1)
-    out[ones : ones + fracs.size + 1] = _gf_affine(fracs, 1.0 - fracs)
-    return out
-
-
-def _gf_affine(x_coeffs: np.ndarray, const_coeffs: np.ndarray) -> np.ndarray:
-    """Expand prod_i (x_coeffs[i] * x + const_coeffs[i]); returns n+1 coefficients."""
-    c = np.array([1.0])
-    for xc, cc in zip(x_coeffs, const_coeffs):
-        nxt = np.zeros(c.size + 1)
-        nxt[:-1] += c * cc
-        nxt[1:] += c * xc
-        c = nxt
-    return c
+    return _ugf_expand_batch(probs[None], probs[None])[0, 0].copy()
 
 
 # ---------------------------------------------------------------------------
-# Dense batch kernels used by the refinement engine.  Each batch row is one
+# Batch kernels used by the refinement engine.  Each batch row is one
 # (target-node, reference-node) pair; tests pin them to the sparse
-# single-instance expansion and, byte for byte, to the full (rows, n+1, n+1)
-# grid, both kept as oracles in tests/reference.py.
+# single-instance expansion and to the full (rows, n+1, n+1) grid, both kept
+# as oracles in tests/reference.py.
 # ---------------------------------------------------------------------------
 
 
 def _ugf_expand_batch(plb: np.ndarray, pub: np.ndarray) -> np.ndarray:
-    """Expand UGFs for many bound vectors at once.
+    """The products C, A and B of the module docstring for many bound vectors.
 
-    plb/pub: (rows, n) arrays.  Returns dense coefficient grids indexed
-    [row, x-degree, y-degree] of shape (rows, 1 + a, 1 + u), where a is the
-    most factors with plb > 0 in any row and u the most with plb < pub.
-
-    A factor adds x-degree only through plb and y-degree only through
-    pub - plb, so a row's mass never leaves degrees (a, u); the full
-    (n+1, n+1) grid holds exact zeros beyond them.  Every kept cell gets the
-    same products and sums, in the same order, as on the full grid; the
-    dropped terms are exact zeros, and adding +0.0 changes nothing.  A factor
-    with pub == 0 in every row multiplies by exactly 1 and is skipped.
+    plb/pub: (rows, n) arrays.  Returns their coefficients as a (3, rows, n+1)
+    array indexed [product, row, degree].  One pass per column with pub > 0
+    in some row (any other column multiplies by exactly 1); after j passes
+    every product has degree <= j, so a pass updates only the first j+1 cells.
     """
-    rows = plb.shape[0]
-    y = pub - plb
-    z = 1.0 - pub
-    a = int((plb > 0.0).sum(axis=1).max(initial=0))
-    u = int((y > 0.0).sum(axis=1).max(initial=0))
-    f = np.zeros((rows, a + 1, u + 1))
-    f[:, 0, 0] = 1.0
-    for l in np.flatnonzero((pub > 0.0).any(axis=0)).tolist():
-        nxt = z[:, l, None, None] * f
-        nxt[:, 1:, :] += plb[:, l, None, None] * f[:, :-1, :]
-        nxt[:, :, 1:] += y[:, l, None, None] * f[:, :, :-1]
-        f = nxt
-    return f
+    rows, n = plb.shape
+    x = np.stack([plb, plb, pub]).transpose(2, 0, 1).copy()  # [column, product, row]
+    z = 1.0 - np.stack([pub, plb, pub]).transpose(2, 0, 1).copy()
+    f = np.zeros((n + 1, 3, rows))  # [degree, product, row]: a pass updates contiguous rows
+    f[0] = 1.0
+    for j, l in enumerate(np.flatnonzero((pub > 0.0).any(axis=0)).tolist()):
+        carry = x[l] * f[: j + 1]
+        f[: j + 1] *= z[l]
+        f[1 : j + 2] += carry
+    return f.transpose(1, 2, 0)
 
 
 def _extract_batch(f: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Count bounds read off grids from _ugf_expand_batch.
-
-    Returns (rows, n+1) lower and upper bounds for counts 0..n: lb[k] is
-    c[k, 0] and ub[k] sums c[i, j] over i <= k <= i + j.  The upper
-    bound of count k sums, for each x-degree i <= k, the mass with y-degree
-    at least k - i: ``total[i] - csum[i, k-i-1]``.  One vectorised step per
-    x-degree i does this for every k > i at once, in the order the per-count
-    loop would; a y-index past the grid reads the last cumulative column,
-    which is the saturated sum.  Counts above a + u hold exact zeros.
-    """
-    rows, size, width = f.shape
-    top = min(n + 1, size + width - 1)
-    csum = f.cumsum(axis=2)
-    total = csum[:, :, -1]
-    lb = np.zeros((rows, n + 1))
-    lb[:, :size] = f[:, :, 0]
-    ub = np.zeros((rows, n + 1))
-    for i in range(size):
-        ub[:, i:top] += total[:, i, None]
-        ub[:, i + 1 : top] -= csum[:, i, np.minimum(np.arange(top - i - 1), width - 1)]
-    return lb, np.minimum(ub, 1.0, out=ub)
+    """Count bounds read off products from `_ugf_expand_batch`: (rows, n+1)
+    lower and upper bounds for counts 0..n, lb = C and
+    ub[k] = cumsum(A)[k] - cumsum(B)[k-1], clamped to [lb, 1]."""
+    lb, a, b = f[:, :, : n + 1]
+    ub = a.cumsum(axis=1)
+    ub[:, 1:] -= b[:, :-1].cumsum(axis=1)
+    return lb, np.maximum(np.minimum(ub, 1.0, out=ub), lb, out=ub)

@@ -9,16 +9,17 @@ one decomposition forest with one root per distinct participant.  From
 depth 2 on, each step deepens every root by one level in one segmented
 `split` and sweeps every active run together, once: one kernel pass per
 reference (`pdom_bounds_grid`, in calls over whole candidate roots whose
-kernel grid fits `_cap`), then one padded expansion of an uncertain
-generating function per (target-leaf, reference-leaf) pair, mixed into its
-run in one product with the pair masses and shifted by s.  A run reads only
-its own roots' rows, so its bounds are bit for bit those it would get alone;
-each run answers through its own `idca` call.  Nested decompositions only
-tighten bounds, so lower bounds rise and upper bounds fall monotonically until
-a stop rule fires, the pair budget would be exceeded, or every object is fully
-separated.  Then the bounds are exact for discrete objects, unless two samples
-tie exactly in distance to a reference sample: a tie never counts as
-domination, so such a sample triple keeps its pdom bounds at (0, 1).
+kernel grid fits `_cap`), then, per (target-leaf, reference-leaf) pair, count
+bounds from the uncertain generating function of its padded pdom bounds, as
+three univariate products (`udom.genfunc`), mixed into its run in one product
+with the pair masses and shifted by s.  A run reads only its own roots' rows,
+so its bounds are bit for bit those it would get alone; each run answers
+through its own `idca` call.  Nested decompositions only tighten bounds, so
+lower bounds rise and upper bounds fall monotonically until a stop rule fires,
+the pair budget would be exceeded, or every object is fully separated.  Then
+the bounds are exact for discrete objects, unless two samples tie exactly in
+distance to a reference sample: a tie never counts as domination, so such a
+sample triple keeps its pdom bounds at (0, 1).
 """
 
 from __future__ import annotations
@@ -186,26 +187,6 @@ def _sweeps(runs: list, p: float, max_depth: int, epsilon, decide, criterion: st
         yield
 
 
-def _expand_open(plb: np.ndarray, pub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_extract_batch(_ugf_expand_batch(plb, pub), n)`` for (rows, n)
-    factor bounds, byte for byte; packed as `_evaluate_depth` states."""
-    n = plb.shape[1]
-    open_ = (pub > 0.0) & (plb < 1.0)  # plb == 1 implies pub == 1: a certain factor
-    w = int(open_.sum(axis=1).max(initial=0))
-    pos = plb > 0.0
-    a, a_open = pos.sum(axis=1).max(initial=0), (pos & open_).sum(axis=1).max(initial=0)
-    if (a_open + 1) * w >= (a + 1) * int((pub > 0.0).any(axis=0).sum()):
-        return _extract_batch(_ugf_expand_batch(plb, pub), n)
-    r, c = np.nonzero(open_)  # row-major: each row's open factors in order
-    packed = np.zeros((2, len(plb), w))
-    packed[:, r, np.cumsum(open_, axis=1)[r, c] - 1] = plb[r, c], pub[r, c]
-    cols = (plb == 1.0).sum(axis=1)[:, None] + np.arange(w + 1)
-    out = np.zeros((2, len(plb), n + w + 1))
-    for o, bounds in zip(out, _extract_batch(_ugf_expand_batch(*packed), w)):
-        np.put_along_axis(o, cols, bounds, axis=1)
-    return out[0, :, : n + 1], out[1, :, : n + 1]
-
-
 def _evaluate_depth(level: Frontier, runs: list, p: float, criterion: str) -> list[DomCountDistribution]:
     """One refinement sweep over a frontier `level` of the forest for every
     run of `runs` (each with >= 1 candidate, budget pre-validated); `_refine`
@@ -220,18 +201,13 @@ def _evaluate_depth(level: Frontier, runs: list, p: float, criterion: str) -> li
     their bounds concatenated along the candidate axis; a candidate root's
     bounds do not depend on the other roots of its call, so the cut changes
     no bit.  A narrower run is padded with plb = pub = 0, factors that
-    multiply by exactly 1.  The block is expanded and extracted
-    in consecutive ranges of ``max(1, _BATCH_FLOAT_BUDGET // (width+1)^2)``
-    rows; a run's rows may span ranges, as a row's expansion does not depend
-    on its neighbours.  Each run is then mixed in one product with its pair
-    masses and shifted by s, so its bounds are those of its own sweep, bit
-    for bit, however the rows were cut.  A range may expand only its open
-    factors (`_expand_open`): each row's (1, 1) factors become its x-shift,
-    its (0, 0) ones drop out, the rest are packed left in order and padded
-    with (0, 0), and the packed block of width w is put at counts
-    shift..shift+w of each row.  It packs only when (a' + 1) * w < (a + 1) * L,
-    fewer grid cells: a and a' count a row's most plb > 0 factors before
-    and after packing, L the columns with pub > 0 in some row.
+    multiply by exactly 1.  One `_ugf_expand_batch` call expands every row
+    of the block into its three univariate products (`udom.genfunc`), of
+    3 * rows * (width+1) floats, the order of the block, and one
+    `_extract_batch` call reads them as count bounds.  Each run is then
+    mixed in one product with its pair masses and shifted by s.  A row's
+    products do not depend on its neighbours, so a run's bounds are those
+    of its own sweep, bit for bit.
     """
     nodes = np.diff(level.seg)
     rows = np.cumsum([0] + [nodes[run.roots[-2]] * nodes[run.roots[-1]] for run in runs])
@@ -253,9 +229,7 @@ def _evaluate_depth(level: Frontier, runs: list, p: float, criterion: str) -> li
             c, j = np.searchsorted(cands, runs[i].roots[:-2]), np.searchsorted(bs, runs[i].roots[-2])
             for out, g in zip(block, bounds):
                 out[rows[i] : rows[i + 1], : c.size] = g[c, b.seg[j] : b.seg[j + 1]].reshape(c.size, -1).T
-    step = max(1, _BATCH_FLOAT_BUDGET // (width + 1) ** 2)
-    ranges = [_expand_open(*block[:, s : s + step]) for s in range(0, rows[-1], step)]
-    pair = [np.concatenate(g) if len(ranges) > 1 else g[0] for g in zip(*ranges)]  # lb, ub
+    pair = _extract_batch(_ugf_expand_batch(*block), width)  # lb, ub
     dists = []
     for run, first, last in zip(runs, rows[:-1], rows[1:]):
         w = np.outer(*(level.mass[level.seg[k] : level.seg[k + 1]] for k in run.roots[-2:])).ravel()

@@ -6,8 +6,9 @@ for a single box triple, the dominance criterion as one (m, n, d, 2)
 broadcast, pdom bounds of one candidate frontier at a time, the UGF as a
 sparse product over one bound list (optionally k-truncated) and on the full
 (rows, n+1, n+1) grid, extraction as a double loop over counts and
-x-degrees, the looser plain-GF bounds, one IDCA depth evaluated on the
-dense kernels, and the query drivers as one full `idca` run per target.
+x-degrees, the looser plain-GF bounds from two univariate products, one IDCA
+depth evaluated on the dense kernels, and the query drivers as one full
+`idca` run per target.
 """
 
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from udom.domination import others, pdom_bounds_grid
-from udom.genfunc import DomCountDistribution, _gf_affine
+from udom.genfunc import DomCountDistribution
 from udom.geometry import Rect, _minmax_values_grid, dominance_grid
 from udom.idca import idca
 from udom.queries import ObjectDecision, QueryPredicate, expected_rank_interval, knn_probability_bounds
@@ -196,6 +197,17 @@ def extract_bounds(poly: UGFPoly, n: Optional[int] = None) -> DomCountDistributi
         lb[k] = poly.coeffs.get((k, 0), 0.0)
         ub[k] = sum(v for (i, j), v in items if i <= k <= i + j)
     return DomCountDistribution(lb, ub)
+
+
+def _gf_affine(x_coeffs: np.ndarray, const_coeffs: np.ndarray) -> np.ndarray:
+    """Expand prod_i (x_coeffs[i] * x + const_coeffs[i]); returns n+1 coefficients."""
+    c = np.array([1.0])
+    for xc, cc in zip(x_coeffs, const_coeffs):
+        nxt = np.zeros(c.size + 1)
+        nxt[:-1] += c * cc
+        nxt[1:] += c * xc
+        c = nxt
+    return c
 
 
 def gf_bounds_plain(bounds) -> DomCountDistribution:

@@ -1,12 +1,16 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from udom.genfunc import _extract_batch, _ugf_expand_batch, gf_exact
 
 from reference import (
     UGFPoly,
+    _gf_affine,
     _multiply_factor,
     extract_batch_loop,
     extract_bounds,
@@ -305,16 +309,21 @@ def test_truncation_coefficient_budget(rng, k):
 
 
 def test_batch_expansion_matches_sparse(rng):
+    """The three products are the UGF's y-degree-0 column and the plain PDFs
+    of X (over plb) and X + Y (over pub), and their bounds those of the
+    sparse expansion."""
     rows, n = 17, 6
     lo = rng.uniform(0, 1, size=(rows, n))
     hi = lo + rng.uniform(0, 1, size=(rows, n)) * (1 - lo)
-    grids = _ugf_expand_batch(lo, hi)
-    batch_lb, batch_ub = _extract_batch(grids, n)
+    products = _ugf_expand_batch(lo, hi)
+    assert products.shape == (3, rows, n + 1)
+    batch_lb, batch_ub = _extract_batch(products, n)
     for row in range(rows):
         poly = ugf_expand(list(zip(lo[row], hi[row])))
         dist = extract_bounds(poly)
-        for (i, j), val in poly.coeffs.items():
-            assert abs(grids[row, i, j] - val) < 1e-12
+        np.testing.assert_allclose(products[0, row], [poly.coefficient(k, 0) for k in range(n + 1)], atol=1e-12)
+        assert products[1, row].tobytes() == _gf_affine(lo[row], 1.0 - lo[row]).tobytes()
+        assert products[2, row].tobytes() == _gf_affine(hi[row], 1.0 - hi[row]).tobytes()
         np.testing.assert_allclose(batch_lb[row], dist.lb, atol=1e-12)
         np.testing.assert_allclose(batch_ub[row], dist.ub, atol=1e-12)
 
@@ -339,24 +348,93 @@ def random_batch(rng, rows, n, zero_columns):
     return lo, hi
 
 
+def assert_bounds_match_dense_grid(plb, pub):
+    """Count bounds of `plb`/`pub` against the full (rows, n+1, n+1) grid and
+    the per-count extraction loop: lb byte for byte, ub within (n+1) units of
+    roundoff (a difference of two cumulative sums), 0 <= lb <= ub <= 1, and
+    exact 0/1 bounds on rows whose factors are all (0, 0) or (1, 1)."""
+    rows, n = plb.shape
+    lb, ub = _extract_batch(_ugf_expand_batch(plb, pub), n)
+    want_lb, want_ub = extract_batch_loop(ugf_expand_batch_dense(plb, pub))
+    assert lb.shape == ub.shape == (rows, n + 1)
+    assert np.ascontiguousarray(lb).tobytes() == want_lb.tobytes()
+    assert np.abs(ub - want_ub).max(initial=0.0) <= (n + 1) * np.finfo(float).eps
+    assert (0.0 <= lb).all() and (lb <= ub).all() and (ub <= 1.0).all()
+    crisp = ((plb == pub) & ((pub == 0.0) | (pub == 1.0))).all(axis=1)
+    certain = np.zeros((rows, n + 1))
+    certain[np.arange(rows), (plb == 1.0).sum(axis=1)] = 1.0
+    assert lb[crisp].tobytes() == ub[crisp].tobytes() == certain[crisp].tobytes()
+
+
 def test_batch_kernels_match_dense_reference(rng):
-    """The kernels equal, byte for byte, the full (rows, n+1, n+1) expansion
-    and the per-count extraction loop; their grid is sized by the factors
-    that can add mass."""
+    """The kernels' bounds equal those of the full grid expansion: lb byte
+    for byte, ub to within (n+1) units of roundoff."""
     for trial in range(120):
         n = trial % 41
         rows = int(rng.integers(1, 301)) if trial % 4 == 0 else int(rng.integers(1, 25))
         lo, hi = random_batch(rng, rows, n, zero_columns=trial % 2 == 0)
-        grids = _ugf_expand_batch(lo, hi)
-        dense = ugf_expand_batch_dense(lo, hi)
-        a = int((lo > 0).sum(axis=1).max())
-        u = int((lo < hi).sum(axis=1).max())
-        assert grids.shape == (rows, a + 1, u + 1)
-        assert grids.tobytes() == np.ascontiguousarray(dense[:, : a + 1, : u + 1]).tobytes()
-        assert not dense[:, a + 1 :].any() and not dense[:, :, u + 1 :].any()
-        got = _extract_batch(grids, n)
-        want = extract_batch_loop(dense)
-        for g, w in zip(got, want):
-            assert g.shape == (rows, n + 1)
-            assert g.tobytes() == w.tobytes()
+        if trial % 3 == 0:
+            crisp = rng.random(rows) < 0.5
+            lo[crisp] = hi[crisp] = rng.random((int(crisp.sum()), n)) < 0.5
+        assert_bounds_match_dense_grid(lo, hi)
 
+
+# (plb, pub) of one factor, from two drawn values x <= y in (0, 1).
+FACTOR_KINDS = {
+    "impossible": lambda x, y: (0.0, 0.0),
+    "certain": lambda x, y: (1.0, 1.0),
+    "resolved": lambda x, y: (x, x),
+    "open": lambda x, y: (x, y),
+    "from_zero": lambda x, y: (0.0, y),
+    "to_one": lambda x, y: (x, 1.0),
+}
+
+
+@st.composite
+def factor_bounds(draw):
+    """(rows, n) factor bounds with many exact 0 and 1 entries: each factor
+    of a kind above, some rows certain in every factor, and all-zero
+    padding columns mixed in."""
+    rows, n, pad = draw(st.integers(1, 8)), draw(st.integers(0, 10)), draw(st.integers(0, 3))
+    kinds = draw(st.lists(st.sampled_from(sorted(FACTOR_KINDS)), min_size=rows * n, max_size=rows * n))
+    values = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), min_size=2 * rows * n, max_size=2 * rows * n))
+    certain = draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
+    plb, pub = np.zeros((2, rows, n + pad))
+    for cell, kind in enumerate(kinds):
+        x, y = sorted(values[2 * cell : 2 * cell + 2])
+        plb[cell // n, cell % n], pub[cell // n, cell % n] = FACTOR_KINDS[kind](x, y)
+    plb[certain, :n] = pub[certain, :n] = 1.0
+    columns = draw(st.permutations(range(n + pad)))
+    return plb[:, columns], pub[:, columns]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(factor_bounds())
+@example((np.array([[1.0, 0.3, 0.0], [0.0, 0.2, 1.0]]), np.array([[1.0, 0.6, 0.0], [0.0, 0.2, 1.0]])))
+@example((np.array([[1.0, 1.0, 0.0]]), np.array([[1.0, 1.0, 0.0]])))
+@example((np.array([[0.3, 0.2], [0.0, 0.5]]), np.array([[0.6, 0.5], [0.1, 0.5]])))
+def test_count_bounds_match_the_dense_grid(bounds):
+    """On rows mixing every kind of factor, with padding columns and rows
+    certain in every factor, the bounds are those of the dense grid: lb byte
+    for byte, ub to within (n+1) units of roundoff, crisp rows exact."""
+    assert_bounds_match_dense_grid(*bounds)
+
+
+def test_expansion_scales_to_a_thousand_factors(rng):
+    """Two rows of m = 1000 factors expand and extract in well under a
+    second (the (x, y) grid would take tens) into valid bounds: inside
+    [0, 1], lb <= ub, total lb mass <= 1 <= total ub mass, and lb the exact
+    PDF on a row whose factors are resolved."""
+    m = 1000
+    lo = rng.uniform(0, 1, size=(2, m))
+    hi = lo + rng.uniform(0, 1, size=(2, m)) * (1 - lo)
+    hi[1] = lo[1]
+    seconds = []
+    for _ in range(3):  # the best of three, so a busy host does not fail it
+        start = time.perf_counter()
+        lb, ub = _extract_batch(_ugf_expand_batch(lo, hi), m)
+        seconds.append(time.perf_counter() - start)
+    assert min(seconds) < 0.1
+    assert (0.0 <= lb).all() and (lb <= ub).all() and (ub <= 1.0).all()
+    assert (lb.sum(axis=1) <= 1.0 + 1e-12).all() and (ub.sum(axis=1) >= 1.0 - 1e-12).all()
+    assert lb[1].tobytes() == gf_exact(lo[1]).tobytes()

@@ -178,27 +178,27 @@ def dense_sweep(level, runs, p, criterion, budget):
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_multi_chunk_history_matches_dense_reference(rng, monkeypatch, d):
-    """With a float budget small enough to split the pairs of a depth into
-    several chunks, every depth's bounds equal, bit for bit, those of the
-    same chunks expanded on full (n+1, n+1) grids, extracted by the per-count
-    loop and mixed in one product, and those under the default budget: a
-    run's bounds do not depend on how its rows are cut."""
+    """With a float budget small enough to cut the kernel pass of a depth
+    into several `pdom_bounds_grid` calls, every depth's bounds equal, bit
+    for bit, those under the default budget: a run's bounds do not depend on
+    how its kernel calls are cut.  They equal those of the pairs expanded on
+    full (n+1, n+1) grids, extracted by the per-count loop and mixed in one
+    product: lb bit for bit, ub to within (n+1) units of roundoff."""
     engine = importlib.import_module("udom.idca")
-    expand = engine._ugf_expand_batch
+    pdom = engine.pdom_bounds_grid
     calls = []
 
-    def counted(plb, pub):
-        calls.append(plb.shape)
-        return expand(plb, pub)
+    def counted(*args):
+        calls.append(1)
+        return pdom(*args)
 
-    monkeypatch.setattr(engine, "_ugf_expand_batch", counted)
-    split_runs = 0
+    monkeypatch.setattr(engine, "pdom_bounds_grid", counted)
+    cut_runs = 0
     for trial in range(16):
         p = (1.0, 2.0, 3.0)[trial % 3]
         criterion = "minmax" if trial % 2 else "optimal"
         db = tied_db(rng, d, int(rng.integers(4, 9)), min_samples=2, spread=0.4)
         b, r = db[0], db[1]
-        # A chunk holds budget // (n+1)^2 pair rows for n candidates.
         n = len(classify(db, b, r, p=p, criterion=criterion).influence_objects)
         budget = (n + 1) ** 2 * (1, 2, 4, 8)[trial % 4]
         default = idca(db, b, r, p=p, max_depth=6, criterion=criterion)
@@ -206,17 +206,18 @@ def test_multi_chunk_history_matches_dense_reference(rng, monkeypatch, d):
             m.setattr(engine, "_BATCH_FLOAT_BUDGET", budget)
             calls.clear()
             got = idca(db, b, r, p=p, max_depth=6, criterion=criterion)
-            # More expansion calls than depths: some depth was split into chunks.
-            split_runs += len(calls) > len(got.history)
+            # More kernel calls than sweeps: some depth was cut into several calls.
+            cut_runs += len(calls) > len(got.history) - 1
             m.setattr(engine, "_evaluate_depth", functools.partial(dense_sweep, budget=budget))
             want = idca(db, b, r, p=p, max_depth=6, criterion=criterion)
         for ref in (want, default):
             assert got.stop_reason == ref.stop_reason
             assert len(got.history) == len(ref.history)
-            for g, w in zip(got.history, ref.history):
-                assert g.lb.tobytes() == w.lb.tobytes()
-                assert g.ub.tobytes() == w.ub.tobytes()
-    assert split_runs >= 12
+        for g, w, ref in zip(got.history, default.history, want.history):
+            assert g.lb.tobytes() == w.lb.tobytes() == ref.lb.tobytes()
+            assert g.ub.tobytes() == w.ub.tobytes()
+            assert np.abs(g.ub - ref.ub).max() <= (n + 1) * np.finfo(float).eps
+    assert cut_runs >= 12
 
 
 def test_uncertainty_values():

@@ -14,13 +14,12 @@ import importlib
 from unittest import mock
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import udom.domination as domination
 import udom.queries as queries
-from udom.genfunc import _extract_batch, _ugf_expand_batch
-from udom.idca import _expand_open, idca
+from udom.idca import idca
 from udom.model import build_object
 from udom.oracle import enumerate_exact
 from udom.queries import QueryPredicate, expected_rank, pknn_query, prknn_query
@@ -275,62 +274,3 @@ def test_batched_refinement_equals_the_per_target_loop(instance, criterion, k, s
         got = expected_rank(db, q, criterion=criterion, on_iteration=got_hook, **stops)
         assert repr(got) == repr(expected_rank_per_target(db, q, criterion=criterion, on_iteration=want_hook, **stops))
         assert got_calls == want_calls
-
-
-# (plb, pub) of one factor, from two drawn values x <= y in (0, 1).
-FACTOR_KINDS = {
-    "impossible": lambda x, y: (0.0, 0.0),
-    "certain": lambda x, y: (1.0, 1.0),
-    "resolved": lambda x, y: (x, x),
-    "open": lambda x, y: (x, y),
-    "from_zero": lambda x, y: (0.0, y),
-    "to_one": lambda x, y: (x, 1.0),
-}
-
-
-@st.composite
-def factor_bounds(draw):
-    """(rows, n) factor bounds with many exact 0 and 1 entries: each factor
-    of a kind above, some rows certain in every factor, and all-zero
-    padding columns mixed in."""
-    rows, n, pad = draw(st.integers(1, 8)), draw(st.integers(0, 10)), draw(st.integers(0, 3))
-    kinds = draw(st.lists(st.sampled_from(sorted(FACTOR_KINDS)), min_size=rows * n, max_size=rows * n))
-    values = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), min_size=2 * rows * n, max_size=2 * rows * n))
-    certain = draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
-    plb, pub = np.zeros((2, rows, n + pad))
-    for cell, kind in enumerate(kinds):
-        x, y = sorted(values[2 * cell : 2 * cell + 2])
-        plb[cell // n, cell % n], pub[cell // n, cell % n] = FACTOR_KINDS[kind](x, y)
-    plb[certain, :n] = pub[certain, :n] = 1.0
-    columns = draw(st.permutations(range(n + pad)))
-    return plb[:, columns], pub[:, columns]
-
-
-@settings(derandomize=True, database=None, deadline=None, max_examples=400)
-@given(factor_bounds())
-@example((np.array([[1.0, 0.3, 0.0], [0.0, 0.2, 1.0]]), np.array([[1.0, 0.6, 0.0], [0.0, 0.2, 1.0]])))
-@example((np.array([[1.0, 1.0, 0.0]]), np.array([[1.0, 1.0, 0.0]])))
-@example((np.array([[0.3, 0.2], [0.0, 0.5]]), np.array([[0.6, 0.5], [0.1, 0.5]])))
-def test_open_factor_expansion_equals_the_dense_grid(bounds):
-    """Expanding only each row's open factors and shifting by its certain
-    ones gives the dense expansion's count bounds byte for byte, and the
-    packed block is expanded exactly when it updates fewer grid cells."""
-    plb, pub = bounds
-    n = plb.shape[1]
-    engine = importlib.import_module("udom.idca")
-    widths = []
-
-    def spy(lo, hi):
-        widths.append(lo.shape[1])
-        return _ugf_expand_batch(lo, hi)
-
-    with mock.patch.object(engine, "_ugf_expand_batch", spy):
-        got = _expand_open(plb, pub)
-    for g, w in zip(got, _extract_batch(_ugf_expand_batch(plb, pub), n)):
-        assert g.shape == w.shape
-        assert np.ascontiguousarray(g).tobytes() == w.tobytes()
-    open_ = (pub > 0.0) & (plb < 1.0)
-    w = int(open_.sum(axis=1).max(initial=0))
-    a, a_open = (int(((plb > 0.0) & keep).sum(axis=1).max(initial=0)) for keep in (True, open_))
-    packs = (a_open + 1) * w < (a + 1) * int((pub > 0.0).any(axis=0).sum())
-    assert widths == [w if packs else n]
