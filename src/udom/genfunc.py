@@ -28,7 +28,9 @@ difference of two cumulative sums.  Each coefficient of A and B passes
 through at most 2n roundings for n factors and each cumulative sum n more,
 over masses that total 1, so ub is off by at most about 3n*eps in absolute
 terms; against the grid's ub (with rounding of its own) the tests hold it
-within (n+1)*eps.  It is clamped to [lb, 1].  A (0, 0) factor multiplies all
+within (n+1)*eps.  It is clamped to [lb, 1].  A row whose factors are all
+resolved (p_lb = p_ub) has A = B = C bit for bit and takes ub = A, so its
+bounds are exact, ub == lb, as on the grid.  A (0, 0) factor multiplies all
 three products by exactly 1 and a (1, 1) factor shifts them by exactly one
 degree, so padding and certain factors add no rounding.
 """
@@ -106,22 +108,28 @@ def _ugf_expand_batch(plb: np.ndarray, pub: np.ndarray) -> np.ndarray:
     every product has degree <= j, so a pass updates only the first j+1 cells.
     """
     rows, n = plb.shape
-    x = np.stack([plb, plb, pub]).transpose(2, 0, 1).copy()  # [column, product, row]
-    z = 1.0 - np.stack([pub, plb, pub]).transpose(2, 0, 1).copy()
     f = np.zeros((n + 1, 3, rows))  # [degree, product, row]: a pass updates contiguous rows
     f[0] = 1.0
+    x, z = np.empty((2, 3, rows))  # one column's coefficients of C, A, B
     for j, l in enumerate(np.flatnonzero((pub > 0.0).any(axis=0)).tolist()):
-        carry = x[l] * f[: j + 1]
-        f[: j + 1] *= z[l]
+        x[:2], x[2] = plb[:, l], pub[:, l]
+        np.subtract(1.0, x, out=z)
+        z[0] = z[2]
+        carry = x * f[: j + 1]
+        f[: j + 1] *= z
         f[1 : j + 2] += carry
     return f.transpose(1, 2, 0)
 
 
-def _extract_batch(f: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _extract_batch(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Count bounds read off products from `_ugf_expand_batch`: (rows, n+1)
     lower and upper bounds for counts 0..n, lb = C and
-    ub[k] = cumsum(A)[k] - cumsum(B)[k-1], clamped to [lb, 1]."""
-    lb, a, b = f[:, :, : n + 1]
+    ub[k] = cumsum(A)[k] - cumsum(B)[k-1], clamped to [lb, 1].  On a row whose
+    factors are all resolved (plb = pub) the three products are the same bit
+    for bit and ub[k] is A[k] exactly, which the difference of sums would
+    round; so a row with A == B takes ub = A, and ub == lb there."""
+    lb, a, b = f
     ub = a.cumsum(axis=1)
     ub[:, 1:] -= b[:, :-1].cumsum(axis=1)
+    np.copyto(ub, a, where=(a == b).all(axis=1)[:, None])
     return lb, np.maximum(np.minimum(ub, 1.0, out=ub), lb, out=ub)

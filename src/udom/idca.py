@@ -203,11 +203,11 @@ def _evaluate_depth(level: Frontier, runs: list, p: float, criterion: str) -> li
     no bit.  A narrower run is padded with plb = pub = 0, factors that
     multiply by exactly 1.  One `_ugf_expand_batch` call expands every row
     of the block into its three univariate products (`udom.genfunc`), of
-    3 * rows * (width+1) floats, the order of the block, and one
-    `_extract_batch` call reads them as count bounds.  Each run is then
-    mixed in one product with its pair masses and shifted by s.  A row's
-    products do not depend on its neighbours, so a run's bounds are those
-    of its own sweep, bit for bit.
+    3 * rows * (width+1) floats plus a pass's temporary of at most as
+    many, the order of the block, and one `_extract_batch` call reads them
+    as count bounds.  Each run is then mixed in one product with its pair
+    masses and shifted by s.  A row's products do not depend on its
+    neighbours, so a run's bounds are those of its own sweep, bit for bit.
     """
     nodes = np.diff(level.seg)
     rows = np.cumsum([0] + [nodes[run.roots[-2]] * nodes[run.roots[-1]] for run in runs])
@@ -229,7 +229,7 @@ def _evaluate_depth(level: Frontier, runs: list, p: float, criterion: str) -> li
             c, j = np.searchsorted(cands, runs[i].roots[:-2]), np.searchsorted(bs, runs[i].roots[-2])
             for out, g in zip(block, bounds):
                 out[rows[i] : rows[i + 1], : c.size] = g[c, b.seg[j] : b.seg[j + 1]].reshape(c.size, -1).T
-    pair = _extract_batch(_ugf_expand_batch(*block), width)  # lb, ub
+    pair = _extract_batch(_ugf_expand_batch(*block))  # lb, ub
     dists = []
     for run, first, last in zip(runs, rows[:-1], rows[1:]):
         w = np.outer(*(level.mass[level.seg[k] : level.seg[k + 1]] for k in run.roots[-2:])).ravel()

@@ -304,6 +304,25 @@ def test_stop_criteria_basics(rng):
             query(db, r, 1, 0.5, decide=decide_at_two)
 
 
+def test_full_separation_is_exact_with_non_dyadic_weights():
+    """Candidates of two samples weighted (1 - q, q), one sample dominating
+    and one not, separate at depth 2 into resolved pdom bounds 1 - q (exact:
+    1 - q is a float and 1 - (1 - q) rounds back to q).  Their count PDF is
+    then pinned, ub == lb, though its cumulative sums round: epsilon=0.0
+    stops as "criterion" with zero uncertainty where the run would otherwise
+    stop as "exhausted"."""
+    r, b = point_obj("r", (0.0, 0.0)), point_obj("b", (1.0, 0.0))
+    qs = [0.7, 0.6, 0.9, 0.55, 0.8]
+    db = [b] + [build_object(f"o{i}", [((0.1 * (i + 1), 0.5), 1.0 - q), ((3.0 + i, 0.0), q)]) for i, q in enumerate(qs)]
+    plain = idca(db, b, r, max_depth=12)
+    exact = idca(db, b, r, max_depth=12, epsilon=0.0)
+    assert (plain.stop_reason, exact.stop_reason) == ("exhausted", "criterion")
+    assert plain.iterations_run == exact.iterations_run == 2
+    assert exact.uncertainty_trace[-1] == 0.0
+    assert exact.distribution.lb.tobytes() == exact.distribution.ub.tobytes()
+    np.testing.assert_allclose(exact.distribution.lb, gf_exact([1.0 - q for q in qs]), atol=1e-15)
+
+
 def test_predicate_decided_stop(rng):
     db, b, r = random_instance(rng, n_objects=5)
 
