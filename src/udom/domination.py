@@ -185,10 +185,13 @@ def pdom_bounds_grid(
     all nodes at once, so the peak temporary is O(len(a) * len(b)) per
     r-node.  A candidate root's bound on one (b-node, r-node) pair is one
     segmented sum (`np.add.reduceat`) of the masses of its nodes that
-    dominate the b-node (lb), or that the b-node dominates (1 - ub).  Each
-    (segment, column) is reduced on its own, so a candidate root's bounds do
-    not depend on the other roots of `a`, nor a b-node's on the other nodes
-    of `b`: both are what a one-root call gives, bit for bit.
+    dominate the b-node (lb), or that the b-node does not dominate (ub),
+    capped at 1.  A node that dominates is never dominated, so ub >= lb, and
+    a cell whose every node is decided sums the same masses in the same
+    order for both: ub == lb bit for bit.  Each (segment, column) is reduced
+    on its own, so a candidate root's bounds do not depend on the other
+    roots of `a`, nor a b-node's on the other nodes of `b`: both are what a
+    one-root call gives, bit for bit.
     """
     lb = np.empty((a.seg.size - 1, len(b), len(r)))
     ub = np.empty((a.seg.size - 1, len(b), len(r)))
@@ -197,7 +200,7 @@ def pdom_bounds_grid(
         dom = dominance_grid(a.lo, a.hi, b.lo, b.hi, r_lo, r_hi, p, criterion)[..., 0]
         rev = dominance_grid(b.lo, b.hi, a.lo, a.hi, r_lo, r_hi, p, criterion)[..., 0]
         lb[:, :, z] = np.add.reduceat(mass * dom, a.seg[:-1])
-        ub[:, :, z] = 1.0 - np.add.reduceat(mass * rev.T, a.seg[:-1])
+        ub[:, :, z] = np.add.reduceat(mass * ~rev.T, a.seg[:-1])
     np.minimum(lb, 1.0, out=lb)
-    np.maximum(ub, lb, out=ub)
+    np.minimum(ub, 1.0, out=ub)
     return lb, ub

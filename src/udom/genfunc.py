@@ -63,6 +63,8 @@ class DomCountDistribution:
         self.ub = np.asarray(self.ub, dtype=float)
         if self.lb.shape != self.ub.shape or self.lb.ndim != 1:
             raise ValueError("lb/ub must be equal-length 1d arrays")
+        if np.isnan(self.lb).any() or np.isnan(self.ub).any():
+            raise ValueError("bounds must not be NaN")
         if (self.lb < -MASS_TOLERANCE).any() or (self.lb > 1.0 + MASS_TOLERANCE).any():
             raise ValueError("lower bounds must lie in [0, 1]")
         if (self.lb > self.ub + MASS_TOLERANCE).any():
@@ -86,7 +88,7 @@ def gf_exact(probs: Sequence[float]) -> np.ndarray:
     engine's product on one row with p_lb = p_ub = probs.
     """
     probs = np.asarray(list(probs), dtype=float)
-    if probs.size and ((probs < 0.0) | (probs > 1.0)).any():
+    if not ((probs >= 0.0) & (probs <= 1.0)).all():  # NaN fails too
         raise ValueError("probabilities must lie in [0, 1]")
     return _ugf_expand_batch(probs[None], probs[None])[0, 0].copy()
 

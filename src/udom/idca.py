@@ -17,9 +17,9 @@ so its bounds are bit for bit those it would get alone; each run answers
 through its own `idca` call.  Nested decompositions only tighten bounds, so
 lower bounds rise and upper bounds fall monotonically until a stop rule fires,
 the pair budget would be exceeded, or every object is fully separated.  Then
-the bounds are exact for discrete objects, unless two samples tie exactly in
-distance to a reference sample: a tie never counts as domination, so such a
-sample triple keeps its pdom bounds at (0, 1).
+the bounds are exact for discrete objects, lb == ub bit for bit, unless two
+samples tie exactly in distance to a reference sample: a tie never counts as
+domination, so such a sample triple keeps its pdom bounds at (0, 1).
 """
 
 from __future__ import annotations
@@ -53,10 +53,9 @@ class IdcaResult:
     """Final count distribution plus the whole refinement trace.
 
     ``history[i]`` and ``uncertainty_trace[i]`` describe iteration i.
-    Iteration 0 is the MBR classification: zero lower bounds, and upper
-    bounds equal to the root-mass product (capped at 1) on the counts
-    s..s+m, or the exact count s when no influence object is left.
-    Iteration i >= 1 is the sweep at frontier depth i + 1.
+    Iteration 0 is the MBR classification: zero lower bounds and upper
+    bounds 1 on the counts s..s+m, or the exact count s when no influence
+    object is left.  Iteration i >= 1 is the sweep at frontier depth i + 1.
     ``stop_reason`` is "criterion", "pair_budget" or "exhausted".
     """
 
@@ -94,21 +93,17 @@ def _stopped(depth: int, dist: DomCountDistribution, max_depth: int, epsilon, de
     )
 
 
-def _classified_bounds(n_cands, weights, shifts, width: int) -> tuple[np.ndarray, np.ndarray]:
+def _classified_bounds(n_cands, shifts, width: int) -> tuple[np.ndarray, np.ndarray]:
     """Iteration 0 of each target: the bounds the MBR classification alone
     allows, as (lb, ub) rows over the counts 0..width-1.
 
-    At depth 1 every influence object's domination bounds are (0, 1), so the
-    one (b-root, r-root) pair expands to y^m: no count is certain and every
-    count in s..s+m is possible, weighted by the root-mass product
-    ``min(b.weights.sum() * r.weights.sum(), 1)`` (which need not be exactly
-    1); with m = 0 the count s is exact.  This is what a depth-1 sweep
-    returns, byte for byte, without building a decomposition.
+    Each of the m influence objects may or may not dominate, so every count
+    in s..s+m is possible (ub = 1) and none is certain (lb = 0); with m = 0
+    the count s is exact (lb = ub = 1 there).
     """
     counts = np.arange(width)
-    exact = (n_cands == 0)[:, None]
-    ub = np.where(exact, 1.0, weights[:, None]) * ((counts >= shifts[:, None]) & (counts <= (shifts + n_cands)[:, None]))
-    return np.where(exact, ub, 0.0), ub
+    ub = ((counts >= shifts[:, None]) & (counts <= (shifts + n_cands)[:, None])).astype(float)
+    return np.where((n_cands == 0)[:, None], ub, 0.0), ub
 
 
 @dataclass(eq=False)
@@ -281,8 +276,7 @@ def idca(
     if run is None:
         p = _check_engine_args(p, max_depth, epsilon, criterion)
         cls = classify(db, b, r, p=p, criterion=criterion)
-        m, weight = len(cls.influence_objects), min(b.weights.sum() * r.weights.sum(), 1.0)
-        lb, ub = _classified_bounds(np.array([m]), np.array([weight]), np.array([cls.complete_domination_count]), _pdf_length(db, b))
+        lb, ub = _classified_bounds(np.array([len(cls.influence_objects)]), np.array([cls.complete_domination_count]), _pdf_length(db, b))
         run = _Run(b, r, cls, [DomCountDistribution._unchecked(lb[0], ub[0])])
         if _stopped(1, run.history[0], max_depth, epsilon, decide):
             run.reason = "criterion"

@@ -135,16 +135,15 @@ def _each_target(
         return
     order = sorted(range(len(targets)), key=lambda i: str(targets[i].id))
     n_total = _pdf_length(db, targets[0] if roles == "knn" else q)  # b's, the same for every target
-    weights = np.minimum(np.array([o.weights.sum() for o in targets]) * q.weights.sum(), 1.0)  # root-mass products
     decide = None if predicate is None else predicate.decide
     for cols, shifts, n_cands, labels in _target_labels(targets, order, q, roles, p, criterion):
         stop = np.full(len(cols), max_depth <= 1)
         if predicate is not None:
-            plb, pub = _knn_rows(*_classified_bounds(n_cands, weights[cols], shifts, min(predicate.k, n_total)), predicate.k)
+            plb, pub = _knn_rows(*_classified_bounds(n_cands, shifts, min(predicate.k, n_total)), predicate.k)
             stop |= (plb > predicate.tau) | (pub <= predicate.tau)
         # The read iteration-0 rows: every one for `on_iteration` or expected_rank, else the open ones.
         read = [j for j in range(len(cols)) if not stop[j] or on_iteration is not None or predicate is None]
-        rows = _classified_bounds(n_cands[read], weights[[cols[j] for j in read]], shifts[read], n_total)
+        rows = _classified_bounds(n_cands[read], shifts[read], n_total)
         first = dict(zip(read, map(DomCountDistribution._unchecked, *rows)))
         runs = {}
         for j in read:

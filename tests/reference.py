@@ -97,9 +97,9 @@ def pdom_bounds_one(a_lo, a_hi, a_mass, b, r, p=2.0, criterion="optimal"):
         dom = values(a_lo, a_hi, b.lo, b.hi, r_lo, r_hi, p) < 0.0
         rev = values(b.lo, b.hi, a_lo, a_hi, r_lo, r_hi, p) < 0.0
         lb[:, z] = np.add.reduceat(a_mass[:, None] * dom, [0])[0]
-        ub[:, z] = 1.0 - np.add.reduceat(a_mass[:, None] * rev.T, [0])[0]
+        ub[:, z] = np.add.reduceat(a_mass[:, None] * ~rev.T, [0])[0]
     np.minimum(lb, 1.0, out=lb)
-    np.maximum(ub, lb, out=ub)
+    np.minimum(ub, 1.0, out=ub)
     return lb, ub
 
 
@@ -266,14 +266,7 @@ def evaluate_depth_dense(level, n_cands, shift, n_total, p, criterion, budget):
     """`idca._evaluate_depth` on the dense kernels above: pairs expanded in
     chunks of ``max(1, budget // (n+1)^2)`` rows, then mixed in one weighted
     product over every pair.  `level` is a frontier of the forest of
-    ``[*cands, b, r]``."""
-    lb = np.zeros(n_total)
-    ub = np.zeros(n_total)
-    if not n_cands:
-        lb[shift] = 1.0
-        ub[shift] = 1.0
-        return DomCountDistribution(lb, ub)
-
+    ``[*cands, b, r]``, with at least one candidate."""
     b_front = level.take(np.array([n_cands]))
     r_front = level.take(np.array([n_cands + 1]))
     n_pairs = len(b_front) * len(r_front)
@@ -290,6 +283,8 @@ def evaluate_depth_dense(level, n_cands, shift, n_total, p, criterion, budget):
     ]
     pair_lb, pair_ub = (np.concatenate(g) for g in zip(*chunks))
 
+    lb = np.zeros(n_total)
+    ub = np.zeros(n_total)
     lb[shift : shift + n_cands + 1] = pair_w @ pair_lb
     ub[shift : shift + n_cands + 1] = np.minimum(pair_w @ pair_ub, 1.0)
     return DomCountDistribution(lb, np.maximum(ub, lb))

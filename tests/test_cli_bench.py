@@ -342,6 +342,16 @@ def test_bench_runtime_full_mode():
         assert float(row["wall_time_s"]) >= 0.0
 
 
+def test_bench_runtime_fills_every_mc_error_on_separable_data():
+    """Objects of three samples weigh 1/3 each, a mass whose sums round.
+    Every query separates fully within the depth cap, so every run pins its
+    PDF exactly (uncertainty 0) and every MC row gets its error."""
+    rows = bench_runtime(small_config(samples_per_object=3, repetitions=4, max_depth=12))
+    errors = [r["uncertainty_or_error"] for r in rows if r["method"].startswith("mc_")]
+    assert len(errors) == 8
+    assert all(float(e) >= 0.0 for e in errors)
+
+
 def test_bench_runtime_nontiming_columns_deterministic():
     def project(rows):
         return [

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from udom.genfunc import _extract_batch, _ugf_expand_batch, gf_exact
+from udom.genfunc import DomCountDistribution, _extract_batch, _ugf_expand_batch, gf_exact
 
 from reference import (
     UGFPoly,
@@ -114,10 +114,24 @@ def test_gf_exact_degenerate_probs_match_plain_convolution(rng):
 
 
 def test_gf_exact_validates():
-    with pytest.raises(ValueError):
-        gf_exact([0.5, 1.2])
-    with pytest.raises(ValueError):
-        gf_exact([-0.1])
+    """Out-of-range probabilities are refused, NaN too: it fails every
+    comparison, so only a value that passes both 0 <= p and p <= 1 is
+    accepted."""
+    for bad in ([0.5, 1.2], [-0.1], [float("nan")], [0.5, float("nan")]):
+        with pytest.raises(ValueError):
+            gf_exact(bad)
+
+
+@pytest.mark.parametrize("lb, ub", [([np.nan, 0.5], [np.nan, 1.0]), ([0.0, 0.5], [np.nan, 1.0]), ([np.nan, 0.5], [1.0, 1.0])])
+def test_count_distribution_rejects_nan_bounds(lb, ub):
+    with pytest.raises(ValueError, match="NaN"):
+        DomCountDistribution(lb, ub)
+
+
+def test_count_distribution_accepts_upper_bounds_above_one():
+    """Vacuous upper bounds stay valid, as the class documents."""
+    dist = DomCountDistribution([0.0, 0.5], [0.7, 1.5])
+    assert dist.ub.tolist() == [0.7, 1.5]
 
 
 # ---------------------------------------------------------------------------

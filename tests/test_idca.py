@@ -306,8 +306,8 @@ def test_stop_criteria_basics(rng):
 
 def test_full_separation_is_exact_with_non_dyadic_weights():
     """Candidates of two samples weighted (1 - q, q), one sample dominating
-    and one not, separate at depth 2 into resolved pdom bounds 1 - q (exact:
-    1 - q is a float and 1 - (1 - q) rounds back to q).  Their count PDF is
+    and one not, separate at depth 2 into resolved pdom bounds 1 - q (lb
+    and ub both the dominating sample's mass).  Their count PDF is
     then pinned, ub == lb, though its cumulative sums round: epsilon=0.0
     stops as "criterion" with zero uncertainty where the run would otherwise
     stop as "exhausted"."""
@@ -321,6 +321,21 @@ def test_full_separation_is_exact_with_non_dyadic_weights():
     assert exact.uncertainty_trace[-1] == 0.0
     assert exact.distribution.lb.tobytes() == exact.distribution.ub.tobytes()
     np.testing.assert_allclose(exact.distribution.lb, gf_exact([1.0 - q for q in qs]), atol=1e-15)
+
+
+def test_full_separation_is_exact(rng):
+    """A pdom cell whose every node is decided sums the same node masses,
+    in the same order, for lb and for ub, so its bounds are equal bit for
+    bit.  An epsilon=0 run over objects with random (non-dyadic) weights
+    then ends on the possible-worlds PDF with zero width as "criterion".
+    An ub taken as 1 minus the dominated masses would round apart from lb
+    and leave such runs "exhausted" with widths near 1e-16."""
+    for _ in range(30):
+        db, b, r = random_instance(rng, n_objects=5)
+        res = idca(db, b, r, max_depth=12, epsilon=0.0)
+        assert res.stop_reason == "criterion"
+        assert res.uncertainty_trace[-1] == 0.0
+        np.testing.assert_allclose(res.distribution.lb, enumerate_exact(db, b, r).pdf, rtol=0, atol=1e-12)
 
 
 def test_predicate_decided_stop(rng):
@@ -419,16 +434,19 @@ def equal_weight_object(obj_id, rng, k, d):
     return build_object(obj_id, [(pt, 1.0 / k) for pt in rng.uniform(0.0, 1.0, size=(k, d))])
 
 
-def test_iteration_zero_equals_depth_one_sweep(rng):
-    """Iteration 0 is built from the classification counts alone, and equals
-    byte for byte a depth-1 sweep: the engine's sweep when there are
-    influence objects, and the dense reference (which keeps the
-    empty-candidate branch) in every case.  Equal-weight objects of 14 and
-    100 samples have root masses just below and just above 1."""
+def test_iteration_zero_is_the_classification_counts(rng):
+    """Iteration 0 is built from the classification counts alone, byte for
+    byte: lb = 0 and ub = 1 on the counts s..s+m, or lb = ub = 1 at s when
+    no influence object is left.  A depth-1 sweep, the engine's and the
+    dense reference's, is no looser: it knows only the MBRs too, but weighs
+    the counts by the root masses, which equal-weight objects of 14 and 100
+    samples put just below and just above 1.  So its ub may fall below 1,
+    and its lb rise above 0 by the product of the candidates' shortfalls
+    1 - mass, a few ulps at most."""
     engine = importlib.import_module("udom.idca")
     budget = engine._BATCH_FLOAT_BUDGET
     masses = set()
-    seen_m0 = seen_m = 0
+    seen_m0 = seen_m = below = 0
     for trial in range(90):
         d = 1 + trial % 3
         p = (1.0, 2.0, 3.0)[trial % 3]
@@ -449,21 +467,44 @@ def test_iteration_zero_equals_depth_one_sweep(rng):
         cls = res.classification
         cands = list(cls.influence_objects)
         shift = cls.complete_domination_count
-        n_total = len(res.distribution)
         got = res.history[0]
-        roots = DecompositionTree([*cands, b, r]).leaves(1)
-        wants = [evaluate_depth_dense(roots, len(cands), shift, n_total, p, criterion, budget)]
-        if cands:
-            run = engine._Run(b, r, cls, [got], roots=np.arange(len(cands) + 2))
-            wants.extend(engine._evaluate_depth(roots, [run], p, criterion))
-            seen_m += 1
-        else:
+        lb, ub = np.zeros(len(res.distribution)), np.zeros(len(res.distribution))
+        ub[shift : shift + len(cands) + 1] = 1.0
+        if not cands:
+            lb[shift] = 1.0
+        assert got.lb.tobytes() == lb.tobytes()
+        assert got.ub.tobytes() == ub.tobytes()
+        if not cands:
             seen_m0 += 1
+            continue
+        seen_m += 1
+        roots = DecompositionTree([*cands, b, r]).leaves(1)
+        run = engine._Run(b, r, cls, [got], roots=np.arange(len(cands) + 2))
+        wants = [evaluate_depth_dense(roots, len(cands), shift, len(lb), p, criterion, budget)]
+        wants.extend(engine._evaluate_depth(roots, [run], p, criterion))
         for want in wants:
-            assert got.lb.tobytes() == want.lb.tobytes()
-            assert got.ub.tobytes() == want.ub.tobytes()
+            assert (want.lb >= got.lb).all() and (want.ub <= got.ub).all()
+            np.testing.assert_allclose(want.lb, got.lb, rtol=0, atol=1e-15)
+        below += bool((wants[-1].ub < got.ub).any())
     assert {0.9999999999999999, 1.0000000000000004} <= masses
-    assert seen_m0 and seen_m
+    assert seen_m0 and seen_m and below
+
+
+def test_width_never_rises_from_iteration_zero_to_one(rng):
+    """Refinement tightens from iteration 0 on.  Over objects of 14 and 100
+    equal-weight samples, whose masses sum to just below or just above 1,
+    the summed width of iteration 1 never exceeds that of iteration 0.  So
+    iteration 0 must not weigh its counts by the root masses: the sweep's
+    mix of pair masses can round a few ulps above that weight."""
+    opened = 0
+    for trial in range(60):
+        db = [equal_weight_object(f"o{i}", rng, (14, 100)[int(rng.integers(0, 2))], 2) for i in range(6)]
+        r = equal_weight_object("ref", rng, (14, 100)[trial % 2], 2)
+        trace = idca(db, db[0], r, max_depth=2).uncertainty_trace
+        if len(trace) > 1:
+            opened += 1
+            assert trace[1] <= trace[0]
+    assert opened
 
 
 def test_refinement_holds_at_most_two_levels(monkeypatch):

@@ -250,7 +250,8 @@ def test_expected_rank_interval_rejects_bounds_no_pdf_satisfies(lb, ub):
 
 
 def test_expected_rank_interval_accepts_mass_within_tolerance():
-    """Root-mass products a few ulps off 1 (the engine's iteration 0) stay valid."""
+    """Bounds whose total mass misses 1 by rounding (a sample mass sum or a
+    mix of pair masses a few ulps off 1) stay valid."""
     lo, hi = expected_rank_interval(DomCountDistribution(np.zeros(2), np.array([0.0, 1.0 - 1e-12])))
     assert (lo, hi) == (pytest.approx(2.0), pytest.approx(2.0))
 
