@@ -183,15 +183,17 @@ def pdom_bounds_grid(
     are read.  Returns (lb, ub) arrays of shape (a's roots, len(b), len(r)).
     Each r-node costs one forward and one reverse `dominance_grid` call over
     all nodes at once, so the peak temporary is O(len(a) * len(b)) per
-    r-node.  A candidate root's bound on one (b-node, r-node) pair is one
-    segmented sum (`np.add.reduceat`) of the masses of its nodes that
-    dominate the b-node (lb), or that the b-node does not dominate (ub),
-    capped at 1.  A node that dominates is never dominated, so ub >= lb, and
-    a cell whose every node is decided sums the same masses in the same
-    order for both: ub == lb bit for bit.  Each (segment, column) is reduced
-    on its own, so a candidate root's bounds do not depend on the other
-    roots of `a`, nor a b-node's on the other nodes of `b`: both are what a
-    one-root call gives, bit for bit.
+    r-node; under a point r-node (every r-node of a fully separated level)
+    both calls decide each cell from one distance key per node, not from
+    the kernel's per-dimension grid.  A candidate root's bound on one
+    (b-node, r-node) pair is one segmented sum (`np.add.reduceat`) of the
+    masses of its nodes that dominate the b-node (lb), or that the b-node
+    does not dominate (ub), capped at 1.  A node that dominates is never
+    dominated, so ub >= lb, and a cell whose every node is decided sums the
+    same masses in the same order for both: ub == lb bit for bit.  Each
+    (segment, column) is reduced on its own, so a candidate root's bounds
+    do not depend on the other roots of `a`, nor a b-node's on the other
+    nodes of `b`: both are what a one-root call gives, bit for bit.
     """
     lb = np.empty((a.seg.size - 1, len(b), len(r)))
     ub = np.empty((a.seg.size - 1, len(b), len(r)))

@@ -13,6 +13,29 @@ r, so it is implied by (never tighter than) the corner-wise criterion.
 All comparisons are strict and use p-th powers of distances; roots are never
 taken because x^p is monotone on the nonnegatives.  Exact ties therefore never
 count as domination, which keeps the criteria conservative.
+
+Under a point reference t both corners of r are t, so the corner-wise value
+is V = sum_i (fa_i - nb_i) with fa_i = MaxDist(a_i, t)^p and
+nb_i = MinDist(b_i, t)^p: a dominates b iff a's far key A = sum_i fa_i is
+below b's near key B = sum_i nb_i (MinDist/MaxDist pruning).  The kernel adds
+the rounded terms fl(fa_i - nb_i) in dimension order; the keys add the same
+fa_i and nb_i, in whatever order.  With u = eps / 2 and
+gamma_k = k u / (1 - k u), the standard bounds for sums of d terms give
+|A - sum fa_i| <= gamma_{d-1} sum fa_i (likewise B) and
+|V - (sum fa_i - sum nb_i)| <= gamma_d (sum fa_i + sum nb_i), so V < 0 when
+B - A > C (A + B) and V > 0 when A - B > C (A + B), with
+C = (gamma_{d-1} + gamma_d) / (1 - gamma_{d-1}), about (2d - 1) u.  Both
+tests are run as B > A (1 + s) and B < A (1 - s) with s = 2 d eps, which
+covers C and the rounding of the two products; a product that lands among
+the subnormals errs by at most half the smallest subnormal, which the
+comparison with the float B absorbs (sums and differences of floats round
+with relative error at most u, subnormal or not).  So every cell outside the
+band A (1 - s) <= B <= A (1 + s) takes the kernel's decision from the keys
+alone, and only the band cells get the kernel's sum, from the same terms in
+the same order: the mask is the kernel's, bit for bit.  The keys are summed
+with overflow ignored; when 2 (max A + max B) is not finite the call runs the
+kernel, which then raises ValueError exactly when it would have anyway, and
+otherwise no partial sum of the kernel can overflow.
 """
 
 from __future__ import annotations
@@ -153,14 +176,57 @@ def _no_overflow(fn, *args):
         raise ValueError("p-th power distances overflow; rescale the coordinates") from None
 
 
+def _point_reference_mask(a_lo, a_hi, b_lo, b_hi, t, p):
+    """The optimal kernel's (m, n, 1) mask under the one point reference t,
+    a (d, 1) column, from one key per box (see the module docstring), or
+    None when the keys' sums may overflow.  A cell inside the rounding band
+    gets the kernel's value from the same terms: fl(fa_i - nb_i) added in
+    dimension order."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the kernel's own per-dimension p-th powers, worked the same way
+        far = t - a_lo.T  # (d, m)
+        np.maximum(far, a_hi.T - t, out=far)
+        far **= p
+        near = b_lo.T - t  # (d, n)
+        np.maximum(near, t - b_hi.T, out=near)
+        np.maximum(near, 0.0, out=near)
+        near **= p
+        a_key, b_key = far.sum(axis=0), near.sum(axis=0)
+        if not np.isfinite(2.0 * (a_key.max(initial=0.0) + b_key.max(initial=0.0))):
+            return None
+    slack = 2 * len(t) * np.finfo(float).eps
+    upper, lower = a_key * (1.0 + slack), a_key * (1.0 - slack)
+    mask = b_key > upper[:, None]
+    # Row i's band cells lower[i] <= b_key <= upper[i] are a run of the sorted b-keys.
+    sorted_keys = np.sort(b_key)
+    first = np.searchsorted(sorted_keys, lower, "left")
+    count = np.searchsorted(sorted_keys, upper, "right") - first
+    if count.any():
+        by_key = np.argsort(b_key)
+        rows = np.repeat(np.arange(len(a_key)), count)
+        cols = by_key[np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())]
+        total = np.zeros(rows.size)  # the kernel's sum, cell by cell
+        for fa, nb in zip(far, near):
+            total += fa[rows] - nb[cols]
+        mask[rows, cols] = total < 0.0
+    return mask[..., None]
+
+
 def dominance_grid(a_lo, a_hi, b_lo, b_hi, r_lo, r_hi, p=2.0, criterion="optimal"):
     """Boolean (m, n, k) array: a-box i dominates b-box j w.r.t. r-box z.
 
     a_lo/a_hi are (m, d), b_lo/b_hi (n, d) and r_lo/r_hi a (k, d) stack; one
     r-box is a (1, d) stack and gives an (m, n, 1) result.  Boxes whose
-    p-th power distances, or their sums, overflow raise ValueError.
+    p-th power distances, or their sums, overflow raise ValueError.  An
+    "optimal" call whose stack is one point decides each cell from one
+    distance key per box, outside a proven rounding band, and sums the
+    kernel's terms on the band cells only: the same mask, bit for bit.
     """
     if criterion == "optimal":
+        if len(r_lo) == 1 and (r_lo == r_hi).all():
+            mask = _point_reference_mask(a_lo, a_hi, b_lo, b_hi, r_lo.T, p)
+            if mask is not None:
+                return mask
         values = _optimal_values_grid
     elif criterion == "minmax":
         values = _minmax_values_grid

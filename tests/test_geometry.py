@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -300,3 +302,90 @@ def test_r_stack_equals_single_calls(rng, criterion):
             one = r_lo[z : z + 1], r_hi[z : z + 1]
             assert stacked[..., z].tobytes() == values(*a, *b, *one, p)[..., 0].tobytes()
             assert (grid[..., z] == dominance_grid(*a, *b, *one, p, criterion)[..., 0]).all()
+
+
+def _point_keys(a_lo, a_hi, b_lo, b_hi, t, p):
+    """The a-boxes' far keys and the b-boxes' near keys under the point t:
+    sums of per-dimension p-th power distances."""
+    far = np.maximum(t - a_lo, a_hi - t) ** p
+    near = np.maximum(np.maximum(b_lo - t, t - b_hi), 0.0) ** p
+    return far.sum(axis=1), near.sum(axis=1)
+
+
+def _point_reference_case(rng, kind, d, p):
+    """a-boxes, b-boxes and a point t of one of four kinds, scaled by a power
+    of two (ties stay exact) so that coordinates run from 1e-160 to 1e150
+    and the p-th powers from subnormal to near overflow."""
+    m, n = (int(x) for x in rng.integers(1, 10, size=2))
+    if kind == 0:  # an integer grid with exact distance ties and point boxes
+        t = rng.integers(-4, 5, size=d).astype(float)
+        lo = rng.integers(-4, 5, size=(m + n, d)).astype(float)
+        side = rng.integers(0, 3, size=(m + n, d)).astype(float)
+    else:
+        t = rng.uniform(-4.0, 4.0, size=d)
+        lo = rng.uniform(-4.0, 4.0, size=(m + n, d))
+        side = rng.uniform(0.0, 2.0, size=(m + n, d))
+    side[rng.uniform(size=(m + n, d)) < 0.4] = 0.0
+    hi = lo + side
+    if kind == 2:  # boxes that touch or contain t
+        hit = rng.uniform(size=m + n) < 0.5
+        lo[hit], hi[hit] = np.minimum(lo[hit], t), np.maximum(hi[hit], t)
+    if kind == 3:  # point b-boxes at permuted offsets of point a-boxes: ties in the reals, not in floats
+        lo[:m] = hi[:m] = t + rng.choice([-1.0, 1.0], size=(m, d)) * rng.uniform(0.0, 4.0, size=(m, d))
+        offsets = np.abs(lo[:m] - t)[rng.integers(0, m, size=n)]
+        lo[m:] = hi[m:] = t + rng.permuted(offsets, axis=1) * rng.choice([-1.0, 1.0], size=(n, d))
+    scale = 2.0 ** int(rng.integers(-531, min(498, int(1000 / p) - 8)))
+    return lo[:m] * scale, hi[:m] * scale, lo[m:] * scale, hi[m:] * scale, t * scale
+
+
+def _rounding_trap():
+    """d = 8, p = 1, t = 0: a is 1 then seven terms of just under half an
+    ulp of 1, which its far key drops (A = 1); b's near key is 1 + 6u.  The
+    keys say a dominates (B - A = 6u, outside a d = 1 band), but the kernel's
+    sum is u (1 - 7 * 2^-10) > 0."""
+    u = np.finfo(float).eps / 2
+    a = np.array([[1.0] + [u * (1 - 2.0**-10)] * 7])
+    b = np.array([[1.0 + 6 * u] + [0.0] * 7])
+    return a, a, b, b, np.zeros(8)
+
+
+def test_point_reference_mask_equals_the_kernel(rng):
+    """Under one point reference `dominance_grid` decides cells from distance
+    keys outside a rounding band; its mask must be the kernel's bit for bit
+    over p, d, ties, boxes touching or containing t, point boxes and
+    subnormal powers, and some cells must fall in the band, including cells
+    where the keys alone would decide wrongly."""
+    band = wrong_keys = 0
+    cases = [((1.0, 8), _rounding_trap())]
+    for trial in range(1600):
+        p, d = (1.0, 1.5, 2.0, 3.0)[trial % 4], 1 + trial // 4 % 3
+        if trial % 40 < 4:
+            d = 8
+        cases.append(((p, d), _point_reference_case(rng, trial // 4 % 4, d, p)))
+    for (p, d), (a_lo, a_hi, b_lo, b_hi, t) in cases:
+        got = dominance_grid(a_lo, a_hi, b_lo, b_hi, t[None], t[None], p)
+        values = _optimal_values_grid(a_lo, a_hi, b_lo, b_hi, t[None], t[None], p)[..., 0]
+        assert got.shape == (len(a_lo), len(b_lo), 1)
+        assert got[..., 0].tobytes() == (values < 0.0).tobytes()
+        a_key, b_key = _point_keys(a_lo, a_hi, b_lo, b_hi, t, p)
+        s = 2 * d * np.finfo(float).eps
+        inside = (b_key >= (a_key * (1 - s))[:, None]) & (b_key <= (a_key * (1 + s))[:, None])
+        band += int(inside.sum())
+        wrong_keys += int((inside & ((b_key > a_key[:, None]) != (values < 0.0))).sum())
+    assert band > 100
+    assert wrong_keys > 0
+
+
+def test_point_reference_keys_that_overflow_fall_back_to_the_kernel():
+    """p = 1 and equal huge coordinates: the key sums overflow, the kernel's
+    differences do not, so the call returns the kernel's mask, without error
+    and without a RuntimeWarning."""
+    a = np.array([[1.7e308, 1.7e308], [1.0e308, 1.7e308]])
+    b = np.array([[1.7e308, 1.7e308], [1.7e308, 1.0e308]])
+    t = np.zeros((1, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = dominance_grid(a, a, b, b, t, t, 1.0)
+        want = _optimal_values_grid(a, a, b, b, t, t, 1.0) < 0.0
+    assert got.tobytes() == want.tobytes()
+    assert want.any() and not want.all()
