@@ -86,47 +86,35 @@ def _pdf_length(db: Sequence[UncertainObject], b: UncertainObject) -> int:
 COMPLETE, INFLUENCE, IRRELEVANT, EXCLUDED = range(4)
 
 
-def _mbr_rows(objs: Sequence[UncertainObject]) -> tuple[np.ndarray, np.ndarray]:
-    """The objects' MBRs as two (N, d) arrays of lower and upper corners."""
-    return np.array([o.mbr.lo for o in objs]), np.array([o.mbr.hi for o in objs])
-
-
-def _mbr_labels(lo, hi, b_lo, b_hi, r_lo, r_hi, p, criterion) -> np.ndarray:
-    """(N, t_b * t_r) int8 group labels, target-major, of the N boxes `lo`/`hi`
-    against a (t_b, d) stack of targets b under a (t_r, d) stack of references.
-    An object that dominates b is COMPLETE, one that b dominates IRRELEVANT.
-    A target stack that *is* `lo`/`hi`, under one reference, makes the forward
-    grid square, and its transpose the reverse grid: one kernel call serves both.
-    """
-    dom = dominance_grid(lo, hi, b_lo, b_hi, r_lo, r_hi, p, criterion).reshape(len(lo), -1)
-    if b_lo is lo and b_hi is hi:
-        rev = dom.T
-    else:
-        rev = dominance_grid(b_lo, b_hi, lo, hi, r_lo, r_hi, p, criterion).swapaxes(0, 1).reshape(len(lo), -1)
-    labels = np.full(dom.shape, INFLUENCE, dtype=np.int8)
-    labels[rev] = IRRELEVANT
-    labels[dom] = COMPLETE
-    return labels
-
-
-def _target_labels(targets, order, q, roles, p, criterion) -> Iterator[tuple[list, np.ndarray, np.ndarray, np.ndarray]]:
-    """Label every object of `targets` against each target in `order` (row
+def _target_labels(objs, order, q, roles, p, criterion) -> Iterator[tuple[list, np.ndarray, np.ndarray, np.ndarray]]:
+    """Label every object of `objs` against each target in `order` (row
     indices), q fixed: role "knn" makes the target b and q the reference,
-    "rknn" makes q b and the target the reference.  The MBRs are stacked once
-    and the targets labelled in chunks within `_BATCH_FLOAT_BUDGET` (a kNN
-    chunk of every target labels the square grid, then orders its columns).
+    "rknn" makes q b and the target the reference.  An object that dominates
+    b is COMPLETE, one that b dominates IRRELEVANT, any other INFLUENCE.
+    The MBRs are stacked once and the targets labelled in chunks within
+    `_BATCH_FLOAT_BUDGET`, each chunk by one forward and one reverse kernel
+    call; a kNN chunk of every object makes the forward grid square, so its
+    transpose is the reverse grid and its columns are ordered afterwards.
     Yields per chunk: its row indices, per target its COMPLETE count s and
-    its INFLUENCE count m, and the (len(targets), chunk) label columns, each
-    target's own row EXCLUDED."""
-    lo, hi = _mbr_rows(targets)
+    its INFLUENCE count m, and the (len(objs), chunk) label columns, each
+    target's own row EXCLUDED.  Every MBR label of the package comes from
+    here (`classify` is the one-target pass)."""
+    lo, hi = np.array([o.mbr.lo for o in objs]), np.array([o.mbr.hi for o in objs])
     one = q.mbr.lo[None], q.mbr.hi[None]
-    chunk = max(1, _BATCH_FLOAT_BUDGET // (_kernel_floats_per_cell(lo.shape[1]) * len(targets)))
+    chunk = max(1, _BATCH_FLOAT_BUDGET // (_kernel_floats_per_cell(lo.shape[1]) * len(objs)))
     for start in range(0, len(order), chunk):
         cols = order[start : start + chunk]
-        square = roles == "knn" and len(cols) == len(lo)
+        square = roles == "knn" and len(cols) == len(objs)
         stack = (lo, hi) if square else (lo[cols], hi[cols])
         b, r = (stack, one) if roles == "knn" else (one, stack)
-        labels = _mbr_labels(lo, hi, *b, *r, p, criterion)
+        dom = dominance_grid(lo, hi, *b, *r, p, criterion).reshape(len(objs), -1)
+        if square:
+            rev = dom.T
+        else:
+            rev = dominance_grid(*b, lo, hi, *r, p, criterion).swapaxes(0, 1).reshape(len(objs), -1)
+        labels = np.full(dom.shape, INFLUENCE, dtype=np.int8)
+        labels[rev] = IRRELEVANT
+        labels[dom] = COMPLETE
         if square:
             labels = labels[:, cols]
         labels[cols, np.arange(len(cols))] = EXCLUDED
@@ -150,22 +138,21 @@ def classify(
     p: float = 2.0,
     criterion: str = "optimal",
 ) -> DominationClassification:
-    """Group the objects of `others(db, b, r)` by two MBR kernel masks.
+    """Group the objects of `others(db, b, r)` by their MBR labels against b under r.
 
     ``criterion`` selects the decision rule: "optimal" (corner-wise, tight) or
     "minmax" (baseline, kept for comparisons; never prunes more than optimal).
-    This is the one-target case of the labelling a threshold query runs for
-    all its targets at once.
+    This is the one-target kNN pass of `_target_labels`, the labelling a
+    threshold query runs for all its targets: b, appended to the candidates,
+    is its own target, so it is EXCLUDED from every group as a threshold
+    target is.
     """
     p = check_norm_order(p)
     if criterion not in ("optimal", "minmax"):
         raise ValueError(f"unknown criterion {criterion!r}")
-    cands = others(db, b, r)
-    if not cands:
-        return DominationClassification((), (), ())
-    lo, hi = _mbr_rows(cands)
-    labels = _mbr_labels(lo, hi, b.mbr.lo[None], b.mbr.hi[None], r.mbr.lo[None], r.mbr.hi[None], p, criterion)
-    return _group(cands, labels[:, 0])
+    objs = [*others(db, b, r), b]
+    ((_, _, _, labels),) = _target_labels(objs, [len(objs) - 1], r, "knn", p, criterion)
+    return _group(objs, labels[:, 0])
 
 
 def pdom_bounds_grid(

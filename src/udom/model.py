@@ -271,7 +271,8 @@ def load_dataset(path, *, seed: int = 0) -> list[UncertainObject]:
       * a ``.csv`` name is ``gaussian-csv``: rows
         ``id, x1..xd, sigma1..sigmad, nsamples``; samples are drawn from the
         per-dimension Gaussian truncated at +-3 sigma (seeded by `seed`,
-        reproducible), with equal weights.
+        reproducible), with equal weights.  Trailing empty cells are
+        dropped; an empty cell before them raises DatasetError.
       * any other name is ``jsonl``: one object per line,
         ``{"id": ..., "samples": [[x1, ..., xd, w], ...]}``.
     """
@@ -327,9 +328,13 @@ def _load_gaussian_csv(path, seed: int) -> list[UncertainObject]:
     lines: dict = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
-            row = [cell.strip() for cell in row if cell.strip() != ""]
+            row = [cell.strip() for cell in row]
+            while row and row[-1] == "":  # a trailing comma is no missing value
+                row.pop()
             if not row or row[0].startswith("#"):
                 continue
+            if "" in row:
+                raise DatasetError(f"line {lineno}: column {row.index('') + 1} is empty")
             if (len(row) - 2) % 2 != 0 or len(row) < 4:
                 raise DatasetError(
                     f"line {lineno}: expected columns id, x1..xd, sigma1..sigmad, nsamples"

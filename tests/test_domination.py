@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from udom.domination import ProbBounds, classify, pdom_bounds_grid
+import udom.domination as domination
+from udom.domination import ProbBounds, _target_labels, classify, pdom_bounds_grid
 from udom.geometry import Rect
 from udom.model import DecompositionTree, build_object
 
 from conftest import random_instance, random_object
-from reference import pdom_bounds_loop, pdom_bounds_stacked
+from reference import dominates_minmax, dominates_optimal, pdom_bounds_loop, pdom_bounds_stacked
 
 
 def point_obj(obj_id, xy):
@@ -82,6 +83,68 @@ def test_classify_influence_objects_are_database_objects(rng):
         assert sum(hits) == 1
         seen += hits[2]
     assert seen  # the twin was an influence object at least once
+
+
+def _box_object(rng, obj_id, d, grid):
+    """One to three samples, on the integer grid 0..4 (exact MBR ties are
+    common) or uniform in [0, 4)."""
+    n = int(rng.integers(1, 4))
+    pts = rng.integers(0, 5, size=(n, d)).astype(float) if grid else rng.uniform(0.0, 4.0, size=(n, d))
+    return build_object(obj_id, [(pt, 1.0) for pt in pts])
+
+
+def test_classify_equals_the_one_pair_oracle(rng):
+    """Object by object, `classify` groups as the one-pair kernel decides on
+    the MBRs: COMPLETE when the object dominates b, else IRRELEVANT when b
+    dominates it, else INFLUENCE.  Groups keep database order, and b and r,
+    each a database member or external, land in no group; `db == [b]` and
+    `db == []` give empty groups."""
+    oracles = {"optimal": dominates_optimal, "minmax": dominates_minmax}
+    for case in range(400):
+        d, p = int(rng.integers(1, 4)), float(rng.integers(1, 4))
+        criterion, grid = ("optimal", "minmax")[case % 2], case % 4 < 2
+        db = [_box_object(rng, i, d, grid) for i in range(int(rng.integers(0, 6)))]
+        b = db[0] if db and rng.random() < 0.5 else _box_object(rng, "b", d, grid)
+        r = db[-1] if len(db) > 1 and rng.random() < 0.5 else _box_object(rng, "r", d, grid)
+        dominates = oracles[criterion]
+        want = {"complete": [], "influence": [], "irrelevant": []}
+        for o in db:
+            if o is b or o is r:
+                continue
+            if dominates(o.mbr, b.mbr, r.mbr, p):
+                want["complete"].append(o.id)
+            elif dominates(b.mbr, o.mbr, r.mbr, p):
+                want["irrelevant"].append(o.id)
+            else:
+                want["influence"].append(o)
+        cls = classify(db, b, r, p=p, criterion=criterion)
+        assert list(cls.complete_dominators) == want["complete"]
+        assert list(cls.irrelevant) == want["irrelevant"]
+        assert len(cls.influence_objects) == len(want["influence"])
+        assert all(got is o for got, o in zip(cls.influence_objects, want["influence"]))
+        for alone in ([b], []):
+            assert classify(alone, b, r, p=p, criterion=criterion) == domination.DominationClassification((), (), ())
+
+
+def test_square_knn_chunk_equals_one_target_chunks(rng, monkeypatch):
+    """A kNN labelling chunk of every object reads its reverse grid as the
+    forward grid's transpose; one-target chunks make a reverse kernel call
+    each.  Both give byte-identical label columns and counts, under a point
+    q (the kernel's key path) and a box q."""
+    for d in (1, 2, 3):
+        for criterion in ("optimal", "minmax"):
+            objs = [_box_object(rng, i, d, grid=d == 2) for i in range(12)]
+            order = [int(i) for i in rng.permutation(len(objs))]
+            for q in (build_object("q", [(rng.uniform(0.0, 4.0, size=d), 1.0)]), _box_object(rng, "q", d, grid=False)):
+                ((cols, s, m, labels),) = _target_labels(objs, order, q, "knn", 2.0, criterion)
+                assert cols == order
+                with monkeypatch.context() as patch:
+                    patch.setattr(domination, "_BATCH_FLOAT_BUDGET", 1)
+                    chunks = list(_target_labels(objs, order, q, "knn", 2.0, criterion))
+                assert [chunk[0] for chunk in chunks] == [[i] for i in order]
+                assert s.tobytes() == np.concatenate([chunk[1] for chunk in chunks]).tobytes()
+                assert m.tobytes() == np.concatenate([chunk[2] for chunk in chunks]).tobytes()
+                assert labels.tobytes() == np.hstack([chunk[3] for chunk in chunks]).tobytes()
 
 
 def test_classify_dimension_mismatch():

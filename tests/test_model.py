@@ -429,6 +429,23 @@ def test_gaussian_csv_errors(tmp_path):
         load_dataset(path)
 
 
+def test_gaussian_csv_empty_cell_is_an_error(tmp_path):
+    """An empty cell inside a row is a missing value: it must not shift the
+    columns after it (the row below would read as a 1-D object with mean 0.4
+    and sigma 0.1).  Only trailing empty cells, as a trailing comma leaves,
+    are dropped."""
+    gap, valid = "b,0.4,,0.1,,10", "a,0.5,0.5,0.1,0.1,10"
+    path = tmp_path / "gap.csv"
+    for rows, line in (([gap], 1), ([gap, valid], 1), ([valid, gap], 2)):
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(DatasetError, match=f"^line {line}: column 3 is empty$"):
+            load_dataset(path)
+    path.write_text(valid + ",\n" + "c, 0.2, 0.2, 0, 0, 3, ,\n")
+    a, c = load_dataset(path)
+    assert (a.id, a.ndim, a.n_samples) == ("a", 2, 10)
+    assert (c.id, c.ndim, c.n_samples) == ("c", 2, 3)
+
+
 def test_load_format_follows_file_name(tmp_path):
     path = tmp_path / "d.txt"
     path.write_text('{"id": "a", "samples": [[0.5, 0.5, 1]]}\n')

@@ -98,11 +98,16 @@ def test_queries_equal_the_per_target_loop(instance, p, criterion, k, tau, stops
     n_targets = len(db) - any(o is q for o in db)
     engine = dict(p=p, criterion=criterion, **stops)
     chunks, validations = [], []
-    labels, validate = domination._mbr_labels, queries.others
+    labels, validate = queries._target_labels, queries.others
+
+    def counted_labels(*args):
+        for chunk in labels(*args):
+            chunks.append(len(chunk[0]))  # the chunk's target row indices
+            yield chunk
+
     with (
         mock.patch.object(domination, "_BATCH_FLOAT_BUDGET", budget or domination._BATCH_FLOAT_BUDGET),
-        # A chunk's size is its target-stack length times its reference-stack length.
-        mock.patch.object(domination, "_mbr_labels", lambda *a: chunks.append(len(a[2]) * len(a[4])) or labels(*a)),
+        mock.patch.object(queries, "_target_labels", counted_labels),
         mock.patch.object(queries, "others", lambda *a: validations.append(1) or validate(*a)),
         mock.patch("udom.domination.others", queries.others),
     ):
