@@ -82,23 +82,21 @@ def _pdf_length(db: Sequence[UncertainObject], b: UncertainObject) -> int:
     return len(db) + 1 - any(o is b for o in db)
 
 
-# Group labels of one database object against one (target, reference) pair.
-COMPLETE, INFLUENCE, IRRELEVANT, EXCLUDED = range(4)
-
-
-def _target_labels(objs, order, q, roles, p, criterion) -> Iterator[tuple[list, np.ndarray, np.ndarray, np.ndarray]]:
-    """Label every object of `objs` against each target in `order` (row
+def _target_labels(objs, order, q, roles, p, criterion) -> Iterator[tuple[list, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Split every object of `objs` against each target in `order` (row
     indices), q fixed: role "knn" makes the target b and q the reference,
     "rknn" makes q b and the target the reference.  An object that dominates
-    b is COMPLETE, one that b dominates IRRELEVANT, any other INFLUENCE.
-    The MBRs are stacked once and the targets labelled in chunks within
-    `_BATCH_FLOAT_BUDGET`, each chunk by one forward and one reverse kernel
-    call; a kNN chunk of every object makes the forward grid square, so its
-    transpose is the reverse grid and its columns are ordered afterwards.
-    Yields per chunk: its row indices, per target its COMPLETE count s and
-    its INFLUENCE count m, and the (len(objs), chunk) label columns, each
-    target's own row EXCLUDED.  Every MBR label of the package comes from
-    here (`classify` is the one-target pass)."""
+    b is a complete dominator, one that b dominates is irrelevant, any other
+    an influence object.  The MBRs are stacked once and the targets split in
+    chunks within `_BATCH_FLOAT_BUDGET`, each chunk by one forward and one
+    reverse kernel call; a kNN chunk of every object makes the forward grid
+    square, so its transpose is the reverse grid and both are gathered in
+    chunk order afterwards.  Yields per chunk: its row indices, per target
+    its complete-dominator count s and its influence count m, and the
+    (len(objs), chunk) bool masks of complete dominators and of influence
+    objects, each target's own row False in both (an irrelevant object is
+    in neither).  Every MBR split of the package comes from here
+    (`classify` is the one-target pass)."""
     lo, hi = np.array([o.mbr.lo for o in objs]), np.array([o.mbr.hi for o in objs])
     one = q.mbr.lo[None], q.mbr.hi[None]
     chunk = max(1, _BATCH_FLOAT_BUDGET // (_kernel_floats_per_cell(lo.shape[1]) * len(objs)))
@@ -109,26 +107,13 @@ def _target_labels(objs, order, q, roles, p, criterion) -> Iterator[tuple[list, 
         b, r = (stack, one) if roles == "knn" else (one, stack)
         dom = dominance_grid(lo, hi, *b, *r, p, criterion).reshape(len(objs), -1)
         if square:
-            rev = dom.T
+            dom, rev = dom[:, cols], dom.T[:, cols]
         else:
             rev = dominance_grid(*b, lo, hi, *r, p, criterion).swapaxes(0, 1).reshape(len(objs), -1)
-        labels = np.full(dom.shape, INFLUENCE, dtype=np.int8)
-        labels[rev] = IRRELEVANT
-        labels[dom] = COMPLETE
-        if square:
-            labels = labels[:, cols]
-        labels[cols, np.arange(len(cols))] = EXCLUDED
-        yield cols, (labels == COMPLETE).sum(axis=0), (labels == INFLUENCE).sum(axis=0), labels
-
-
-def _group(objs: Sequence[UncertainObject], labels: np.ndarray) -> DominationClassification:
-    """The classification that one target's label column over `objs` encodes."""
-
-    def ids(label):
-        return tuple(objs[i].id for i in np.flatnonzero(labels == label))
-
-    influence = tuple(objs[i] for i in np.flatnonzero(labels == INFLUENCE))
-    return DominationClassification(ids(COMPLETE), influence, ids(IRRELEVANT))
+        influence = ~(dom | rev)
+        own = cols, np.arange(len(cols))
+        dom[own] = influence[own] = False  # an RkNN point target dominates q under its own box
+        yield cols, dom.sum(axis=0), influence.sum(axis=0), dom, influence
 
 
 def classify(
@@ -138,21 +123,23 @@ def classify(
     p: float = 2.0,
     criterion: str = "optimal",
 ) -> DominationClassification:
-    """Group the objects of `others(db, b, r)` by their MBR labels against b under r.
+    """Group the objects of `others(db, b, r)` by their MBRs against b under r.
 
     ``criterion`` selects the decision rule: "optimal" (corner-wise, tight) or
     "minmax" (baseline, kept for comparisons; never prunes more than optimal).
-    This is the one-target kNN pass of `_target_labels`, the labelling a
-    threshold query runs for all its targets: b, appended to the candidates,
-    is its own target, so it is EXCLUDED from every group as a threshold
-    target is.
+    This is the one-target kNN pass of `_target_labels`, the split a
+    threshold query runs for all its targets: b, appended to the objects,
+    is its own target, and its row (the last) is dropped; an object in
+    neither mask is irrelevant.
     """
     p = check_norm_order(p)
     if criterion not in ("optimal", "minmax"):
         raise ValueError(f"unknown criterion {criterion!r}")
-    objs = [*others(db, b, r), b]
-    ((_, _, _, labels),) = _target_labels(objs, [len(objs) - 1], r, "knn", p, criterion)
-    return _group(objs, labels[:, 0])
+    objs = others(db, b, r)
+    ((_, _, _, complete, influence),) = _target_labels([*objs, b], [len(objs)], r, "knn", p, criterion)
+    masks = complete, influence, ~(complete | influence)
+    dominators, cands, irrelevant = ([objs[i] for i in np.flatnonzero(m[:-1, 0])] for m in masks)
+    return DominationClassification(tuple(o.id for o in dominators), tuple(cands), tuple(o.id for o in irrelevant))
 
 
 def pdom_bounds_grid(

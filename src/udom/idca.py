@@ -29,7 +29,8 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .domination import _BATCH_FLOAT_BUDGET, DominationClassification, _pdf_length, classify, pdom_bounds_grid
+from . import domination
+from .domination import DominationClassification, _pdf_length, classify, pdom_bounds_grid
 from .genfunc import DomCountDistribution, _extract_batch, _ugf_expand_batch
 from .geometry import _check_count, _kernel_floats_per_cell, check_norm_order
 from .model import DecompositionTree, Frontier, UncertainObject
@@ -57,12 +58,15 @@ class IdcaResult:
     bounds 1 on the counts s..s+m, or the exact count s when no influence
     object is left.  Iteration i >= 1 is the sweep at frontier depth i + 1.
     ``stop_reason`` is "criterion", "pair_budget" or "exhausted".
+    ``classification`` is the MBR split of a direct `idca` call; a threshold
+    target's call (`_start`), whose readers take only the distribution, the
+    iterations and the stop reason, carries None.
     """
 
     distribution: DomCountDistribution
     iterations_run: int
     uncertainty_trace: list[float]
-    classification: DominationClassification
+    classification: Optional[DominationClassification]
     stop_reason: str
     history: list[DomCountDistribution] = field(default_factory=list)
 
@@ -108,25 +112,25 @@ def _classified_bounds(n_cands, shifts, width: int) -> tuple[np.ndarray, np.ndar
 
 @dataclass(eq=False)
 class _Run:
-    """One (b, r) refinement: its classification, its history (iteration 0
+    """One (b, r) refinement: its candidates (the influence objects) and its
+    count offset s (the complete dominators), its history (iteration 0
     first), the steps of its batch (`_refine`) and, once stopped, its stop reason."""
 
     b: UncertainObject
     r: UncertainObject
-    cls: DominationClassification
+    cands: Sequence[UncertainObject]
+    shift: int
     history: list
     reason: str = ""
     steps: Optional[Iterator] = None
     roots: Optional[np.ndarray] = None  # its forest roots: candidates, b, r
-    cands = property(lambda self: self.cls.influence_objects)
-    shift = property(lambda self: self.cls.complete_domination_count)
 
 
 def _cap() -> int:
     """Floats that one batch's histories or one `pdom_bounds_grid` call's
     kernel grid may hold: a 64th of `_BATCH_FLOAT_BUDGET` (~2 MB), so many
     small runs share a batch while memory stays bounded."""
-    return _BATCH_FLOAT_BUDGET >> 6
+    return domination._BATCH_FLOAT_BUDGET >> 6
 
 
 def _refine(runs: list, p: float, max_depth: int, epsilon, decide, criterion: str) -> None:
@@ -268,16 +272,17 @@ def idca(
     (progress/timing observation only).
 
     `_start` is an open target's run from a threshold query's batch, holding
-    its classification and iteration 0 (arguments checked there): the call
+    its candidates, s and iteration 0 (arguments checked there): the call
     steps the batch until that run stops, which may advance other runs too.
     Evaluations made before the call reach `on_iteration` at its start.
     """
-    run = _start
+    run, cls = _start, None
     if run is None:
         p = _check_engine_args(p, max_depth, epsilon, criterion)
         cls = classify(db, b, r, p=p, criterion=criterion)
-        lb, ub = _classified_bounds(np.array([len(cls.influence_objects)]), np.array([cls.complete_domination_count]), _pdf_length(db, b))
-        run = _Run(b, r, cls, [DomCountDistribution._unchecked(lb[0], ub[0])])
+        cands, shift = cls.influence_objects, cls.complete_domination_count
+        lb, ub = _classified_bounds(np.array([len(cands)]), np.array([shift]), _pdf_length(db, b))
+        run = _Run(b, r, cands, shift, [DomCountDistribution._unchecked(lb[0], ub[0])])
         if _stopped(1, run.history[0], max_depth, epsilon, decide):
             run.reason = "criterion"
         else:
@@ -295,7 +300,7 @@ def idca(
         distribution=run.history[-1],
         iterations_run=len(run.history),
         uncertainty_trace=[uncertainty(h) for h in run.history],
-        classification=run.cls,
+        classification=cls,
         stop_reason=run.reason,
         history=run.history,
     )

@@ -284,15 +284,18 @@ def load_dataset(path, *, seed: int = 0) -> list[UncertainObject]:
 
 def _append_checked(objects: list, lines: dict, obj: UncertainObject, lineno: int):
     """Append `obj` read from `lineno`, rejecting a new dimensionality or a
-    repeated id (`lines` maps each id to the line that defined it)."""
+    repeated id: one equal to an earlier id (`1` and `1.0`) or printed as
+    one (`1` and `"1"`), since answers and `--b`/`--q` name objects by text.
+    `lines` maps each id, and its str(), to the line that defined it."""
     d = obj.ndim
     if objects and objects[-1].ndim != d:
         raise DatasetError(
             f"line {lineno}: dimensionality {d} differs from previous objects ({objects[-1].ndim})"
         )
-    first = lines.setdefault(obj.id, lineno)
-    if first != lineno:
-        raise DatasetError(f"line {lineno}: id {obj.id!r} repeats the id of line {first}")
+    for key in (obj.id, str(obj.id)):
+        first = lines.setdefault(key, lineno)
+        if first != lineno:
+            raise DatasetError(f"line {lineno}: id {obj.id!r} repeats the id of line {first}")
     objects.append(obj)
 
 

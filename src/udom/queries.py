@@ -5,7 +5,7 @@ bound exceeds tau and *out* when the upper bound is at most tau, so boundary
 cases are deterministic.  Because refinement only tightens bounds, a decision
 reached under early stopping always equals the full-depth decision.
 
-The queries over many targets share `_each_target`: one MBR kernel pass labels
+The queries over many targets share `_each_target`: one MBR kernel pass filters
 every target, and the targets it leaves open are refined in shared batches.
 """
 
@@ -16,7 +16,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .domination import ProbBounds, _group, _pdf_length, _target_labels, others
+from .domination import ProbBounds, _pdf_length, _target_labels, others
 from .genfunc import MASS_TOLERANCE, DomCountDistribution
 from .geometry import _check_count
 from .idca import DEFAULT_MAX_DEPTH, IdcaResult, _check_engine_args, _classified_bounds, _refine, _Run, idca, uncertainty
@@ -121,12 +121,13 @@ def _each_target(
 
     ``roles`` "knn" bounds the count of each target w.r.t. q; "rknn" swaps
     them and bounds the count of q w.r.t. each target.  The database is
-    validated once, and one kernel pass labels every object against every
-    target (`domination._target_labels`).  Each labelling chunk is answered
-    as one block: one array pass tests the predicate on every iteration 0,
-    and a target at which a stop rule fires is answered there, its
-    distribution built only if read (else None).  The others are refined in
-    shared batches (`idca._refine`), each answered by its own `idca` call.
+    validated once, and one kernel pass splits every object against every
+    target (`domination._target_labels`).  Each chunk is answered as one
+    block: one array pass tests the predicate on every iteration 0, and a
+    target at which a stop rule fires is answered there, its distribution
+    built only if read (else None).  The others, their candidates read from
+    their influence columns, are refined in shared batches (`idca._refine`),
+    each answered by its own `idca` call.
     The chunk's iteration-0 rows are fewer floats than its kernel pass.
     """
     targets = others(db, q)
@@ -136,7 +137,7 @@ def _each_target(
     order = sorted(range(len(targets)), key=lambda i: str(targets[i].id))
     n_total = _pdf_length(db, targets[0] if roles == "knn" else q)  # b's, the same for every target
     decide = None if predicate is None else predicate.decide
-    for cols, shifts, n_cands, labels in _target_labels(targets, order, q, roles, p, criterion):
+    for cols, shifts, n_cands, _, influence in _target_labels(targets, order, q, roles, p, criterion):
         stop = np.full(len(cols), max_depth <= 1)
         if predicate is not None:
             plb, pub = _knn_rows(*_classified_bounds(n_cands, shifts, min(predicate.k, n_total)), predicate.k)
@@ -149,7 +150,7 @@ def _each_target(
         for j in read:
             if not (stop[j] or (epsilon is not None and uncertainty(first[j]) <= epsilon)):
                 b, r = (targets[cols[j]], q) if roles == "knn" else (q, targets[cols[j]])
-                runs[j] = _Run(b, r, _group(targets, labels[:, j]), [first[j]])
+                runs[j] = _Run(b, r, [targets[i] for i in np.flatnonzero(influence[:, j])], int(shifts[j]), [first[j]])
         _refine(list(runs.values()), p, max_depth, epsilon, decide, criterion)
         for j in range(len(cols)):
             run = runs.pop(j, None)  # an answered run's history is not kept

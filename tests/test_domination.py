@@ -127,24 +127,36 @@ def test_classify_equals_the_one_pair_oracle(rng):
 
 
 def test_square_knn_chunk_equals_one_target_chunks(rng, monkeypatch):
-    """A kNN labelling chunk of every object reads its reverse grid as the
+    """A kNN split chunk of every object reads its reverse grid as the
     forward grid's transpose; one-target chunks make a reverse kernel call
-    each.  Both give byte-identical label columns and counts, under a point
-    q (the kernel's key path) and a box q."""
+    each.  Both give byte-identical masks and counts, under a point q (the
+    kernel's key path) and a box q.  In the RkNN role over point objects a
+    target dominates q under its own box; its own row is in neither mask,
+    so in both roles each target's s and m are those of `classify`."""
+    oracles = {"optimal": dominates_optimal, "minmax": dominates_minmax}
     for d in (1, 2, 3):
         for criterion in ("optimal", "minmax"):
-            objs = [_box_object(rng, i, d, grid=d == 2) for i in range(12)]
-            order = [int(i) for i in rng.permutation(len(objs))]
-            for q in (build_object("q", [(rng.uniform(0.0, 4.0, size=d), 1.0)]), _box_object(rng, "q", d, grid=False)):
-                ((cols, s, m, labels),) = _target_labels(objs, order, q, "knn", 2.0, criterion)
-                assert cols == order
-                with monkeypatch.context() as patch:
-                    patch.setattr(domination, "_BATCH_FLOAT_BUDGET", 1)
-                    chunks = list(_target_labels(objs, order, q, "knn", 2.0, criterion))
-                assert [chunk[0] for chunk in chunks] == [[i] for i in order]
-                assert s.tobytes() == np.concatenate([chunk[1] for chunk in chunks]).tobytes()
-                assert m.tobytes() == np.concatenate([chunk[2] for chunk in chunks]).tobytes()
-                assert labels.tobytes() == np.hstack([chunk[3] for chunk in chunks]).tobytes()
+            boxes = [_box_object(rng, i, d, grid=d == 2) for i in range(12)]
+            points = [build_object(i, [(rng.uniform(0.0, 4.0, size=d), 1.0)]) for i in range(12)]
+            order = [int(i) for i in rng.permutation(12)]
+            for roles, objs in (("knn", boxes), ("rknn", points)):
+                for q in (build_object("q", [(rng.uniform(0.0, 4.0, size=d), 1.0)]), _box_object(rng, "q", d, grid=False)):
+                    ((cols, s, m, complete, influence),) = _target_labels(objs, order, q, roles, 2.0, criterion)
+                    assert cols == order
+                    with monkeypatch.context() as patch:
+                        patch.setattr(domination, "_BATCH_FLOAT_BUDGET", 1)
+                        chunks = list(_target_labels(objs, order, q, roles, 2.0, criterion))
+                    assert [chunk[0] for chunk in chunks] == [[i] for i in order]
+                    assert s.tobytes() == np.concatenate([chunk[1] for chunk in chunks]).tobytes()
+                    assert m.tobytes() == np.concatenate([chunk[2] for chunk in chunks]).tobytes()
+                    assert complete.tobytes() == np.hstack([chunk[3] for chunk in chunks]).tobytes()
+                    assert influence.tobytes() == np.hstack([chunk[4] for chunk in chunks]).tobytes()
+                    for j, t in enumerate(order):
+                        cls = classify(objs, objs[t], q, criterion=criterion) if roles == "knn" else classify(objs, q, objs[t], criterion=criterion)
+                        assert (s[j], m[j]) == (cls.complete_domination_count, len(cls.influence_objects))
+                        assert not complete[t, j] and not influence[t, j]
+                    if roles == "rknn" and len(q.points) == 1:
+                        assert any(oracles[criterion](t.mbr, q.mbr, t.mbr, 2.0) for t in objs)
 
 
 def test_classify_dimension_mismatch():

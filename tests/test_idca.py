@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
+import udom.domination as domination
 from udom.domination import classify
 from udom.genfunc import DomCountDistribution, gf_exact
 from udom.geometry import Rect
@@ -203,7 +204,7 @@ def test_multi_chunk_history_matches_dense_reference(rng, monkeypatch, d):
         budget = (n + 1) ** 2 * (1, 2, 4, 8)[trial % 4]
         default = idca(db, b, r, p=p, max_depth=6, criterion=criterion)
         with monkeypatch.context() as m:
-            m.setattr(engine, "_BATCH_FLOAT_BUDGET", budget)
+            m.setattr(domination, "_BATCH_FLOAT_BUDGET", budget)
             calls.clear()
             got = idca(db, b, r, p=p, max_depth=6, criterion=criterion)
             # More kernel calls than sweeps: some depth was cut into several calls.
@@ -444,7 +445,7 @@ def test_iteration_zero_is_the_classification_counts(rng):
     and its lb rise above 0 by the product of the candidates' shortfalls
     1 - mass, a few ulps at most."""
     engine = importlib.import_module("udom.idca")
-    budget = engine._BATCH_FLOAT_BUDGET
+    budget = domination._BATCH_FLOAT_BUDGET
     masses = set()
     seen_m0 = seen_m = below = 0
     for trial in range(90):
@@ -479,7 +480,7 @@ def test_iteration_zero_is_the_classification_counts(rng):
             continue
         seen_m += 1
         roots = DecompositionTree([*cands, b, r]).leaves(1)
-        run = engine._Run(b, r, cls, [got], roots=np.arange(len(cands) + 2))
+        run = engine._Run(b, r, cands, shift, [got], roots=np.arange(len(cands) + 2))
         wants = [evaluate_depth_dense(roots, len(cands), shift, len(lb), p, criterion, budget)]
         wants.extend(engine._evaluate_depth(roots, [run], p, criterion))
         for want in wants:
@@ -584,7 +585,6 @@ def test_each_kernel_call_of_a_sweep_fits_the_cap(monkeypatch):
     more calls than under the default budget, and the bounds and decisions
     equal the default budget's, byte for byte."""
     engine = importlib.import_module("udom.idca")
-    domination = importlib.import_module("udom.domination")
     db = generate_synthetic(40, 2, 0.3, 8, seed=3)
     q = point_obj("q", (0.5, 0.5))
     pdom, kernel = engine.pdom_bounds_grid, domination.dominance_grid
@@ -614,7 +614,7 @@ def test_each_kernel_call_of_a_sweep_fits_the_cap(monkeypatch):
         return [(h.lb.tobytes(), h.ub.tobytes()) for h in res.history], repr(answer.decisions), len(calls)
 
     *want, default_calls = run()
-    monkeypatch.setattr(engine, "_BATCH_FLOAT_BUDGET", 64 * 7 * 200)
+    monkeypatch.setattr(domination, "_BATCH_FLOAT_BUDGET", 64 * 7 * 200)
     *got, patched_calls = run()
     assert got == want
     multi = [cells for roots, cells in calls if roots > 1]

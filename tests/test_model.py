@@ -391,6 +391,17 @@ def test_load_rejects_repeated_id(tmp_path):
         load_dataset(csv_path)
 
 
+def test_load_rejects_ids_that_print_alike(tmp_path):
+    """Answers and `--b`/`--q` name objects by the text of their ids, so an
+    id whose str() repeats an earlier one is refused in either order,
+    naming both lines; `1` against `1.0`, equal ids, stays refused."""
+    path = tmp_path / "ids.jsonl"
+    for first, second in (("1", '"1"'), ('"1"', "1"), ("1", "1.0"), ("1.0", "1")):
+        path.write_text(f'{{"id": {first}, "samples": [[0, 0, 1]]}}\n{{"id": {second}, "samples": [[1, 0, 1]]}}\n')
+        with pytest.raises(DatasetError, match="line 2: id .* repeats the id of line 1"):
+            load_dataset(path)
+
+
 def test_gaussian_csv_sigma_zero(tmp_path):
     path = tmp_path / "g.csv"
     path.write_text("a, 0.5, 0.5, 0, 0, 7\n")

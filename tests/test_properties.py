@@ -260,7 +260,6 @@ def test_batched_refinement_equals_the_per_target_loop(instance, criterion, k, s
     engine = importlib.import_module("udom.idca")
     patched = [
         (engine, "_PAIR_BUDGET", pair_budget),
-        (engine, "_BATCH_FLOAT_BUDGET", batch_budget),
         (domination, "_BATCH_FLOAT_BUDGET", batch_budget),
     ]
     with contextlib.ExitStack() as stack:

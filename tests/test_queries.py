@@ -420,6 +420,22 @@ def test_on_iteration_calls_come_per_target_in_id_order(rng):
         assert len({len(t) for t in traces}) > 2  # targets retire at different depths
 
 
+def test_threshold_queries_build_no_classification(monkeypatch):
+    """A threshold query refines its open targets straight from the filter's
+    masks and builds no `DominationClassification`; `inverse_ranking`, whose
+    result carries one, builds exactly one."""
+    built, cls = [], domination.DominationClassification
+    monkeypatch.setattr(domination, "DominationClassification", lambda *groups: built.append(1) or cls(*groups))
+    db = generate_synthetic(40, 2, 0.3, 8, seed=3)
+    q = build_object("q", [((0.5, 0.5), 1.0)])
+    for query in (pknn_query, prknn_query):
+        answer = query(db, q, 5, 0.5, max_depth=3)
+        assert any(d.iterations > 1 for d in answer.decisions)  # some targets were open
+    assert built == []
+    inverse_ranking(db, db[0], db[1], max_depth=3)
+    assert built == [1]
+
+
 def test_refinement_batches_hold_a_bounded_history(rng, monkeypatch):
     """The runs that share one forest keep their histories (two floats per
     count per iteration, up to `max_depth` iterations) within the sweep cap,
@@ -431,7 +447,7 @@ def test_refinement_batches_hold_a_bounded_history(rng, monkeypatch):
     db = [random_object(rng, i, max_samples=4, spread=0.3) for i in range(24)]
     q = random_object(rng, "q", max_samples=3, spread=0.3)
     n_total, max_depth = len(db), 6  # counts 0..23 for a database target b
-    monkeypatch.setattr(engine, "_BATCH_FLOAT_BUDGET", 64 * 3 * 2 * n_total * max_depth)
+    monkeypatch.setattr(domination, "_BATCH_FLOAT_BUDGET", 64 * 3 * 2 * n_total * max_depth)
     sizes = []
     sweeps = engine._sweeps
     monkeypatch.setattr(engine, "_sweeps", lambda runs, *a: sizes.append(len(runs)) or sweeps(runs, *a))
