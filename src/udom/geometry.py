@@ -97,8 +97,11 @@ def check_norm_order(p: float) -> float:
 
 
 def _check_count(value, name: str) -> None:
-    """Reject a `value` that `operator.index` refuses (2.5, nan, inf) or below 1."""
+    """Reject a `value` that `operator.index` refuses (2.5, nan, inf), a
+    bool, or one below 1."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None

@@ -3,23 +3,23 @@
 Iteration 0 is the MBR classification alone: certain dominators become a fixed
 count offset s, certainly-dominated objects drop out, and each of the m
 remaining influence objects may or may not dominate, so every count in s..s+m
-is possible and none is certain.  Refinement steps a batch of (b, r) runs,
-the open targets of a threshold query or the one pair of a direct call, in
-one decomposition forest with one root per distinct participant.  From
-depth 2 on, each step deepens every root by one level in one segmented
-`split` and sweeps every active run together, once: one kernel pass per
-reference (`pdom_bounds_grid`, in calls over whole candidate roots whose
-kernel grid fits `_cap`), then, per (target-leaf, reference-leaf) pair, count
-bounds from the uncertain generating function of its padded pdom bounds, as
-three univariate products (`udom.genfunc`), mixed into its run in one product
-with the pair masses and shifted by s.  A run reads only its own roots' rows,
-so its bounds are bit for bit those it would get alone; each run answers
-through its own `idca` call.  Nested decompositions only tighten bounds, so
-lower bounds rise and upper bounds fall monotonically until a stop rule fires,
-the pair budget would be exceeded, or every object is fully separated.  Then
-the bounds are exact for discrete objects, lb == ub bit for bit, unless two
-samples tie exactly in distance to a reference sample: a tie never counts as
-domination, so such a sample triple keeps its pdom bounds at (0, 1).
+is possible and none is certain.  Refinement runs a batch of (b, r) runs,
+consecutive open targets of a threshold query or the one pair of a direct
+call, to its end in one decomposition forest with one root per distinct
+participant.  From depth 2 on, each step deepens every root by one level in
+one segmented `split` and sweeps every active run together, once: one kernel
+pass per reference (`pdom_bounds_grid`, in calls over whole candidate roots
+whose kernel grid fits `_cap`), then, per (target-leaf, reference-leaf) pair,
+count bounds from the uncertain generating function of its padded pdom
+bounds, as three univariate products (`udom.genfunc`), mixed into its run in
+one product with the pair masses and shifted by s.  A run reads only its own
+roots' rows, so its bounds are bit for bit those it would get alone.  Nested
+decompositions only tighten bounds, so lower bounds rise and upper bounds
+fall monotonically until a stop rule fires, the pair budget would be
+exceeded, or every object is fully separated.  Then the bounds are exact
+for discrete objects, lb == ub bit for bit, unless two samples tie exactly in
+distance to a reference sample: a tie never counts as domination, so such a
+sample triple keeps its pdom bounds at (0, 1).
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ class IdcaResult:
     object is left.  Iteration i >= 1 is the sweep at frontier depth i + 1.
     ``stop_reason`` is "criterion", "pair_budget" or "exhausted".
     ``classification`` is the MBR split of a direct `idca` call; a threshold
-    target's call (`_start`), whose readers take only the distribution, the
+    target's call (`_start`), whose readers take only the history, the
     iterations and the stop reason, carries None.
     """
 
@@ -114,7 +114,7 @@ def _classified_bounds(n_cands, shifts, width: int) -> tuple[np.ndarray, np.ndar
 class _Run:
     """One (b, r) refinement: its candidates (the influence objects) and its
     count offset s (the complete dominators), its history (iteration 0
-    first), the steps of its batch (`_refine`) and, once stopped, its stop reason."""
+    first) and, once stopped, its stop reason."""
 
     b: UncertainObject
     r: UncertainObject
@@ -122,7 +122,6 @@ class _Run:
     shift: int
     history: list
     reason: str = ""
-    steps: Optional[Iterator] = None
     roots: Optional[np.ndarray] = None  # its forest roots: candidates, b, r
 
 
@@ -133,17 +132,17 @@ def _cap() -> int:
     return domination._BATCH_FLOAT_BUDGET >> 6
 
 
-def _refine(runs: list, p: float, max_depth: int, epsilon, decide, criterion: str) -> None:
-    """Give each of `runs` (each open at iteration 0) the steps of its batch:
-    consecutive runs whose histories, at `max_depth` iterations, fit
-    `_cap` share one `_sweeps`."""
-    if not runs:
-        return
-    size = max(1, _cap() // (2 * len(runs[0].history[0]) * max_depth))
-    for s in range(0, len(runs), size):
-        steps = _sweeps(runs[s : s + size], p, max_depth, epsilon, decide, criterion)
-        for run in runs[s : s + size]:
-            run.steps = steps
+def _refine(runs: list, p: float, max_depth: int, epsilon, decide, criterion: str) -> Iterator[_Run]:
+    """Yield each of `runs` (each open at iteration 0) stopped, in order.
+    Consecutive runs whose histories, at `max_depth` iterations, fit `_cap`
+    form a batch that shares one `_sweeps`, run to its end when its first run
+    is asked for.  `runs` is consumed, so one batch is held at a time."""
+    while runs:
+        batch = runs[: max(1, _cap() // (2 * len(runs[0].history[0]) * max_depth))]
+        del runs[: len(batch)]
+        for _ in _sweeps(batch, p, max_depth, epsilon, decide, criterion):
+            pass
+        yield from batch
 
 
 def _sweeps(runs: list, p: float, max_depth: int, epsilon, decide, criterion: str) -> Iterator[None]:
@@ -188,7 +187,7 @@ def _sweeps(runs: list, p: float, max_depth: int, epsilon, decide, criterion: st
 
 def _evaluate_depth(level: Frontier, runs: list, p: float, criterion: str) -> list[DomCountDistribution]:
     """One refinement sweep over a frontier `level` of the forest for every
-    run of `runs` (each with >= 1 candidate, budget pre-validated); `_refine`
+    run of `runs` (each with >= 1 candidate, budget pre-validated); `_sweeps`
     runs it from depth 2 on.
 
     The sweep fills one (2, rows, width) block of pdom bounds, one row per
@@ -250,7 +249,7 @@ def idca(
     decide: Optional[Callable[[DomCountDistribution], object]] = None,
     criterion: str = "optimal",
     on_iteration: Optional[Callable[[int, DomCountDistribution], None]] = None,
-    _start: Optional[_Run] = None,
+    _start: Optional[Iterator[_Run]] = None,
 ) -> IdcaResult:
     """Approximate the PDF of b's domination count w.r.t. r over db.
 
@@ -271,31 +270,28 @@ def idca(
     `on_iteration(depth, dist)` is invoked after each evaluation
     (progress/timing observation only).
 
-    `_start` is an open target's run from a threshold query's batch, holding
-    its candidates, s and iteration 0 (arguments checked there): the call
-    steps the batch until that run stops, which may advance other runs too.
-    Evaluations made before the call reach `on_iteration` at its start.
+    `_start` is a threshold query's stream of stopped runs (`_refine`), each
+    holding its candidates, s and history: the call answers the stream's
+    next run and reads no other argument (the stream holds the engine
+    arguments, checked by its maker), and its caller, not the call, reports
+    that run's history to `on_iteration`.
     """
-    run, cls = _start, None
-    if run is None:
+    if _start is not None:
+        run, cls = next(_start), None
+    else:
         p = _check_engine_args(p, max_depth, epsilon, criterion)
         cls = classify(db, b, r, p=p, criterion=criterion)
         cands, shift = cls.influence_objects, cls.complete_domination_count
         lb, ub = _classified_bounds(np.array([len(cands)]), np.array([shift]), _pdf_length(db, b))
         run = _Run(b, r, cands, shift, [DomCountDistribution._unchecked(lb[0], ub[0])])
+        if on_iteration is not None:
+            on_iteration(1, run.history[0])
         if _stopped(1, run.history[0], max_depth, epsilon, decide):
             run.reason = "criterion"
         else:
-            _refine([run], p, max_depth, epsilon, decide, criterion)
-    seen = 0
-    while True:
-        if on_iteration is not None:
-            for depth in range(seen, len(run.history)):
-                on_iteration(depth + 1, run.history[depth])
-            seen = len(run.history)
-        if run.reason:
-            break
-        next(run.steps, None)
+            for _ in _sweeps([run], p, max_depth, epsilon, decide, criterion):
+                if on_iteration is not None:
+                    on_iteration(len(run.history), run.history[-1])
     return IdcaResult(
         distribution=run.history[-1],
         iterations_run=len(run.history),

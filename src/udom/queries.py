@@ -19,7 +19,7 @@ import numpy as np
 from .domination import ProbBounds, _pdf_length, _target_labels, others
 from .genfunc import MASS_TOLERANCE, DomCountDistribution
 from .geometry import _check_count
-from .idca import DEFAULT_MAX_DEPTH, IdcaResult, _check_engine_args, _classified_bounds, _refine, _Run, idca, uncertainty
+from .idca import DEFAULT_MAX_DEPTH, IdcaResult, _check_engine_args, _classified_bounds, _refine, _Run, idca
 from .model import UncertainObject
 
 __all__ = [
@@ -94,14 +94,8 @@ class QueryAnswer:
 def knn_probability_bounds(dist: DomCountDistribution, k: int) -> ProbBounds:
     """Bounds on P(count < k): sums of the first k per-count bounds."""
     _check_count(k, "k")
-    return ProbBounds(*map(float, _knn_rows(dist.lb, dist.ub, k)))
-
-
-def _knn_rows(lb: np.ndarray, ub: np.ndarray, k: int) -> tuple:
-    """`knn_probability_bounds` of each row of per-count bounds (lb, ub); a
-    row of a 2-D sum adds as the 1-D sum would."""
-    lb = np.minimum(lb[..., :k].sum(axis=-1), 1.0)
-    return lb, np.maximum(lb, np.minimum(ub[..., :k].sum(axis=-1), 1.0))
+    lb = min(float(dist.lb[:k].sum()), 1.0)
+    return ProbBounds(lb, max(lb, min(float(dist.ub[:k].sum()), 1.0)))
 
 
 def _each_target(
@@ -123,12 +117,15 @@ def _each_target(
     them and bounds the count of q w.r.t. each target.  The database is
     validated once, and one kernel pass splits every object against every
     target (`domination._target_labels`).  Each chunk is answered as one
-    block: one array pass tests the predicate on every iteration 0, and a
-    target at which a stop rule fires is answered there, its distribution
-    built only if read (else None).  The others, their candidates read from
-    their influence columns, are refined in shared batches (`idca._refine`),
-    each answered by its own `idca` call.
-    The chunk's iteration-0 rows are fewer floats than its kernel pass.
+    block: iteration 0's stop rules are closed forms of each target's s and
+    m, tested in one array pass, and a target at which one fires is answered
+    there, its distribution built only if read (else None).  The others,
+    their candidates read from their influence columns, are refined in
+    shared batches, each run to its end (`idca._refine`), and each open
+    target is answered by its own `idca` call on that stream of stopped
+    runs.  Every target's history reaches `on_iteration` here, once the
+    target is answered.  The chunk's iteration-0 rows are fewer floats than
+    its kernel pass.
     """
     targets = others(db, q)
     p = _check_engine_args(p, max_depth, epsilon, criterion)
@@ -136,38 +133,41 @@ def _each_target(
         return
     order = sorted(range(len(targets)), key=lambda i: str(targets[i].id))
     n_total = _pdf_length(db, targets[0] if roles == "knn" else q)  # b's, the same for every target
-    decide = None if predicate is None else predicate.decide
+
+    def pair(i):  # the engine's (b, r) for targets[i]
+        return (targets[i], q) if roles == "knn" else (q, targets[i])
+
     for cols, shifts, n_cands, _, influence in _target_labels(targets, order, q, roles, p, criterion):
+        # Iteration 0's stop rules in closed form: its width is m + 1 (0 when m = 0), and
+        # P(count < k) has bounds [m == 0 and s < k] and [s < k].
         stop = np.full(len(cols), max_depth <= 1)
+        if epsilon is not None:
+            stop |= np.where(n_cands == 0, 0, n_cands + 1) <= epsilon
         if predicate is not None:
-            plb, pub = _knn_rows(*_classified_bounds(n_cands, shifts, min(predicate.k, n_total)), predicate.k)
+            pub = (shifts < predicate.k).astype(float)
+            plb = np.where(n_cands == 0, pub, 0.0)
             stop |= (plb > predicate.tau) | (pub <= predicate.tau)
+        live = np.flatnonzero(~stop)
         # The read iteration-0 rows: every one for `on_iteration` or expected_rank, else the open ones.
-        read = [j for j in range(len(cols)) if not stop[j] or on_iteration is not None or predicate is None]
+        read = live if on_iteration is None and predicate is not None else np.arange(len(cols))
         rows = _classified_bounds(n_cands[read], shifts[read], n_total)
-        first = dict(zip(read, map(DomCountDistribution._unchecked, *rows)))
-        runs = {}
-        for j in read:
-            if not (stop[j] or (epsilon is not None and uncertainty(first[j]) <= epsilon)):
-                b, r = (targets[cols[j]], q) if roles == "knn" else (q, targets[cols[j]])
-                runs[j] = _Run(b, r, [targets[i] for i in np.flatnonzero(influence[:, j])], int(shifts[j]), [first[j]])
-        _refine(list(runs.values()), p, max_depth, epsilon, decide, criterion)
+        first = dict(zip(read.tolist(), map(DomCountDistribution._unchecked, *rows)))
+        stream = _refine(
+            [_Run(*pair(cols[j]), [targets[i] for i in np.flatnonzero(influence[:, j])], int(shifts[j]), [first[j]]) for j in live],
+            p, max_depth, epsilon, None if predicate is None else predicate.decide, criterion,
+        )
         for j in range(len(cols)):
-            run = runs.pop(j, None)  # an answered run's history is not kept
-            if run is not None:
-                result = idca(
-                    db, run.b, run.r, p=p, max_depth=max_depth, epsilon=epsilon, decide=decide,
-                    criterion=criterion, on_iteration=on_iteration, _start=run,
-                )
-                dist, iterations, reason = result.distribution, result.iterations_run, result.stop_reason
+            if stop[j]:
+                history, iterations, reason = [first.get(j)], 1, "criterion"
+                bounds = None if predicate is None else ProbBounds(float(plb[j]), float(pub[j]))
             else:
-                if on_iteration is not None:
-                    on_iteration(1, first[j])
-                dist, iterations, reason = first.get(j), 1, "criterion"
-            bounds = None
-            if predicate is not None:
-                bounds = knn_probability_bounds(dist, predicate.k) if run is not None else ProbBounds(float(plb[j]), float(pub[j]))
-            yield targets[cols[j]], dist, iterations, reason, bounds
+                result = idca(db, *pair(cols[j]), _start=stream)  # the stream's next run is this target's
+                history, iterations, reason = result.history, result.iterations_run, result.stop_reason
+                bounds = None if predicate is None else knn_probability_bounds(history[-1], predicate.k)
+            if on_iteration is not None:
+                for depth, dist in enumerate(history, 1):
+                    on_iteration(depth, dist)
+            yield targets[cols[j]], history[-1], iterations, reason, bounds
 
 
 def _threshold_query(kind, db, q, k, tau, engine_kwargs) -> QueryAnswer:
@@ -194,13 +194,13 @@ def pknn_query(
     counts; a target at which the threshold predicate or another `idca` stop
     rule (`max_depth`, `epsilon`, passed through `engine_kwargs`) fires
     there is answered at once.  The open targets are refined together in
-    batches (one decomposition forest, one sweep per depth), each stopping
-    as soon as one of its own stop rules fires.  The decisions, and the
-    `on_iteration` calls (each target's together, depth 1 first, in id
-    order), equal one full `idca` run per target.  A target's calls come
-    during its own `idca` call, the iterations that an earlier target's call
-    already made all at once, so they are not timing signals.  Objects
-    still undecided at termination are reported with their bounds.
+    batches (one decomposition forest, one sweep per depth, run to its end),
+    each target stopping as soon as one of its own stop rules fires.  The
+    decisions, and the `on_iteration` calls (each target's together, depth 1
+    first, in id order), equal one full `idca` run per target.  A target's
+    calls are made at once when it is answered, after its batch has run, so
+    they are not timing signals.  Objects still undecided at termination are
+    reported with their bounds.
     """
     return _threshold_query("knn", db, q, k, tau, engine_kwargs)
 

@@ -418,9 +418,10 @@ def test_engine_validates():
 
 def test_max_depth_must_be_an_integer(rng):
     """A float depth cap would be compared, not counted: nan and inf lifted
-    the cap and 2.5 acted as 3.  NumPy integers are integers."""
+    the cap and 2.5 acted as 3, and True ran one iteration.  NumPy integers
+    are integers; a bool is not a count."""
     db, b, r = random_instance(rng, n_objects=5)
-    for bad in (float("nan"), float("inf"), 2.5, 3.0, "3"):
+    for bad in (float("nan"), float("inf"), 2.5, 3.0, "3", True):
         with pytest.raises(ValueError, match="max_depth must be an integer"):
             idca(db, b, r, max_depth=bad)
     want = idca(db, b, r, max_depth=3)

@@ -338,7 +338,7 @@ def test_generate_validates():
         generate_synthetic(5, 2, 1.5, 10)
     with pytest.raises(ValueError):
         generate_synthetic(5, 2, 0.0, 10)
-    for n, d, samples in ((2.5, 2, 10), (5, 2.5, 10), (5, 2, 2.5)):
+    for n, d, samples in ((2.5, 2, 10), (5, 2.5, 10), (5, 2, 2.5), (True, 2, 10)):
         with pytest.raises(ValueError, match="must be an integer"):
             generate_synthetic(n, d, 0.004, samples)
 

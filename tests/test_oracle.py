@@ -102,9 +102,10 @@ def test_mc_validates():
 
 
 def test_mc_samples_must_be_an_integer(rng):
-    """A fractional draw count gave a PDF of total mass below 1."""
+    """A fractional draw count gave a PDF of total mass below 1, and True
+    reported "True query draws"."""
     db, b, r = random_instance(rng, n_objects=4)
-    for bad in (2.5, float("nan"), float("inf"), "8"):
+    for bad in (2.5, float("nan"), float("inf"), "8", True):
         with pytest.raises(ValueError, match="samples must be an integer"):
             mc_baseline(db, b, r, samples=bad, seed=3)
     got = mc_baseline(db, b, r, samples=np.int64(8), seed=3)

@@ -86,14 +86,17 @@ def recorder():
     st.sampled_from(["optimal", "minmax"]),
     st.integers(1, 3),
     st.sampled_from([0.25, 0.5, 0.75]),
-    st.sampled_from([{}, {"max_depth": 1}, {"max_depth": 3}, {"epsilon": 0.5}]),
+    st.sampled_from([{}, {"max_depth": 1}, {"max_depth": 3}, {"epsilon": 0.5}, {"epsilon": 3.0}, {"epsilon": 3.0, "max_depth": 3}]),
     st.sampled_from([None, 1, 40]),
 )
 def test_queries_equal_the_per_target_loop(instance, p, criterion, k, tau, stops, budget):
     """The one-pass queries return, field by field, the decisions of one
     full `idca` run per target, and make the same `on_iteration` calls in
     the same order.  The database is validated once per query.  A tiny
-    float budget splits the targets into chunks (budget 1: one per chunk)."""
+    float budget splits the targets into chunks (budget 1: one per chunk).
+    Under `epsilon=3.0` a target with m = 2 influence objects has
+    iteration-0 width m + 1 == epsilon and stops there, while wider ones
+    refine in the same query."""
     db, q = instance
     n_targets = len(db) - any(o is q for o in db)
     engine = dict(p=p, criterion=criterion, **stops)

@@ -1,7 +1,9 @@
 import functools
+import gc
 import importlib
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -75,8 +77,8 @@ def test_predicate_validation():
         QueryPredicate("knn", 1, 1.5)
     with pytest.raises(ValueError):
         QueryPredicate("skyline", 1, 0.5)
-    # k is a count: a float or a string is refused, a NumPy integer is one.
-    for k in (2.5, "3"):
+    # k is a count: a float, a string or a bool is refused, a NumPy integer is one.
+    for k in (2.5, "3", True):
         with pytest.raises(ValueError, match="integer"):
             QueryPredicate("knn", k, 0.5)
         with pytest.raises(ValueError, match="integer"):
@@ -326,12 +328,12 @@ def test_threshold_queries_check_engine_arguments_once():
 
 def test_open_targets_hand_iteration_zero_to_idca(rng, monkeypatch):
     """Each target's iteration 0 is built and tested against the stop rules
-    once, in the labelling pass (per chunk, one array pass tests the
-    predicate and one builds the open targets' rows), and the engine
-    arguments are checked once per query: an open target hands its run,
-    classified and holding its iteration 0, to `idca`, which neither
-    classifies, rebuilds nor re-tests it.  Counted under both names the
-    engine could call each helper by."""
+    once, in the labelling pass (per chunk, the stop rules are closed forms
+    of s and m, and one array pass builds the open targets' rows), and the
+    engine arguments are checked once per query: an open target's run,
+    classified and holding its iteration 0, reaches `idca` through the
+    chunk's stream, and `idca` neither classifies, rebuilds nor re-tests
+    it.  Counted under both names the engine could call each helper by."""
     engine = importlib.import_module("udom.idca")
     built, checked, tested, classified, handed = [], [], [], [], []
     bounds, check, stopped, classify = engine._classified_bounds, engine._check_engine_args, engine._stopped, engine.classify
@@ -359,7 +361,7 @@ def test_open_targets_hand_iteration_zero_to_idca(rng, monkeypatch):
                 seen.clear()
             decisions = query(db, q, 3, 0.5, max_depth=6).decisions
             assert None not in handed
-            assert handed and len(built) == 2  # one chunk: the predicate's rows, then the open targets
+            assert handed and len(built) == 1  # one chunk: the open targets' rows
             assert tested == classified == []
             assert len(checked) == 1
             refined += sum(d.iterations > 1 for d in decisions)
@@ -457,6 +459,30 @@ def test_refinement_batches_hold_a_bounded_history(rng, monkeypatch):
     want = expected_rank_per_target(db, q, max_depth=max_depth, on_iteration=lambda depth, dist: want_calls.append((depth, dist.lb.tobytes(), dist.ub.tobytes())))
     assert repr(got) == repr(want)
     assert got_calls == want_calls
+
+
+def test_refinement_releases_each_batch_before_the_next(rng, monkeypatch):
+    """A threshold query holds one refinement batch at a time: when a batch
+    takes its first step, every run of the earlier batches, answered by
+    then, is garbage.  With the cap patched to three runs per batch,
+    expected_rank (every target open) refines eight batches."""
+    engine = importlib.import_module("udom.idca")
+    db = [random_object(rng, i, max_samples=4, spread=0.3) for i in range(24)]
+    q = random_object(rng, "q", max_samples=3, spread=0.3)
+    n_total, max_depth = len(db), 6
+    monkeypatch.setattr(domination, "_BATCH_FLOAT_BUDGET", 64 * 3 * 2 * n_total * max_depth)
+    earlier, held = [], []
+    sweeps = engine._sweeps
+
+    def tracked(runs, *args):
+        gc.collect()
+        held.append(sum(ref() is not None for ref in earlier))
+        earlier.extend(weakref.ref(run) for run in runs)
+        yield from sweeps(runs, *args)
+
+    monkeypatch.setattr(engine, "_sweeps", tracked)
+    expected_rank(db, q, max_depth=max_depth)
+    assert held == [0] * 8
 
 
 def test_threads_share_one_database():
