@@ -79,6 +79,15 @@ class Rect:
     def __setattr__(self, name, value):
         raise AttributeError("Rect is immutable")
 
+    @classmethod
+    def _checked(cls, lo: np.ndarray, hi: np.ndarray) -> "Rect":
+        """A Rect over read-only float (d,) bounds already known finite with
+        ``lo <= hi``, d >= 1: held as given, not copied or checked again."""
+        rect = object.__new__(cls)
+        object.__setattr__(rect, "lo", lo)
+        object.__setattr__(rect, "hi", hi)
+        return rect
+
     @property
     def ndim(self) -> int:
         return self.lo.size

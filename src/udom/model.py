@@ -92,17 +92,28 @@ def _by_size(start: np.ndarray, nodes: np.ndarray):
         yield rows, start[rows, None] + np.arange(size)
 
 
+def _segment_sums(values: np.ndarray, start: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Per segment i, ``values[start[i]:start[i + 1]].sum()`` bit for bit
+    (``start[0] == 0``, ``start[-1] == values.size``, no segment empty).
+
+    A row of a C-ordered 2-D .sum(axis=1) is numpy's pairwise summation over
+    the segment in order, as the segment's own .sum() would add it;
+    np.add.reduceat adds in an order of its own (neither left to right nor
+    pairwise) and would move masses (and so every bound) in the last bits.
+    Segments of one size are the rows of a reshape; others are gathered by size.
+    """
+    if sizes.size == 1 or (sizes == sizes[0]).all():
+        return values.reshape(sizes.size, sizes[0]).sum(axis=1)
+    sums = np.empty(sizes.size)
+    for rows, pos in _by_size(start, np.arange(sizes.size)):
+        sums[rows] = values[pos].sum(axis=1)
+    return sums
+
+
 def _frontier(points, weights, order, start, seg) -> Frontier:
     pts = np.take(points, order, axis=0)
-    w = weights[order]
     heads = start[:-1]
-    # A row of a C-ordered 2-D .sum(axis=1) is numpy's pairwise summation over
-    # the node's samples in node order, as the node's own .sum() would add
-    # them; np.add.reduceat adds in an order of its own (neither left to right
-    # nor pairwise) and would move masses (and so every bound) in the last bits.
-    mass = np.empty(heads.size)
-    for rows, pos in _by_size(start, np.arange(heads.size)):
-        mass[rows] = w[pos].sum(axis=1)
+    mass = _segment_sums(weights[order], start, np.diff(start))
     arrays = (np.minimum.reduceat(pts, heads), np.maximum.reduceat(pts, heads), mass, order, start, seg)
     for a in arrays:
         a.setflags(write=False)
@@ -167,31 +178,83 @@ class DecompositionTree:
         return f
 
 
+_NO_SAMPLES = "need a non-empty (n, d) sample array"
+_HALF_MAX = np.finfo(float).max / 2
+
+
+def _validated(points: np.ndarray, weights: np.ndarray, start: np.ndarray | None = None):
+    """Check the samples of one or more objects and freeze them.
+
+    Object i owns rows ``start[i]:start[i + 1]`` of the float (N, d)
+    `points` and (N,) `weights`; ``start=None`` is one object owning all
+    rows.  Runs every check of `UncertainObject`, with its messages, then
+    normalises each object's weights by that object's own sum and takes each
+    object's MBR.  Returns ``(points, weights, lo, hi)``, all read-only:
+    `points` itself (frozen in place), the normalised weights and the (k, d)
+    per-object MBR bounds.
+    """
+    if points.ndim != 2 or points.size == 0:
+        raise ValueError(_NO_SAMPLES)
+    if start is None:
+        start = np.array([0, points.shape[0]])
+    elif not (start[1:] > start[:-1]).all():
+        raise ValueError(_NO_SAMPLES)
+    heads = start[:-1]
+    sizes = start[1:] - heads
+    if weights.shape != (points.shape[0],):
+        raise ValueError("weights must be one per sample")
+    if not np.isfinite(points).all():
+        raise ValueError("sample coordinates must be finite")
+    # n weights below max_float / 2n have a finite sum, so sums are taken only where they cannot overflow.
+    if not (weights.min() > 0 and (np.maximum.reduceat(weights, heads) < _HALF_MAX / sizes).all()):
+        raise ValueError("sample weights must be positive, with a finite sum: each below 8.9e307 / samples")
+    arrays = (
+        points,
+        weights / np.repeat(_segment_sums(weights, start, sizes), sizes),
+        np.minimum.reduceat(points, heads),
+        np.maximum.reduceat(points, heads),
+    )
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
 class UncertainObject:
-    """A weighted discrete sample set with an id and a tight MBR."""
+    """A weighted discrete sample set with an id and a tight MBR.
+
+    Its arrays are read-only: its own copies, or views of arrays shared with
+    the other objects of one `generate_synthetic` call."""
 
     __slots__ = ("id", "points", "weights", "mbr")
 
     def __init__(self, obj_id, points: np.ndarray, weights: np.ndarray):
         # Copy before freezing so caller-owned arrays are never made read-only.
-        points = np.array(points, dtype=float)
-        weights = np.asarray(weights, dtype=float)
-        if points.ndim != 2 or points.shape[0] == 0:
-            raise ValueError("need a non-empty (n, d) sample array")
-        if weights.shape != (points.shape[0],):
-            raise ValueError("weights must be one per sample")
-        if not np.isfinite(points).all():
-            raise ValueError("sample coordinates must be finite")
-        # n weights below max_float / 2n have a finite sum, so the sum is taken only where it cannot overflow.
-        if not (weights.min() > 0 and float(weights.max()) * 2 * weights.size < np.inf):
-            raise ValueError("sample weights must be positive, with a finite sum: each below 8.9e307 / samples")
-        weights = weights / weights.sum()
-        points.setflags(write=False)
-        weights.setflags(write=False)
+        points, weights, lo, hi = _validated(np.array(points, dtype=float), np.asarray(weights, dtype=float))
+        # Own (d,) bounds: a row view would keep a second array object per bound alive.
+        lo, hi = lo[0].copy(), hi[0].copy()
+        lo.setflags(write=False)
+        hi.setflags(write=False)
         self.id = obj_id
         self.points = points
         self.weights = weights
-        self.mbr = Rect(points.min(axis=0), points.max(axis=0))
+        self.mbr = Rect._checked(lo, hi)
+
+    @classmethod
+    def _batch(cls, ids, points: np.ndarray, weights: np.ndarray, start: np.ndarray) -> list["UncertainObject"]:
+        """One object per id, object i owning rows ``start[i]:start[i + 1]``
+        of the float (N, d) `points` and (N,) `weights`, which are checked
+        as `_validated` does and frozen, not copied: every object's arrays
+        are read-only views of the shared ones, which it keeps alive."""
+        points, weights, lo, hi = _validated(points, weights, start)
+        objects = []
+        for obj_id, a, b, lo_i, hi_i in zip(ids, start[:-1], start[1:], lo, hi):
+            obj = object.__new__(cls)
+            obj.id = obj_id
+            obj.points = points[a:b]
+            obj.weights = weights[a:b]
+            obj.mbr = Rect._checked(lo_i, hi_i)
+            objects.append(obj)
+        return objects
 
     @property
     def n_samples(self) -> int:
@@ -218,6 +281,10 @@ def build_object(obj_id, samples: Iterable) -> UncertainObject:
     return UncertainObject(obj_id, np.stack(pts), np.array(wts))
 
 
+# Floats in one generate_synthetic draw, at most (a draw holds at least one object).
+_DRAW_FLOATS = 1 << 20
+
+
 def generate_synthetic(
     n: int,
     d: int = 2,
@@ -225,26 +292,43 @@ def generate_synthetic(
     samples_per_object: int = 1000,
     seed: int = 0,
 ) -> list[UncertainObject]:
-    """Uniform random objects in the unit cube.
+    """Uniform random objects in the unit cube, with ids 0 .. n - 1.
 
     Each object gets an anchor uniform in [0, 1]^d, per-dimension extents
     uniform in (0, max_extent], and samples uniform inside the resulting box,
     so every MBR lies within [0, 1 + max_extent]^d.  Fully deterministic for a
-    fixed seed.
+    fixed seed: the generator's uniform stream is read object by object, each
+    object taking its d anchor coordinates, then its d extents, then its
+    samples row by row.  The objects' arrays are read-only views of one
+    shared sample array (and one weight array), which any object kept keeps
+    alive whole.
     """
     for value, name in ((n, "n"), (d, "d"), (samples_per_object, "samples_per_object")):
         _check_count(value, name)
     if not (0.0 < max_extent < 1.0):
         raise ValueError("max_extent must lie in (0, 1)")
-    rng = np.random.default_rng(seed)
-    objects = []
-    for i in range(n):
-        anchor = rng.uniform(0.0, 1.0, size=d)
-        extent = (1.0 - rng.uniform(0.0, 1.0, size=d)) * max_extent
-        pts = anchor + rng.uniform(0.0, 1.0, size=(samples_per_object, d)) * extent
-        wts = np.full(samples_per_object, 1.0 / samples_per_object)
-        objects.append(UncertainObject(i, pts, wts))
-    return objects
+    s = samples_per_object
+    points = _synthetic_samples(np.random.default_rng(seed), n, d, max_extent, s)
+    # Every weight is 1 / s: one value, broadcast; normalising writes the one weight array.
+    return UncertainObject._batch(range(n), points, np.broadcast_to(1.0 / s, n * s), np.arange(0, n * s + 1, s))
+
+
+def _synthetic_samples(rng, n: int, d: int, max_extent: float, s: int) -> np.ndarray:
+    """The (n * s, d) samples of `generate_synthetic`, object by object.
+
+    One draw per chunk of objects, row i holding object i's anchor, extent
+    uniforms and samples: the stream the objects would read one by one.
+    """
+    width = (2 + s) * d
+    chunk = max(1, _DRAW_FLOATS // width)
+    points = np.empty((n * s, d))
+    for first in range(0, n, chunk):
+        u = rng.uniform(0.0, 1.0, size=(min(chunk, n - first), width))
+        extent = (1.0 - u[:, d : 2 * d]) * max_extent
+        out = points[first * s : (first + len(u)) * s].reshape(len(u), s, d)
+        np.multiply(u[:, 2 * d :].reshape(len(u), s, d), extent[:, None], out=out)
+        out += u[:, None, :d]
+    return points
 
 
 def _gaussian_cloud(rng, mean, sigma, n):

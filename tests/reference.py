@@ -8,7 +8,8 @@ sparse product over one bound list (optionally k-truncated) and on the full
 (rows, n+1, n+1) grid, extraction as a double loop over counts and
 x-degrees, the looser plain-GF bounds from two univariate products, one IDCA
 depth evaluated on the dense kernels, and the query drivers as one full
-`idca` run per target.
+`idca` run per target.  The synthetic generator is kept as three draws and
+one `UncertainObject` per object.
 """
 
 from dataclasses import dataclass
@@ -20,6 +21,7 @@ from udom.domination import others, pdom_bounds_grid
 from udom.genfunc import DomCountDistribution
 from udom.geometry import Rect, _minmax_values_grid, dominance_grid
 from udom.idca import idca
+from udom.model import UncertainObject
 from udom.queries import ObjectDecision, QueryPredicate, expected_rank_interval, knn_probability_bounds
 
 
@@ -315,3 +317,17 @@ def threshold_query_per_target(kind, db, q, k, tau, **engine_kwargs):
 def expected_rank_per_target(db, q, **engine_kwargs):
     """`expected_rank` from `per_target`."""
     return [(t.id, *expected_rank_interval(res.distribution)) for t, res in per_target(db, q, "knn", **engine_kwargs)]
+
+
+def generate_synthetic_loop(n, d, max_extent, samples_per_object, seed):
+    """`generate_synthetic` object by object: per object an anchor draw, an
+    extent draw and a sample draw, built by `UncertainObject`."""
+    rng = np.random.default_rng(seed)
+    objects = []
+    for i in range(n):
+        anchor = rng.uniform(0.0, 1.0, size=d)
+        extent = (1.0 - rng.uniform(0.0, 1.0, size=d)) * max_extent
+        pts = anchor + rng.uniform(0.0, 1.0, size=(samples_per_object, d)) * extent
+        wts = np.full(samples_per_object, 1.0 / samples_per_object)
+        objects.append(UncertainObject(i, pts, wts))
+    return objects

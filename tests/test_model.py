@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import generate_synthetic_loop
 
+from udom import model
 from udom.model import (
     DatasetError,
     DecompositionTree,
+    UncertainObject,
     build_object,
     generate_synthetic,
     load_dataset,
@@ -61,8 +64,6 @@ def test_build_four_corner_samples():
 
 
 def test_constructor_does_not_freeze_caller_arrays():
-    from udom.model import UncertainObject
-
     pts = np.array([[0.0, 0.0], [1.0, 1.0]])
     wts = np.array([0.5, 0.5])
     obj = UncertainObject("x", pts, wts)
@@ -84,6 +85,103 @@ def test_build_errors():
     # Each weight is finite, but their sum overflows.
     with pytest.raises(ValueError, match="finite sum"):
         build_object("x", [((0.0, 0.0), 1e308), ((0.1, 0.0), 1e308)])
+
+
+def test_samples_without_coordinates_are_refused_as_a_sample_array(tmp_path):
+    with pytest.raises(ValueError, match=r"need a non-empty \(n, d\) sample array"):
+        UncertainObject(0, np.zeros((3, 0)), np.ones(3))
+    path = tmp_path / "nodims.jsonl"
+    path.write_text('{"id": "a", "samples": [[1.0]]}\n')
+    with pytest.raises(DatasetError, match=r"line 1: need a non-empty \(n, d\) sample array"):
+        load_dataset(path)
+
+
+def object_bytes(obj):
+    return obj.id, obj.points.tobytes(), obj.weights.tobytes(), obj.mbr.lo.tobytes(), obj.mbr.hi.tobytes()
+
+
+def assert_read_only(objects):
+    for obj in objects:
+        for a in (obj.points, obj.weights, obj.mbr.lo, obj.mbr.hi):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+
+def ragged_samples(rng, sizes, d=2):
+    """Samples of objects with the given sample counts: (points, weights, start),
+    the weights non-dyadic (their sums round)."""
+    start = np.concatenate([[0], np.cumsum(sizes)])
+    return rng.uniform(-1.0, 1.0, size=(start[-1], d)), rng.integers(1, 10, size=start[-1]) / 7.0, start
+
+
+def test_batch_constructor_equals_one_object_at_a_time(rng):
+    sizes = np.concatenate([[2, 40], rng.integers(1, 41, size=58)])
+    points, weights, start = ragged_samples(rng, sizes)
+    weights[:2] = 3e307, 1e307  # below 8.9e307 / 2 each, though not below 8.9e307 / 40
+    batch = UncertainObject._batch(range(sizes.size), points, weights, start)
+    assert_read_only(batch)
+    for i, (obj, a, b) in enumerate(zip(batch, start[:-1], start[1:])):
+        alone = UncertainObject(i, points[a:b], weights[a:b])
+        assert object_bytes(obj) == object_bytes(alone)
+        # Both normalise by the object's own weight sum and take its own MBR.
+        assert alone.weights.tobytes() == (weights[a:b] / weights[a:b].sum()).tobytes()
+        assert alone.mbr.lo.tobytes() == points[a:b].min(axis=0).tobytes()
+        assert alone.mbr.hi.tobytes() == points[a:b].max(axis=0).tobytes()
+    assert all(obj.points.base is points for obj in batch)  # views, not copies
+
+
+def _nan_coordinate(points, weights, a, b):
+    points[a, 0] = np.nan
+
+
+def _inf_coordinate(points, weights, a, b):
+    points[b - 1, 1] = -np.inf
+
+
+def _zero_weight(points, weights, a, b):
+    weights[a] = 0.0
+
+
+def _negative_weight(points, weights, a, b):
+    weights[b - 1] = -2.0
+
+
+def _nan_weight(points, weights, a, b):
+    weights[a] = np.nan
+
+
+def _overflowing_sum(points, weights, a, b):
+    weights[a:b] = 1e308
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [_nan_coordinate, _inf_coordinate, _zero_weight, _negative_weight, _nan_weight, _overflowing_sum],
+)
+def test_batch_constructor_refuses_as_one_object_would(rng, spoil):
+    sizes = np.array([5, 3, 2, 7])
+    points, weights, start = ragged_samples(rng, sizes)
+    spoil(points, weights, start[2], start[3])
+    with pytest.raises(ValueError) as alone:
+        UncertainObject(2, points[start[2] : start[3]], weights[start[2] : start[3]])
+    with pytest.raises(ValueError) as batch:
+        UncertainObject._batch(range(4), points, weights, start)
+    assert str(batch.value) == str(alone.value)
+
+
+def test_batch_constructor_refuses_empty_objects_and_missing_coordinates(rng):
+    points, weights, start = ragged_samples(rng, np.array([4, 2, 3]))
+    with pytest.raises(ValueError) as alone:
+        UncertainObject(1, np.zeros((0, 2)), np.zeros(0))
+    with pytest.raises(ValueError) as batch:
+        UncertainObject._batch(range(4), points, weights, np.insert(start, 2, start[1]))
+    assert str(batch.value) == str(alone.value)
+    with pytest.raises(ValueError) as alone:
+        UncertainObject(1, np.zeros((2, 0)), weights[4:6])
+    with pytest.raises(ValueError) as batch:
+        UncertainObject._batch(range(3), points[:, :0], weights, start)
+    assert str(batch.value) == str(alone.value)
 
 
 def test_leaf_masses_sum_to_one_at_any_depth(rng):
@@ -324,6 +422,27 @@ def test_generate_synthetic_deterministic(tmp_path):
     save_dataset_jsonl(a, p1)
     save_dataset_jsonl(b, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+@pytest.mark.parametrize("samples", [1, 3, 50])
+@pytest.mark.parametrize("seed", [0, 7, 123])
+def test_generate_synthetic_equals_per_object_draws(d, samples, seed):
+    db = generate_synthetic(17, d, 0.3, samples, seed)
+    expected = generate_synthetic_loop(17, d, 0.3, samples, seed)
+    assert [object_bytes(o) for o in db] == [object_bytes(o) for o in expected]
+    assert all(type(o.id) is int for o in db)
+    assert_read_only(db)
+
+
+@pytest.mark.parametrize("draw_floats", [1, 3 * (2 + 5) * 3])
+def test_generate_synthetic_across_draw_chunks(monkeypatch, draw_floats):
+    # 3 objects per draw (5 draws for 13 objects), or one object per draw.
+    monkeypatch.setattr(model, "_DRAW_FLOATS", draw_floats)
+    db = generate_synthetic(13, 3, 0.05, 5, seed=4)
+    expected = generate_synthetic_loop(13, 3, 0.05, 5, seed=4)
+    assert [object_bytes(o) for o in db] == [object_bytes(o) for o in expected]
+    assert_read_only(db)
 
 
 def test_generate_single_point_object():
