@@ -14,7 +14,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .geometry import _kernel_floats_per_cell, check_norm_order, dominance_grid
+from .geometry import _KERNEL_FLOATS_PER_CELL, check_norm_order, dominance_grid
 from .model import Frontier, UncertainObject
 
 __all__ = [
@@ -67,10 +67,13 @@ def others(db: Sequence[UncertainObject], *exclude: UncertainObject) -> list[Unc
 
     Identity is the Python object, so an external object whose id equals a
     database id excludes nothing.  Ids still label answers, so repeated
-    database ids raise ValueError, as do objects of differing dimensionality.
+    database ids raise ValueError, as do objects of differing dimensionality
+    and b and r as one object, which has one position a world, not two.
     """
     if len({o.id for o in db}) != len(db):
         raise ValueError("database object ids must be unique")
+    if len({id(o) for o in exclude}) != len(exclude):
+        raise ValueError("the target and the reference must be different objects")
     if len({o.points.shape[1] for o in (*db, *exclude)}) > 1:
         raise ValueError("dimension mismatch between database, target and reference")
     skip = {id(o) for o in exclude}
@@ -88,18 +91,19 @@ def _target_labels(objs, order, q, roles, p, criterion) -> Iterator[tuple[list, 
     "rknn" makes q b and the target the reference.  An object that dominates
     b is a complete dominator, one that b dominates is irrelevant, any other
     an influence object.  The MBRs are stacked once and the targets split in
-    chunks within `_BATCH_FLOAT_BUDGET`, each chunk by one forward and one
-    reverse kernel call; a kNN chunk of every object makes the forward grid
-    square, so its transpose is the reverse grid and both are gathered in
-    chunk order afterwards.  Yields per chunk: its row indices, per target
-    its complete-dominator count s and its influence count m, and the
-    (len(objs), chunk) bool masks of complete dominators and of influence
-    objects, each target's own row False in both (an irrelevant object is
-    in neither).  Every MBR split of the package comes from here
-    (`classify` is the one-target pass)."""
+    chunks within `_BATCH_FLOAT_BUDGET` at `_KERNEL_FLOATS_PER_CELL` floats a
+    grid cell, at any d, kNN (·, chunk, 1) and RkNN (·, 1, chunk) grids
+    alike, each by one forward and one reverse kernel call; a kNN chunk of
+    every object makes the forward grid square, so its transpose is the
+    reverse grid, both gathered in chunk order.  Yields per chunk: its row
+    indices, per target its complete-dominator count s and its influence
+    count m, and the (len(objs), chunk) bool masks of complete dominators
+    and of influence objects, each target's own row False in both (an
+    irrelevant object is in neither).  Every MBR split of the package comes
+    from here (`classify` is the one-target pass)."""
     lo, hi = np.array([o.mbr.lo for o in objs]), np.array([o.mbr.hi for o in objs])
     one = q.mbr.lo[None], q.mbr.hi[None]
-    chunk = max(1, _BATCH_FLOAT_BUDGET // (_kernel_floats_per_cell(lo.shape[1]) * len(objs)))
+    chunk = max(1, _BATCH_FLOAT_BUDGET // (_KERNEL_FLOATS_PER_CELL * len(objs)))
     for start in range(0, len(order), chunk):
         cols = order[start : start + chunk]
         square = roles == "knn" and len(cols) == len(objs)

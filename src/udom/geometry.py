@@ -3,20 +3,23 @@
 Box a dominates box b with respect to box r when every point of a is closer
 than every point of b to every point of r.  The corner-wise ("optimal")
 criterion decides this exactly for rectangles: per dimension, the difference
-MaxDist(a_i, t)^p - MinDist(b_i, t)^p is maximised over the two endpoints t
-of r's projection interval (its maximum over the interval is attained at an
-endpoint), and domination holds iff the sum over dimensions is negative.
-The min/max baseline compares full-rectangle MaxDist(a, r) with
-MinDist(b, r); it ignores that both distances depend on the same position of
-r, so it is implied by (never tighter than) the corner-wise criterion.
+fa_i - nb_i of fa_i = MaxDist(a_i, t)^p and nb_i = MinDist(b_i, t)^p is
+maximised over the two endpoints t of r's projection interval (its maximum
+over the interval is attained at an endpoint), and domination holds iff the
+sum over dimensions is negative.  The min/max baseline compares
+full-rectangle MaxDist(a, r) with MinDist(b, r); it ignores that both
+distances depend on the same position of r, so it is implied by (never
+tighter than) the corner-wise criterion.  One routine forms every such term,
+over a corner or over r's interval, for both kernels and the point keys
+below; the min/max value adds its far terms and its near terms each in
+dimension order.
 
 All comparisons are strict and use p-th powers of distances; roots are never
 taken because x^p is monotone on the nonnegatives.  Exact ties therefore never
 count as domination, which keeps the criteria conservative.
 
 Under a point reference t both corners of r are t, so the corner-wise value
-is V = sum_i (fa_i - nb_i) with fa_i = MaxDist(a_i, t)^p and
-nb_i = MinDist(b_i, t)^p: a dominates b iff a's far key A = sum_i fa_i is
+is V = sum_i (fa_i - nb_i): a dominates b iff a's far key A = sum_i fa_i is
 below b's near key B = sum_i nb_i (MinDist/MaxDist pruning).  The kernel adds
 the rounded terms fl(fa_i - nb_i) in dimension order; the keys add the same
 fa_i and nb_i, in whatever order.  With u = eps / 2 and
@@ -45,12 +48,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = [
-    "Rect",
-    "check_norm_order",
-    "dominance_grid",
-    "rect_min_dist",
-]
+__all__ = ["Rect", "check_norm_order", "dominance_grid", "rect_min_dist"]
 
 
 class Rect:
@@ -128,53 +126,64 @@ def rect_min_dist(a: Rect, b: Rect, p: float = 2.0) -> float:
     return float(_no_overflow(lambda: (gaps**p).sum()) ** (1.0 / p))
 
 
-# ---------------------------------------------------------------------------
 # Vectorised kernels: m a-boxes against n b-boxes under a (k, d) stack of
-# r-boxes, computed on per-dimension columns, with (m, n, k) results, entry
+# r-boxes, worked one dimension at a time, with (m, n, k) results, entry
 # [..., z] under r-box z.  Every cell gets the same float operations in the
 # same order whatever m, n and k are, so a stacked call equals k one-box calls
-# bit for bit.
-# ---------------------------------------------------------------------------
+# bit for bit.  Floats one call holds per result cell, for every m, n, k >= 1
+# and d: "optimal" holds 3 mnk and one corner's terms, (m + n) k <= 2 mnk (their
+# second operands go to a result array not yet in use); "minmax" holds its sums
+# and one dimension's terms, 2 (m + n) k, and one second operand, max(m, n) k.
+_KERNEL_FLOATS_PER_CELL = 5
 
 
-def _kernel_floats_per_cell(d: int) -> int:
-    """Bound on one kernel call's float temporaries per (m, n, k) result cell: three
-    result-sized arrays and 2d(m + n)k r-corner distances (2d per cell once m, n >= 2)."""
-    return 2 * d + 3
+def _distance_terms(a_lo, a_hi, b_lo, b_hi, t_lo, t_hi, p, out=(None,) * 4):
+    """Every dominance decision's terms, for broadcast bounds and [t_lo, t_hi]
+    an interval or a corner (t_lo == t_hi): far = max(t_hi - a_lo, a_hi - t_lo)^p,
+    MaxDist(a_i, t)^p, and near = max(b_lo - t_hi, t_lo - b_hi, 0)^p, MinDist(b_i, t)^p.
+    `out` may give the arrays of far, near and their second operands."""
+    far, near, far_2nd, near_2nd = out
+    far = np.subtract(t_hi, a_lo, out=far)
+    np.maximum(far, np.subtract(a_hi, t_lo, out=far_2nd), out=far)
+    far **= p
+    near = np.subtract(b_lo, t_hi, out=near)
+    np.maximum(near, np.subtract(t_lo, b_hi, out=near_2nd), out=near)
+    np.maximum(near, 0.0, out=near)
+    near **= p
+    return far, near
 
 
 def _optimal_values_grid(a_lo, a_hi, b_lo, b_hi, r_lo, r_hi, p):
-    """Criterion values for every (a-box, b-box, r-box) triple.
-
-    a_lo/a_hi: (m, d); b_lo/b_hi: (n, d); r_lo/r_hi: (k, d).  Returns
-    (m, n, k); a value < 0 means the a-box dominates the b-box under that
-    r-box.  Per dimension the larger of the two r-corner differences is added
-    into the total in dimension order.
-    """
-    a_lo, a_hi, b_lo, b_hi = (x.T[..., None] for x in (a_lo, a_hi, b_lo, b_hi))  # (d, m, 1), (d, n, 1)
-    # (2, d, 1, k): lower and upper r-corner, r-boxes contiguous so that they are the inner loop
-    rc = np.ascontiguousarray(np.stack([r_lo.T, r_hi.T]))[:, :, None]
-    max_a = rc - a_lo  # (2, d, m, k), worked in place
-    np.maximum(max_a, a_hi - rc, out=max_a)
-    max_a **= p
-    min_b = b_lo - rc  # (2, d, n, k)
-    np.maximum(min_b, rc - b_hi, out=min_b)
-    np.maximum(min_b, 0.0, out=min_b)
-    min_b **= p
-    total = np.zeros(max_a.shape[2:3] + min_b.shape[2:])
+    """Criterion values for every (a-box, b-box, r-box) triple: a_lo/a_hi
+    (m, d), b_lo/b_hi (n, d) and r_lo/r_hi (k, d) give (m, n, k), a value < 0
+    where the a-box dominates the b-box under that r-box.  Per dimension each
+    r-corner's terms fill the call's buffers, and the larger corner
+    difference is added into the total in dimension order."""
+    m, n, k = len(a_lo), len(b_lo), len(r_lo)
+    total = np.zeros((m, n, k))
+    if total.size == 0:
+        return total
     at_lo, at_hi = np.empty_like(total), np.empty_like(total)
-    for i in range(rc.shape[1]):
-        np.subtract(max_a[0, i, :, None], min_b[0, i], out=at_lo)
-        np.subtract(max_a[1, i, :, None], min_b[1, i], out=at_hi)
+    spare = at_hi.reshape(-1)  # free while a corner's terms are formed
+    out = np.empty((m, k)), np.empty((n, k)), spare[: m * k].reshape(m, k), spare[: n * k].reshape(n, k)
+    for i, corners in enumerate(zip(r_lo.T.copy(), r_hi.T.copy())):  # each corner (k,), contiguous
+        boxes = [x[:, i, None] for x in (a_lo, a_hi, b_lo, b_hi)]
+        for t, at in zip(corners, (at_lo, at_hi)):
+            far, near = _distance_terms(*boxes, t, t, p, out)
+            np.subtract(far[:, None], near, out=at)
         total += np.maximum(at_lo, at_hi, out=at_lo)
     return total
 
 
 def _minmax_values_grid(a_lo, a_hi, b_lo, b_hi, r_lo, r_hi, p):
-    """Same shape contract as _optimal_values_grid for the min/max baseline."""
-    max_a = (np.maximum(r_hi - a_lo[:, None], a_hi[:, None] - r_lo) ** p).sum(axis=-1)  # (m, k)
-    min_b = (np.maximum(np.maximum(b_lo[:, None] - r_hi, r_lo - b_hi[:, None]), 0.0) ** p).sum(axis=-1)  # (n, k)
-    return max_a[:, None] - min_b[None]
+    """Same shape contract as _optimal_values_grid for the min/max baseline:
+    MaxDist(a, r)^p - MinDist(b, r)^p, each sum added in dimension order."""
+    far_sum, near_sum = np.zeros((len(a_lo), len(r_lo))), np.zeros((len(b_lo), len(r_lo)))
+    for i in range(r_lo.shape[1]):
+        far, near = _distance_terms(*(x[:, i, None] for x in (a_lo, a_hi, b_lo, b_hi)), r_lo[:, i], r_hi[:, i], p)
+        far_sum += far
+        near_sum += near
+    return far_sum[:, None] - near_sum
 
 
 def _no_overflow(fn, *args):
@@ -195,14 +204,7 @@ def _point_reference_mask(a_lo, a_hi, b_lo, b_hi, t, p):
     gets the kernel's value from the same terms: fl(fa_i - nb_i) added in
     dimension order."""
     with np.errstate(over="ignore", invalid="ignore"):
-        # the kernel's own per-dimension p-th powers, worked the same way
-        far = t - a_lo.T  # (d, m)
-        np.maximum(far, a_hi.T - t, out=far)
-        far **= p
-        near = b_lo.T - t  # (d, n)
-        np.maximum(near, t - b_hi.T, out=near)
-        np.maximum(near, 0.0, out=near)
-        near **= p
+        far, near = _distance_terms(a_lo.T, a_hi.T, b_lo.T, b_hi.T, t, t, p)  # (d, m), (d, n)
         a_key, b_key = far.sum(axis=0), near.sum(axis=0)
         if not np.isfinite(2.0 * (a_key.max(initial=0.0) + b_key.max(initial=0.0))):
             return None
@@ -234,14 +236,11 @@ def dominance_grid(a_lo, a_hi, b_lo, b_hi, r_lo, r_hi, p=2.0, criterion="optimal
     distance key per box, outside a proven rounding band, and sums the
     kernel's terms on the band cells only: the same mask, bit for bit.
     """
-    if criterion == "optimal":
-        if len(r_lo) == 1 and (r_lo == r_hi).all():
-            mask = _point_reference_mask(a_lo, a_hi, b_lo, b_hi, r_lo.T, p)
-            if mask is not None:
-                return mask
-        values = _optimal_values_grid
-    elif criterion == "minmax":
-        values = _minmax_values_grid
-    else:
+    values = {"optimal": _optimal_values_grid, "minmax": _minmax_values_grid}.get(criterion)
+    if values is None:
         raise ValueError(f"unknown criterion {criterion!r}")
+    if values is _optimal_values_grid and len(r_lo) == 1 and (r_lo == r_hi).all():
+        mask = _point_reference_mask(a_lo, a_hi, b_lo, b_hi, r_lo.T, p)
+        if mask is not None:
+            return mask
     return _no_overflow(values, a_lo, a_hi, b_lo, b_hi, r_lo, r_hi, p) < 0.0

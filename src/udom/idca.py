@@ -32,7 +32,7 @@ import numpy as np
 from . import domination
 from .domination import DominationClassification, _pdf_length, classify, pdom_bounds_grid
 from .genfunc import DomCountDistribution, _extract_batch, _ugf_expand_batch
-from .geometry import _check_count, _kernel_floats_per_cell, check_norm_order
+from .geometry import _KERNEL_FLOATS_PER_CELL, _check_count, check_norm_order
 from .model import DecompositionTree, Frontier, UncertainObject
 
 __all__ = [
@@ -195,7 +195,7 @@ def _evaluate_depth(level: Frontier, runs: list, p: float, criterion: str) -> li
     candidates of any run.  The runs of one reference share its
     `pdom_bounds_grid` calls: its candidate roots, cut into consecutive calls
     whose grid of candidate nodes x target nodes x
-    `_kernel_floats_per_cell(d)` floats fits `_cap` (a root over it alone),
+    `_KERNEL_FLOATS_PER_CELL` floats fits `_cap` (a root over it alone),
     their bounds concatenated along the candidate axis; a candidate root's
     bounds do not depend on the other roots of its call, so the cut changes
     no bit.  A narrower run is padded with plb = pub = 0, factors that
@@ -216,7 +216,7 @@ def _evaluate_depth(level: Frontier, runs: list, p: float, criterion: str) -> li
         cands = np.unique(np.concatenate([runs[i].roots[:-2] for i in group]))
         bs = np.unique([runs[i].roots[-2] for i in group])
         b, r = level.take(bs), level.take(np.array([ref]))
-        fit = _cap() // (len(b) * _kernel_floats_per_cell(level.lo.shape[1]))  # candidate nodes per call
+        fit = _cap() // (len(b) * _KERNEL_FLOATS_PER_CELL)  # candidate nodes per call
         ends = np.concatenate([[0], np.cumsum(nodes[cands])])  # nodes of the first i candidate roots
         cuts = [0]
         while cuts[-1] < cands.size:

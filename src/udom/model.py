@@ -399,9 +399,12 @@ def _load_jsonl(path) -> list[UncertainObject]:
                 obj_id = row["id"]
                 hash(obj_id)  # ids key dicts downstream; a list or object id is malformed
                 raw = row["samples"]
+                for value in (v for entry in raw for v in entry):  # true or "0.5" would pass as floats
+                    if isinstance(value, bool) or not isinstance(value, (int, float)):
+                        raise ValueError(f"sample value {json.dumps(value)} is not a number")
                 samples = [(entry[:-1], entry[-1]) for entry in raw]
                 obj = build_object(obj_id, samples)
-            except (KeyError, IndexError, TypeError, ValueError) as exc:
+            except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:  # OverflowError: an integer past the float range
                 raise DatasetError(f"line {lineno}: {exc}") from exc
             _append_checked(objects, lines, obj, lineno)
     if not objects:

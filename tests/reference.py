@@ -8,8 +8,10 @@ sparse product over one bound list (optionally k-truncated) and on the full
 (rows, n+1, n+1) grid, extraction as a double loop over counts and
 x-degrees, the looser plain-GF bounds from two univariate products, one IDCA
 depth evaluated on the dense kernels, and the query drivers as one full
-`idca` run per target.  The synthetic generator is kept as three draws and
-one `UncertainObject` per object.
+`idca` run per target.  The dominance kernels' earlier forms are kept too:
+corner arrays of every p-th power, and the min/max sums over the last axis.
+The synthetic generator is kept as three draws and one `UncertainObject` per
+object.
 """
 
 from dataclasses import dataclass
@@ -79,6 +81,50 @@ def optimal_values_4d(a_lo, a_hi, b_lo, b_hi, r_lo, r_hi, p):
     min_b = np.maximum(np.maximum(b_lo[:, :, None] - rc[None], rc[None] - b_hi[:, :, None]), 0.0) ** p  # (n, d, 2)
     diff = max_a[:, None] - min_b[None]  # (m, n, d, 2)
     return diff.max(axis=3).sum(axis=2)
+
+
+def optimal_values_corners(a_lo, a_hi, b_lo, b_hi, r_lo, r_hi, p):
+    """The corner-wise kernel as it stood before its dimension loop formed
+    one corner's terms at a time: (2, d, m, k) and (2, d, n, k) corner
+    arrays of every p-th power, then the same dimension-order total."""
+    a_lo, a_hi, b_lo, b_hi = (x.T[..., None] for x in (a_lo, a_hi, b_lo, b_hi))  # (d, m, 1), (d, n, 1)
+    # (2, d, 1, k): lower and upper r-corner, r-boxes contiguous so that they are the inner loop
+    rc = np.ascontiguousarray(np.stack([r_lo.T, r_hi.T]))[:, :, None]
+    max_a = rc - a_lo  # (2, d, m, k), worked in place
+    np.maximum(max_a, a_hi - rc, out=max_a)
+    max_a **= p
+    min_b = b_lo - rc  # (2, d, n, k)
+    np.maximum(min_b, rc - b_hi, out=min_b)
+    np.maximum(min_b, 0.0, out=min_b)
+    min_b **= p
+    total = np.zeros(max_a.shape[2:3] + min_b.shape[2:])
+    at_lo, at_hi = np.empty_like(total), np.empty_like(total)
+    for i in range(rc.shape[1]):
+        np.subtract(max_a[0, i, :, None], min_b[0, i], out=at_lo)
+        np.subtract(max_a[1, i, :, None], min_b[1, i], out=at_hi)
+        total += np.maximum(at_lo, at_hi, out=at_lo)
+    return total
+
+
+def minmax_values_last_axis(a_lo, a_hi, b_lo, b_hi, r_lo, r_hi, p):
+    """The min/max kernel as it stood before it added one dimension at a
+    time: numpy's sum over the last (d) axis, sequential below 8 terms and
+    pairwise from 8 on, so the last bits may differ from d = 8."""
+    max_a = (np.maximum(r_hi - a_lo[:, None], a_hi[:, None] - r_lo) ** p).sum(axis=-1)  # (m, k)
+    min_b = (np.maximum(np.maximum(b_lo[:, None] - r_hi, r_lo - b_hi[:, None]), 0.0) ** p).sum(axis=-1)  # (n, k)
+    return max_a[:, None] - min_b[None]
+
+
+def minmax_values_dimension_order(a_lo, a_hi, b_lo, b_hi, r_lo, r_hi, p):
+    """The same terms as `minmax_values_last_axis`, each sum added in
+    dimension order, as `dominates_minmax_loop` adds them."""
+    max_a = np.maximum(r_hi - a_lo[:, None], a_hi[:, None] - r_lo) ** p  # (m, k, d)
+    min_b = np.maximum(np.maximum(b_lo[:, None] - r_hi, r_lo - b_hi[:, None]), 0.0) ** p  # (n, k, d)
+    far, near = np.zeros(max_a.shape[:2]), np.zeros(min_b.shape[:2])
+    for i in range(max_a.shape[2]):
+        far += max_a[..., i]
+        near += min_b[..., i]
+    return far[:, None] - near[None]
 
 
 def minmax_values_one(a_lo, a_hi, b_lo, b_hi, r_lo, r_hi, p):

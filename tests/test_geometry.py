@@ -1,9 +1,13 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from udom.geometry import (
+    _KERNEL_FLOATS_PER_CELL,
     Rect,
     _minmax_values_grid,
     _optimal_values_grid,
@@ -20,7 +24,10 @@ from reference import (
     dominates_optimal_loop,
     max_dist_1d,
     min_dist_1d,
+    minmax_values_dimension_order,
+    minmax_values_last_axis,
     optimal_values_4d,
+    optimal_values_corners,
 )
 
 
@@ -302,6 +309,72 @@ def test_r_stack_equals_single_calls(rng, criterion):
             one = r_lo[z : z + 1], r_hi[z : z + 1]
             assert stacked[..., z].tobytes() == values(*a, *b, *one, p)[..., 0].tobytes()
             assert (grid[..., z] == dominance_grid(*a, *b, *one, p, criterion)[..., 0]).all()
+
+
+def _hypothesis_boxes(rng, count, d, grid):
+    """`count` boxes: on an integer grid (exact distance ties, shared
+    corners) or of float bounds; about a third of their sides, and every
+    side of some boxes, of zero extent."""
+    if grid:
+        lo, side = rng.integers(-3, 4, size=(count, d)).astype(float), rng.integers(0, 3, size=(count, d)).astype(float)
+    else:
+        lo, side = rng.uniform(-1.0, 1.0, size=(count, d)), rng.uniform(0.0, 1.0, size=(count, d))
+    side[rng.uniform(size=(count, d)) < 0.3] = 0.0
+    side[rng.uniform(size=count) < 0.2] = 0.0
+    return lo, lo + side
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(
+    st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+    st.sampled_from([1, 2, 3, 8]),
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.integers(1, 300),
+    st.booleans(),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+@example(2.0, 8, 1, 6, 300, True, True, 0)
+@example(3.0, 2, 6, 1, 300, True, False, 1)
+def test_kernels_equal_their_earlier_forms(p, d, m, n, k, grid, shared, seed):
+    """The dimension-loop kernels give their earlier forms' values byte for
+    byte: "optimal" at every d, "minmax" while numpy's last-axis sum is
+    sequential (d <= 7), and at d = 8 the same terms added in dimension
+    order.  Cases span integer-grid ties, degenerate boxes, r-corners shared
+    with the boxes, m = 1 or n = 1 and r-stacks of 1 to 300 boxes."""
+    rng = np.random.default_rng(seed)
+    a, b, r = (_hypothesis_boxes(rng, count, d, grid) for count in (m, n, k))
+    if shared:  # r-boxes that take their corners from the a- and b-boxes
+        corners = np.concatenate([*a, *b])
+        r = tuple(np.sort(corners[rng.integers(0, len(corners), size=(2, k))], axis=0))
+    got = _optimal_values_grid(*a, *b, *r, p)
+    assert got.tobytes() == optimal_values_corners(*a, *b, *r, p).tobytes()
+    got = _minmax_values_grid(*a, *b, *r, p)
+    want = (minmax_values_last_axis if d <= 7 else minmax_values_dimension_order)(*a, *b, *r, p)
+    assert got.shape == (m, n, k)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("criterion", ["optimal", "minmax"])
+@pytest.mark.parametrize("d", [2, 8])
+@pytest.mark.parametrize("shape", [(250, 1, 250), (1, 250, 250), (50, 50, 40)])
+def test_kernel_peak_memory_fits_its_floats_per_cell(shape, d, criterion):
+    """One `dominance_grid` call's peak traced allocation is at most
+    `_KERNEL_FLOATS_PER_CELL` floats per (m, n, k) cell, plus 256 KiB for
+    numpy's ufunc buffers, whatever d: the shapes include the RkNN filter's
+    (n, 1, k) and (1, n, k) grids, where corner arrays of every p-th power
+    took about 4d floats per cell."""
+    rng = np.random.default_rng(7)
+    boxes = [_kernel_boxes(rng, count, d) for count in shape]
+    args = [x for box in boxes for x in box]
+    tracemalloc.start()
+    try:
+        dominance_grid(*args, 2.0, criterion)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _KERNEL_FLOATS_PER_CELL * 8 * np.prod(shape) + 256 * 1024
 
 
 def _point_keys(a_lo, a_hi, b_lo, b_hi, t, p):

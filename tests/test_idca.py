@@ -9,11 +9,11 @@ import pytest
 import udom.domination as domination
 from udom.domination import classify
 from udom.genfunc import DomCountDistribution, gf_exact
-from udom.geometry import Rect
+from udom.geometry import _KERNEL_FLOATS_PER_CELL, Rect
 from udom.idca import idca, uncertainty
 from udom.model import DecompositionTree, build_object, generate_synthetic
-from udom.oracle import enumerate_exact
-from udom.queries import pknn_query, prknn_query
+from udom.oracle import enumerate_exact, mc_baseline
+from udom.queries import inverse_ranking, pknn_query, prknn_query
 
 from conftest import random_instance
 from reference import evaluate_depth_dense, extract_bounds, pdom_bounds_loop, pdom_bounds_stacked, ugf_expand
@@ -577,12 +577,27 @@ def test_on_iteration_sees_each_evaluation_as_it_is_made(rng, monkeypatch):
     assert events == [e for depth in range(1, res.iterations_run + 1) for e in (["sweep", depth] if depth > 1 else [1])]
 
 
+def test_one_object_as_both_target_and_reference_is_refused():
+    """b and r as one object: it has one position in each world, so its
+    count is 0 with certainty, where independent draws of its two roles
+    gave lb = ub = [0.889, 0.111, 0, 0, 0].  Every entry point that splits
+    the database into b, r and the others refuses it."""
+    db = generate_synthetic(5, 2, 0.3, 3, seed=0)
+    for call in (classify, idca, inverse_ranking, enumerate_exact, mc_baseline):
+        with pytest.raises(ValueError, match="different objects"):
+            call(db, db[0], db[0])
+    outside = build_object("x", [((0.5, 0.5), 1.0), ((0.6, 0.4), 1.0)])
+    with pytest.raises(ValueError, match="different objects"):
+        idca(db, outside, outside)
+    assert idca(db, db[0], db[1]).stop_reason  # distinct objects still run
+
+
 def test_each_kernel_call_of_a_sweep_fits_the_cap(monkeypatch):
     """A sweep cuts each reference's candidate roots into `pdom_bounds_grid`
     calls whose kernel grid, candidate nodes x target nodes (one r-node per
-    `dominance_grid` call), stays within `_cap` floats at 7 floats per cell
-    in 2-d; only a root over the cap on its own may go alone.  With the cap
-    patched to 200 cells, every multi-root call fits it, the sweeps make
+    `dominance_grid` call), stays within `_cap` floats at the kernel's
+    `_KERNEL_FLOATS_PER_CELL` floats per cell; only a root over the cap on
+    its own may go alone.  With the cap patched to 200 cells, every multi-root call fits it, the sweeps make
     more calls than under the default budget, and the bounds and decisions
     equal the default budget's, byte for byte."""
     engine = importlib.import_module("udom.idca")
@@ -615,7 +630,7 @@ def test_each_kernel_call_of_a_sweep_fits_the_cap(monkeypatch):
         return [(h.lb.tobytes(), h.ub.tobytes()) for h in res.history], repr(answer.decisions), len(calls)
 
     *want, default_calls = run()
-    monkeypatch.setattr(domination, "_BATCH_FLOAT_BUDGET", 64 * 7 * 200)
+    monkeypatch.setattr(domination, "_BATCH_FLOAT_BUDGET", 64 * _KERNEL_FLOATS_PER_CELL * 200)
     *got, patched_calls = run()
     assert got == want
     multi = [cells for roots, cells in calls if roots > 1]

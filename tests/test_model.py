@@ -484,6 +484,25 @@ def test_load_jsonl_error_carries_line_number(tmp_path):
             load_dataset(path)
 
 
+@pytest.mark.parametrize("sample", ["[true, 0.5, 1.0]", '["0.5", 0.5, 1.0]', "[0.5, 0.5, true]", "[0.5, null, 1.0]"])
+def test_load_jsonl_refuses_sample_values_that_are_not_numbers(tmp_path, sample):
+    """A JSON true, "0.5" or null is no coordinate or weight, though float()
+    turns the first two into one: refused, naming the line and the value."""
+    path = tmp_path / "types.jsonl"
+    path.write_text('{"id": "a", "samples": [[0, 0, 1]]}\n{"id": "b", "samples": [' + sample + "]}\n")
+    with pytest.raises(DatasetError, match=r"^line 2: sample value (true|null|\"0.5\") is not a number$"):
+        load_dataset(path)
+
+
+def test_load_jsonl_refuses_an_integer_past_the_float_range(tmp_path):
+    """A JSON integer of 401 digits is a number no float holds: refused
+    with its line, not raised as an OverflowError."""
+    path = tmp_path / "big.jsonl"
+    path.write_text('{"id": "a", "samples": [[1' + "0" * 400 + ", 0.5, 1.0]]}\n")
+    with pytest.raises(DatasetError, match="^line 1: "):
+        load_dataset(path)
+
+
 def test_load_jsonl_dimension_mismatch(tmp_path):
     path = tmp_path / "dims.jsonl"
     path.write_text(
