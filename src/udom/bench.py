@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .domination import others
-from .geometry import _check_count, check_norm_order, rect_min_dist
+from .geometry import _check_count, _min_dists, check_norm_order
 from .idca import DEFAULT_MAX_DEPTH, idca, uncertainty
 from .model import UncertainObject, generate_synthetic, load_dataset
 from .oracle import mc_baseline
@@ -70,16 +70,21 @@ class BenchConfig:
 
 
 def select_query_pair(db: Sequence[UncertainObject], rng, m: int):
-    """Reference = random object; target = object with the m-th smallest MinDist."""
+    """Reference = random object; target = object with the m-th smallest
+    L2 MinDist to it (ties ordered by str(id), then database order), or the
+    farthest when m passes the end."""
     if m < 1:
         raise ValueError("target rank m must be >= 1")
     if len(db) < 2:
         raise ValueError("a target and a reference need a database of at least two objects")
     ref = db[int(rng.integers(0, len(db)))]
     rest = others(db, ref)
-    rest.sort(key=lambda o: (rect_min_dist(o.mbr, ref.mbr), str(o.id)))
-    target = rest[min(m - 1, len(rest) - 1)]
-    return target, ref
+    # Rank by (MinDist, str(id)), stably: only the distance tie at the rank needs its ids.
+    dist = _min_dists(np.stack([o.mbr.lo for o in rest]), np.stack([o.mbr.hi for o in rest]), ref.mbr, 2.0)
+    rank = min(m - 1, len(rest) - 1)
+    at = np.partition(dist, rank)[rank]
+    tied = sorted((rest[i] for i in np.flatnonzero(dist == at)), key=lambda o: str(o.id))
+    return tied[rank - int((dist < at).sum())], ref
 
 
 def bench_pruning(config: BenchConfig) -> list[dict]:

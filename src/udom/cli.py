@@ -318,7 +318,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 "oracle": _cmd_oracle, "bench": _cmd_bench}
     try:
         return commands[args.command](args)
-    except (ValueError, OSError, RuntimeError) as exc:
+    # MemoryError: a sample count or dataset too large to allocate.
+    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
         print(f"udom: {exc}", file=sys.stderr)
         return 1
 

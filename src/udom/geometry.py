@@ -96,7 +96,10 @@ class Rect:
 
 
 def check_norm_order(p: float) -> float:
-    """Validate an L_p norm order (database-level parameter, default 2)."""
+    """Validate an L_p norm order (database-level parameter, default 2); a
+    bool is refused, though float() would read True as 1."""
+    if isinstance(p, (bool, np.bool_)):
+        raise ValueError(f"norm order must be a number, got {p!r}")
     p = float(p)
     if not np.isfinite(p) or p < 1.0:
         raise ValueError(f"norm order must satisfy p >= 1, got {p}")
@@ -121,9 +124,14 @@ def rect_min_dist(a: Rect, b: Rect, p: float = 2.0) -> float:
     distance whose p-th power overflows raises ValueError, as in the kernel."""
     if a.ndim != b.ndim:
         raise ValueError(f"dimension mismatch: {a.ndim} vs {b.ndim}")
-    p = check_norm_order(p)
-    gaps = np.maximum(np.maximum(a.lo - b.hi, b.lo - a.hi), 0.0)
-    return float(_no_overflow(lambda: (gaps**p).sum()) ** (1.0 / p))
+    return float(_min_dists(a.lo[None], a.hi[None], b, check_norm_order(p))[0])
+
+
+def _min_dists(lo: np.ndarray, hi: np.ndarray, b: Rect, p: float) -> np.ndarray:
+    """`rect_min_dist` from each box ``[lo[i], hi[i]]`` of two (n, d) stacks
+    to `b`, with the same operations in the same order: one (n,) array."""
+    gaps = np.maximum(np.maximum(lo - b.hi, b.lo - hi), 0.0)
+    return _no_overflow(lambda: (gaps**p).sum(axis=1)) ** (1.0 / p)
 
 
 # Vectorised kernels: m a-boxes against n b-boxes under a (k, d) stack of

@@ -80,8 +80,8 @@ def _check_engine_args(p: float, max_depth: int, epsilon: Optional[float], crite
     """Reject bad engine arguments; returns the validated norm order."""
     p = check_norm_order(p)
     _check_count(max_depth, "max_depth")
-    if epsilon is not None and not epsilon >= 0:
-        raise ValueError("epsilon must be >= 0")
+    if epsilon is not None and (isinstance(epsilon, (bool, np.bool_)) or not epsilon >= 0):
+        raise ValueError("epsilon must be a number >= 0")
     if criterion not in ("optimal", "minmax"):
         raise ValueError(f"unknown criterion {criterion!r}")
     return p

@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -356,14 +356,34 @@ def load_dataset(path, *, seed: int = 0) -> list[UncertainObject]:
         ``id, x1..xd, sigma1..sigmad, nsamples``; samples are drawn from the
         per-dimension Gaussian truncated at +-3 sigma (seeded by `seed`,
         reproducible), with equal weights.  Trailing empty cells are
-        dropped; an empty cell before them raises DatasetError.
+        dropped; an empty cell before them raises DatasetError.  Blank rows
+        and rows whose first cell starts with ``#`` are skipped.
       * any other name is ``jsonl``: one object per line,
-        ``{"id": ..., "samples": [[x1, ..., xd, w], ...]}``.
+        ``{"id": ..., "samples": [[x1, ..., xd, w], ...]}``; blank lines are
+        skipped.  A line's samples become one (s, d + 1) float array whose
+        last column is the weights.
+
+    Both formats run through one loop: each row gives one object (or none),
+    and any fault in a row, an allocation that fails included, raises
+    DatasetError naming its line; an object of a new dimensionality or with
+    a repeated id is refused, and so is a file without objects.
     """
-    path = str(path)
-    if path.endswith(".csv"):
-        return _load_gaussian_csv(path, seed)
-    return _load_jsonl(path)
+    gaussian = str(path).endswith(".csv")
+    read_row = partial(_gaussian_row, np.random.default_rng(seed)) if gaussian else _jsonl_row
+    objects: list[UncertainObject] = []
+    lines: dict = {}
+    with open(path, "r", encoding="utf-8", newline="" if gaussian else None) as fh:
+        for lineno, row in enumerate(csv.reader(fh) if gaussian else fh, start=1):
+            try:
+                obj = read_row(row)
+            # OverflowError: a JSON integer past the float range; MemoryError: a sample count too large to hold.
+            except (KeyError, IndexError, TypeError, ValueError, OverflowError, MemoryError) as exc:
+                raise DatasetError(f"line {lineno}: {exc}") from exc
+            if obj is not None:
+                _append_checked(objects, lines, obj, lineno)
+    if not objects:
+        raise DatasetError("dataset is empty")
+    return objects
 
 
 def _append_checked(objects: list, lines: dict, obj: UncertainObject, lineno: int):
@@ -383,77 +403,69 @@ def _append_checked(objects: list, lines: dict, obj: UncertainObject, lineno: in
     objects.append(obj)
 
 
-def _load_jsonl(path) -> list[UncertainObject]:
-    objects: list[UncertainObject] = []
-    lines: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
-            try:
-                obj_id = row["id"]
-                hash(obj_id)  # ids key dicts downstream; a list or object id is malformed
-                raw = row["samples"]
-                for value in (v for entry in raw for v in entry):  # true or "0.5" would pass as floats
-                    if isinstance(value, bool) or not isinstance(value, (int, float)):
-                        raise ValueError(f"sample value {json.dumps(value)} is not a number")
-                samples = [(entry[:-1], entry[-1]) for entry in raw]
-                obj = build_object(obj_id, samples)
-            except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:  # OverflowError: an integer past the float range
-                raise DatasetError(f"line {lineno}: {exc}") from exc
-            _append_checked(objects, lines, obj, lineno)
-    if not objects:
-        raise DatasetError("dataset is empty")
-    return objects
+def _jsonl_row(line: str) -> UncertainObject | None:
+    """The object of one jsonl line, or None for a blank one."""
+    line = line.strip()
+    if not line:
+        return None
+    try:
+        row = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"invalid JSON ({exc.msg})") from exc
+    obj_id = row["id"]
+    hash(obj_id)  # ids key dicts downstream; a list or object id is malformed
+    raw = row["samples"]
+    try:  # true or "0.5" would pass as floats; one set of types is the quick test
+        numbers = {type(v) for entry in raw for v in entry} <= {int, float}
+    except TypeError:  # an entry that is not a list: raised again below, in order
+        numbers = False
+    if not numbers:
+        for value in (v for entry in raw for v in entry):
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"sample value {json.dumps(value)} is not a number")
+    # Every entry is now a list of numbers or an empty container.
+    widths = [len(entry) for entry in raw]
+    if not widths:
+        raise ValueError("object needs at least one sample")
+    for i, width in enumerate(widths, start=1):
+        if width == 0:
+            raise ValueError(f"sample {i} is empty")
+        if width != widths[0]:
+            raise ValueError(f"sample {i} has {width} values, sample 1 has {widths[0]}")
+    samples = np.array(raw, dtype=float)
+    return UncertainObject(obj_id, samples[:, :-1], samples[:, -1])
 
 
-def _load_gaussian_csv(path, seed: int) -> list[UncertainObject]:
-    rng = np.random.default_rng(seed)
-    objects: list[UncertainObject] = []
-    lines: dict = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            row = [cell.strip() for cell in row]
-            while row and row[-1] == "":  # a trailing comma is no missing value
-                row.pop()
-            if not row or row[0].startswith("#"):
-                continue
-            if "" in row:
-                raise DatasetError(f"line {lineno}: column {row.index('') + 1} is empty")
-            if (len(row) - 2) % 2 != 0 or len(row) < 4:
-                raise DatasetError(
-                    f"line {lineno}: expected columns id, x1..xd, sigma1..sigmad, nsamples"
-                )
-            d = (len(row) - 2) // 2
-            obj_id = row[0]
-            try:
-                mean = np.array([float(v) for v in row[1 : 1 + d]])
-                sigma = np.array([float(v) for v in row[1 + d : 1 + 2 * d]])
-                nsamples = int(row[-1])
-                if not (np.isfinite(mean).all() and np.isfinite(sigma).all()):
-                    raise ValueError("mean and sigma must be finite")
-                if (sigma < 0).any():
-                    raise ValueError("sigma must be >= 0")
-                if nsamples < 1:
-                    raise ValueError("nsamples must be >= 1")
-                pts = _gaussian_cloud(rng, mean, sigma, nsamples)
-                obj = UncertainObject(obj_id, pts, np.full(nsamples, 1.0 / nsamples))
-            except ValueError as exc:
-                raise DatasetError(f"line {lineno}: {exc}") from exc
-            _append_checked(objects, lines, obj, lineno)
-    if not objects:
-        raise DatasetError("dataset is empty")
-    return objects
+def _gaussian_row(rng, row: list[str]) -> UncertainObject | None:
+    """The object of one gaussian-csv row, its samples drawn from `rng`, or
+    None for a blank or comment row."""
+    row = [cell.strip() for cell in row]
+    while row and row[-1] == "":  # a trailing comma is no missing value
+        row.pop()
+    if not row or row[0].startswith("#"):
+        return None
+    if "" in row:
+        raise ValueError(f"column {row.index('') + 1} is empty")
+    if (len(row) - 2) % 2 != 0 or len(row) < 4:
+        raise ValueError("expected columns id, x1..xd, sigma1..sigmad, nsamples")
+    d = (len(row) - 2) // 2
+    mean = np.array([float(v) for v in row[1 : 1 + d]])
+    sigma = np.array([float(v) for v in row[1 + d : 1 + 2 * d]])
+    nsamples = int(row[-1])
+    if not (np.isfinite(mean).all() and np.isfinite(sigma).all()):
+        raise ValueError("mean and sigma must be finite")
+    if (sigma < 0).any():
+        raise ValueError("sigma must be >= 0")
+    if nsamples < 1:
+        raise ValueError("nsamples must be >= 1")
+    return UncertainObject(row[0], _gaussian_cloud(rng, mean, sigma, nsamples), np.full(nsamples, 1.0 / nsamples))
 
 
 def save_dataset_jsonl(objects: Sequence[UncertainObject], path):
-    """Write objects in the jsonl sample-list format (stable field order)."""
+    """Write objects in the jsonl sample-list format (stable field order):
+    each object's samples as one stacked (s, d + 1) array, weights last,
+    written as its list of float rows."""
     with open(path, "w", encoding="utf-8") as fh:
         for obj in objects:
-            samples = [[*map(float, pt), float(w)] for pt, w in zip(obj.points, obj.weights)]
+            samples = np.column_stack((obj.points, obj.weights)).tolist()
             fh.write(json.dumps({"id": obj.id, "samples": samples}) + "\n")

@@ -48,8 +48,8 @@ class QueryPredicate:
         if self.kind not in ("knn", "rknn"):
             raise ValueError(f"unknown predicate kind {self.kind!r}")
         _check_count(self.k, "k")
-        if not (0.0 <= self.tau <= 1.0):
-            raise ValueError("tau must lie in [0, 1]")
+        if isinstance(self.tau, (bool, np.bool_)) or not (0.0 <= self.tau <= 1.0):
+            raise ValueError("tau must be a number in [0, 1]")
 
     def decide(self, dist: DomCountDistribution) -> Optional[str]:
         return self._verdict(knn_probability_bounds(dist, self.k))

@@ -11,9 +11,12 @@ depth evaluated on the dense kernels, and the query drivers as one full
 `idca` run per target.  The dominance kernels' earlier forms are kept too:
 corner arrays of every p-th power, and the min/max sums over the last axis.
 The synthetic generator is kept as three draws and one `UncertainObject` per
+object, the jsonl reader and writer as one (point, weight) pair per sample,
+and the bench's pair rule as a sort whose key calls `rect_min_dist` once per
 object.
 """
 
+import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -21,9 +24,9 @@ import numpy as np
 
 from udom.domination import others, pdom_bounds_grid
 from udom.genfunc import DomCountDistribution
-from udom.geometry import Rect, _minmax_values_grid, dominance_grid
+from udom.geometry import Rect, _minmax_values_grid, dominance_grid, rect_min_dist
 from udom.idca import idca
-from udom.model import UncertainObject
+from udom.model import DatasetError, UncertainObject, _append_checked, build_object
 from udom.queries import ObjectDecision, QueryPredicate, expected_rank_interval, knn_probability_bounds
 
 
@@ -35,6 +38,13 @@ def min_dist_1d(lo: float, hi: float, r: float) -> float:
 def max_dist_1d(lo: float, hi: float, r: float) -> float:
     """Distance from point r to the farthest point of [lo, hi]."""
     return max(r - lo, hi - r)
+
+
+def rect_min_dist_scalar(a: Rect, b: Rect, p: float = 2.0) -> float:
+    """`rect_min_dist` on one pair of (d,) bounds: the p-th powers of the
+    gaps summed as one vector, then the root of the numpy scalar."""
+    gaps = np.maximum(np.maximum(a.lo - b.hi, b.lo - a.hi), 0.0)
+    return float((gaps**p).sum() ** (1.0 / p))
 
 
 def dominates_optimal(a: Rect, b: Rect, r: Rect, p: float = 2.0) -> bool:
@@ -377,3 +387,56 @@ def generate_synthetic_loop(n, d, max_extent, samples_per_object, seed):
         wts = np.full(samples_per_object, 1.0 / samples_per_object)
         objects.append(UncertainObject(i, pts, wts))
     return objects
+
+
+def load_jsonl_pairs(path) -> list[UncertainObject]:
+    """`load_dataset` on a jsonl file in a loop of its own, every sample a
+    (point, weight) pair through `build_object`."""
+    objects: list[UncertainObject] = []
+    lines: dict = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DatasetError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+            try:
+                obj_id = row["id"]
+                hash(obj_id)  # ids key dicts downstream; a list or object id is malformed
+                raw = row["samples"]
+                for value in (v for entry in raw for v in entry):  # true or "0.5" would pass as floats
+                    if isinstance(value, bool) or not isinstance(value, (int, float)):
+                        raise ValueError(f"sample value {json.dumps(value)} is not a number")
+                samples = [(entry[:-1], entry[-1]) for entry in raw]
+                obj = build_object(obj_id, samples)
+            except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:  # OverflowError: an integer past the float range
+                raise DatasetError(f"line {lineno}: {exc}") from exc
+            _append_checked(objects, lines, obj, lineno)
+    if not objects:
+        raise DatasetError("dataset is empty")
+    return objects
+
+
+def save_dataset_jsonl_pairs(objects, path):
+    """`save_dataset_jsonl` one (point, weight) pair at a time."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for obj in objects:
+            samples = [[*map(float, pt), float(w)] for pt, w in zip(obj.points, obj.weights)]
+            fh.write(json.dumps({"id": obj.id, "samples": samples}) + "\n")
+
+
+def select_query_pair_sorted(db, rng, m: int):
+    """`select_query_pair` as one sort of the other objects by
+    (`rect_min_dist`, str(id)), one distance call per object."""
+    if m < 1:
+        raise ValueError("target rank m must be >= 1")
+    if len(db) < 2:
+        raise ValueError("a target and a reference need a database of at least two objects")
+    ref = db[int(rng.integers(0, len(db)))]
+    rest = others(db, ref)
+    rest.sort(key=lambda o: (rect_min_dist(o.mbr, ref.mbr), str(o.id)))
+    target = rest[min(m - 1, len(rest) - 1)]
+    return target, ref

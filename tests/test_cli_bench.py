@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from reference import select_query_pair_sorted
 
 from udom.bench import (
     PRUNING_HEADER,
@@ -14,7 +15,7 @@ from udom.bench import (
     write_csv,
 )
 from udom.cli import load_config, main
-from udom.model import build_object, generate_synthetic, load_dataset, save_dataset_jsonl
+from udom.model import UncertainObject, build_object, generate_synthetic, load_dataset, save_dataset_jsonl
 
 
 @pytest.fixture
@@ -166,6 +167,27 @@ def test_cli_missing_dataset_fails(tmp_path, capsys):
     assert rc == 1
 
 
+def test_cli_reports_an_allocation_that_fails(tmp_path, capsys, monkeypatch):
+    """A sample count too large to allocate exits 1 with the message, for a
+    loaded row (naming its line) and for a generated dataset.  numpy's
+    MemoryError is patched in: a real oversized request fails at once or
+    not depending on the host."""
+
+    def refuse(*args):
+        raise MemoryError("Unable to allocate 14.6 TiB for an array")
+
+    monkeypatch.setattr("udom.model._gaussian_cloud", refuse)
+    monkeypatch.setattr("udom.cli.generate_synthetic", refuse)
+    data = tmp_path / "big.csv"
+    data.write_text("a,0.5,0.5,0.1,0.1,1000000000000\n")
+    assert main(["query", "knn", "--dataset", str(data), "--q", "0.5,0.5", "--k", "1"]) == 1
+    assert capsys.readouterr().err == "udom: line 1: Unable to allocate 14.6 TiB for an array\n"
+    out = tmp_path / "x.jsonl"
+    assert main(["generate", "--n", "10", "--samples", "1000000000000", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "udom: Unable to allocate 14.6 TiB for an array\n"
+    assert not out.exists()
+
+
 def test_config_file_defaults_and_override(tmp_path, tiny_dataset, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
@@ -298,6 +320,44 @@ def test_select_query_pair_rule():
             select_query_pair(tiny, rng, m=1)
 
 
+def lattice_db(ids):
+    """Unit boxes and points on an integer lattice: many exact MinDist ties
+    to any reference, each object one of `ids`."""
+    rng = np.random.default_rng(5)
+    objects = []
+    for i, obj_id in enumerate(ids):
+        x, y = rng.integers(-4, 5, size=2).astype(float)
+        wide = i % 3 == 0
+        objects.append(UncertainObject(obj_id, np.array([[x, y], [x + wide, y + wide]]), np.ones(2)))
+    return objects
+
+
+@pytest.mark.parametrize(
+    "ids",
+    [
+        list(range(60)),
+        # Ids that print alike (1 and "1", 2.0 and "2.0") keep database order; "10" sorts before "9".
+        [1, "1", 2.0, "2.0", "10", 9, "9 ", 10.0, *(f"o{i}" for i in range(52))],
+    ],
+)
+def test_select_query_pair_equals_the_sort_by_rect_min_dist(ids):
+    db = lattice_db(ids)
+    for m in (1, 2, 3, 10, 50, len(db) - 1, len(db), len(db) + 5):
+        rng_a, rng_b = np.random.default_rng(m), np.random.default_rng(m)
+        for _ in range(8):
+            target, ref = select_query_pair(db, rng_a, m)
+            expected_target, expected_ref = select_query_pair_sorted(db, rng_b, m)
+            assert target is expected_target and ref is expected_ref
+
+
+def test_select_query_pair_equals_the_sort_on_generated_data():
+    db = generate_synthetic(2000, 2, 0.004, 2, seed=1)
+    for m in (1, 2, 10, 50, 1999, 2500):
+        rng_a, rng_b = np.random.default_rng(m), np.random.default_rng(m)
+        for _ in range(3):
+            assert select_query_pair(db, rng_a, m) == select_query_pair_sorted(db, rng_b, m)
+
+
 def test_select_query_pair_overflow_raises():
     """MinDists whose squares overflow are refused, not ranked as inf."""
     db = [build_object(i, [(xy, 1.0)]) for i, xy in enumerate([(1e154, 1.3e154), (1.5e154, 0.0), (0.0, 0.0)])]
@@ -414,6 +474,10 @@ def test_bench_config_validation(tmp_path, capsys, monkeypatch):
         dict(mode="predicate", tau=1.5),
         dict(p=0.5),
         dict(p=float("nan")),
+        dict(p=True),
+        dict(p=np.True_),
+        dict(mode="predicate", tau=True),
+        dict(mode="predicate", tau=np.True_),
     ]
     for bad in bad_configs:
         with pytest.raises(ValueError):

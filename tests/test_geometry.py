@@ -10,6 +10,7 @@ from udom.geometry import (
     _KERNEL_FLOATS_PER_CELL,
     Rect,
     _minmax_values_grid,
+    _min_dists,
     _optimal_values_grid,
     check_norm_order,
     dominance_grid,
@@ -28,6 +29,7 @@ from reference import (
     minmax_values_last_axis,
     optimal_values_4d,
     optimal_values_corners,
+    rect_min_dist_scalar,
 )
 
 
@@ -120,9 +122,28 @@ def test_rect_min_dist_overflow_raises():
     assert rect_min_dist(a, Rect([3.0, 4.0], [5.0, 6.0])) == 5.0
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 9, 12])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_min_dists_equal_one_pair_at_a_time_bit_for_bit(rng, d, p):
+    """The stacked MinDist that ranks the bench's targets gives each box the
+    float `rect_min_dist` gives it.  Against the one-pair formula, whose root
+    is the numpy scalar's, it is bit for bit at p = 1 and p = 2 (the bench's
+    norm); at other p numpy's array power may round the root 1 ulp apart."""
+    boxes = [make_rect(rng, d) for _ in range(40)] + [Rect(np.zeros(d), np.zeros(d))]
+    b = make_rect(rng, d)
+    lo, hi = np.stack([a.lo for a in boxes]), np.stack([a.hi for a in boxes])
+    got = _min_dists(lo, hi, b, p)
+    assert got.tolist() == [rect_min_dist(a, b, p) for a in boxes]
+    scalar = np.array([rect_min_dist_scalar(a, b, p) for a in boxes])
+    if p in (1.0, 2.0):
+        assert got.tolist() == scalar.tolist()
+    else:
+        assert (np.abs(got - scalar) <= np.spacing(scalar)).all()
+
+
 def test_norm_order_validated():
     a = Rect([0.0], [0.0])
-    for p in (0.5, float("inf"), float("nan")):
+    for p in (0.5, float("inf"), float("nan"), True, np.True_):
         with pytest.raises(ValueError):
             check_norm_order(p)
         with pytest.raises(ValueError):

@@ -414,6 +414,10 @@ def test_engine_validates():
         idca(db, b, r, epsilon=-1.0)
     with pytest.raises(ValueError):
         idca(db, b, r, epsilon=float("nan"))
+    # A bool is no norm order or tolerance, though float() reads True as 1.
+    for bad in (dict(p=True), dict(p=np.True_), dict(epsilon=True), dict(epsilon=np.True_)):
+        with pytest.raises(ValueError):
+            idca(db, b, r, **bad)
 
 
 def test_max_depth_must_be_an_integer(rng):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import generate_synthetic_loop
+from reference import generate_synthetic_loop, load_jsonl_pairs, save_dataset_jsonl_pairs
 
 from udom import model
 from udom.model import (
@@ -606,7 +606,189 @@ def test_load_format_follows_file_name(tmp_path):
 
 
 def test_empty_dataset(tmp_path):
-    path = tmp_path / "e.jsonl"
-    path.write_text("\n")
-    with pytest.raises(DatasetError):
-        load_dataset(path)
+    for name, text in (("e.jsonl", "\n"), ("e.csv", "# id, x, sx, n\n\n,,\n")):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(DatasetError, match="^dataset is empty$"):
+            load_dataset(path)
+
+
+# ---------------------------------------------------------------------------
+# Dataset files: one line loop for both formats, one array per jsonl object
+# ---------------------------------------------------------------------------
+
+
+def loaded_bytes(obj):
+    """Everything a loaded object holds: its id (with its type), sample and
+    weight bytes, MBR bounds and which arrays are writeable."""
+    arrays = (obj.points, obj.weights, obj.mbr.lo, obj.mbr.hi)
+    return (type(obj.id), *object_bytes(obj), tuple(a.flags.writeable for a in arrays))
+
+
+def jsonl_line(obj_id, points, weights):
+    return json.dumps({"id": obj_id, "samples": [[*pt, w] for pt, w in zip(points.tolist(), weights.tolist())]})
+
+
+def mixed_jsonl(rng):
+    """Objects of 1 to 40 samples with non-dyadic weights and int, float and
+    str ids, some of them in integer coordinates, and a blank line."""
+    lines = []
+    for i, s in enumerate(rng.integers(1, 41, size=30)):
+        points = rng.uniform(-5.0, 5.0, size=(s, 3))
+        if i % 5 == 0:
+            points = np.round(points)  # written as JSON floats 1.0, read back alike
+        obj_id = (i, float(i) + 0.5, f"obj-{i}")[i % 3]
+        lines.append(jsonl_line(obj_id, points, rng.integers(1, 10, size=s) / 7.0))
+        if i == 10:
+            lines.append("")
+    # Integer coordinates and weights, written as JSON integers.
+    lines.append('{"id": "ints", "samples": [[1, -2, 3, 4], [9007199254740993, 0, 2, 1]]}')
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("kind", ["generated", "mixed", "one-dimensional"])
+def test_loader_and_writer_equal_the_pair_oracles_byte_for_byte(tmp_path, rng, kind):
+    """The jsonl row becomes one (s, d + 1) array; the objects equal those
+    of one (point, weight) pair per sample, and the writer's file equals
+    the per-sample writer's."""
+    path = tmp_path / "d.jsonl"
+    if kind == "mixed":
+        path.write_text(mixed_jsonl(rng))
+    else:  # written from views of the generator's shared arrays
+        save_dataset_jsonl(generate_synthetic(500, 2 if kind == "generated" else 1, 0.05, 12, seed=7), path)
+    loaded, expected = load_dataset(path), load_jsonl_pairs(path)
+    assert [loaded_bytes(o) for o in loaded] == [loaded_bytes(o) for o in expected]
+    assert_read_only(loaded)
+    ours, theirs = tmp_path / "ours.jsonl", tmp_path / "theirs.jsonl"
+    save_dataset_jsonl(loaded, ours)
+    save_dataset_jsonl_pairs(expected, theirs)
+    assert ours.read_bytes() == theirs.read_bytes()
+    if kind != "mixed":
+        assert ours.read_bytes() == path.read_bytes()
+
+
+def test_gaussian_csv_objects_are_the_row_draws_in_file_order(tmp_path):
+    """Comment, blank and trailing-comma rows go through the shared loop;
+    each object is its row's draw from the one seeded generator."""
+    path = tmp_path / "g.csv"
+    path.write_text("# id, x, y, sx, sy, n\na, 0.5, 0.5, 0.1, 0.2, 7,\n\nb, 0.1, 0.9, 0.05, 0, 3\n")
+    rng = np.random.default_rng(3)
+    expected = []
+    for obj_id, mean, sigma, s in (("a", [0.5, 0.5], [0.1, 0.2], 7), ("b", [0.1, 0.9], [0.05, 0.0], 3)):
+        points = model._gaussian_cloud(rng, np.array(mean), np.array(sigma), s)
+        expected.append(UncertainObject(obj_id, points, np.full(s, 1.0 / s)))
+    loaded = load_dataset(path, seed=3)
+    assert [loaded_bytes(o) for o in loaded] == [loaded_bytes(o) for o in expected]
+
+
+VALID = '{"id": "a", "samples": [[0, 0, 1]]}'
+
+# One fault per jsonl line (two in the last two); each is read as line 3, below a valid line and a blank one.
+JSONL_FAULTS = [
+    "not json",
+    '{"id": "b"',
+    "[1, 2]",
+    '"text"',
+    "5",
+    "null",
+    '{"samples": [[0, 0, 1]]}',
+    '{"id": "b"}',
+    '{"id": ["b"], "samples": [[0, 0, 1]]}',
+    '{"id": {"x": 1}, "samples": [[0, 0, 1]]}',
+    '{"id": "b", "samples": 5}',
+    '{"id": "b", "samples": null}',
+    '{"id": "b", "samples": [0.5, 0.5]}',
+    '{"id": "b", "samples": []}',
+    '{"id": "b", "samples": ""}',
+    '{"id": "b", "samples": {}}',
+    '{"id": "b", "samples": "ab"}',
+    '{"id": "b", "samples": [[true, 0.5, 1]]}',
+    '{"id": "b", "samples": [["0.5", 0.5, 1]]}',
+    '{"id": "b", "samples": [[0.5, null, 1]]}',
+    '{"id": "b", "samples": [[[0.5], 0.5, 1]]}',
+    '{"id": "b", "samples": [[1e400, 0.5, 1]]}',
+    '{"id": "b", "samples": [[NaN, 0.5, 1]]}',
+    '{"id": "b", "samples": [[1' + "0" * 400 + ', 0.5, 1]]}',
+    '{"id": "b", "samples": [[0.5, 0.5, 1' + "0" * 400 + ']]}',
+    '{"id": "b", "samples": [[0.5, 0.5, 0]]}',
+    '{"id": "b", "samples": [[0.5, 0.5, -1]]}',
+    '{"id": "b", "samples": [[0.5, 0.5, NaN]]}',
+    '{"id": "b", "samples": [[0, 0, 1e308], [0.1, 0, 1e308]]}',
+    '{"id": "b", "samples": [[1.0]]}',
+    '{"id": "b", "samples": [[0.5, 0.5, 0.5, 1]]}',
+    '{"id": "a", "samples": [[0.5, 0.5, 1]]}',
+    # Two faults: the first one met in sample order is the one named.
+    '{"id": "b", "samples": [[true, 0.5, 1], 5]}',
+    '{"id": "b", "samples": [[0.5, 0.5, 1], 5, [true]]}',
+]
+
+# Ragged and empty sample entries showed list or numpy internals; they now state the fault.
+JSONL_STATED = [
+    ('{"id": "b", "samples": [[0.1, 0.2, 1], [0.3, 1]]}', "line 3: sample 2 has 2 values, sample 1 has 3"),
+    ('{"id": "b", "samples": [[0.1, 0.2, 1], [0.3, 0.4, 0.5, 1]]}', "line 3: sample 2 has 4 values, sample 1 has 3"),
+    ('{"id": "b", "samples": [[]]}', "line 3: sample 1 is empty"),
+    ('{"id": "b", "samples": [[0.1, 0.2, 1], []]}', "line 3: sample 2 is empty"),
+    ('{"id": "b", "samples": [""]}', "line 3: sample 1 is empty"),
+    ('{"id": "b", "samples": [{}]}', "line 3: sample 1 is empty"),
+    ('{"id": "b", "samples": {"": 1}}', "line 3: sample 1 is empty"),
+]
+
+# One fault per gaussian-csv row, read as line 4 below a comment row, a valid row and a blank one.
+CSV_FAULTS = [
+    ("b,0.5,,0.1,,10", "line 4: column 3 is empty"),
+    ("b,0.5,0.5,0.1,3", "line 4: expected columns id, x1..xd, sigma1..sigmad, nsamples"),
+    ("b,0.5", "line 4: expected columns id, x1..xd, sigma1..sigmad, nsamples"),
+    ("b", "line 4: expected columns id, x1..xd, sigma1..sigmad, nsamples"),
+    ("b,x,0.5,0.1,0.1,4", "line 4: could not convert string to float: 'x'"),
+    ("b,0.5,0.5,0.1,0.1,1.5", "line 4: invalid literal for int() with base 10: '1.5'"),
+    ("b,nan,0.5,0.1,0.1,4", "line 4: mean and sigma must be finite"),
+    ("b,0.5,0.5,-0.1,0.1,4", "line 4: sigma must be >= 0"),
+    ("b,0.5,0.5,0.1,0.1,0", "line 4: nsamples must be >= 1"),
+    ("b,0,0,1e308,1e308,50", "line 4: sample coordinates must be finite"),
+    ("a,0.5,0.5,0.1,0.1,4", "line 4: id 'a' repeats the id of line 2"),
+    ("b,0.5,0.1,3", "line 4: dimensionality 1 differs from previous objects (2)"),
+]
+
+
+def load_error(path, load=load_dataset) -> str:
+    with pytest.raises(DatasetError) as info:
+        load(path)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("fault", JSONL_FAULTS)
+def test_jsonl_faults_read_as_the_pair_reader_reads_them(tmp_path, fault):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(VALID + "\n\n" + fault + "\n" + VALID.replace('"a"', '"z"') + "\n")
+    message = load_error(path)
+    assert message.startswith("line 3: ")
+    assert message == load_error(path, load_jsonl_pairs)
+
+
+@pytest.mark.parametrize("fault, message", JSONL_STATED)
+def test_ragged_and_empty_sample_entries_are_stated(tmp_path, fault, message):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(VALID + "\n\n" + fault + "\n")
+    assert load_error(path) == message
+    assert load_error(path, load_jsonl_pairs) != message
+
+
+@pytest.mark.parametrize("fault, message", CSV_FAULTS)
+def test_gaussian_csv_faults_name_their_line(tmp_path, fault, message):
+    path = tmp_path / "bad.csv"
+    path.write_text("# id, x, y, sx, sy, n\na, 0.5, 0.5, 0.1, 0.1, 4\n\n" + fault + "\n")
+    assert load_error(path) == message
+
+
+def test_a_sample_count_that_cannot_be_allocated_names_its_line(tmp_path, monkeypatch):
+    """numpy raises MemoryError for an array it cannot allocate; the row's
+    line is named, as for any other fault.  The draw is patched: a real
+    oversized request fails at once or not depending on the host."""
+
+    def refuse(rng, mean, sigma, n):
+        raise MemoryError(f"Unable to allocate an array with shape ({n}, {mean.size})")
+
+    monkeypatch.setattr(model, "_gaussian_cloud", refuse)
+    path = tmp_path / "big.csv"
+    path.write_text("# a comment\n\na,0.5,0.5,0.1,0.1,1000000000000\n")
+    assert load_error(path) == "line 3: Unable to allocate an array with shape (1000000000000, 2)"

@@ -73,8 +73,9 @@ def test_knn_bounds_tight_worked_example_reference_digits():
 def test_predicate_validation():
     with pytest.raises(ValueError):
         QueryPredicate("knn", 0, 0.5)
-    with pytest.raises(ValueError):
-        QueryPredicate("knn", 1, 1.5)
+    for tau in (1.5, True, np.True_):
+        with pytest.raises(ValueError):
+            QueryPredicate("knn", 1, tau)
     with pytest.raises(ValueError):
         QueryPredicate("skyline", 1, 0.5)
     # k is a count: a float, a string or a bool is refused, a NumPy integer is one.
