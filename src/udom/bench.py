@@ -79,12 +79,10 @@ def select_query_pair(db: Sequence[UncertainObject], rng, m: int):
         raise ValueError("a target and a reference need a database of at least two objects")
     ref = db[int(rng.integers(0, len(db)))]
     rest = others(db, ref)
-    # Rank by (MinDist, str(id)), stably: only the distance tie at the rank needs its ids.
-    dist = _min_dists(np.stack([o.mbr.lo for o in rest]), np.stack([o.mbr.hi for o in rest]), ref.mbr, 2.0)
-    rank = min(m - 1, len(rest) - 1)
-    at = np.partition(dist, rank)[rank]
-    tied = sorted((rest[i] for i in np.flatnonzero(dist == at)), key=lambda o: str(o.id))
-    return tied[rank - int((dist < at).sum())], ref
+    lo, hi = np.stack([o.mbr.lo for o in rest]), np.stack([o.mbr.hi for o in rest])
+    dist = (_min_dists(lo, hi, ref.mbr, 2.0) ** 0.5).tolist()
+    order = sorted(range(len(rest)), key=lambda i: (dist[i], str(rest[i].id)))
+    return rest[order[min(m - 1, len(rest) - 1)]], ref
 
 
 def bench_pruning(config: BenchConfig) -> list[dict]:

@@ -124,14 +124,16 @@ def rect_min_dist(a: Rect, b: Rect, p: float = 2.0) -> float:
     distance whose p-th power overflows raises ValueError, as in the kernel."""
     if a.ndim != b.ndim:
         raise ValueError(f"dimension mismatch: {a.ndim} vs {b.ndim}")
-    return float(_min_dists(a.lo[None], a.hi[None], b, check_norm_order(p))[0])
+    p = check_norm_order(p)
+    return float(_min_dists(a.lo[None], a.hi[None], b, p)[0] ** (1.0 / p))
 
 
 def _min_dists(lo: np.ndarray, hi: np.ndarray, b: Rect, p: float) -> np.ndarray:
-    """`rect_min_dist` from each box ``[lo[i], hi[i]]`` of two (n, d) stacks
-    to `b`, with the same operations in the same order: one (n,) array."""
+    """The p-th powers of `rect_min_dist` from each box ``[lo[i], hi[i]]`` of
+    two (n, d) stacks to `b`, summed with the same operations in the same
+    order: one (n,) array, its roots left to the caller."""
     gaps = np.maximum(np.maximum(lo - b.hi, b.lo - hi), 0.0)
-    return _no_overflow(lambda: (gaps**p).sum(axis=1)) ** (1.0 / p)
+    return _no_overflow(lambda: (gaps**p).sum(axis=1))
 
 
 # Vectorised kernels: m a-boxes against n b-boxes under a (k, d) stack of

@@ -415,14 +415,9 @@ def _jsonl_row(line: str) -> UncertainObject | None:
     obj_id = row["id"]
     hash(obj_id)  # ids key dicts downstream; a list or object id is malformed
     raw = row["samples"]
-    try:  # true or "0.5" would pass as floats; one set of types is the quick test
-        numbers = {type(v) for entry in raw for v in entry} <= {int, float}
-    except TypeError:  # an entry that is not a list: raised again below, in order
-        numbers = False
-    if not numbers:
-        for value in (v for entry in raw for v in entry):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"sample value {json.dumps(value)} is not a number")
+    for value in (v for entry in raw for v in entry):  # true or "0.5" would pass as floats
+        if type(value) not in (int, float):
+            raise ValueError(f"sample value {json.dumps(value)} is not a number")
     # Every entry is now a list of numbers or an empty container.
     widths = [len(entry) for entry in raw]
     if not widths:

@@ -12,8 +12,8 @@ depth evaluated on the dense kernels, and the query drivers as one full
 corner arrays of every p-th power, and the min/max sums over the last axis.
 The synthetic generator is kept as three draws and one `UncertainObject` per
 object, the jsonl reader and writer as one (point, weight) pair per sample,
-and the bench's pair rule as a sort whose key calls `rect_min_dist` once per
-object.
+and the bench's pair rule as a sort whose key takes the one-pair MinDist once
+per object.
 """
 
 import json
@@ -24,7 +24,7 @@ import numpy as np
 
 from udom.domination import others, pdom_bounds_grid
 from udom.genfunc import DomCountDistribution
-from udom.geometry import Rect, _minmax_values_grid, dominance_grid, rect_min_dist
+from udom.geometry import Rect, _minmax_values_grid, dominance_grid
 from udom.idca import idca
 from udom.model import DatasetError, UncertainObject, _append_checked, build_object
 from udom.queries import ObjectDecision, QueryPredicate, expected_rank_interval, knn_probability_bounds
@@ -430,13 +430,13 @@ def save_dataset_jsonl_pairs(objects, path):
 
 def select_query_pair_sorted(db, rng, m: int):
     """`select_query_pair` as one sort of the other objects by
-    (`rect_min_dist`, str(id)), one distance call per object."""
+    (`rect_min_dist_scalar`, str(id)), one distance call per object."""
     if m < 1:
         raise ValueError("target rank m must be >= 1")
     if len(db) < 2:
         raise ValueError("a target and a reference need a database of at least two objects")
     ref = db[int(rng.integers(0, len(db)))]
     rest = others(db, ref)
-    rest.sort(key=lambda o: (rect_min_dist(o.mbr, ref.mbr), str(o.id)))
+    rest.sort(key=lambda o: (rect_min_dist_scalar(o.mbr, ref.mbr), str(o.id)))
     target = rest[min(m - 1, len(rest) - 1)]
     return target, ref

@@ -125,20 +125,18 @@ def test_rect_min_dist_overflow_raises():
 @pytest.mark.parametrize("d", [1, 2, 3, 9, 12])
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
 def test_min_dists_equal_one_pair_at_a_time_bit_for_bit(rng, d, p):
-    """The stacked MinDist that ranks the bench's targets gives each box the
-    float `rect_min_dist` gives it.  Against the one-pair formula, whose root
-    is the numpy scalar's, it is bit for bit at p = 1 and p = 2 (the bench's
-    norm); at other p numpy's array power may round the root 1 ulp apart."""
+    """The stacked MinDist powers that rank the bench's targets give each box,
+    rooted as a numpy scalar, the float the one-pair formula gives it, at
+    every p; the bench's array root at p = 2 gives it too."""
     boxes = [make_rect(rng, d) for _ in range(40)] + [Rect(np.zeros(d), np.zeros(d))]
     b = make_rect(rng, d)
     lo, hi = np.stack([a.lo for a in boxes]), np.stack([a.hi for a in boxes])
-    got = _min_dists(lo, hi, b, p)
-    assert got.tolist() == [rect_min_dist(a, b, p) for a in boxes]
-    scalar = np.array([rect_min_dist_scalar(a, b, p) for a in boxes])
-    if p in (1.0, 2.0):
-        assert got.tolist() == scalar.tolist()
-    else:
-        assert (np.abs(got - scalar) <= np.spacing(scalar)).all()
+    powers = _min_dists(lo, hi, b, p)
+    scalar = [rect_min_dist_scalar(a, b, p) for a in boxes]
+    assert [float(s ** (1.0 / p)) for s in powers] == scalar
+    assert [rect_min_dist(a, b, p) for a in boxes] == scalar
+    if p == 2.0:
+        assert (powers**0.5).tolist() == scalar
 
 
 def test_norm_order_validated():
