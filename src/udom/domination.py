@@ -25,9 +25,18 @@ __all__ = [
 ]
 
 # Cap on floats held by one batched chunk (~128 MB of float64): one chunk of
-# targets in `_target_labels`.  A 64th of it (`idca._cap`) caps one sweep's
-# `pdom_bounds_grid` call and a batch's histories.
+# targets in `_target_labels`.  A 64th of it (`_cap`) caps one
+# `pdom_bounds_grid` kernel call, r-chunk and all, and a batch's histories.
 _BATCH_FLOAT_BUDGET = 1 << 24
+
+
+def _cap() -> int:
+    """Floats that one `pdom_bounds_grid` kernel call, of candidate nodes x
+    target nodes x the r-nodes of one r-chunk at `_KERNEL_FLOATS_PER_CELL`
+    floats a cell, or one batch's histories may hold: a 64th of
+    `_BATCH_FLOAT_BUDGET` (~2 MB), so many small runs share a batch and
+    many small r-nodes a kernel call while memory stays bounded."""
+    return _BATCH_FLOAT_BUDGET >> 6
 
 
 @dataclass(frozen=True)
@@ -159,28 +168,38 @@ def pdom_bounds_grid(
     `a` holds one root per candidate and `b` one root per target (one in a
     single-pair sweep); only the ``lo``/``hi`` node arrays of `b` and `r`
     are read.  Returns (lb, ub) arrays of shape (a's roots, len(b), len(r)).
-    Each r-node costs one forward and one reverse `dominance_grid` call over
-    all nodes at once, so the peak temporary is O(len(a) * len(b)) per
-    r-node; under a point r-node (every r-node of a fully separated level)
-    both calls decide each cell from one distance key per node, not from
-    the kernel's per-dimension grid.  A candidate root's bound on one
-    (b-node, r-node) pair is one segmented sum (`np.add.reduceat`) of the
-    masses of its nodes that dominate the b-node (lb), or that the b-node
-    does not dominate (ub), capped at 1.  A node that dominates is never
-    dominated, so ub >= lb, and a cell whose every node is decided sums the
-    same masses in the same order for both: ub == lb bit for bit.  Each
-    (segment, column) is reduced on its own, so a candidate root's bounds
-    do not depend on the other roots of `a`, nor a b-node's on the other
-    nodes of `b`: both are what a one-root call gives, bit for bit.
+    The r-nodes reach `dominance_grid` as stacks, each by one forward and
+    one reverse call: the box r-nodes in consecutive r-chunks of K, the
+    most (at least 1) whose (len(a), len(b), K) grid at
+    `_KERNEL_FLOATS_PER_CELL` floats a cell fits `_cap`, and under
+    "optimal" each point r-node (``lo == hi``, every r-node of a fully
+    separated level) alone, so both calls decide each cell from one
+    distance key per node.  Under "minmax" every r-node counts as a box.
+    A stacked call equals its K one-box calls bit for bit.  A candidate
+    root's bound on one (b-node, r-node) pair is a segmented sum (one
+    `np.add.reduceat` per bound and call) of the masses of its nodes that
+    dominate the b-node (lb), or that the b-node does not dominate (ub),
+    capped at 1.  A node that dominates is never dominated, so ub >= lb,
+    and a cell whose every node is decided sums the same masses in the same
+    order for both: ub == lb bit for bit.  Each (segment, b-node, r-node)
+    column is reduced on its own, so a candidate root's bounds depend
+    neither on the other roots of `a`, nor a b-node's on the other nodes of
+    `b`, nor an r-node's on its r-chunk: all are what a one-root call with
+    one r-node gives, bit for bit.
     """
     lb = np.empty((a.seg.size - 1, len(b), len(r)))
     ub = np.empty((a.seg.size - 1, len(b), len(r)))
-    mass = a.mass[:, None]
-    for z, (r_lo, r_hi) in enumerate(zip(r.lo[:, None], r.hi[:, None])):  # one-box stacks
-        dom = dominance_grid(a.lo, a.hi, b.lo, b.hi, r_lo, r_hi, p, criterion)[..., 0]
-        rev = dominance_grid(b.lo, b.hi, a.lo, a.hi, r_lo, r_hi, p, criterion)[..., 0]
+    point = (r.lo == r.hi).all(axis=1) & (criterion == "optimal")
+    boxes = np.flatnonzero(~point)
+    k = max(1, _cap() // (len(a) * len(b) * _KERNEL_FLOATS_PER_CELL))  # box r-nodes per chunk
+    mass = a.mass[:, None, None]
+    chunks = [boxes[s : s + k] for s in range(0, boxes.size, k)]  # then one slice per point r-node
+    for z in chunks + [slice(i, i + 1) for i in np.flatnonzero(point).tolist()]:
+        r_lo, r_hi = r.lo[z], r.hi[z]
+        dom = dominance_grid(a.lo, a.hi, b.lo, b.hi, r_lo, r_hi, p, criterion)
+        rev = dominance_grid(b.lo, b.hi, a.lo, a.hi, r_lo, r_hi, p, criterion)
         lb[:, :, z] = np.add.reduceat(mass * dom, a.seg[:-1])
-        ub[:, :, z] = np.add.reduceat(mass * ~rev.T, a.seg[:-1])
+        ub[:, :, z] = np.add.reduceat(mass * ~rev.transpose(1, 0, 2), a.seg[:-1])
     np.minimum(lb, 1.0, out=lb)
     np.minimum(ub, 1.0, out=ub)
     return lb, ub

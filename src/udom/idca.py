@@ -9,15 +9,17 @@ call, to its end in one decomposition forest with one root per distinct
 participant.  From depth 2 on, each step deepens every root by one level in
 one segmented `split` and sweeps every active run together, once: one kernel
 pass per reference (`pdom_bounds_grid`, in calls over whole candidate roots
-whose kernel grid fits `_cap`), then, per (target-leaf, reference-leaf) pair,
-count bounds from the uncertain generating function of its padded pdom
-bounds, as three univariate products (`udom.genfunc`), mixed into its run in
-one product with the pair masses and shifted by s.  A run reads only its own
-roots' rows, so its bounds are bit for bit those it would get alone.  Nested
-decompositions only tighten bounds, so lower bounds rise and upper bounds
-fall monotonically until a stop rule fires, the pair budget would be
-exceeded, or every object is fully separated.  Then the bounds are exact
-for discrete objects, lb == ub bit for bit, unless two samples tie exactly in
+whose kernel grid under one reference node fits `_cap`, each call stacking
+its box reference nodes into r-chunks that fit it too), then, per
+(target-leaf, reference-leaf) pair, count bounds from the uncertain
+generating function of its padded pdom bounds, as three univariate products
+(`udom.genfunc`), mixed into its run in one product with the pair masses
+and shifted by s.  A run reads only its own roots' rows, so its bounds are
+bit for bit those it would get alone.  Nested decompositions only tighten
+bounds, so lower bounds rise and upper bounds fall monotonically until a
+stop rule fires, the pair budget would be exceeded, or every object is
+fully separated.  Then the bounds are exact for discrete objects, lb == ub
+bit for bit, unless two samples tie exactly in
 distance to a reference sample: a tie never counts as domination, so such a
 sample triple keeps its pdom bounds at (0, 1).
 """
@@ -29,8 +31,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from . import domination
-from .domination import DominationClassification, _pdf_length, classify, pdom_bounds_grid
+from .domination import DominationClassification, _cap, _pdf_length, classify, pdom_bounds_grid
 from .genfunc import DomCountDistribution, _extract_batch, _ugf_expand_batch
 from .geometry import _KERNEL_FLOATS_PER_CELL, _check_count, check_norm_order
 from .model import DecompositionTree, Frontier, UncertainObject
@@ -125,13 +126,6 @@ class _Run:
     roots: Optional[np.ndarray] = None  # its forest roots: candidates, b, r
 
 
-def _cap() -> int:
-    """Floats that one batch's histories or one `pdom_bounds_grid` call's
-    kernel grid may hold: a 64th of `_BATCH_FLOAT_BUDGET` (~2 MB), so many
-    small runs share a batch while memory stays bounded."""
-    return domination._BATCH_FLOAT_BUDGET >> 6
-
-
 def _refine(runs: list, p: float, max_depth: int, epsilon, decide, criterion: str) -> Iterator[_Run]:
     """Yield each of `runs` (each open at iteration 0) stopped, in order.
     Consecutive runs whose histories, at `max_depth` iterations, fit `_cap`
@@ -196,14 +190,17 @@ def _evaluate_depth(level: Frontier, runs: list, p: float, criterion: str) -> li
     `pdom_bounds_grid` calls: its candidate roots, cut into consecutive calls
     whose grid of candidate nodes x target nodes x
     `_KERNEL_FLOATS_PER_CELL` floats fits `_cap` (a root over it alone),
-    their bounds concatenated along the candidate axis; a candidate root's
-    bounds do not depend on the other roots of its call, so the cut changes
-    no bit.  A narrower run is padded with plb = pub = 0, factors that
-    multiply by exactly 1.  One `_ugf_expand_batch` call expands every row
-    of the block into its three univariate products (`udom.genfunc`), of
-    3 * rows * (width+1) floats plus a pass's temporary of at most as
-    many, the order of the block, and one `_extract_batch` call reads them
-    as count bounds.  Each run is then mixed in one product with its pair
+    their bounds concatenated along the candidate axis.  Each call fills
+    what is left of `_cap` with box reference nodes, an r-chunk per kernel
+    call (`pdom_bounds_grid`), so a call of few candidate nodes costs few
+    kernel calls however many nodes the reference has.  A candidate root's
+    bounds depend neither on the other roots of its call nor on the
+    r-chunks, so the cut changes no bit.  A narrower run is padded with
+    plb = pub = 0, factors that multiply by exactly 1.  One
+    `_ugf_expand_batch` call expands every row of the block into its three
+    univariate products (`udom.genfunc`), of 3 * rows * (width+1) floats
+    plus a pass's temporary of at most as many, the order of the block, and
+    one `_extract_batch` call reads them as count bounds.  Each run is then mixed in one product with its pair
     masses and shifted by s.  A row's products do not depend on its
     neighbours, so a run's bounds are those of its own sweep, bit for bit.
     """

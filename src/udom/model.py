@@ -285,6 +285,17 @@ def build_object(obj_id, samples: Iterable) -> UncertainObject:
 _DRAW_FLOATS = 1 << 20
 
 
+def _check_sample_floats(floats: int, what: str) -> None:
+    """Refuse, before anything is allocated, a sample array of more floats
+    than one batched chunk of the engine holds (`_BATCH_FLOAT_BUDGET`, ~128
+    MB): a small count in a file row or an argument must not ask the host
+    for more memory than it has.  `what` names the count in the message."""
+    from .domination import _BATCH_FLOAT_BUDGET  # domination imports this module
+
+    if floats > _BATCH_FLOAT_BUDGET:
+        raise ValueError(f"{what} is {floats} sample floats, more than the {_BATCH_FLOAT_BUDGET} one sample array may hold")
+
+
 def generate_synthetic(
     n: int,
     d: int = 2,
@@ -301,13 +312,15 @@ def generate_synthetic(
     object taking its d anchor coordinates, then its d extents, then its
     samples row by row.  The objects' arrays are read-only views of one
     shared sample array (and one weight array), which any object kept keeps
-    alive whole.
+    alive whole.  An n * samples_per_object * d over `_BATCH_FLOAT_BUDGET`
+    floats raises ValueError before anything is drawn.
     """
     for value, name in ((n, "n"), (d, "d"), (samples_per_object, "samples_per_object")):
         _check_count(value, name)
     if not (0.0 < max_extent < 1.0):
         raise ValueError("max_extent must lie in (0, 1)")
     s = samples_per_object
+    _check_sample_floats(n * s * d, "n * samples_per_object * d")
     points = _synthetic_samples(np.random.default_rng(seed), n, d, max_extent, s)
     # Every weight is 1 / s: one value, broadcast; normalising writes the one weight array.
     return UncertainObject._batch(range(n), points, np.broadcast_to(1.0 / s, n * s), np.arange(0, n * s + 1, s))
@@ -356,8 +369,9 @@ def load_dataset(path, *, seed: int = 0) -> list[UncertainObject]:
         ``id, x1..xd, sigma1..sigmad, nsamples``; samples are drawn from the
         per-dimension Gaussian truncated at +-3 sigma (seeded by `seed`,
         reproducible), with equal weights.  Trailing empty cells are
-        dropped; an empty cell before them raises DatasetError.  Blank rows
-        and rows whose first cell starts with ``#`` are skipped.
+        dropped; an empty cell before them raises DatasetError, and so does
+        an nsamples * d over `_BATCH_FLOAT_BUDGET`, before any draw.  Blank
+        rows and rows whose first cell starts with ``#`` are skipped.
       * any other name is ``jsonl``: one object per line,
         ``{"id": ..., "samples": [[x1, ..., xd, w], ...]}``; blank lines are
         skipped.  A line's samples become one (s, d + 1) float array whose
@@ -453,6 +467,7 @@ def _gaussian_row(rng, row: list[str]) -> UncertainObject | None:
         raise ValueError("sigma must be >= 0")
     if nsamples < 1:
         raise ValueError("nsamples must be >= 1")
+    _check_sample_floats(nsamples * d, "nsamples * d")
     return UncertainObject(row[0], _gaussian_cloud(rng, mean, sigma, nsamples), np.full(nsamples, 1.0 / nsamples))
 
 

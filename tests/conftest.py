@@ -25,6 +25,19 @@ def shrink_rect(rng, rect):
     return Rect(new_lo, np.maximum(new_hi, new_lo))
 
 
+def random_boxes(rng, count, d, grid):
+    """`count` boxes as (lo, hi) stacks: on an integer grid (exact distance
+    ties, shared corners) or of float bounds; about a third of their sides,
+    and every side of some boxes, of zero extent."""
+    if grid:
+        lo, side = rng.integers(-3, 4, size=(count, d)).astype(float), rng.integers(0, 3, size=(count, d)).astype(float)
+    else:
+        lo, side = rng.uniform(-1.0, 1.0, size=(count, d)), rng.uniform(0.0, 1.0, size=(count, d))
+    side[rng.uniform(size=(count, d)) < 0.3] = 0.0
+    side[rng.uniform(size=count) < 0.2] = 0.0
+    return lo, lo + side
+
+
 def random_object(rng, obj_id, d=2, max_samples=4, center=None, spread=1.0):
     n = int(rng.integers(1, max_samples + 1))
     if center is None:

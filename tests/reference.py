@@ -8,8 +8,9 @@ sparse product over one bound list (optionally k-truncated) and on the full
 (rows, n+1, n+1) grid, extraction as a double loop over counts and
 x-degrees, the looser plain-GF bounds from two univariate products, one IDCA
 depth evaluated on the dense kernels, and the query drivers as one full
-`idca` run per target.  The dominance kernels' earlier forms are kept too:
-corner arrays of every p-th power, and the min/max sums over the last axis.
+`idca` run per target.  Earlier forms are kept too: the dominance kernels'
+corner arrays of every p-th power and min/max sums over the last axis, and
+pdom bounds as one forward and one reverse kernel call per r-node.
 The synthetic generator is kept as three draws and one `UncertainObject` per
 object, the jsonl reader and writer as one (point, weight) pair per sample,
 and the bench's pair rule as a sort whose key takes the one-pair MinDist once
@@ -169,6 +170,22 @@ def pdom_bounds_stacked(stack, b, r, p=2.0, criterion="optimal"):
         for s, e in zip(stack.seg[:-1], stack.seg[1:])
     ]
     return np.stack([lb for lb, _ in parts]), np.stack([ub for _, ub in parts])
+
+
+def pdom_bounds_per_r_node(a, b, r, p=2.0, criterion="optimal"):
+    """`pdom_bounds_grid` one r-node at a time: two `dominance_grid` calls
+    over a one-box stack and two `np.add.reduceat` per r-node."""
+    lb = np.empty((a.seg.size - 1, len(b), len(r)))
+    ub = np.empty((a.seg.size - 1, len(b), len(r)))
+    mass = a.mass[:, None]
+    for z, (r_lo, r_hi) in enumerate(zip(r.lo[:, None], r.hi[:, None])):  # one-box stacks
+        dom = dominance_grid(a.lo, a.hi, b.lo, b.hi, r_lo, r_hi, p, criterion)[..., 0]
+        rev = dominance_grid(b.lo, b.hi, a.lo, a.hi, r_lo, r_hi, p, criterion)[..., 0]
+        lb[:, :, z] = np.add.reduceat(mass * dom, a.seg[:-1])
+        ub[:, :, z] = np.add.reduceat(mass * ~rev.T, a.seg[:-1])
+    np.minimum(lb, 1.0, out=lb)
+    np.minimum(ub, 1.0, out=ub)
+    return lb, ub
 
 
 def pdom_bounds_loop(f, b_rect: Rect, r_rect: Rect, p: float = 2.0):

@@ -179,12 +179,34 @@ def test_cli_reports_an_allocation_that_fails(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("udom.model._gaussian_cloud", refuse)
     monkeypatch.setattr("udom.cli.generate_synthetic", refuse)
     data = tmp_path / "big.csv"
-    data.write_text("a,0.5,0.5,0.1,0.1,1000000000000\n")
+    data.write_text("a,0.5,0.5,0.1,0.1,1000000\n")
     assert main(["query", "knn", "--dataset", str(data), "--q", "0.5,0.5", "--k", "1"]) == 1
     assert capsys.readouterr().err == "udom: line 1: Unable to allocate 14.6 TiB for an array\n"
     out = tmp_path / "x.jsonl"
     assert main(["generate", "--n", "10", "--samples", "1000000000000", "--out", str(out)]) == 1
     assert capsys.readouterr().err == "udom: Unable to allocate 14.6 TiB for an array\n"
+    assert not out.exists()
+
+
+def test_cli_refuses_a_sample_count_over_the_cap(tmp_path, capsys, monkeypatch):
+    """A sample count whose array would exceed the cap exits 1 with the
+    stated message, for a loaded row (naming its line) and for a generated
+    dataset, before any draw: the draws are patched to fail the test."""
+
+    def reached(*args):
+        raise AssertionError("a refused count reached its draw")
+
+    monkeypatch.setattr("udom.model._gaussian_cloud", reached)
+    monkeypatch.setattr("udom.model._synthetic_samples", reached)
+    data = tmp_path / "big.csv"
+    data.write_text("a,0.5,0.5,0.1,0.1,1000000000000\n")
+    assert main(["query", "knn", "--dataset", str(data), "--q", "0.5,0.5", "--k", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err == "udom: line 1: nsamples * d is 2000000000000 sample floats, more than the 16777216 one sample array may hold\n"
+    out = tmp_path / "x.jsonl"
+    assert main(["generate", "--n", "10", "--samples", "1000000000000", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "udom: n * samples_per_object * d is 20000000000000 sample floats, more than the 16777216 one sample array may hold\n"
     assert not out.exists()
 
 

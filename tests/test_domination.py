@@ -1,13 +1,18 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import udom.domination as domination
 from udom.domination import ProbBounds, _target_labels, classify, pdom_bounds_grid
-from udom.geometry import Rect
-from udom.model import DecompositionTree, build_object
+from udom.geometry import _KERNEL_FLOATS_PER_CELL, Rect
+from udom.model import DecompositionTree, Frontier, build_object
 
-from conftest import random_instance, random_object
-from reference import dominates_minmax, dominates_optimal, pdom_bounds_loop, pdom_bounds_stacked
+from conftest import random_boxes, random_instance, random_object
+from reference import dominates_minmax, dominates_optimal, pdom_bounds_loop, pdom_bounds_per_r_node, pdom_bounds_stacked
 
 
 def point_obj(obj_id, xy):
@@ -347,3 +352,86 @@ def test_pdom_bounds_grid_stack_matches_per_candidate(rng, criterion):
             one_lb, one_ub = pdom_bounds_grid(stack, DecompositionTree([o]).leaves(depth), rf, p, criterion)
             assert np.ascontiguousarray(lb[:, cols]).tobytes() == one_lb.tobytes()
             assert np.ascontiguousarray(ub[:, cols]).tobytes() == one_ub.tobytes()
+
+
+def _level(rng, sizes, d, grid, points=0.0):
+    """A forest level of `random_boxes`, root j of ``sizes[j]`` nodes with
+    random masses that sum to 1, about a `points` share of the nodes made
+    points (``lo == hi``).  Only the node arrays are read, so each node is
+    its own sample."""
+    seg = np.concatenate([[0], np.cumsum(sizes)])
+    k = int(seg[-1])
+    lo, hi = random_boxes(rng, k, d, grid)
+    point = rng.uniform(size=k) < points
+    hi[point] = lo[point]
+    mass = rng.uniform(0.05, 1.0, size=k)
+    mass /= np.repeat(np.add.reduceat(mass, seg[:-1]), sizes)
+    return Frontier(lo, hi, mass, np.arange(k), np.arange(k + 1), seg)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(
+    st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+    st.sampled_from([1, 2, 3, 8]),
+    st.sampled_from(["optimal", "minmax"]),
+    st.integers(1, 4),
+    st.integers(1, 3),
+    st.integers(1, 300),
+    st.sampled_from([0.0, 0.5, 1.0]),
+    st.booleans(),
+    st.sampled_from([None, 1, 2, 7]),
+    st.integers(0, 2**32 - 1),
+)
+@example(2.0, 2, "optimal", 4, 3, 300, 0.5, True, None, 0)
+@example(3.0, 8, "minmax", 3, 2, 300, 0.5, False, 2, 1)
+@example(1.0, 1, "optimal", 1, 1, 1, 0.0, True, 1, 2)
+def test_pdom_bounds_grid_equals_one_r_node_at_a_time(p, d, criterion, a_roots, b_roots, k, points, grid, chunk, seed):
+    """Stacking the box r-nodes into cap-sized r-chunks changes no bit: lb
+    and ub equal, byte for byte, one forward and one reverse kernel call per
+    r-node.  Cases span p, d and both criteria, integer-grid ties and
+    coincident boxes, degenerate boxes, r-frontiers of 1-300 nodes that
+    are all points, all boxes or a mix, and budgets patched so that an
+    r-chunk holds `chunk` box r-nodes (None: the default budget).  Each
+    kernel call's r-stack is the next r-chunk of box r-nodes, in order,
+    then, under "optimal", each point r-node alone."""
+    rng = np.random.default_rng(seed)
+    a, b = (_level(rng, rng.integers(1, 9, size=roots), d, grid) for roots in (a_roots, b_roots))
+    r = _level(rng, [k], d, grid, points)
+    budget = domination._BATCH_FLOAT_BUDGET if chunk is None else 64 * _KERNEL_FLOATS_PER_CELL * len(a) * len(b) * chunk
+    stacks, kernel = [], domination.dominance_grid
+
+    def counted(*args):
+        stacks.append(args[4])
+        return kernel(*args)
+
+    with mock.patch.object(domination, "_BATCH_FLOAT_BUDGET", budget), mock.patch.object(domination, "dominance_grid", counted):
+        lb, ub = pdom_bounds_grid(a, b, r, p, criterion)
+    want_lb, want_ub = pdom_bounds_per_r_node(a, b, r, p, criterion)
+    assert lb.shape == (a_roots, len(b), k)
+    assert lb.tobytes() == want_lb.tobytes()
+    assert ub.tobytes() == want_ub.tobytes()
+    point = (r.lo == r.hi).all(axis=1) & (criterion == "optimal")
+    size = max(1, domination._cap() // (len(a) * len(b) * _KERNEL_FLOATS_PER_CELL)) if chunk is None else chunk
+    n_boxes = k - int(point.sum())
+    assert [len(s) for s in stacks[::2]] == [min(size, n_boxes - s) for s in range(0, n_boxes, size)] + [1] * int(point.sum())
+    assert np.concatenate(stacks[::2]).tobytes() == np.concatenate([r.lo[~point], r.lo[point]]).tobytes()
+
+
+def test_pdom_bounds_grid_peak_memory_fits_the_cap():
+    """One call over a multi-root `a` and 100 or more box r-nodes, in
+    r-chunks of several r-nodes under the default budget, peaks within
+    `_cap` floats for its kernel calls, plus its two outputs, plus 256 KiB
+    for numpy's ufunc buffers."""
+    rng = np.random.default_rng(11)
+    a, b, r = (_level(rng, np.full(roots, 5), 2, False) for roots in (40, 4, 30))
+    assert (~(r.lo == r.hi).all(axis=1)).sum() >= 100
+    k = domination._cap() // (len(a) * len(b) * _KERNEL_FLOATS_PER_CELL)
+    assert 1 < k < len(r)  # several r-chunks of several r-nodes
+    outputs = 2 * 8 * 40 * len(b) * len(r)
+    tracemalloc.start()
+    try:
+        pdom_bounds_grid(a, b, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= domination._cap() * 8 + outputs + 256 * 1024

@@ -17,7 +17,7 @@ from udom.geometry import (
     rect_min_dist,
 )
 
-from conftest import make_rect, shrink_rect
+from conftest import make_rect, random_boxes, shrink_rect
 from reference import (
     dominates_minmax,
     dominates_minmax_loop,
@@ -330,19 +330,6 @@ def test_r_stack_equals_single_calls(rng, criterion):
             assert (grid[..., z] == dominance_grid(*a, *b, *one, p, criterion)[..., 0]).all()
 
 
-def _hypothesis_boxes(rng, count, d, grid):
-    """`count` boxes: on an integer grid (exact distance ties, shared
-    corners) or of float bounds; about a third of their sides, and every
-    side of some boxes, of zero extent."""
-    if grid:
-        lo, side = rng.integers(-3, 4, size=(count, d)).astype(float), rng.integers(0, 3, size=(count, d)).astype(float)
-    else:
-        lo, side = rng.uniform(-1.0, 1.0, size=(count, d)), rng.uniform(0.0, 1.0, size=(count, d))
-    side[rng.uniform(size=(count, d)) < 0.3] = 0.0
-    side[rng.uniform(size=count) < 0.2] = 0.0
-    return lo, lo + side
-
-
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(
     st.sampled_from([1.0, 1.5, 2.0, 3.0]),
@@ -363,7 +350,7 @@ def test_kernels_equal_their_earlier_forms(p, d, m, n, k, grid, shared, seed):
     order.  Cases span integer-grid ties, degenerate boxes, r-corners shared
     with the boxes, m = 1 or n = 1 and r-stacks of 1 to 300 boxes."""
     rng = np.random.default_rng(seed)
-    a, b, r = (_hypothesis_boxes(rng, count, d, grid) for count in (m, n, k))
+    a, b, r = (random_boxes(rng, count, d, grid) for count in (m, n, k))
     if shared:  # r-boxes that take their corners from the a- and b-boxes
         corners = np.concatenate([*a, *b])
         r = tuple(np.sort(corners[rng.integers(0, len(corners), size=(2, k))], axis=0))

@@ -598,20 +598,23 @@ def test_one_object_as_both_target_and_reference_is_refused():
 
 def test_each_kernel_call_of_a_sweep_fits_the_cap(monkeypatch):
     """A sweep cuts each reference's candidate roots into `pdom_bounds_grid`
-    calls whose kernel grid, candidate nodes x target nodes (one r-node per
-    `dominance_grid` call), stays within `_cap` floats at the kernel's
+    calls, and each call stacks its box r-nodes into r-chunks, so that every
+    `dominance_grid` call's grid, candidate nodes x target nodes x the
+    r-nodes of its stack, stays within `_cap` floats at the kernel's
     `_KERNEL_FLOATS_PER_CELL` floats per cell; only a root over the cap on
-    its own may go alone.  With the cap patched to 200 cells, every multi-root call fits it, the sweeps make
-    more calls than under the default budget, and the bounds and decisions
-    equal the default budget's, byte for byte."""
+    its own may go alone, with one r-node a call.  Under the default budget
+    some kernel call stacks several r-nodes.  With the cap patched to 200
+    cells, every multi-root call fits it, the sweeps make more calls than
+    under the default budget, and the bounds and decisions equal the
+    default budget's, byte for byte."""
     engine = importlib.import_module("udom.idca")
     db = generate_synthetic(40, 2, 0.3, 8, seed=3)
     q = point_obj("q", (0.5, 0.5))
     pdom, kernel = engine.pdom_bounds_grid, domination.dominance_grid
-    calls, inside = [], []  # per pdom_bounds_grid call: [candidate roots, largest kernel grid]
+    calls, inside = [], []  # per pdom_bounds_grid call: [candidate roots, largest kernel grid, largest r-stack]
 
     def pdom_counted(a, *args):
-        calls.append([a.seg.size - 1, 0])
+        calls.append([a.seg.size - 1, 0, 0])
         inside.append(True)
         try:
             return pdom(a, *args)
@@ -621,7 +624,7 @@ def test_each_kernel_call_of_a_sweep_fits_the_cap(monkeypatch):
     def kernel_counted(*args):
         out = kernel(*args)
         if inside:
-            calls[-1][1] = max(calls[-1][1], out.size)
+            calls[-1][1:] = max(calls[-1][1], out.size), max(calls[-1][2], out.shape[2])
         return out
 
     monkeypatch.setattr(engine, "pdom_bounds_grid", pdom_counted)
@@ -634,10 +637,11 @@ def test_each_kernel_call_of_a_sweep_fits_the_cap(monkeypatch):
         return [(h.lb.tobytes(), h.ub.tobytes()) for h in res.history], repr(answer.decisions), len(calls)
 
     *want, default_calls = run()
+    assert max(k for _, _, k in calls) > 1
     monkeypatch.setattr(domination, "_BATCH_FLOAT_BUDGET", 64 * _KERNEL_FLOATS_PER_CELL * 200)
     *got, patched_calls = run()
     assert got == want
-    multi = [cells for roots, cells in calls if roots > 1]
+    multi = [cells for roots, cells, _ in calls if roots > 1]
     assert multi and max(multi) <= 200
     assert patched_calls > default_calls
 

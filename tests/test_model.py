@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import generate_synthetic_loop, load_jsonl_pairs, save_dataset_jsonl_pairs
 
-from udom import model
+from udom import domination, model
 from udom.model import (
     DatasetError,
     DecompositionTree,
@@ -783,12 +783,42 @@ def test_gaussian_csv_faults_name_their_line(tmp_path, fault, message):
 def test_a_sample_count_that_cannot_be_allocated_names_its_line(tmp_path, monkeypatch):
     """numpy raises MemoryError for an array it cannot allocate; the row's
     line is named, as for any other fault.  The draw is patched: a real
-    oversized request fails at once or not depending on the host."""
+    oversized request fails at once or not depending on the host.  The
+    count is under the sample cap, so the draw is reached."""
 
     def refuse(rng, mean, sigma, n):
         raise MemoryError(f"Unable to allocate an array with shape ({n}, {mean.size})")
 
     monkeypatch.setattr(model, "_gaussian_cloud", refuse)
     path = tmp_path / "big.csv"
-    path.write_text("# a comment\n\na,0.5,0.5,0.1,0.1,1000000000000\n")
-    assert load_error(path) == "line 3: Unable to allocate an array with shape (1000000000000, 2)"
+    path.write_text("# a comment\n\na,0.5,0.5,0.1,0.1,1000000\n")
+    assert load_error(path) == "line 3: Unable to allocate an array with shape (1000000, 2)"
+
+
+def test_a_sample_count_over_the_cap_is_refused_before_any_draw(tmp_path, monkeypatch):
+    """A gaussian-csv nsamples, or a generated n * samples, whose sample
+    array would exceed `_BATCH_FLOAT_BUDGET` floats is refused with a stated
+    message (naming its line in a file) before anything is drawn; one at the
+    cap goes on to its draw.  The draws are patched to raise, so nothing is
+    allocated either way."""
+    cap = domination._BATCH_FLOAT_BUDGET
+
+    def reached(*args):
+        raise MemoryError("draw reached")
+
+    monkeypatch.setattr(model, "_gaussian_cloud", reached)
+    monkeypatch.setattr(model, "_synthetic_samples", reached)
+    path = tmp_path / "big.csv"
+    for d, nsamples in ((2, cap // 2 + 1), (1, cap + 1), (3, 10**12)):
+        path.write_text("# a comment\n\nb," + "0.5," * d + "0.1," * d + f"{nsamples}\n")
+        assert load_error(path) == f"line 3: nsamples * d is {nsamples * d} sample floats, more than the {cap} one sample array may hold"
+    for d, nsamples in ((2, cap // 2), (1, cap)):
+        path.write_text("b," + "0.5," * d + "0.1," * d + f"{nsamples}\n")
+        assert load_error(path) == "line 1: draw reached"
+    for n, d, samples in ((cap // 2 + 1, 2, 1), (10, 2, 10**12), (1, 1, cap + 1)):
+        with pytest.raises(ValueError) as info:
+            generate_synthetic(n, d, 0.004, samples)
+        assert str(info.value) == f"n * samples_per_object * d is {n * samples * d} sample floats, more than the {cap} one sample array may hold"
+    for n, d, samples in ((cap // 2, 2, 1), (1, 1, cap)):
+        with pytest.raises(MemoryError, match="draw reached"):
+            generate_synthetic(n, d, 0.004, samples)
