@@ -168,38 +168,47 @@ def pdom_bounds_grid(
     `a` holds one root per candidate and `b` one root per target (one in a
     single-pair sweep); only the ``lo``/``hi`` node arrays of `b` and `r`
     are read.  Returns (lb, ub) arrays of shape (a's roots, len(b), len(r)).
-    The r-nodes reach `dominance_grid` as stacks, each by one forward and
-    one reverse call: the box r-nodes in consecutive r-chunks of K, the
-    most (at least 1) whose (len(a), len(b), K) grid at
-    `_KERNEL_FLOATS_PER_CELL` floats a cell fits `_cap`, and under
-    "optimal" each point r-node (``lo == hi``, every r-node of a fully
-    separated level) alone, so both calls decide each cell from one
-    distance key per node.  Under "minmax" every r-node counts as a box.
-    A stacked call equals its K one-box calls bit for bit.  A candidate
-    root's bound on one (b-node, r-node) pair is a segmented sum (one
-    `np.add.reduceat` per bound and call) of the masses of its nodes that
-    dominate the b-node (lb), or that the b-node does not dominate (ub),
-    capped at 1.  A node that dominates is never dominated, so ub >= lb,
-    and a cell whose every node is decided sums the same masses in the same
-    order for both: ub == lb bit for bit.  Each (segment, b-node, r-node)
-    column is reduced on its own, so a candidate root's bounds depend
-    neither on the other roots of `a`, nor a b-node's on the other nodes of
-    `b`, nor an r-node's on its r-chunk: all are what a one-root call with
-    one r-node gives, bit for bit.
+    The call alone sizes its `dominance_grid` calls, each within `_cap`
+    floats at `_KERNEL_FLOATS_PER_CELL` a cell.  It cuts `a` into
+    consecutive whole roots, the most whose candidate nodes x len(b) cells
+    fit (a root over that on its own goes alone, one r-node a kernel call),
+    each cut read as row slices of `a`.  Within a cut the r-nodes reach the
+    kernel as stacks, each by one forward and one reverse call: the box
+    r-nodes in consecutive r-chunks of K, the most (at least 1) whose (cut
+    nodes, len(b), K) grid fits, and under "optimal" each point r-node
+    (``lo == hi``, every r-node of a fully separated level) alone, so both
+    calls decide each cell from one distance key per node.  Under "minmax"
+    every r-node counts as a box.  A stacked call equals its K one-box calls
+    bit for bit.  A candidate root's bound on one (b-node, r-node) pair is a
+    segmented sum (one `np.add.reduceat` per bound and kernel call) of the
+    masses of its nodes that dominate the b-node (lb), or that the b-node
+    does not dominate (ub), capped at 1.  A node that dominates is never
+    dominated, so ub >= lb, and a cell whose every node is decided sums the
+    same masses in the same order for both: ub == lb bit for bit.  Each
+    (segment, b-node, r-node) column is reduced on its own, so a candidate
+    root's bounds depend neither on the other roots of `a` or of its cut,
+    nor a b-node's on the other nodes of `b`, nor an r-node's on its
+    r-chunk: all are what a one-root call with one r-node gives, bit for bit.
     """
     lb = np.empty((a.seg.size - 1, len(b), len(r)))
     ub = np.empty((a.seg.size - 1, len(b), len(r)))
     point = (r.lo == r.hi).all(axis=1) & (criterion == "optimal")
     boxes = np.flatnonzero(~point)
-    k = max(1, _cap() // (len(a) * len(b) * _KERNEL_FLOATS_PER_CELL))  # box r-nodes per chunk
-    mass = a.mass[:, None, None]
-    chunks = [boxes[s : s + k] for s in range(0, boxes.size, k)]  # then one slice per point r-node
-    for z in chunks + [slice(i, i + 1) for i in np.flatnonzero(point).tolist()]:
-        r_lo, r_hi = r.lo[z], r.hi[z]
-        dom = dominance_grid(a.lo, a.hi, b.lo, b.hi, r_lo, r_hi, p, criterion)
-        rev = dominance_grid(b.lo, b.hi, a.lo, a.hi, r_lo, r_hi, p, criterion)
-        lb[:, :, z] = np.add.reduceat(mass * dom, a.seg[:-1])
-        ub[:, :, z] = np.add.reduceat(mass * ~rev.transpose(1, 0, 2), a.seg[:-1])
+    points = [slice(i, i + 1) for i in np.flatnonzero(point).tolist()]
+    fit = _cap() // (len(b) * _KERNEL_FLOATS_PER_CELL)  # candidate nodes x r-nodes per kernel call
+    cuts = [0]
+    while cuts[-1] < a.seg.size - 1:
+        cuts.append(max(cuts[-1] + 1, int(np.searchsorted(a.seg, a.seg[cuts[-1]] + fit, side="right")) - 1))
+    for s, e in zip(cuts, cuts[1:]):
+        rows, heads = slice(a.seg[s], a.seg[e]), a.seg[s:e] - a.seg[s]
+        lo, hi, mass = a.lo[rows], a.hi[rows], a.mass[rows, None, None]
+        k = max(1, fit // (a.seg[e] - a.seg[s]))  # box r-nodes per chunk
+        for z in [boxes[i : i + k] for i in range(0, boxes.size, k)] + points:
+            r_lo, r_hi = r.lo[z], r.hi[z]
+            dom = dominance_grid(lo, hi, b.lo, b.hi, r_lo, r_hi, p, criterion)
+            rev = dominance_grid(b.lo, b.hi, lo, hi, r_lo, r_hi, p, criterion)
+            lb[s:e, :, z] = np.add.reduceat(mass * dom, heads)
+            ub[s:e, :, z] = np.add.reduceat(mass * ~rev.transpose(1, 0, 2), heads)
     np.minimum(lb, 1.0, out=lb)
     np.minimum(ub, 1.0, out=ub)
     return lb, ub

@@ -207,6 +207,12 @@ def _no_overflow(fn, *args):
         raise ValueError("p-th power distances overflow; rescale the coordinates") from None
 
 
+def _ranges(heads: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The concatenated ranges ``heads[i]:ends[i]`` and their offsets in it."""
+    offsets = np.concatenate([[0], np.cumsum(ends - heads)])
+    return np.repeat(heads - offsets[:-1], ends - heads) + np.arange(offsets[-1]), offsets
+
+
 def _point_reference_mask(a_lo, a_hi, b_lo, b_hi, t, p):
     """The optimal kernel's (m, n, 1) mask under the one point reference t,
     a (d, 1) column, from one key per box (see the module docstring), or
@@ -228,7 +234,7 @@ def _point_reference_mask(a_lo, a_hi, b_lo, b_hi, t, p):
     if count.any():
         by_key = np.argsort(b_key)
         rows = np.repeat(np.arange(len(a_key)), count)
-        cols = by_key[np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())]
+        cols = by_key[_ranges(first, first + count)[0]]
         total = np.zeros(rows.size)  # the kernel's sum, cell by cell
         for fa, nb in zip(far, near):
             total += fa[rows] - nb[cols]

@@ -7,10 +7,10 @@ is possible and none is certain.  Refinement runs a batch of (b, r) runs,
 consecutive open targets of a threshold query or the one pair of a direct
 call, to its end in one decomposition forest with one root per distinct
 participant.  From depth 2 on, each step deepens every root by one level in
-one segmented `split` and sweeps every active run together, once: one kernel
-pass per reference (`pdom_bounds_grid`, in calls over whole candidate roots
-whose kernel grid under one reference node fits `_cap`, each call stacking
-its box reference nodes into r-chunks that fit it too), then, per
+one segmented `split` and sweeps every active run together, once: one
+`pdom_bounds_grid` call per reference, over all its runs' candidate roots
+and targets, which cuts its kernel calls to fit `_cap` (whole candidate
+roots a call, its box reference nodes stacked into r-chunks), then, per
 (target-leaf, reference-leaf) pair, count bounds from the uncertain
 generating function of its padded pdom bounds, as three univariate products
 (`udom.genfunc`), mixed into its run in one product with the pair masses
@@ -33,7 +33,7 @@ import numpy as np
 
 from .domination import DominationClassification, _cap, _pdf_length, classify, pdom_bounds_grid
 from .genfunc import DomCountDistribution, _extract_batch, _ugf_expand_batch
-from .geometry import _KERNEL_FLOATS_PER_CELL, _check_count, check_norm_order
+from .geometry import _check_count, check_norm_order
 from .model import DecompositionTree, Frontier, UncertainObject
 
 __all__ = [
@@ -186,17 +186,15 @@ def _evaluate_depth(level: Frontier, runs: list, p: float, criterion: str) -> li
 
     The sweep fills one (2, rows, width) block of pdom bounds, one row per
     (b-leaf, r-leaf) pair of each run in turn (b-leaf major), width the most
-    candidates of any run.  The runs of one reference share its
-    `pdom_bounds_grid` calls: its candidate roots, cut into consecutive calls
-    whose grid of candidate nodes x target nodes x
-    `_KERNEL_FLOATS_PER_CELL` floats fits `_cap` (a root over it alone),
-    their bounds concatenated along the candidate axis.  Each call fills
-    what is left of `_cap` with box reference nodes, an r-chunk per kernel
-    call (`pdom_bounds_grid`), so a call of few candidate nodes costs few
-    kernel calls however many nodes the reference has.  A candidate root's
-    bounds depend neither on the other roots of its call nor on the
-    r-chunks, so the cut changes no bit.  A narrower run is padded with
-    plb = pub = 0, factors that multiply by exactly 1.  One
+    candidates of any run.  The runs of one reference share one
+    `pdom_bounds_grid` call over their candidate roots (each distinct root
+    once) and their target roots, in run order; that call cuts its kernel
+    calls to fit `_cap`, whole candidate roots a call and its box reference
+    nodes stacked into r-chunks, so a few candidate nodes cost few kernel
+    calls however many nodes the reference has.  A candidate root's bounds
+    depend neither on the other roots nor on the cut, and a target root's
+    on no other target, so the call changes no bit.  A narrower run is
+    padded with plb = pub = 0, factors that multiply by exactly 1.  One
     `_ugf_expand_batch` call expands every row of the block into its three
     univariate products (`udom.genfunc`), of 3 * rows * (width+1) floats
     plus a pass's temporary of at most as many, the order of the block, and
@@ -211,17 +209,10 @@ def _evaluate_depth(level: Frontier, runs: list, p: float, criterion: str) -> li
     for ref in dict.fromkeys(int(run.roots[-1]) for run in runs):
         group = [i for i, run in enumerate(runs) if run.roots[-1] == ref]
         cands = np.unique(np.concatenate([runs[i].roots[:-2] for i in group]))
-        bs = np.unique([runs[i].roots[-2] for i in group])
-        b, r = level.take(bs), level.take(np.array([ref]))
-        fit = _cap() // (len(b) * _KERNEL_FLOATS_PER_CELL)  # candidate nodes per call
-        ends = np.concatenate([[0], np.cumsum(nodes[cands])])  # nodes of the first i candidate roots
-        cuts = [0]
-        while cuts[-1] < cands.size:
-            cuts.append(max(cuts[-1] + 1, int(np.searchsorted(ends, ends[cuts[-1]] + fit, side="right")) - 1))
-        calls = [pdom_bounds_grid(level.take(cands[s:e]), b, r, p, criterion) for s, e in zip(cuts, cuts[1:])]
-        bounds = [np.concatenate(g) if len(calls) > 1 else g[0] for g in zip(*calls)]  # lb, ub
-        for i in group:
-            c, j = np.searchsorted(cands, runs[i].roots[:-2]), np.searchsorted(bs, runs[i].roots[-2])
+        b, r = level.take(np.array([runs[i].roots[-2] for i in group])), level.take(np.array([ref]))
+        bounds = pdom_bounds_grid(level.take(cands), b, r, p, criterion)  # lb, ub
+        for j, i in enumerate(group):
+            c = np.searchsorted(cands, runs[i].roots[:-2])
             for out, g in zip(block, bounds):
                 out[rows[i] : rows[i + 1], : c.size] = g[c, b.seg[j] : b.seg[j + 1]].reshape(c.size, -1).T
     pair = _extract_batch(_ugf_expand_batch(*block))  # lb, ub

@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .geometry import Rect, _check_count
+from .geometry import Rect, _check_count, _ranges
 
 __all__ = [
     "Frontier",
@@ -75,12 +75,6 @@ class Frontier:
         rows, seg = _ranges(self.seg[roots], self.seg[roots + 1])
         samples, start = _ranges(self.start[rows], self.start[rows + 1])
         return Frontier(self.lo[rows], self.hi[rows], self.mass[rows], self.order[samples], start, seg)
-
-
-def _ranges(heads: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The concatenated ranges ``heads[i]:ends[i]`` and their offsets in it."""
-    offsets = np.concatenate([[0], np.cumsum(ends - heads)])
-    return np.repeat(heads - offsets[:-1], ends - heads) + np.arange(offsets[-1]), offsets
 
 
 def _by_size(start: np.ndarray, nodes: np.ndarray):

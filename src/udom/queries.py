@@ -3,7 +3,11 @@
 All decisions compare strictly: an object is *in* when the probability lower
 bound exceeds tau and *out* when the upper bound is at most tau, so boundary
 cases are deterministic.  Because refinement only tightens bounds, a decision
-reached under early stopping always equals the full-depth decision.
+reached under early stopping always equals the full-depth decision.  The
+bounds carry float rounding, about 3n*eps for a target with n influence
+objects (the error `udom.genfunc` states for its products), so a decision is
+the exact one whenever the exact P(count < k) lies more than about 3n*eps
+from tau; inside that band it may differ.
 
 The queries over many targets share `_each_target`: one MBR kernel pass filters
 every target, and the targets it leaves open are refined in shared batches.

@@ -369,39 +369,65 @@ def _level(rng, sizes, d, grid, points=0.0):
     return Frontier(lo, hi, mass, np.arange(k), np.arange(k + 1), seg)
 
 
+def _tiles(seg, fit, n_boxes, n_points):
+    """The (candidate node rows, r-stack) slices of each forward kernel
+    call of a `pdom_bounds_grid` call whose kernel calls hold `fit`
+    candidate nodes x r-nodes, the r-stack taken from the box r-nodes, then
+    the point r-nodes: `a` cut greedily into the most consecutive whole
+    roots whose nodes fit (a root over it alone), each cut with r-chunks of
+    ``max(1, fit // nodes)`` box r-nodes, then each point r-node alone."""
+    tiles, s = [], 0
+    while s < seg.size - 1:
+        e = s + 1
+        while e < seg.size - 1 and seg[e + 1] - seg[s] <= fit:
+            e += 1
+        rows, k = slice(seg[s], seg[e]), max(1, fit // (seg[e] - seg[s]))
+        tiles += [(rows, slice(i, min(i + k, n_boxes))) for i in range(0, n_boxes, k)]
+        tiles += [(rows, slice(i, i + 1)) for i in range(n_boxes, n_boxes + n_points)]
+        s = e
+    return tiles
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @given(
     st.sampled_from([1.0, 1.5, 2.0, 3.0]),
     st.sampled_from([1, 2, 3, 8]),
     st.sampled_from(["optimal", "minmax"]),
-    st.integers(1, 4),
+    st.integers(1, 6),
     st.integers(1, 3),
     st.integers(1, 300),
     st.sampled_from([0.0, 0.5, 1.0]),
     st.booleans(),
-    st.sampled_from([None, 1, 2, 7]),
+    st.sampled_from([None, 1.0, 2.0, 7.0, 0.5, 0.0]),
     st.integers(0, 2**32 - 1),
 )
 @example(2.0, 2, "optimal", 4, 3, 300, 0.5, True, None, 0)
-@example(3.0, 8, "minmax", 3, 2, 300, 0.5, False, 2, 1)
-@example(1.0, 1, "optimal", 1, 1, 1, 0.0, True, 1, 2)
-def test_pdom_bounds_grid_equals_one_r_node_at_a_time(p, d, criterion, a_roots, b_roots, k, points, grid, chunk, seed):
-    """Stacking the box r-nodes into cap-sized r-chunks changes no bit: lb
-    and ub equal, byte for byte, one forward and one reverse kernel call per
-    r-node.  Cases span p, d and both criteria, integer-grid ties and
-    coincident boxes, degenerate boxes, r-frontiers of 1-300 nodes that
-    are all points, all boxes or a mix, and budgets patched so that an
-    r-chunk holds `chunk` box r-nodes (None: the default budget).  Each
-    kernel call's r-stack is the next r-chunk of box r-nodes, in order,
-    then, under "optimal", each point r-node alone."""
+@example(3.0, 8, "minmax", 3, 2, 300, 0.5, False, 2.0, 1)
+@example(1.0, 1, "optimal", 1, 1, 1, 0.0, True, 1.0, 2)
+@example(2.0, 3, "optimal", 6, 2, 40, 0.5, True, 0.5, 3)
+@example(1.5, 2, "minmax", 6, 1, 25, 0.0, False, 0.0, 4)
+def test_pdom_bounds_grid_equals_one_r_node_at_a_time(p, d, criterion, a_roots, b_roots, k, points, grid, share, seed):
+    """Cutting `a` into whole-root kernel calls and stacking the box r-nodes
+    into cap-sized r-chunks changes no bit: lb and ub equal, byte for byte,
+    one forward and one reverse kernel call per r-node over all of `a`.
+    Cases span p, d and both criteria, integer-grid ties and coincident
+    boxes, degenerate boxes, r-frontiers of 1-300 nodes that are all
+    points, all boxes or a mix, and budgets patched so that a kernel call
+    holds `share` x len(a) candidate nodes x r-nodes (None: the default
+    budget): 1, 2 or 7 r-chunks' worth of all of `a`, or half of `a`, so
+    several roots a cut, or 1, so each root alone, one over it too.  Each
+    kernel call's candidate rows and r-stack are the next tile in order:
+    per cut of `a`, the r-chunks of box r-nodes, then, under "optimal",
+    each point r-node alone."""
     rng = np.random.default_rng(seed)
     a, b = (_level(rng, rng.integers(1, 9, size=roots), d, grid) for roots in (a_roots, b_roots))
     r = _level(rng, [k], d, grid, points)
-    budget = domination._BATCH_FLOAT_BUDGET if chunk is None else 64 * _KERNEL_FLOATS_PER_CELL * len(a) * len(b) * chunk
-    stacks, kernel = [], domination.dominance_grid
+    fit = domination._cap() // (len(b) * _KERNEL_FLOATS_PER_CELL) if share is None else max(1, int(share * len(a)))
+    budget = domination._BATCH_FLOAT_BUDGET if share is None else 64 * _KERNEL_FLOATS_PER_CELL * len(b) * fit
+    calls, kernel = [], domination.dominance_grid
 
     def counted(*args):
-        stacks.append(args[4])
+        calls.append(args)
         return kernel(*args)
 
     with mock.patch.object(domination, "_BATCH_FLOAT_BUDGET", budget), mock.patch.object(domination, "dominance_grid", counted):
@@ -411,27 +437,34 @@ def test_pdom_bounds_grid_equals_one_r_node_at_a_time(p, d, criterion, a_roots, 
     assert lb.tobytes() == want_lb.tobytes()
     assert ub.tobytes() == want_ub.tobytes()
     point = (r.lo == r.hi).all(axis=1) & (criterion == "optimal")
-    size = max(1, domination._cap() // (len(a) * len(b) * _KERNEL_FLOATS_PER_CELL)) if chunk is None else chunk
-    n_boxes = k - int(point.sum())
-    assert [len(s) for s in stacks[::2]] == [min(size, n_boxes - s) for s in range(0, n_boxes, size)] + [1] * int(point.sum())
-    assert np.concatenate(stacks[::2]).tobytes() == np.concatenate([r.lo[~point], r.lo[point]]).tobytes()
+    tiles = _tiles(a.seg, fit, k - int(point.sum()), int(point.sum()))
+    assert len(calls) == 2 * len(tiles)
+    stacks = np.concatenate([r.lo[~point], r.lo[point]])
+    for (rows, z), forward, reverse in zip(tiles, calls[::2], calls[1::2]):
+        assert forward[0].tobytes() == reverse[2].tobytes() == a.lo[rows].tobytes()
+        assert forward[4].tobytes() == reverse[4].tobytes() == stacks[z].tobytes()
 
 
 def test_pdom_bounds_grid_peak_memory_fits_the_cap():
-    """One call over a multi-root `a` and 100 or more box r-nodes, in
-    r-chunks of several r-nodes under the default budget, peaks within
-    `_cap` floats for its kernel calls, plus its two outputs, plus 256 KiB
-    for numpy's ufunc buffers."""
+    """A call over a multi-root `a` and 100 or more box r-nodes, in r-chunks
+    of several r-nodes under the default budget, and a call whose 1200
+    candidate roots are over `_cap` at one r-node, cut into whole-root
+    kernel calls, each peak within `_cap` floats for their kernel calls,
+    plus their two outputs, plus 256 KiB for numpy's ufunc buffers."""
     rng = np.random.default_rng(11)
     a, b, r = (_level(rng, np.full(roots, 5), 2, False) for roots in (40, 4, 30))
     assert (~(r.lo == r.hi).all(axis=1)).sum() >= 100
     k = domination._cap() // (len(a) * len(b) * _KERNEL_FLOATS_PER_CELL)
     assert 1 < k < len(r)  # several r-chunks of several r-nodes
-    outputs = 2 * 8 * 40 * len(b) * len(r)
-    tracemalloc.start()
-    try:
-        pdom_bounds_grid(a, b, r)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= domination._cap() * 8 + outputs + 256 * 1024
+    box = Frontier(np.zeros((1, 2)), np.ones((1, 2)), np.ones(1), np.arange(1), np.arange(2), np.array([0, 1]))
+    wide = _level(rng, np.full(1200, 5), 2, False), b, box
+    assert len(wide[0]) * len(b) * _KERNEL_FLOATS_PER_CELL > domination._cap()
+    for a, b, r in ((a, b, r), wide):
+        outputs = 2 * 8 * (a.seg.size - 1) * len(b) * len(r)
+        tracemalloc.start()
+        try:
+            pdom_bounds_grid(a, b, r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= domination._cap() * 8 + outputs + 256 * 1024

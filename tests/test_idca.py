@@ -177,23 +177,58 @@ def dense_sweep(level, runs, p, criterion, budget):
     ]
 
 
+def record_sweeps(monkeypatch):
+    """Patch the engine so that each `_evaluate_depth` sweep appends
+    ``(references, calls)`` to the returned list: its number of distinct
+    references and, per `pdom_bounds_grid` call it makes, the node count of
+    each candidate root and the result shape of each kernel call, forward
+    and reverse in turn."""
+    engine = importlib.import_module("udom.idca")
+    sweep, pdom, kernel = engine._evaluate_depth, engine.pdom_bounds_grid, domination.dominance_grid
+    sweeps, inside = [], []
+
+    def sweep_counted(level, runs, *args):
+        sweeps.append((len({int(run.roots[-1]) for run in runs}), []))
+        return sweep(level, runs, *args)
+
+    def pdom_counted(a, *args):
+        sweeps[-1][1].append((np.diff(a.seg), []))
+        inside.append(True)
+        try:
+            return pdom(a, *args)
+        finally:
+            inside.pop()
+
+    def kernel_counted(*args):
+        out = kernel(*args)
+        if inside:
+            sweeps[-1][1][-1][1].append(out.shape)
+        return out
+
+    monkeypatch.setattr(engine, "_evaluate_depth", sweep_counted)
+    monkeypatch.setattr(engine, "pdom_bounds_grid", pdom_counted)
+    monkeypatch.setattr(domination, "dominance_grid", kernel_counted)
+    return sweeps
+
+
+def cut_calls(sweeps):
+    """Forward kernel calls over fewer candidate nodes than their
+    `pdom_bounds_grid` call's `a`: each is one cut of a kernel pass."""
+    return sum(shape[0] < nodes.sum() for _, calls in sweeps for nodes, shapes in calls for shape in shapes[::2])
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_multi_chunk_history_matches_dense_reference(rng, monkeypatch, d):
     """With a float budget small enough to cut the kernel pass of a depth
-    into several `pdom_bounds_grid` calls, every depth's bounds equal, bit
-    for bit, those under the default budget: a run's bounds do not depend on
-    how its kernel calls are cut.  They equal those of the pairs expanded on
-    full (n+1, n+1) grids, extracted by the per-count loop and mixed in one
-    product: lb bit for bit, ub to within (n+1) units of roundoff."""
+    into kernel calls over part of the candidate nodes, every depth's
+    bounds equal, bit for bit, those under the default budget: a run's
+    bounds do not depend on how its kernel calls are cut.  Each sweep makes
+    one `pdom_bounds_grid` call, for its one reference.  The bounds equal
+    those of the pairs expanded on full (n+1, n+1) grids, extracted by the
+    per-count loop and mixed in one product: lb bit for bit, ub to within
+    (n+1) units of roundoff."""
     engine = importlib.import_module("udom.idca")
-    pdom = engine.pdom_bounds_grid
-    calls = []
-
-    def counted(*args):
-        calls.append(1)
-        return pdom(*args)
-
-    monkeypatch.setattr(engine, "pdom_bounds_grid", counted)
+    sweeps = record_sweeps(monkeypatch)
     cut_runs = 0
     for trial in range(16):
         p = (1.0, 2.0, 3.0)[trial % 3]
@@ -205,10 +240,11 @@ def test_multi_chunk_history_matches_dense_reference(rng, monkeypatch, d):
         default = idca(db, b, r, p=p, max_depth=6, criterion=criterion)
         with monkeypatch.context() as m:
             m.setattr(domination, "_BATCH_FLOAT_BUDGET", budget)
-            calls.clear()
+            sweeps.clear()
             got = idca(db, b, r, p=p, max_depth=6, criterion=criterion)
-            # More kernel calls than sweeps: some depth was cut into several calls.
-            cut_runs += len(calls) > len(got.history) - 1
+            assert len(sweeps) == len(got.history) - 1
+            assert all(refs == len(calls) == 1 for refs, calls in sweeps)
+            cut_runs += cut_calls(sweeps) > 0
             m.setattr(engine, "_evaluate_depth", functools.partial(dense_sweep, budget=budget))
             want = idca(db, b, r, p=p, max_depth=6, criterion=criterion)
         for ref in (want, default):
@@ -597,53 +633,38 @@ def test_one_object_as_both_target_and_reference_is_refused():
 
 
 def test_each_kernel_call_of_a_sweep_fits_the_cap(monkeypatch):
-    """A sweep cuts each reference's candidate roots into `pdom_bounds_grid`
-    calls, and each call stacks its box r-nodes into r-chunks, so that every
-    `dominance_grid` call's grid, candidate nodes x target nodes x the
-    r-nodes of its stack, stays within `_cap` floats at the kernel's
-    `_KERNEL_FLOATS_PER_CELL` floats per cell; only a root over the cap on
-    its own may go alone, with one r-node a call.  Under the default budget
-    some kernel call stacks several r-nodes.  With the cap patched to 200
-    cells, every multi-root call fits it, the sweeps make more calls than
-    under the default budget, and the bounds and decisions equal the
-    default budget's, byte for byte."""
-    engine = importlib.import_module("udom.idca")
+    """A sweep makes one `pdom_bounds_grid` call per reference, which cuts
+    its candidate roots into kernel calls and stacks its box r-nodes into
+    r-chunks, so that every `dominance_grid` call's grid, candidate nodes x
+    target nodes x the r-nodes of its stack, stays within `_cap` floats at
+    the kernel's `_KERNEL_FLOATS_PER_CELL` floats per cell; only a root over
+    the cap on its own may go alone, with one r-node a call.  Under the
+    default budget some kernel call stacks several r-nodes.  With the cap
+    patched to 200 cells, every other kernel call fits it, more kernel
+    calls hold only part of their call's candidate nodes than under the
+    default budget, and the bounds and decisions equal the default
+    budget's, byte for byte."""
     db = generate_synthetic(40, 2, 0.3, 8, seed=3)
     q = point_obj("q", (0.5, 0.5))
-    pdom, kernel = engine.pdom_bounds_grid, domination.dominance_grid
-    calls, inside = [], []  # per pdom_bounds_grid call: [candidate roots, largest kernel grid, largest r-stack]
-
-    def pdom_counted(a, *args):
-        calls.append([a.seg.size - 1, 0, 0])
-        inside.append(True)
-        try:
-            return pdom(a, *args)
-        finally:
-            inside.pop()
-
-    def kernel_counted(*args):
-        out = kernel(*args)
-        if inside:
-            calls[-1][1:] = max(calls[-1][1], out.size), max(calls[-1][2], out.shape[2])
-        return out
-
-    monkeypatch.setattr(engine, "pdom_bounds_grid", pdom_counted)
-    monkeypatch.setattr(domination, "dominance_grid", kernel_counted)
+    sweeps = record_sweeps(monkeypatch)
 
     def run():
-        calls.clear()
+        sweeps.clear()
         res = idca(db, db[0], db[1], max_depth=5, epsilon=0.0)
         answer = pknn_query(db, q, 6, 0.5, max_depth=5)
-        return [(h.lb.tobytes(), h.ub.tobytes()) for h in res.history], repr(answer.decisions), len(calls)
+        assert sweeps and all(refs == len(calls) for refs, calls in sweeps)
+        return [(h.lb.tobytes(), h.ub.tobytes()) for h in res.history], repr(answer.decisions)
 
-    *want, default_calls = run()
-    assert max(k for _, _, k in calls) > 1
+    want = run()
+    default_cuts = cut_calls(sweeps)
+    assert max(shape[2] for _, calls in sweeps for _, shapes in calls for shape in shapes) > 1
     monkeypatch.setattr(domination, "_BATCH_FLOAT_BUDGET", 64 * _KERNEL_FLOATS_PER_CELL * 200)
-    *got, patched_calls = run()
-    assert got == want
-    multi = [cells for roots, cells, _ in calls if roots > 1]
-    assert multi and max(multi) <= 200
-    assert patched_calls > default_calls
+    assert run() == want
+    for _, calls in sweeps:
+        for nodes, shapes in calls:
+            for m, n, k in shapes[::2]:
+                assert m * n * k <= 200 or (k == 1 and m in nodes[nodes * n > 200])
+    assert cut_calls(sweeps) > default_cuts
 
 
 @pytest.mark.parametrize(
