@@ -14,7 +14,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .geometry import _KERNEL_FLOATS_PER_CELL, check_norm_order, dominance_grid
+from .geometry import _BAND_FLOATS_PER_CELL, _KERNEL_FLOATS_PER_CELL, _cuts, _point_runs, check_norm_order, dominance_grid
 from .model import Frontier, UncertainObject
 
 __all__ = [
@@ -37,6 +37,14 @@ def _cap() -> int:
     `_BATCH_FLOAT_BUDGET` (~2 MB), so many small runs share a batch and
     many small r-nodes a kernel call while memory stays bounded."""
     return _BATCH_FLOAT_BUDGET >> 6
+
+
+# Floats the point pass of `pdom_bounds_grid` holds per point r-node, at any
+# d: _POINT_FLOATS_PER_ROOT x (target nodes + 2 + the widest root's nodes)
+# per root of its cut, and 5 d + _POINT_FLOATS_PER_NODE per candidate node
+# and per target node (`test_pdom_bounds_grid_peak_memory_fits_the_cap`).
+_POINT_FLOATS_PER_ROOT = 9
+_POINT_FLOATS_PER_NODE = 8
 
 
 @dataclass(frozen=True)
@@ -83,7 +91,7 @@ def others(db: Sequence[UncertainObject], *exclude: UncertainObject) -> list[Unc
         raise ValueError("database object ids must be unique")
     if len({id(o) for o in exclude}) != len(exclude):
         raise ValueError("the target and the reference must be different objects")
-    if len({o.points.shape[1] for o in (*db, *exclude)}) > 1:
+    if len({o.mbr.lo.size for o in (*db, *exclude)}) > 1:
         raise ValueError("dimension mismatch between database, target and reference")
     skip = {id(o) for o in exclude}
     return [o for o in db if id(o) not in skip]
@@ -110,7 +118,7 @@ def _target_labels(objs, order, q, roles, p, criterion) -> Iterator[tuple[list, 
     and of influence objects, each target's own row False in both (an
     irrelevant object is in neither).  Every MBR split of the package comes
     from here (`classify` is the one-target pass)."""
-    lo, hi = np.array([o.mbr.lo for o in objs]), np.array([o.mbr.hi for o in objs])
+    lo, hi = (np.concatenate([getattr(o.mbr, side) for o in objs]).reshape(len(objs), -1) for side in ("lo", "hi"))
     one = q.mbr.lo[None], q.mbr.hi[None]
     chunk = max(1, _BATCH_FLOAT_BUDGET // (_KERNEL_FLOATS_PER_CELL * len(objs)))
     for start in range(0, len(order), chunk):
@@ -155,6 +163,59 @@ def classify(
     return DominationClassification(tuple(o.id for o in dominators), tuple(cands), tuple(o.id for o in irrelevant))
 
 
+def _point_bounds(lo, hi, mass, seg, b, t, p):
+    """lb and ub, (k, roots, len(b)), of the roots of one cut (node rows
+    `lo`, `hi`, `mass`, root j's rows ``seg[j]:seg[j + 1]``) under the
+    point r-nodes t, a (k, d) stack, from `_point_runs`; None when the keys
+    may overflow.
+
+    A bound sums the masses of the root's nodes that dominate the b-node
+    (lb) or that the b-node does not dominate (ub).  Outside the rounding
+    band those are the `count` nodes of the root's smallest keys, so their
+    mass is the prefix of the root's masses, stably sorted by its own keys
+    and added from zero; band nodes that count are added after it, in node
+    order.  The integer counts then settle each cell they can: every node
+    dominates, lb = 1; none is dominated, ub = 1; every node decided, ub = lb."""
+    runs = _point_runs(lo, hi, b.lo, b.hi, t, p, reverse=True, band_cells=_cap() // (4 * _BAND_FLOATS_PER_CELL))
+    if runs is None:
+        return None
+    key, order, _, end, band = runs
+    (rows, n), k = order.shape, len(t)  # rows: lb's k, then ub's k
+    sizes = seg[1:] - seg[:-1]
+    roots, width = sizes.size, int(sizes.max())
+    root = np.repeat(np.arange(roots), sizes)
+    slot = root * width + np.arange(len(mass)) - seg[root]  # each node's place in a (roots, width) layout
+    padded = np.full((rows, roots * width), np.inf)
+    padded[:, slot] = key
+    padded = padded.reshape(rows, roots, width)
+    by_key = padded.argsort(axis=-1, kind="stable" if width <= 16 else None)
+    if width > 16:  # a faster sort, the stable one's order unless the root's own keys tie
+        ordered = padded.reshape(-1)[by_key + np.arange(0, padded.size, width).reshape(rows, roots, 1)]
+        if ((ordered[..., 1:] == ordered[..., :-1]) & (ordered[..., 1:] < np.inf)).any():
+            by_key = padded.argsort(axis=-1, kind="stable")
+    by_key = by_key.transpose(2, 0, 1)
+    masses = np.zeros(roots * width)
+    masses[slot] = mass
+    blocks = rows * roots  # one per (row, root)
+    prefix = np.zeros((width + 1, blocks))  # [c, block]: the mass of the root's c smallest keys
+    np.cumsum(masses[by_key + np.arange(0, roots * width, width)], axis=0, out=prefix[1:].reshape(width, rows, roots))
+    # [rank, block]: the root's nodes whose band ends at or before that b rank, then in b order.
+    block = np.arange(0, blocks, roots)[:, None] + root
+    held = np.bincount((end * blocks + block).ravel(), minlength=(n + 1) * blocks).reshape(n + 1, blocks).cumsum(axis=0)
+    cells = np.arange(blocks).reshape(rows, roots, 1)
+    count = held.reshape(-1)[order.argsort(axis=1)[:, None, :] * blocks + cells]
+    value = prefix.reshape(-1)[count * blocks + cells]
+    for z, i, j, holds in band:  # band nodes that count, after the prefix, in node order
+        at = ((z * roots + root[i]) * n + j)[holds]
+        np.add.at(value.reshape(-1), at, mass[i[holds]])
+        np.add.at(count.reshape(-1), at, 1)
+    np.copyto(value, 1.0, where=count == sizes[:, None])  # every node counts: lb = 1 or ub = 1
+    (lb, ub), (dominating, free) = value.reshape(2, k, roots, n), count.reshape(2, k, roots, n)
+    np.copyto(ub, lb, where=free == dominating)
+    np.maximum(ub, lb, out=ub)
+    return lb, ub
+
+
 def pdom_bounds_grid(
     a: Frontier,
     b: Frontier,
@@ -167,48 +228,88 @@ def pdom_bounds_grid(
 
     `a` holds one root per candidate and `b` one root per target (one in a
     single-pair sweep); only the ``lo``/``hi`` node arrays of `b` and `r`
-    are read.  Returns (lb, ub) arrays of shape (a's roots, len(b), len(r)).
-    The call alone sizes its `dominance_grid` calls, each within `_cap`
-    floats at `_KERNEL_FLOATS_PER_CELL` a cell.  It cuts `a` into
-    consecutive whole roots, the most whose candidate nodes x len(b) cells
-    fit (a root over that on its own goes alone, one r-node a kernel call),
-    each cut read as row slices of `a`.  Within a cut the r-nodes reach the
-    kernel as stacks, each by one forward and one reverse call: the box
-    r-nodes in consecutive r-chunks of K, the most (at least 1) whose (cut
-    nodes, len(b), K) grid fits, and under "optimal" each point r-node
-    (``lo == hi``, every r-node of a fully separated level) alone, so both
-    calls decide each cell from one distance key per node.  Under "minmax"
-    every r-node counts as a box.  A stacked call equals its K one-box calls
-    bit for bit.  A candidate root's bound on one (b-node, r-node) pair is a
-    segmented sum (one `np.add.reduceat` per bound and kernel call) of the
-    masses of its nodes that dominate the b-node (lb), or that the b-node
-    does not dominate (ub), capped at 1.  A node that dominates is never
-    dominated, so ub >= lb, and a cell whose every node is decided sums the
-    same masses in the same order for both: ub == lb bit for bit.  Each
-    (segment, b-node, r-node) column is reduced on its own, so a candidate
-    root's bounds depend neither on the other roots of `a` or of its cut,
-    nor a b-node's on the other nodes of `b`, nor an r-node's on its
-    r-chunk: all are what a one-root call with one r-node gives, bit for bit.
+    are read.  Returns (lb, ub) arrays of shape (a's roots, len(b), len(r)):
+    a candidate root's bound on one (b-node, r-node) pair sums the masses of
+    its nodes that dominate the b-node (lb), or that the b-node does not
+    dominate (ub), capped at 1.  A node that dominates is never dominated,
+    so ub >= lb.  Under "minmax" every r-node counts as a box.
+
+    Box r-nodes go to `dominance_grid`, each call within `_cap` floats at
+    `_KERNEL_FLOATS_PER_CELL` a cell.  The call cuts `a` into consecutive
+    whole roots, the most whose candidate nodes x len(b) cells fit (a root
+    over that on its own goes alone, one r-node a kernel call), each cut
+    read as row slices of `a`, and sends the box r-nodes of a cut in
+    consecutive r-chunks of K, the most (at least 1) whose (cut nodes,
+    len(b), K) grid fits, by one forward and one reverse call.  A stacked
+    call equals its K one-box calls bit for bit.  A bound is a segmented sum
+    of the masks times the masses (one `np.add.reduceat` per bound and
+    kernel call), so a cell whose every node is decided sums the same masses
+    in the same order for both bounds: ub == lb bit for bit.
+
+    Under "optimal" the point r-nodes (``lo == hi``, every r-node of a fully
+    separated level) make no kernel call: `_point_bounds` decides them, many
+    at a time, from sorted distance keys (`geometry._point_runs`).  It cuts
+    `a` into whole roots and stacks the point r-nodes of a cut in passes of
+    the most whose floats, at `_POINT_FLOATS_PER_ROOT` and
+    `_POINT_FLOATS_PER_NODE` per point r-node, fit three quarters of
+    `_cap` (the rest holds the band cells' slices).  Outside the rounding
+    band the nodes of a root that dominate a b-node are those of its
+    smallest far keys, and those the b-node does not dominate those of its
+    smallest near keys; so a bound is a prefix sum of the root's own masses,
+    stably sorted by its own keys and added from zero, at an integer count,
+    and the band nodes that count, each decided by the kernel's own sum,
+    are added after it in node order.  Against the node-order sum of the
+    kernel path such a cell moves by at most (K - 1) eps, K the root's node
+    count: both add the same c <= K masses of total at most 1.  The counts
+    make a cell exact: every node dominates, lb = 1.0; none is dominated,
+    ub = 1.0; every node decided, ub = lb bit for bit.  Keys that may
+    overflow send their r-nodes to the kernel, which raises ValueError where
+    it would anyway.
+
+    A bound reads only its own root's nodes, that b-node and that r-node:
+    sums, sort orders and counts are per (root, b-node, r-node), so a
+    candidate root's bounds depend neither on the other roots of `a` or of
+    its cut, nor a b-node's on the other nodes of `b`, nor an r-node's on
+    its r-chunk or pass: all are what a one-root call with one b-node and
+    one r-node gives, bit for bit.
     """
     lb = np.empty((a.seg.size - 1, len(b), len(r)))
     ub = np.empty((a.seg.size - 1, len(b), len(r)))
     point = (r.lo == r.hi).all(axis=1) & (criterion == "optimal")
-    boxes = np.flatnonzero(~point)
-    points = [slice(i, i + 1) for i in np.flatnonzero(point).tolist()]
-    fit = _cap() // (len(b) * _KERNEL_FLOATS_PER_CELL)  # candidate nodes x r-nodes per kernel call
-    cuts = [0]
-    while cuts[-1] < a.seg.size - 1:
-        cuts.append(max(cuts[-1] + 1, int(np.searchsorted(a.seg, a.seg[cuts[-1]] + fit, side="right")) - 1))
-    for s, e in zip(cuts, cuts[1:]):
-        rows, heads = slice(a.seg[s], a.seg[e]), a.seg[s:e] - a.seg[s]
-        lo, hi, mass = a.lo[rows], a.hi[rows], a.mass[rows, None, None]
-        k = max(1, fit // (a.seg[e] - a.seg[s]))  # box r-nodes per chunk
-        for z in [boxes[i : i + k] for i in range(0, boxes.size, k)] + points:
-            r_lo, r_hi = r.lo[z], r.hi[z]
-            dom = dominance_grid(lo, hi, b.lo, b.hi, r_lo, r_hi, p, criterion)
-            rev = dominance_grid(b.lo, b.hi, lo, hi, r_lo, r_hi, p, criterion)
-            lb[s:e, :, z] = np.add.reduceat(mass * dom, heads)
-            ub[s:e, :, z] = np.add.reduceat(mass * ~rev.transpose(1, 0, 2), heads)
+    boxes, points = np.flatnonzero(~point), np.flatnonzero(point)
+    kernel = []  # point r-nodes whose keys may overflow: the kernel decides, as for a box
+    if points.size:
+        n, sizes = len(b), a.seg[1:] - a.seg[:-1]
+        per_root = _POINT_FLOATS_PER_ROOT * (n + 2 + int(sizes.max()))
+        per_node = 5 * a.lo.shape[1] + _POINT_FLOATS_PER_NODE
+        room = 3 * _cap() // 4  # a quarter for the band cells' slices
+        fit = room - per_node * n  # floats per point r-node left for a cut's roots and nodes
+        if per_root * sizes.size + per_node * int(a.seg[-1]) <= fit:
+            cuts = [0, sizes.size]
+        else:
+            cuts = _cuts(per_root * np.arange(a.seg.size) + per_node * a.seg, fit)
+        for s, e in zip(cuts, cuts[1:]):
+            rows, seg = slice(a.seg[s], a.seg[e]), a.seg[s : e + 1] - a.seg[s]
+            k = max(1, room // (per_root * (e - s) + per_node * int(seg[-1] + n)))  # point r-nodes a pass
+            for z in (points[i : i + k] for i in range(0, points.size, k)):
+                got = _point_bounds(a.lo[rows], a.hi[rows], a.mass[rows], seg, b, r.lo[z], p)
+                if got is None:
+                    kernel += z.tolist()
+                else:
+                    lb[s:e, :, z], ub[s:e, :, z] = (x.transpose(1, 2, 0) for x in got)
+    if boxes.size or kernel:
+        fit = _cap() // (len(b) * _KERNEL_FLOATS_PER_CELL)  # candidate nodes x r-nodes per kernel call
+        cuts = _cuts(a.seg, fit)
+        for s, e in zip(cuts, cuts[1:]):
+            rows, heads = slice(a.seg[s], a.seg[e]), a.seg[s:e] - a.seg[s]
+            lo, hi, mass = a.lo[rows], a.hi[rows], a.mass[rows, None, None]
+            k = max(1, fit // (a.seg[e] - a.seg[s]))  # box r-nodes per chunk
+            for z in [boxes[i : i + k] for i in range(0, boxes.size, k)] + [[i] for i in dict.fromkeys(kernel)]:
+                r_lo, r_hi = r.lo[z], r.hi[z]
+                dom = dominance_grid(lo, hi, b.lo, b.hi, r_lo, r_hi, p, criterion)
+                rev = dominance_grid(b.lo, b.hi, lo, hi, r_lo, r_hi, p, criterion)
+                lb[s:e, :, z] = np.add.reduceat(mass * dom, heads)
+                ub[s:e, :, z] = np.add.reduceat(mass * ~rev.transpose(1, 0, 2), heads)
     np.minimum(lb, 1.0, out=lb)
     np.minimum(ub, 1.0, out=ub)
     return lb, ub

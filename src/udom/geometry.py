@@ -10,7 +10,7 @@ sum over dimensions is negative.  The min/max baseline compares
 full-rectangle MaxDist(a, r) with MinDist(b, r); it ignores that both
 distances depend on the same position of r, so it is implied by (never
 tighter than) the corner-wise criterion.  One routine forms every such term,
-over a corner or over r's interval, for both kernels and the point keys
+over a corner or over r's interval, for both kernels and the band cells
 below; the min/max value adds its far terms and its near terms each in
 dimension order.
 
@@ -36,9 +36,20 @@ with relative error at most u, subnormal or not).  So every cell outside the
 band A (1 - s) <= B <= A (1 + s) takes the kernel's decision from the keys
 alone, and only the band cells get the kernel's sum, from the same terms in
 the same order: the mask is the kernel's, bit for bit.  The keys are summed
-with overflow ignored; when 2 (max A + max B) is not finite the call runs the
-kernel, which then raises ValueError exactly when it would have anyway, and
-otherwise no partial sum of the kernel can overflow.
+with overflow ignored; when twice the sum of the largest far key and the
+largest near key is not finite the caller runs the kernel, which then raises ValueError
+exactly when it would have anyway, and otherwise no partial sum of the kernel
+can overflow.  The keys take a box's terms from its two differences t - lo
+and hi - t: its near differences are those negated, which floating point
+keeps exact, so they are the kernel's terms.
+
+One banded key comparison, `_point_runs`, decides these cells for a stack of
+points, each box's key computed once per point and the other side's keys
+sorted, so that each box's band is a run of ranks found by binary search.
+It has two callers: `dominance_grid` under one point (the MBR filter's and
+`classify`'s point q), which reads the mask off the runs, and the point
+reference nodes of `udom.domination.pdom_bounds_grid`, which reads the runs
+as counts and never forms the grid.
 """
 
 from __future__ import annotations
@@ -213,32 +224,105 @@ def _ranges(heads: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return np.repeat(heads - offsets[:-1], ends - heads) + np.arange(offsets[-1]), offsets
 
 
+def _cuts(cost: np.ndarray, fit: int) -> list[int]:
+    """Boundaries of consecutive runs of items, the most whose cost fits
+    `fit` (an item over it alone); ``cost[j]`` is the cost of items 0..j-1."""
+    cuts = [0]
+    while cuts[-1] < cost.size - 1:
+        cuts.append(max(cuts[-1] + 1, int(np.searchsorted(cost, cost[cuts[-1]] + fit, side="right")) - 1))
+    return cuts
+
+
+# Floats one band cell of `_point_runs` holds while the kernel's sum decides it.
+_BAND_FLOATS_PER_CELL = 16
+
+
+def _point_runs(a_lo, a_hi, b_lo, b_hi, t, p, reverse=False, band_cells=None):
+    """The banded key comparison of m a-boxes against n b-boxes under each
+    point of the (k, d) stack t, from the boxes' far and near keys (see the
+    module docstring); None when a key's sum may overflow.
+
+    Row z < k of each result is the relation "a-box i dominates b-box j"
+    under point z, a's far key against b's near key; with `reverse`, row
+    k + z is "b-box j does not dominate a-box i", b's far key against a's
+    near key.  Returns the a-boxes' keys in each row's test (rows, m); the
+    b-boxes' order by theirs (rows, n); per a-box the run ``start:end``
+    (rows, m) of b ranks in that order whose cells lie in the rounding band,
+    the relation holding at every rank from `end` on and at none before
+    `start`; and the band cells, an iterable of (row, i, j, holds) index
+    arrays in row, i, rank order, with `holds` the relation as the kernel's
+    value decides it, fl(fa_i - nb_i) added in dimension order from the same
+    terms, `band_cells` cells at a time (default: a quarter of m n k), or
+    the cells of one a-box if more.  `end` is nondecreasing in the a-box's
+    key, so outside the band the a-boxes that hold the relation at a rank
+    are those of the smallest keys."""
+    (k, d), m = t.shape, len(a_lo)
+    lo, hi = np.concatenate([a_lo.T, b_lo.T], axis=1), np.concatenate([a_hi.T, b_hi.T], axis=1)  # (d, m + n)
+    col = np.ascontiguousarray(t.T)[..., None]  # (d, k, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # `_distance_terms` of each box under each point: its near differences
+        # are its far ones negated, which floating point keeps exact.
+        to_lo, to_hi = col - lo[:, None], hi[:, None] - col  # (d, k, m + n)
+        sides = (slice(None), slice(None)) if reverse else (slice(None, m), slice(m, None))  # far, near
+        far = (np.maximum(to_lo[..., sides[0]], to_hi[..., sides[0]]) ** p).sum(axis=0)
+        gap = np.minimum(to_lo[..., sides[1]], to_hi[..., sides[1]])
+        near = (np.maximum(np.negative(gap, out=gap), 0.0, out=gap) ** p).sum(axis=0)
+        del to_lo, to_hi, gap
+        if not np.isfinite(2.0 * (far.max(initial=0.0) + near.max(initial=0.0))):
+            return None
+    slack = 2 * d * np.finfo(float).eps
+    upper, lower = far * (1.0 + slack), far * (1.0 - slack)  # each far key's band
+    a_key = np.concatenate([far[:, :m], near[:, :m]]) if reverse else far
+    b_key = np.concatenate([near[:, m:], far[:, m:]]) if reverse else near
+    order = b_key.argsort(axis=1)  # ties need no order: they share every count
+    start, end = np.empty(a_key.shape, dtype=np.intp), np.empty(a_key.shape, dtype=np.intp)
+    for z, rank in enumerate(order):
+        if z < k:  # b's near keys against a's bands
+            keys = b_key[z, rank]
+            start[z], end[z] = keys.searchsorted(lower[z, :m]), keys.searchsorted(upper[z, :m], "right")
+        else:  # b's bands, sorted with its far keys, against a's near keys
+            start[z] = upper[z - k, m:][rank].searchsorted(a_key[z])
+            end[z] = lower[z - k, m:][rank].searchsorted(a_key[z], "right")
+    count = (end - start).ravel()
+    if not count.any():
+        return a_key, order, start, end, ()
+    limit = max(1, m * b_key.shape[1] * k // 4) if band_cells is None else band_cells
+    return a_key, order, start, end, _band(lo, hi, t, p, order, start.ravel(), end.ravel(), limit)
+
+
+def _band(lo, hi, t, p, order, start, end, limit):
+    """The band cells of `_point_runs`, `limit` at a time: each slice holds
+    the cells of consecutive (row, a-box) runs ``start:end`` of b ranks."""
+    k, m = len(t), start.size // len(order)
+    cuts = _cuts(np.concatenate([[0], (end - start).cumsum()]), limit)
+    for s, e in zip(cuts, cuts[1:]):
+        ranks, offsets = _ranges(start[s:e], end[s:e])
+        if not ranks.size:
+            continue
+        z, i = np.divmod(np.repeat(np.arange(s, e), np.diff(offsets)), m)
+        j = order[z, ranks]
+        forward = z < k
+        xs, ys, row = np.where(forward, i, m + j), np.where(forward, m + j, i), z % k
+        total = np.zeros(ranks.size)  # the kernel's sum, cell by cell
+        for x_lo, x_hi, col in zip(lo, hi, t.T):
+            fa, nb = _distance_terms(x_lo[xs], x_hi[xs], x_lo[ys], x_hi[ys], col[row], col[row], p)
+            total += fa - nb
+        yield z, i, j, (total < 0.0) == forward
+
+
 def _point_reference_mask(a_lo, a_hi, b_lo, b_hi, t, p):
     """The optimal kernel's (m, n, 1) mask under the one point reference t,
-    a (d, 1) column, from one key per box (see the module docstring), or
-    None when the keys' sums may overflow.  A cell inside the rounding band
-    gets the kernel's value from the same terms: fl(fa_i - nb_i) added in
-    dimension order."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        far, near = _distance_terms(a_lo.T, a_hi.T, b_lo.T, b_hi.T, t, t, p)  # (d, m), (d, n)
-        a_key, b_key = far.sum(axis=0), near.sum(axis=0)
-        if not np.isfinite(2.0 * (a_key.max(initial=0.0) + b_key.max(initial=0.0))):
-            return None
-    slack = 2 * len(t) * np.finfo(float).eps
-    upper, lower = a_key * (1.0 + slack), a_key * (1.0 - slack)
-    mask = b_key > upper[:, None]
-    # Row i's band cells lower[i] <= b_key <= upper[i] are a run of the sorted b-keys.
-    sorted_keys = np.sort(b_key)
-    first = np.searchsorted(sorted_keys, lower, "left")
-    count = np.searchsorted(sorted_keys, upper, "right") - first
-    if count.any():
-        by_key = np.argsort(b_key)
-        rows = np.repeat(np.arange(len(a_key)), count)
-        cols = by_key[_ranges(first, first + count)[0]]
-        total = np.zeros(rows.size)  # the kernel's sum, cell by cell
-        for fa, nb in zip(far, near):
-            total += fa[rows] - nb[cols]
-        mask[rows, cols] = total < 0.0
+    a (1, d) stack, from `_point_runs`, or None when the keys' sums may
+    overflow."""
+    runs = _point_runs(a_lo, a_hi, b_lo, b_hi, t, p)
+    if runs is None:
+        return None
+    _, (order,), _, (end,), band = runs
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    mask = rank >= end[:, None]
+    for _, i, j, holds in band:
+        mask[i, j] = holds
     return mask[..., None]
 
 
@@ -256,7 +340,7 @@ def dominance_grid(a_lo, a_hi, b_lo, b_hi, r_lo, r_hi, p=2.0, criterion="optimal
     if values is None:
         raise ValueError(f"unknown criterion {criterion!r}")
     if values is _optimal_values_grid and len(r_lo) == 1 and (r_lo == r_hi).all():
-        mask = _point_reference_mask(a_lo, a_hi, b_lo, b_hi, r_lo.T, p)
+        mask = _point_reference_mask(a_lo, a_hi, b_lo, b_hi, r_lo, p)
         if mask is not None:
             return mask
     return _no_overflow(values, a_lo, a_hi, b_lo, b_hi, r_lo, r_hi, p) < 0.0

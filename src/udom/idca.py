@@ -10,7 +10,10 @@ participant.  From depth 2 on, each step deepens every root by one level in
 one segmented `split` and sweeps every active run together, once: one
 `pdom_bounds_grid` call per reference, over all its runs' candidate roots
 and targets, which cuts its kernel calls to fit `_cap` (whole candidate
-roots a call, its box reference nodes stacked into r-chunks), then, per
+roots a call, its box reference nodes stacked into r-chunks) and decides
+its point reference nodes, many a pass, from sorted distance keys, a
+candidate root's masses added in its own key order up to integer node
+counts that make every fully decided cell exact, then, per
 (target-leaf, reference-leaf) pair, count bounds from the uncertain
 generating function of its padded pdom bounds, as three univariate products
 (`udom.genfunc`), mixed into its run in one product with the pair masses
@@ -191,9 +194,10 @@ def _evaluate_depth(level: Frontier, runs: list, p: float, criterion: str) -> li
     once) and their target roots, in run order; that call cuts its kernel
     calls to fit `_cap`, whole candidate roots a call and its box reference
     nodes stacked into r-chunks, so a few candidate nodes cost few kernel
-    calls however many nodes the reference has.  A candidate root's bounds
-    depend neither on the other roots nor on the cut, and a target root's
-    on no other target, so the call changes no bit.  A narrower run is
+    calls however many nodes the reference has, and passes its point
+    reference nodes over sorted keys with no kernel call.  A candidate
+    root's bounds depend neither on the other roots nor on the cut, and a
+    target root's on no other target, so the call changes no bit.  A narrower run is
     padded with plb = pub = 0, factors that multiply by exactly 1.  One
     `_ugf_expand_batch` call expands every row of the block into its three
     univariate products (`udom.genfunc`), of 3 * rows * (width+1) floats

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 import udom.domination as domination
 from udom.domination import ProbBounds, _target_labels, classify, pdom_bounds_grid
-from udom.geometry import _KERNEL_FLOATS_PER_CELL, Rect
+from udom.geometry import _KERNEL_FLOATS_PER_CELL, Rect, _point_runs, dominance_grid
 from udom.model import DecompositionTree, Frontier, build_object
 
 from conftest import random_boxes, random_instance, random_object
@@ -25,6 +26,23 @@ def pdom_bounds(a, b_rect, r_rect, p=2.0, depth=1):
     b, r = (DecompositionTree([build_object("box", [(x.lo, 1.0), (x.hi, 1.0)])]).leaves(1) for x in (b_rect, r_rect))
     lb, ub = pdom_bounds_grid(DecompositionTree([a]).leaves(depth), b, r, p)
     return ProbBounds(float(lb[0, 0, 0]), float(ub[0, 0, 0]))
+
+
+def assert_matches_oracle(got, want, a, b, r, criterion):
+    """`pdom_bounds_grid`'s (lb, ub) against a node-order oracle's: byte for
+    byte under "minmax" and on the box r-node columns.  Under "optimal" a
+    point r-node's cell sums the masses in the root's key order, so it lies
+    within (K - 1) eps of the oracle, K the root's node count, or it is the
+    exact 1.0 that the node count pins where the oracle sums all the root's
+    masses."""
+    point = (r.lo == r.hi).all(axis=1) & (criterion == "optimal")
+    nodes = np.diff(a.seg)[:, None, None]
+    root_mass = np.minimum(np.add.reduceat(a.mass[:, None] * np.ones((1, len(b))), a.seg[:-1]), 1.0)[..., None]
+    for g, w in zip(got, want):
+        assert np.ascontiguousarray(g[..., ~point]).tobytes() == np.ascontiguousarray(w[..., ~point]).tobytes()
+        near = np.abs(g - w) <= (nodes - 1) * np.finfo(float).eps
+        pinned = (g == 1.0) & (w == root_mass)
+        assert (near | pinned)[..., point].all()
 
 
 def test_probbounds_validation():
@@ -313,11 +331,13 @@ def test_pdom_bounds_grid_matches_scalar(rng):
 
 @pytest.mark.parametrize("criterion", ["optimal", "minmax"])
 def test_pdom_bounds_grid_stack_matches_per_candidate(rng, criterion):
-    """A stack of candidates gives, bit for bit, the bounds of each candidate
-    evaluated alone on its own arrays.  Candidates differ in node count; some
-    are one sample (a single atomic node) or coincident samples (atomic).
-    The targets are a forest of 1-3 objects of distinct sample counts, and
-    each target root's columns are, bit for bit, those of that root alone."""
+    """A stack of candidates gives the bounds of each candidate evaluated
+    alone on its own arrays by the node-order oracle (`assert_matches_oracle`:
+    bit for bit but on "optimal" point r-nodes).  Candidates differ in node
+    count; some are one sample (a single atomic node) or coincident samples
+    (atomic).  The targets are a forest of 1-3 objects of distinct sample
+    counts, and each target root's columns are, bit for bit, those of that
+    root alone."""
     for trial in range(40):
         d = int(rng.integers(1, 5))
         p = (1.0, 2.0, 3.0)[trial % 3]
@@ -343,10 +363,8 @@ def test_pdom_bounds_grid_stack_matches_per_candidate(rng, criterion):
         rf = DecompositionTree([r]).leaves(depth)
         assert len(stack) == sum(len(DecompositionTree([c]).leaves(depth)) for c in cands)
         lb, ub = pdom_bounds_grid(stack, bf, rf, p, criterion)
-        want_lb, want_ub = pdom_bounds_stacked(stack, bf, rf, p, criterion)
         assert lb.shape == (len(cands), len(bf), len(rf))
-        assert lb.tobytes() == want_lb.tobytes()
-        assert ub.tobytes() == want_ub.tobytes()
+        assert_matches_oracle((lb, ub), pdom_bounds_stacked(stack, bf, rf, p, criterion), stack, bf, rf, criterion)
         for j, o in enumerate(bs):
             cols = slice(bf.seg[j], bf.seg[j + 1])
             one_lb, one_ub = pdom_bounds_grid(stack, DecompositionTree([o]).leaves(depth), rf, p, criterion)
@@ -369,13 +387,13 @@ def _level(rng, sizes, d, grid, points=0.0):
     return Frontier(lo, hi, mass, np.arange(k), np.arange(k + 1), seg)
 
 
-def _tiles(seg, fit, n_boxes, n_points):
+def _tiles(seg, fit, n_boxes):
     """The (candidate node rows, r-stack) slices of each forward kernel
     call of a `pdom_bounds_grid` call whose kernel calls hold `fit`
-    candidate nodes x r-nodes, the r-stack taken from the box r-nodes, then
-    the point r-nodes: `a` cut greedily into the most consecutive whole
-    roots whose nodes fit (a root over it alone), each cut with r-chunks of
-    ``max(1, fit // nodes)`` box r-nodes, then each point r-node alone."""
+    candidate nodes x r-nodes, the r-stack taken from the box r-nodes: `a`
+    cut greedily into the most consecutive whole roots whose nodes fit (a
+    root over it alone), each cut with r-chunks of ``max(1, fit // nodes)``
+    box r-nodes."""
     tiles, s = [], 0
     while s < seg.size - 1:
         e = s + 1
@@ -383,7 +401,6 @@ def _tiles(seg, fit, n_boxes, n_points):
             e += 1
         rows, k = slice(seg[s], seg[e]), max(1, fit // (seg[e] - seg[s]))
         tiles += [(rows, slice(i, min(i + k, n_boxes))) for i in range(0, n_boxes, k)]
-        tiles += [(rows, slice(i, i + 1)) for i in range(n_boxes, n_boxes + n_points)]
         s = e
     return tiles
 
@@ -408,17 +425,18 @@ def _tiles(seg, fit, n_boxes, n_points):
 @example(1.5, 2, "minmax", 6, 1, 25, 0.0, False, 0.0, 4)
 def test_pdom_bounds_grid_equals_one_r_node_at_a_time(p, d, criterion, a_roots, b_roots, k, points, grid, share, seed):
     """Cutting `a` into whole-root kernel calls and stacking the box r-nodes
-    into cap-sized r-chunks changes no bit: lb and ub equal, byte for byte,
-    one forward and one reverse kernel call per r-node over all of `a`.
-    Cases span p, d and both criteria, integer-grid ties and coincident
-    boxes, degenerate boxes, r-frontiers of 1-300 nodes that are all
-    points, all boxes or a mix, and budgets patched so that a kernel call
-    holds `share` x len(a) candidate nodes x r-nodes (None: the default
-    budget): 1, 2 or 7 r-chunks' worth of all of `a`, or half of `a`, so
-    several roots a cut, or 1, so each root alone, one over it too.  Each
-    kernel call's candidate rows and r-stack are the next tile in order:
-    per cut of `a`, the r-chunks of box r-nodes, then, under "optimal",
-    each point r-node alone."""
+    into cap-sized r-chunks changes no bit: lb and ub equal one forward and
+    one reverse kernel call per r-node over all of `a`, byte for byte but on
+    the "optimal" point r-nodes, which the key pass decides with no kernel
+    call (`assert_matches_oracle`).  Cases span p, d and both criteria,
+    integer-grid ties and coincident boxes, degenerate boxes, r-frontiers of
+    1-300 nodes that are all points, all boxes or a mix, and budgets patched
+    so that a kernel call holds `share` x len(a) candidate nodes x r-nodes
+    (None: the default budget): 1, 2 or 7 r-chunks' worth of all of `a`, or
+    half of `a`, so several roots a cut, or 1, so each root alone, one over
+    it too.  Each kernel call's candidate rows and r-stack are the next tile
+    in order: per cut of `a`, the r-chunks of box r-nodes (under "minmax"
+    every r-node)."""
     rng = np.random.default_rng(seed)
     a, b = (_level(rng, rng.integers(1, 9, size=roots), d, grid) for roots in (a_roots, b_roots))
     r = _level(rng, [k], d, grid, points)
@@ -432,25 +450,26 @@ def test_pdom_bounds_grid_equals_one_r_node_at_a_time(p, d, criterion, a_roots, 
 
     with mock.patch.object(domination, "_BATCH_FLOAT_BUDGET", budget), mock.patch.object(domination, "dominance_grid", counted):
         lb, ub = pdom_bounds_grid(a, b, r, p, criterion)
-    want_lb, want_ub = pdom_bounds_per_r_node(a, b, r, p, criterion)
     assert lb.shape == (a_roots, len(b), k)
-    assert lb.tobytes() == want_lb.tobytes()
-    assert ub.tobytes() == want_ub.tobytes()
+    assert_matches_oracle((lb, ub), pdom_bounds_per_r_node(a, b, r, p, criterion), a, b, r, criterion)
     point = (r.lo == r.hi).all(axis=1) & (criterion == "optimal")
-    tiles = _tiles(a.seg, fit, k - int(point.sum()), int(point.sum()))
+    tiles = _tiles(a.seg, fit, k - int(point.sum()))
     assert len(calls) == 2 * len(tiles)
-    stacks = np.concatenate([r.lo[~point], r.lo[point]])
     for (rows, z), forward, reverse in zip(tiles, calls[::2], calls[1::2]):
         assert forward[0].tobytes() == reverse[2].tobytes() == a.lo[rows].tobytes()
-        assert forward[4].tobytes() == reverse[4].tobytes() == stacks[z].tobytes()
+        assert forward[4].tobytes() == reverse[4].tobytes() == r.lo[~point][z].tobytes()
 
 
 def test_pdom_bounds_grid_peak_memory_fits_the_cap():
     """A call over a multi-root `a` and 100 or more box r-nodes, in r-chunks
-    of several r-nodes under the default budget, and a call whose 1200
+    of several r-nodes under the default budget, a call whose 1200
     candidate roots are over `_cap` at one r-node, cut into whole-root
-    kernel calls, each peak within `_cap` floats for their kernel calls,
-    plus their two outputs, plus 256 KiB for numpy's ufunc buffers."""
+    kernel calls, and calls of many point r-nodes, several passes of the
+    point pass (one with integer-grid ties and one at d = 8 whose nodes all
+    coincide, so their band cells go through the kernel's sum in slices, and
+    one of 1200 roots, cut), each peak within
+    `_cap` floats for their kernel calls or passes, plus their two outputs,
+    plus 256 KiB for numpy's ufunc buffers."""
     rng = np.random.default_rng(11)
     a, b, r = (_level(rng, np.full(roots, 5), 2, False) for roots in (40, 4, 30))
     assert (~(r.lo == r.hi).all(axis=1)).sum() >= 100
@@ -459,7 +478,11 @@ def test_pdom_bounds_grid_peak_memory_fits_the_cap():
     box = Frontier(np.zeros((1, 2)), np.ones((1, 2)), np.ones(1), np.arange(1), np.arange(2), np.array([0, 1]))
     wide = _level(rng, np.full(1200, 5), 2, False), b, box
     assert len(wide[0]) * len(b) * _KERNEL_FLOATS_PER_CELL > domination._cap()
-    for a, b, r in ((a, b, r), wide):
+    points = _level(rng, [300], 2, False, 1.0)
+    ties = [_level(rng, sizes, 2, True) for sizes in (np.full(60, 9), np.full(6, 9))] + [_level(rng, [300], 2, True, 1.0)]
+    coincident = [Frontier(np.ones((n, 8)), np.ones((n, 8)), np.full(n, 1 / 9), np.arange(n), np.arange(n + 1), np.arange(0, n + 1, 9)) for n in (900, 90)]
+    calls = [(a, b, r), wide, (a, b, points), tuple(ties), (wide[0], b, points), (*coincident, _level(rng, [50], 8, False, 1.0))]
+    for a, b, r in calls:
         outputs = 2 * 8 * (a.seg.size - 1) * len(b) * len(r)
         tracemalloc.start()
         try:
@@ -468,3 +491,120 @@ def test_pdom_bounds_grid_peak_memory_fits_the_cap():
         finally:
             tracemalloc.stop()
         assert peak <= domination._cap() * 8 + outputs + 256 * 1024
+
+
+def _shared_level(rng, sizes, d, grid, a, share):
+    """A `_level` whose nodes are, about a `share` of them, copies of `a`'s
+    point nodes: atomic nodes of both sides, whose keys tie exactly."""
+    level = _level(rng, sizes, d, grid)
+    atoms = np.flatnonzero((a.lo == a.hi).all(axis=1))
+    pick = np.flatnonzero(rng.uniform(size=len(level)) < share) if atoms.size else []
+    for i in pick:
+        level.lo[i] = level.hi[i] = a.lo[rng.choice(atoms)]
+    return level
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(
+    st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+    st.sampled_from([1, 2, 3, 8]),
+    st.integers(1, 6),
+    st.integers(1, 3),
+    st.integers(1, 40),
+    st.booleans(),
+    st.sampled_from([0.0, 0.5]),
+    st.integers(0, 2**32 - 1),
+)
+@example(2.0, 2, 4, 2, 30, True, 0.5, 0)
+@example(1.0, 8, 3, 3, 5, False, 0.5, 1)
+@example(3.0, 1, 6, 1, 40, True, 0.0, 2)
+@example(1.5, 3, 1, 1, 1, False, 0.5, 3)
+def test_point_pass_agrees_with_the_per_r_node_oracle(p, d, a_roots, b_roots, k, grid, share, seed):
+    """Under "optimal" the point r-nodes are decided from sorted distance
+    keys, each root's masses added in its own key order.  Against the
+    per-r-node kernel oracle (`tests/reference.py`), every point cell lies
+    within (K - 1) eps, K the root's node count (`assert_matches_oracle`);
+    the kernel's own masks give, per cell, the nodes that dominate and the
+    nodes not dominated, and lb is 0 or 1, ub is 0 or 1, lb == ub, or lb <
+    ub on exactly the cells whose counts say so; ub >= lb everywhere; and a
+    call over one root, or over one target node, equals that part of the
+    full call byte for byte.  Cases span p, d, integer-grid ties, ragged
+    roots and atomic nodes shared by `a` and `b`, whose cells fall in the
+    rounding band and take the kernel's sum."""
+    rng = np.random.default_rng(seed)
+    a = _level(rng, rng.integers(1, 9, size=a_roots), d, grid, 0.5)
+    b = _shared_level(rng, rng.integers(1, 9, size=b_roots), d, grid, a, share)
+    r = _level(rng, [k], d, grid, 1.0)
+    lb, ub = pdom_bounds_grid(a, b, r, p)
+    assert_matches_oracle((lb, ub), pdom_bounds_per_r_node(a, b, r, p), a, b, r, "optimal")
+    dom = np.stack([dominance_grid(a.lo, a.hi, b.lo, b.hi, t, t, p)[..., 0] for t in r.lo[:, None]], axis=-1)
+    free = np.stack([~dominance_grid(b.lo, b.hi, a.lo, a.hi, t, t, p)[..., 0].T for t in r.lo[:, None]], axis=-1)
+    dominating, undominated = (np.add.reduceat(x.astype(int), a.seg[:-1], axis=0) for x in (dom, free))
+    nodes = np.diff(a.seg)[:, None, None]
+    for got, want in (
+        (lb == 0.0, dominating == 0),
+        (lb == 1.0, dominating == nodes),
+        (ub == 0.0, undominated == 0),
+        (ub == 1.0, undominated == nodes),
+        (lb == ub, dominating == undominated),
+        (lb < ub, dominating < undominated),
+    ):
+        assert (got == want).all()
+    assert (ub >= lb).all()
+    for j in range(a_roots):
+        one = pdom_bounds_grid(a.take(np.array([j])), b, r, p)
+        assert [x[j : j + 1].tobytes() for x in (lb, ub)] == [x.tobytes() for x in one]
+    for i in range(len(b)):
+        node = Frontier(b.lo[i : i + 1], b.hi[i : i + 1], np.ones(1), np.arange(1), np.arange(2), np.array([0, 1]))
+        one = pdom_bounds_grid(a, node, r, p)
+        assert [np.ascontiguousarray(x[:, i : i + 1]).tobytes() for x in (lb, ub)] == [x.tobytes() for x in one]
+
+
+def test_shared_atomic_nodes_reach_the_band():
+    """Point nodes shared by `a` and `b` tie in their keys, so the point
+    pass sends them to the kernel's sum (the band cells the hypothesis test
+    above covers)."""
+    rng = np.random.default_rng(5)
+    a = _level(rng, [6, 3], 2, True, 0.5)
+    b = _shared_level(rng, [5], 2, True, a, 0.5)
+    t = _level(rng, [1], 2, True, 1.0).lo
+    bands = list(_point_runs(a.lo, a.hi, b.lo, b.hi, t, 2.0, reverse=True)[4])
+    assert bands and sum(z.size for z, *_ in bands) > 0
+
+
+def test_every_node_dominating_under_a_point_reads_exactly_one():
+    """Non-dyadic, ragged weights: the three node masses of `a` (weights 0.3,
+    0.7 and 0.1) add in node order to 0.9999999999999999.  Every node
+    dominates the target under the point reference, so the node count pins
+    lb == ub == 1.0; a sum that merely rounds near 1 left the factor open."""
+    a = build_object("a", [((0.1, 0.0), 0.3), ((0.0, 0.1), 0.7), ((0.1, 0.1), 0.1)])
+    b = build_object("b", [((5.0, 5.0), 1.0), ((5.0, 6.0), 0.1)])
+    r = point_obj("r", (0.0, 0.0))
+    for depth in (2, 3):
+        af = DecompositionTree([a]).leaves(depth)
+        lb, ub = pdom_bounds_grid(af, DecompositionTree([b]).leaves(2), DecompositionTree([r]).leaves(1))
+        assert len(af) == depth and np.add.reduceat(af.mass, [0])[0] != 1.0
+        assert (lb == 1.0).all() and (ub == 1.0).all()
+
+
+def test_point_keys_that_overflow_go_to_the_kernel():
+    """A point r-node whose keys may overflow goes to the kernel, as a box
+    would: where a p-th power overflows the call raises the kernel's
+    ValueError; where only the keys' sums do (p = 1, huge equal
+    coordinates) it returns the kernel path's bounds, byte for byte, and
+    numpy warns of no overflow."""
+    def level(rows):
+        rows = np.array(rows, dtype=float)
+        return Frontier(rows, rows, np.ones(len(rows)), np.arange(len(rows)), np.arange(len(rows) + 1), np.array([0, len(rows)]))
+
+    r = level([[0.0, 0.0]])
+    with pytest.raises(ValueError, match="overflow"):
+        pdom_bounds_grid(level([[1e154, 1.3e154]]), level([[1.5e154, 0.0]]), r)
+    a = Frontier(*(np.array([[1.7e308, 1.7e308], [1.0e308, 1.7e308]]),) * 2, np.full(2, 0.5), np.arange(2), np.arange(3), np.array([0, 2]))
+    b = level([[1.7e308, 1.7e308], [1.7e308, 1.0e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = pdom_bounds_grid(a, b, r, 1.0)
+        want = pdom_bounds_per_r_node(a, b, r, 1.0)
+    assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+    assert 0.0 < want[0].max() and want[1].min() < 1.0

@@ -146,26 +146,62 @@ def tied_db(rng, d, n_objects, min_samples, spread):
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_history_matches_per_candidate_reference(rng, monkeypatch, d):
-    """Every depth's bounds equal, bit for bit, those from evaluating each
-    candidate alone with the (m, n, d, 2) dominance formula.  Some objects sit
-    on a coarse grid, so samples coincide and distances tie."""
+    """Every depth's bounds equal, bit for bit, those from the engine's
+    `pdom_bounds_grid` called on each candidate alone, and those from
+    evaluating each candidate alone with the (m, n, d, 2) dominance formula:
+    bit for bit under "minmax"; under "optimal", whose point r-nodes add
+    each root's masses in key order and pin cells by node counts, within
+    2 (n + 1) K eps, n the candidates and K = 6 the most nodes of a root
+    (a point cell moves by at most K eps, and a count bound is a pair-weighted
+    sum of products multilinear in the n factors).  Some objects sit on a
+    coarse grid, so samples coincide and distances tie."""
     engine = importlib.import_module("udom.idca")
     stacked = engine.pdom_bounds_grid
+
+    def alone(a, *args):
+        parts = [stacked(a.take(np.array([j])), *args) for j in range(a.seg.size - 1)]
+        return tuple(np.concatenate(x) for x in zip(*parts))
+
     for trial in range(12):
         p = (1.0, 2.0, 3.0)[trial % 3]
         db = tied_db(rng, d, int(rng.integers(3, 8)), min_samples=1, spread=0.3)
         b, r = db[0], db[1]
         criterion = "minmax" if trial % 4 == 3 else "optimal"
         runs = []
-        for pdom in (stacked, pdom_bounds_stacked):
+        for pdom in (stacked, alone, pdom_bounds_stacked):
             monkeypatch.setattr(engine, "pdom_bounds_grid", pdom)
             runs.append(idca(db, b, r, p=p, max_depth=6, criterion=criterion))
-        got, want = runs
-        assert got.stop_reason == want.stop_reason
-        assert len(got.history) == len(want.history)
-        for g, w in zip(got.history, want.history):
-            assert g.lb.tobytes() == w.lb.tobytes()
-            assert g.ub.tobytes() == w.ub.tobytes()
+        got, one, want = runs
+        tol = 0.0 if criterion == "minmax" else 2 * len(db) * 6 * np.finfo(float).eps
+        for ref in (one, want):
+            assert got.stop_reason == ref.stop_reason
+            assert len(got.history) == len(ref.history)
+        for g, o, w in zip(got.history, one.history, want.history):
+            assert g.lb.tobytes() == o.lb.tobytes() and g.ub.tobytes() == o.ub.tobytes()
+            assert np.abs(g.lb - w.lb).max() <= tol and np.abs(g.ub - w.ub).max() <= tol
+
+
+def test_undominated_root_under_a_point_claims_no_count_it_cannot_have():
+    """Fourteen equal weights make the candidate's node masses add to
+    0.9999999999999998.  Under the point reference no node of it is
+    dominated by the target, so the node count pins its pdom ub to exactly
+    1.0 and no sweep's lower bound claims count 0, whose exact probability
+    is 0: every sample of a is nearer to r than b is."""
+    th = np.linspace(0.05, np.pi / 2 - 0.05, 14)
+    a = build_object("a", [((0.9 * np.cos(t), 0.9 * np.sin(t)), 1.0) for t in th])
+    b = build_object("b", [((1.0, 0.0), 1.0)])
+    r = build_object("r", [((0.0, 0.0), 1.0)])
+    for depth in (1, 2):
+        af = DecompositionTree([a]).leaves(depth)
+        assert np.add.reduceat(af.mass, [0])[0] != 1.0
+        lb, ub = domination.pdom_bounds_grid(af, DecompositionTree([b]).leaves(1), DecompositionTree([r]).leaves(1))
+        assert lb.tolist() == [[[0.0]]] and ub.tolist() == [[[1.0]]]
+    exact = enumerate_exact([a, b], b, r).pdf
+    assert exact[0] == 0.0
+    res = idca([a, b], b, r, max_depth=3)
+    assert len(res.history) == 3
+    for h in res.history:
+        assert h.lb[0] == 0.0
 
 
 def dense_sweep(level, runs, p, criterion, budget):
@@ -181,21 +217,24 @@ def record_sweeps(monkeypatch):
     """Patch the engine so that each `_evaluate_depth` sweep appends
     ``(references, calls)`` to the returned list: its number of distinct
     references and, per `pdom_bounds_grid` call it makes, the node count of
-    each candidate root and the result shape of each kernel call, forward
-    and reverse in turn."""
+    each candidate root, the result shape of each kernel call, forward and
+    reverse in turn, the (point r-nodes, roots, target nodes) shape of each
+    point pass, and the numbers of its r-nodes that are points under
+    "optimal" (the key pass's; no kernel call decides them) and boxes."""
     engine = importlib.import_module("udom.idca")
-    sweep, pdom, kernel = engine._evaluate_depth, engine.pdom_bounds_grid, domination.dominance_grid
+    sweep, pdom, kernel, passes = engine._evaluate_depth, engine.pdom_bounds_grid, domination.dominance_grid, domination._point_bounds
     sweeps, inside = [], []
 
     def sweep_counted(level, runs, *args):
         sweeps.append((len({int(run.roots[-1]) for run in runs}), []))
         return sweep(level, runs, *args)
 
-    def pdom_counted(a, *args):
-        sweeps[-1][1].append((np.diff(a.seg), []))
+    def pdom_counted(a, b, r, p, criterion):
+        points = int(((r.lo == r.hi).all(axis=1) & (criterion == "optimal")).sum())
+        sweeps[-1][1].append((np.diff(a.seg), [], [], points, len(r) - points))
         inside.append(True)
         try:
-            return pdom(a, *args)
+            return pdom(a, b, r, p, criterion)
         finally:
             inside.pop()
 
@@ -205,16 +244,21 @@ def record_sweeps(monkeypatch):
             sweeps[-1][1][-1][1].append(out.shape)
         return out
 
+    def pass_counted(lo, hi, mass, seg, b, t, p):
+        sweeps[-1][1][-1][2].append((len(t), seg.size - 1, len(b)))
+        return passes(lo, hi, mass, seg, b, t, p)
+
     monkeypatch.setattr(engine, "_evaluate_depth", sweep_counted)
     monkeypatch.setattr(engine, "pdom_bounds_grid", pdom_counted)
     monkeypatch.setattr(domination, "dominance_grid", kernel_counted)
+    monkeypatch.setattr(domination, "_point_bounds", pass_counted)
     return sweeps
 
 
 def cut_calls(sweeps):
     """Forward kernel calls over fewer candidate nodes than their
     `pdom_bounds_grid` call's `a`: each is one cut of a kernel pass."""
-    return sum(shape[0] < nodes.sum() for _, calls in sweeps for nodes, shapes in calls for shape in shapes[::2])
+    return sum(shape[0] < nodes.sum() for _, calls in sweeps for nodes, shapes, *_ in calls for shape in shapes[::2])
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -638,32 +682,37 @@ def test_each_kernel_call_of_a_sweep_fits_the_cap(monkeypatch):
     r-chunks, so that every `dominance_grid` call's grid, candidate nodes x
     target nodes x the r-nodes of its stack, stays within `_cap` floats at
     the kernel's `_KERNEL_FLOATS_PER_CELL` floats per cell; only a root over
-    the cap on its own may go alone, with one r-node a call.  Under the
-    default budget some kernel call stacks several r-nodes.  With the cap
-    patched to 200 cells, every other kernel call fits it, more kernel
-    calls hold only part of their call's candidate nodes than under the
-    default budget, and the bounds and decisions equal the default
-    budget's, byte for byte."""
+    the cap on its own may go alone, with one r-node a call.  Under
+    "optimal" the point r-nodes go through the key pass, each once per cut
+    of its candidate roots, and make no kernel call; under "minmax" every
+    r-node is a box.  Under the default budget some kernel call stacks
+    several r-nodes.  With the cap patched to 200 cells, every other kernel
+    call fits it, more kernel calls hold only part of their call's
+    candidate nodes than under the default budget, and the bounds and
+    decisions equal the default budget's, byte for byte."""
     db = generate_synthetic(40, 2, 0.3, 8, seed=3)
     q = point_obj("q", (0.5, 0.5))
     sweeps = record_sweeps(monkeypatch)
 
     def run():
         sweeps.clear()
-        res = idca(db, db[0], db[1], max_depth=5, epsilon=0.0)
+        res = [idca(db, db[0], db[1], max_depth=5, epsilon=0.0, criterion=c) for c in ("optimal", "minmax")]
         answer = pknn_query(db, q, 6, 0.5, max_depth=5)
         assert sweeps and all(refs == len(calls) for refs, calls in sweeps)
-        return [(h.lb.tobytes(), h.ub.tobytes()) for h in res.history], repr(answer.decisions)
+        return [(h.lb.tobytes(), h.ub.tobytes()) for x in res for h in x.history], repr(answer.decisions)
 
     want = run()
     default_cuts = cut_calls(sweeps)
-    assert max(shape[2] for _, calls in sweeps for _, shapes in calls for shape in shapes) > 1
+    assert max(shape[2] for _, calls in sweeps for _, shapes, *_ in calls for shape in shapes) > 1
+    assert any(points for _, calls in sweeps for *_, points, _ in calls)
     monkeypatch.setattr(domination, "_BATCH_FLOAT_BUDGET", 64 * _KERNEL_FLOATS_PER_CELL * 200)
     assert run() == want
     for _, calls in sweeps:
-        for nodes, shapes in calls:
+        for nodes, shapes, passes, points, boxes in calls:
             for m, n, k in shapes[::2]:
                 assert m * n * k <= 200 or (k == 1 and m in nodes[nodes * n > 200])
+            assert sum(k * roots for k, roots, _ in passes) == points * len(nodes)  # each (point, root) once
+            assert (sum(k for *_, k in shapes[::2]) >= boxes) and (boxes or not shapes)
     assert cut_calls(sweeps) > default_cuts
 
 
