@@ -163,11 +163,11 @@ def classify(
     return DominationClassification(tuple(o.id for o in dominators), tuple(cands), tuple(o.id for o in irrelevant))
 
 
-def _point_bounds(lo, hi, mass, seg, b, t, p):
-    """lb and ub, (k, roots, len(b)), of the roots of one cut (node rows
-    `lo`, `hi`, `mass`, root j's rows ``seg[j]:seg[j + 1]``) under the
-    point r-nodes t, a (k, d) stack, from `_point_runs`; None when the keys
-    may overflow.
+def _point_bounds(lo, hi, mass, seg, b_lo, b_hi, t, p):
+    """lb and ub, (roots, len(b_lo), k), of the roots of one cut (node rows
+    `lo`, `hi`, `mass`, root j's rows ``seg[j]:seg[j + 1]``) against the
+    b-nodes `b_lo`, `b_hi` under the point r-nodes t, a (k, d) stack, from
+    `_point_runs`; None when the keys may overflow.
 
     A bound sums the masses of the root's nodes that dominate the b-node
     (lb) or that the b-node does not dominate (ub).  Outside the rounding
@@ -176,7 +176,7 @@ def _point_bounds(lo, hi, mass, seg, b, t, p):
     and added from zero; band nodes that count are added after it, in node
     order.  The integer counts then settle each cell they can: every node
     dominates, lb = 1; none is dominated, ub = 1; every node decided, ub = lb."""
-    runs = _point_runs(lo, hi, b.lo, b.hi, t, p, reverse=True, band_cells=_cap() // (4 * _BAND_FLOATS_PER_CELL))
+    runs = _point_runs(lo, hi, b_lo, b_hi, t, p, reverse=True, band_cells=_cap() // (4 * _BAND_FLOATS_PER_CELL))
     if runs is None:
         return None
     key, order, _, end, band = runs
@@ -187,13 +187,7 @@ def _point_bounds(lo, hi, mass, seg, b, t, p):
     slot = root * width + np.arange(len(mass)) - seg[root]  # each node's place in a (roots, width) layout
     padded = np.full((rows, roots * width), np.inf)
     padded[:, slot] = key
-    padded = padded.reshape(rows, roots, width)
-    by_key = padded.argsort(axis=-1, kind="stable" if width <= 16 else None)
-    if width > 16:  # a faster sort, the stable one's order unless the root's own keys tie
-        ordered = padded.reshape(-1)[by_key + np.arange(0, padded.size, width).reshape(rows, roots, 1)]
-        if ((ordered[..., 1:] == ordered[..., :-1]) & (ordered[..., 1:] < np.inf)).any():
-            by_key = padded.argsort(axis=-1, kind="stable")
-    by_key = by_key.transpose(2, 0, 1)
+    by_key = padded.reshape(rows, roots, width).argsort(axis=-1, kind="stable").transpose(2, 0, 1)
     masses = np.zeros(roots * width)
     masses[slot] = mass
     blocks = rows * roots  # one per (row, root)
@@ -213,7 +207,41 @@ def _point_bounds(lo, hi, mass, seg, b, t, p):
     (lb, ub), (dominating, free) = value.reshape(2, k, roots, n), count.reshape(2, k, roots, n)
     np.copyto(ub, lb, where=free == dominating)
     np.maximum(ub, lb, out=ub)
-    return lb, ub
+    return lb.transpose(1, 2, 0), ub.transpose(1, 2, 0)
+
+
+def _kernel_bounds(lo, hi, mass, heads, b_lo, b_hi, r_lo, r_hi, p, criterion):
+    """lb and ub, (roots, len(b_lo), len(r_lo)), of the roots whose node rows
+    (`lo`, `hi`, `mass`) start at `heads`: one forward and one reverse
+    kernel call, each mask times the masses summed per root in node order
+    (one `np.add.reduceat` per bound)."""
+    dom = dominance_grid(lo, hi, b_lo, b_hi, r_lo, r_hi, p, criterion)
+    rev = dominance_grid(b_lo, b_hi, lo, hi, r_lo, r_hi, p, criterion)
+    mass = mass[:, None, None]
+    return np.add.reduceat(mass * dom, heads), np.add.reduceat(mass * ~rev.transpose(1, 0, 2), heads)
+
+
+def _point_cells(a, b, r, block, p, lb, ub):
+    """Fill lb and ub on the cells of `block`, a range of consecutive roots
+    of `a`, a range of b-nodes and an array of point r-nodes, by
+    `_point_bounds`.  Where some cell's keys may overflow, each half of the
+    block along its longest side goes again, down to one cell, which the
+    kernel decides as it would under a box; so whether a cell goes to the
+    kernel rests on its own keys alone."""
+    roots, nodes, points = block
+    rows, seg = slice(a.seg[roots.start], a.seg[roots.stop]), a.seg[roots.start : roots.stop + 1] - a.seg[roots.start]
+    at = slice(roots.start, roots.stop), slice(nodes.start, nodes.stop), points
+    args = a.lo[rows], a.hi[rows], a.mass[rows], seg, b.lo[at[1]], b.hi[at[1]], r.lo[points]
+    got = _point_bounds(*args, p)
+    if got is None and len(roots) == len(nodes) == len(points) == 1:
+        got = _kernel_bounds(*args[:3], seg[:-1], *args[4:], r.hi[points], p, "optimal")
+    if got is not None:
+        lb[at], ub[at] = got
+        return
+    side = max(range(3), key=lambda x: len(block[x]))
+    half = len(block[side]) // 2
+    for part in (block[side][:half], block[side][half:]):
+        _point_cells(a, b, r, [*block[:side], part, *block[side + 1 :]], p, lb, ub)
 
 
 def pdom_bounds_grid(
@@ -262,9 +290,10 @@ def pdom_bounds_grid(
     kernel path such a cell moves by at most (K - 1) eps, K the root's node
     count: both add the same c <= K masses of total at most 1.  The counts
     make a cell exact: every node dominates, lb = 1.0; none is dominated,
-    ub = 1.0; every node decided, ub = lb bit for bit.  Keys that may
-    overflow send their r-nodes to the kernel, which raises ValueError where
-    it would anyway.
+    ub = 1.0; every node decided, ub = lb bit for bit.  A cell whose own
+    keys may overflow goes alone to the kernel (`_point_cells`), which
+    raises ValueError where it would anyway; the pass's other cells keep the
+    key pass.
 
     A bound reads only its own root's nodes, that b-node and that r-node:
     sums, sort orders and counts are per (root, b-node, r-node), so a
@@ -277,39 +306,24 @@ def pdom_bounds_grid(
     ub = np.empty((a.seg.size - 1, len(b), len(r)))
     point = (r.lo == r.hi).all(axis=1) & (criterion == "optimal")
     boxes, points = np.flatnonzero(~point), np.flatnonzero(point)
-    kernel = []  # point r-nodes whose keys may overflow: the kernel decides, as for a box
     if points.size:
-        n, sizes = len(b), a.seg[1:] - a.seg[:-1]
-        per_root = _POINT_FLOATS_PER_ROOT * (n + 2 + int(sizes.max()))
+        n = len(b)
+        per_root = _POINT_FLOATS_PER_ROOT * (n + 2 + int((a.seg[1:] - a.seg[:-1]).max()))
         per_node = 5 * a.lo.shape[1] + _POINT_FLOATS_PER_NODE
         room = 3 * _cap() // 4  # a quarter for the band cells' slices
-        fit = room - per_node * n  # floats per point r-node left for a cut's roots and nodes
-        if per_root * sizes.size + per_node * int(a.seg[-1]) <= fit:
-            cuts = [0, sizes.size]
-        else:
-            cuts = _cuts(per_root * np.arange(a.seg.size) + per_node * a.seg, fit)
+        cuts = _cuts(per_root * np.arange(a.seg.size) + per_node * a.seg, room - per_node * n)
         for s, e in zip(cuts, cuts[1:]):
-            rows, seg = slice(a.seg[s], a.seg[e]), a.seg[s : e + 1] - a.seg[s]
-            k = max(1, room // (per_root * (e - s) + per_node * int(seg[-1] + n)))  # point r-nodes a pass
+            k = max(1, room // (per_root * (e - s) + per_node * int(a.seg[e] - a.seg[s] + n)))  # point r-nodes a pass
             for z in (points[i : i + k] for i in range(0, points.size, k)):
-                got = _point_bounds(a.lo[rows], a.hi[rows], a.mass[rows], seg, b, r.lo[z], p)
-                if got is None:
-                    kernel += z.tolist()
-                else:
-                    lb[s:e, :, z], ub[s:e, :, z] = (x.transpose(1, 2, 0) for x in got)
-    if boxes.size or kernel:
+                _point_cells(a, b, r, [range(s, e), range(n), z], p, lb, ub)
+    if boxes.size:
         fit = _cap() // (len(b) * _KERNEL_FLOATS_PER_CELL)  # candidate nodes x r-nodes per kernel call
         cuts = _cuts(a.seg, fit)
         for s, e in zip(cuts, cuts[1:]):
             rows, heads = slice(a.seg[s], a.seg[e]), a.seg[s:e] - a.seg[s]
-            lo, hi, mass = a.lo[rows], a.hi[rows], a.mass[rows, None, None]
             k = max(1, fit // (a.seg[e] - a.seg[s]))  # box r-nodes per chunk
-            for z in [boxes[i : i + k] for i in range(0, boxes.size, k)] + [[i] for i in dict.fromkeys(kernel)]:
-                r_lo, r_hi = r.lo[z], r.hi[z]
-                dom = dominance_grid(lo, hi, b.lo, b.hi, r_lo, r_hi, p, criterion)
-                rev = dominance_grid(b.lo, b.hi, lo, hi, r_lo, r_hi, p, criterion)
-                lb[s:e, :, z] = np.add.reduceat(mass * dom, heads)
-                ub[s:e, :, z] = np.add.reduceat(mass * ~rev.transpose(1, 0, 2), heads)
+            for z in (boxes[i : i + k] for i in range(0, boxes.size, k)):
+                lb[s:e, :, z], ub[s:e, :, z] = _kernel_bounds(a.lo[rows], a.hi[rows], a.mass[rows], heads, b.lo, b.hi, r.lo[z], r.hi[z], p, criterion)
     np.minimum(lb, 1.0, out=lb)
     np.minimum(ub, 1.0, out=ub)
     return lb, ub

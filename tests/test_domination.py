@@ -608,3 +608,39 @@ def test_point_keys_that_overflow_go_to_the_kernel():
         want = pdom_bounds_per_r_node(a, b, r, 1.0)
     assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
     assert 0.0 < want[0].max() and want[1].min() < 1.0
+
+
+@pytest.mark.parametrize("huge", ["root", "r-node"])
+def test_cells_whose_keys_overflow_leave_the_others_to_the_key_pass(huge):
+    """One root, or one point r-node, at 1.7e308 (p = 1, d = 1) makes the
+    keys of its own cells overflow, though the kernel's terms do not: those
+    cells alone go to the kernel.  The other cells keep the key pass, so the
+    root of non-dyadic masses (node-order sum 0.9999999999999999) whose every
+    node dominates still reads lb == 1.0, and every root, b-node and r-node
+    of the full call equals its own one-root, one-b-node or one-r-node call
+    byte for byte."""
+    mass = np.array([0.3, 0.7, 0.1]) / 1.1
+    assert np.add.reduceat(mass, [0])[0] < 1.0
+    coords = [[0.1], [0.2], [0.3]] + ([[1.7e308]] if huge == "root" else [])
+    lo = np.array(coords)
+    seg = np.array([0, 3, 4]) if huge == "root" else np.array([0, 3])
+    a = Frontier(lo, lo, np.append(mass, 1.0)[: len(lo)], np.arange(len(lo)), np.arange(len(lo) + 1), seg)
+    nodes = np.array([[5.0], [6.0]])
+    b = Frontier(nodes, nodes, np.full(2, 0.5), np.arange(2), np.arange(3), np.array([0, 2]))
+    points = np.array([[0.0], [1.7e308]]) if huge == "r-node" else np.array([[0.0], [0.5]])
+    r = Frontier(points, points, np.full(2, 0.5), np.arange(2), np.arange(3), np.array([0, 2]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lb, ub = pdom_bounds_grid(a, b, r, 1.0)
+        assert (lb[0, :, 0] == 1.0).all()
+        for j in range(len(seg) - 1):
+            one = pdom_bounds_grid(a.take(np.array([j])), b, r, 1.0)
+            assert [x[j : j + 1].tobytes() for x in (lb, ub)] == [x.tobytes() for x in one]
+        for i in range(len(b)):
+            node = Frontier(b.lo[i : i + 1], b.hi[i : i + 1], np.ones(1), np.arange(1), np.arange(2), np.array([0, 1]))
+            one = pdom_bounds_grid(a, node, r, 1.0)
+            assert [np.ascontiguousarray(x[:, i : i + 1]).tobytes() for x in (lb, ub)] == [x.tobytes() for x in one]
+        for z in range(len(r)):
+            point = Frontier(r.lo[z : z + 1], r.hi[z : z + 1], np.ones(1), np.arange(1), np.arange(2), np.array([0, 1]))
+            one = pdom_bounds_grid(a, b, point, 1.0)
+            assert [np.ascontiguousarray(x[..., z : z + 1]).tobytes() for x in (lb, ub)] == [x.tobytes() for x in one]

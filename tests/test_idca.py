@@ -244,9 +244,9 @@ def record_sweeps(monkeypatch):
             sweeps[-1][1][-1][1].append(out.shape)
         return out
 
-    def pass_counted(lo, hi, mass, seg, b, t, p):
-        sweeps[-1][1][-1][2].append((len(t), seg.size - 1, len(b)))
-        return passes(lo, hi, mass, seg, b, t, p)
+    def pass_counted(lo, hi, mass, seg, b_lo, b_hi, t, p):
+        sweeps[-1][1][-1][2].append((len(t), seg.size - 1, len(b_lo)))
+        return passes(lo, hi, mass, seg, b_lo, b_hi, t, p)
 
     monkeypatch.setattr(engine, "_evaluate_depth", sweep_counted)
     monkeypatch.setattr(engine, "pdom_bounds_grid", pdom_counted)
